@@ -27,8 +27,8 @@ use ppq_core::query::{QueryEngine, ShardedQueryEngine, StrqOutcome};
 use ppq_core::shard::ShardedSummary;
 use ppq_core::{PpqConfig, PpqTrajectory, Variant};
 use ppq_geo::Point;
-use ppq_repo::{DiskQueryEngine, ReadMode, Repo, RepoWriter};
-use ppq_storage::{IoStats, PoolPolicy};
+use ppq_repo::{DiskQueryEngine, Repo, RepoWriter};
+use ppq_storage::IoStats;
 use ppq_tpi::DiskTpi;
 use ppq_traj::synth::{porto_like, PortoConfig};
 use std::fmt::Write as _;
@@ -75,13 +75,6 @@ struct PoolEntry {
     cold_reads: u64,
     warm_reads: u64,
     warm_hits: u64,
-}
-
-struct CurveEntry {
-    pool_pages: usize,
-    policy: &'static str,
-    steady_reads: u64,
-    steady_hits: u64,
 }
 
 fn main() {
@@ -218,81 +211,6 @@ fn main() {
         });
     }
 
-    // ---- Batched vs sequential read path, same store and workload. -----
-    // The batched engine plans a query's whole page set first and fetches
-    // it through one pinned pool batch; the sequential engine is the old
-    // one-read-per-block walk. Answers must match bit for bit, and the
-    // plan's dedup means the batched path never pages in *more*.
-    let mode_repo = Repo::open(&repo_dir, 128).unwrap();
-    let mut mode_engine = DiskQueryEngine::new(&mode_repo, &data, gc);
-    mode_engine.set_read_mode(ReadMode::Sequential);
-    mode_repo.clear_cache();
-    mode_repo.io_stats().reset();
-    let strq_sequential = mode_engine.strq_online_batch(&queries).unwrap();
-    let sequential_reads = mode_repo.io_stats().reads();
-    let (sequential_seconds, _) = time_median(runs, || {
-        mode_repo.clear_cache();
-        mode_engine.strq_online_batch(&queries).unwrap()
-    });
-    mode_engine.set_read_mode(ReadMode::Batched);
-    mode_repo.clear_cache();
-    mode_repo.io_stats().reset();
-    let strq_batched = mode_engine.strq_online_batch(&queries).unwrap();
-    let batched_reads = mode_repo.io_stats().reads();
-    let (batched_seconds, _) = time_median(runs, || {
-        mode_repo.clear_cache();
-        mode_engine.strq_online_batch(&queries).unwrap()
-    });
-    let batched_bit_identical = outcomes_bit_identical(&strq_batched, &strq_sequential);
-    let fewer_or_equal_ios = batched_reads <= sequential_reads;
-    assert!(
-        batched_bit_identical,
-        "batched and sequential read modes must answer identically"
-    );
-    assert!(
-        fewer_or_equal_ios,
-        "the batched plan must never page in more: batched {batched_reads} vs sequential {sequential_reads}"
-    );
-
-    // ---- Residency curves: LRU vs segmented LRU on a skewed schedule. --
-    // 80% of accesses land on the hottest 10% of the query set (Zipf-like
-    // hotspot), the shape that separates scan-resistant admission from
-    // plain recency. Each point warms to steady state, then measures one
-    // full schedule pass.
-    let hot = (n_queries / 10).max(1);
-    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut schedule: Vec<(u32, Point)> = Vec::with_capacity(2 * n_queries);
-    for _ in 0..2 * n_queries {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let q = if x % 10 < 8 {
-            (x >> 8) as usize % hot
-        } else {
-            (x >> 8) as usize % n_queries
-        };
-        schedule.push(queries[q]);
-    }
-    let mut curve_entries = Vec::new();
-    for pool_pages in POOL_SWEEP {
-        for (policy, name) in [
-            (PoolPolicy::Lru, "lru"),
-            (PoolPolicy::default_slru(), "slru"),
-        ] {
-            let repo = Repo::open_with_policy(&repo_dir, pool_pages, policy).unwrap();
-            let engine = DiskQueryEngine::new(&repo, &data, gc);
-            let _ = engine.strq_online_batch(&schedule).unwrap();
-            repo.io_stats().reset();
-            let _ = engine.strq_online_batch(&schedule).unwrap();
-            curve_entries.push(CurveEntry {
-                pool_pages,
-                policy: name,
-                steady_reads: repo.io_stats().reads(),
-                steady_hits: repo.io_stats().buffer_hits(),
-            });
-        }
-    }
-
     // ---- Report. -------------------------------------------------------
     println!(
         "\n=== PPQ disk path (runs={runs}, cores={cores}, {n_points} points, {n_queries} queries, {} B pages) ===",
@@ -318,30 +236,6 @@ fn main() {
             e.pool_pages, e.cold_seconds, e.warm_seconds, e.cold_reads, e.warm_reads, e.warm_hits
         );
     }
-    println!(
-        "batched read path ({}): cold {batched_seconds:.4}s / {batched_reads} page-ins vs sequential {sequential_seconds:.4}s / {sequential_reads} (bit-identical: {batched_bit_identical})",
-        mode_repo.pool().backend_name()
-    );
-    println!(
-        "{:>10} {:>8} {:>13} {:>12} {:>9}",
-        "pool", "policy", "steady-reads", "steady-hits", "hit-rate"
-    );
-    for e in &curve_entries {
-        let total = e.steady_reads + e.steady_hits;
-        println!(
-            "{:>10} {:>8} {:>13} {:>12} {:>9.4}",
-            e.pool_pages,
-            e.policy,
-            e.steady_reads,
-            e.steady_hits,
-            if total == 0 {
-                0.0
-            } else {
-                e.steady_hits as f64 / total as f64
-            }
-        );
-    }
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(
@@ -350,7 +244,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"note\": \"ppq-repo persistence round trip: RepoWriter lays the summary out as manifest + summary/dir/TPI-page segments, Repo::open validates checksums and serves queries through DiskQueryEngine over a shared LRU buffer pool. bit_identical asserts STRQ outcomes and TPQ payload bits match the in-memory QueryEngine (1 shard) and ShardedQueryEngine ({SHARDS} shards) on the same summaries. The scan comparison runs the same single-cell workload against the sorted block directory (directed page-ins) and DiskTpi (period page-run scan), both with the pool disabled; fewer_ios_than_scan must stay true. The pool sweep reports cold (cleared pool) and warm batch latency with Table 9 I/O accounting (a buffer hit is not an I/O). batched_read compares the plan-then-fetch read path (page set planned per query, misses dispatched to the I/O backend as one pinned batch) against the sequential one-read-per-block walk on a cold pool: bit_identical and fewer_or_equal_ios are both CI-gated. residency_curves measures steady-state page-ins and hit rate for plain LRU vs segmented LRU at each pool size on a hotspot schedule (80% of accesses over the hottest 10% of queries).\","
+        "    \"note\": \"ppq-repo persistence round trip: RepoWriter lays the summary out as manifest + summary/dir/TPI-page segments, Repo::open validates checksums and serves queries through DiskQueryEngine over a shared segmented-LRU buffer pool. bit_identical asserts STRQ outcomes and TPQ payload bits match the in-memory QueryEngine (1 shard) and ShardedQueryEngine ({SHARDS} shards) on the same summaries. The scan comparison runs the same single-cell workload against the sorted block directory (directed page-ins) and DiskTpi (period page-run scan), both with the pool disabled; fewer_ios_than_scan must stay true. The pool sweep reports cold (cleared pool) and warm batch latency with Table 9 I/O accounting (a buffer hit is not an I/O).\","
     );
     let _ = writeln!(json, "    \"bit_identical\": {bit_identical},");
     let _ = writeln!(json, "    \"shard_counts_checked\": [1, {SHARDS}],");
@@ -378,42 +272,6 @@ fn main() {
         directory_reads < scan_reads
     );
     let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"batched_read\": {{");
-    let _ = writeln!(
-        json,
-        "      \"backend\": \"{}\",",
-        mode_repo.pool().backend_name()
-    );
-    let _ = writeln!(json, "      \"batched_seconds\": {batched_seconds:.6},");
-    let _ = writeln!(
-        json,
-        "      \"sequential_seconds\": {sequential_seconds:.6},"
-    );
-    let _ = writeln!(json, "      \"batched_page_ins\": {batched_reads},");
-    let _ = writeln!(json, "      \"sequential_page_ins\": {sequential_reads},");
-    let _ = writeln!(json, "      \"bit_identical\": {batched_bit_identical},");
-    let _ = writeln!(json, "      \"fewer_or_equal_ios\": {fewer_or_equal_ios}");
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"residency_curves\": [");
-    for (i, e) in curve_entries.iter().enumerate() {
-        let total = e.steady_reads + e.steady_hits;
-        let hit_rate = if total == 0 {
-            0.0
-        } else {
-            e.steady_hits as f64 / total as f64
-        };
-        let _ = writeln!(
-            json,
-            "      {{\"pool_pages\": {}, \"policy\": \"{}\", \"steady_reads\": {}, \"steady_hits\": {}, \"hit_rate\": {:.4}}}{}",
-            e.pool_pages,
-            e.policy,
-            e.steady_reads,
-            e.steady_hits,
-            hit_rate,
-            if i + 1 < curve_entries.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ],");
     let _ = writeln!(json, "    \"pool_sweep\": [");
     for (i, e) in pool_entries.iter().enumerate() {
         let _ = writeln!(json, "      {{");

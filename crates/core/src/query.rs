@@ -17,23 +17,28 @@
 //! **TPQ** (Definition 5.3) runs an STRQ and reproduces the next `l`
 //! positions of the matching trajectories from the summary.
 //!
-//! Evaluation is allocation-lean: per-query state lives in a reusable
-//! [`QueryWorkspace`] (mirroring the build path's `KMeansWorkspace`), and
-//! [`QueryEngine::strq_batch`] / [`QueryEngine::tpq_batch`] spread a
-//! query workload over worker threads in fixed-size chunks with
-//! bit-identical, thread-count-independent result ordering.
+//! The procedure is written once, in [`QueryEngine`], whatever supplies
+//! the postings. What varies is the per-shard [`PostingSource`] — any
+//! in-memory [`ReconIndex`] here, a repository shard's paged block
+//! directory in `ppq-repo` — and the [`ShardSet`] an engine fans out
+//! over: one index, a [`ShardedSummary`] ([`ShardedQueryEngine`]) or an
+//! open repository (`ppq_repo::DiskQueryEngine`). Engines agree because
+//! they are the same code, not because a test compares copies.
 
-use crate::shard::ShardedSummary;
+use crate::shard::{ShardRouter, ShardedSummary};
 use crate::summary::PpqSummary;
 use ppq_geo::{BBox, GridSpec, Point};
 use ppq_sindex::{posting, QueryScratch};
 use ppq_tpi::Tpi;
 use ppq_traj::{Dataset, TrajId};
 use rayon::prelude::*;
+use std::borrow::Cow;
+use std::convert::Infallible;
+use std::ops::Deref;
 use std::sync::OnceLock;
 
-/// Registry handles for the in-memory query layer, resolved once so the
-/// per-query hot path touches only atomics.
+/// Registry handles for the query layer, resolved once so the per-query
+/// hot path touches only atomics.
 struct QueryMetrics {
     strq_ns: ppq_obs::Histogram,
     tpq_ns: ppq_obs::Histogram,
@@ -95,6 +100,132 @@ impl ReconIndex for PpqSummary {
     }
 }
 
+/// One shard as the query kernel sees it: `(t, rect)` → the ids indexed
+/// there, plus the [`ReconIndex`] those ids are filtered and answered
+/// with. Everything else about a query lives in [`QueryEngine`].
+pub trait PostingSource {
+    /// The reconstructions (`recon` / `recon_range` / `search_radius`).
+    type Recon: ReconIndex + ?Sized;
+    fn recon_index(&self) -> &Self::Recon;
+    /// Reusable per-thread probe state (decode scratch; on disk also the
+    /// page plan and the per-query I/O counter).
+    type Probe: Default;
+    /// [`Infallible`] in memory, `io::Error` on disk.
+    type Error: Send;
+    /// How the engine hands a `Result<T, Self::Error>` to its caller:
+    /// bare `T` from an infallible source, `io::Result<T>` from disk.
+    type Ret<T>;
+    fn ret<T>(result: Result<T, Self::Error>) -> Self::Ret<T>;
+
+    /// Fill `out` (handed over empty) with the sorted, deduplicated ids
+    /// whose indexed position at `t` may fall in `rect`. `dataset` is the
+    /// active set an index-free source scans instead.
+    fn postings(
+        &self,
+        t: u32,
+        rect: &BBox,
+        dataset: &Dataset,
+        probe: &mut Self::Probe,
+        out: &mut Vec<u32>,
+    ) -> Result<(), Self::Error>;
+}
+
+/// Every in-memory [`ReconIndex`] is an infallible posting source: its
+/// TPI's rect probe, or — for summaries that carry no index (baselines,
+/// the naive reference of `query_regression.rs`) — the whole active set
+/// at `t`, which the kernel's reconstruction filter then narrows.
+impl<S: ReconIndex + ?Sized> PostingSource for S {
+    type Recon = S;
+    type Probe = QueryScratch;
+    type Error = Infallible;
+    type Ret<T> = T;
+
+    fn recon_index(&self) -> &S {
+        self
+    }
+
+    fn ret<T>(result: Result<T, Infallible>) -> T {
+        let Ok(value) = result;
+        value
+    }
+
+    fn postings(
+        &self,
+        t: u32,
+        rect: &BBox,
+        dataset: &Dataset,
+        probe: &mut QueryScratch,
+        out: &mut Vec<u32>,
+    ) -> Result<(), Infallible> {
+        match self.index() {
+            // The index path yields sorted, deduplicated ids already.
+            Some(tpi) => tpi.query_rect_into(t, rect, probe, out),
+            // The active set's slice order is not guaranteed.
+            None => {
+                out.extend(dataset.points_at(t).iter().map(|(id, _)| *id));
+                out.sort_unstable();
+                out.dedup();
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The posting sources one [`QueryEngine`] fans a query out over, and the
+/// instruments its queries report to.
+pub trait ShardSet {
+    type Source: PostingSource + ?Sized;
+    /// The shards, in shard-index order.
+    fn shards(&self) -> impl ExactSizeIterator<Item = &Self::Source>;
+
+    /// The shard owning trajectory `id` — the ingest router's pure hash
+    /// of `(id, shard count)`. TPQ payloads route, never fan out.
+    fn shard_for(&self, id: TrajId) -> &Self::Source {
+        let mut shards = self.shards();
+        let owner = ShardRouter::new(shards.len()).shard_of(id);
+        shards
+            .nth(owner)
+            .expect("router stays within the shard count")
+    }
+
+    /// The latency span one STRQ runs under.
+    fn strq_span() -> ppq_obs::Span {
+        ppq_obs::Span::with("strq", &query_metrics().strq_ns)
+    }
+
+    /// The latency span one TPQ runs under (it contains an STRQ span).
+    fn tpq_span() -> ppq_obs::Span {
+        ppq_obs::Span::with("tpq", &query_metrics().tpq_ns)
+    }
+
+    /// Close one query's I/O account into [`Workspace::last_io`], on
+    /// success *and* failure. In-memory sources have nothing to settle.
+    fn settle_io(&self, _ws: &mut WorkspaceOf<Self>) {}
+}
+
+/// The workspace an engine over shard set `B` evaluates through.
+pub type WorkspaceOf<B> = Workspace<<<B as ShardSet>::Source as PostingSource>::Probe>;
+/// `T` as an engine over `B` returns it (see [`PostingSource::Ret`]).
+pub type Ret<B, T> = <<B as ShardSet>::Source as PostingSource>::Ret<T>;
+type Try<B, T> = Result<T, <<B as ShardSet>::Source as PostingSource>::Error>;
+
+/// A lone index is its own single shard.
+impl<S: ReconIndex + ?Sized> ShardSet for S {
+    type Source = S;
+
+    fn shards(&self) -> impl ExactSizeIterator<Item = &S> {
+        std::iter::once(self)
+    }
+}
+
+impl ShardSet for ShardedSummary {
+    type Source = PpqSummary;
+
+    fn shards(&self) -> impl ExactSizeIterator<Item = &PpqSummary> {
+        ShardedSummary::shards(self).iter()
+    }
+}
+
 /// The single query-backend abstraction: anything that can answer the
 /// two production query classes, whatever sits underneath — the
 /// in-memory [`ShardedQueryEngine`], the disk-resident engine in
@@ -116,7 +247,7 @@ pub trait QueryTarget: Sync {
 }
 
 /// Result of one STRQ at all three answer levels.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StrqOutcome {
     /// Ground truth: ids whose *original* point is in the query cell.
     pub truth: Vec<TrajId>,
@@ -131,45 +262,58 @@ pub struct StrqOutcome {
     pub visited: usize,
 }
 
+/// One TPQ answer: each matched id with its reconstructed sub-trajectory.
+pub type TpqAnswer = Vec<(TrajId, Vec<(u32, Point)>)>;
+
 /// Precision/recall of `returned` against `truth` (both sorted sets).
 pub fn precision_recall(returned: &[TrajId], truth: &[TrajId]) -> (f64, f64) {
-    if returned.is_empty() && truth.is_empty() {
-        return (1.0, 1.0);
-    }
     // Two-pointer sorted intersection — no per-element binary search.
     let tp = posting::intersect_count(returned, truth) as f64;
-    let precision = if returned.is_empty() {
-        1.0
-    } else {
-        tp / returned.len() as f64
-    };
-    let recall = if truth.is_empty() {
-        1.0
-    } else {
-        tp / truth.len() as f64
-    };
-    (precision, recall)
+    // Nothing returned is vacuously precise; nothing to find, fully recalled.
+    let ratio = |of: usize| if of == 0 { 1.0 } else { tp / of as f64 };
+    (ratio(returned.len()), ratio(truth.len()))
 }
 
 /// Reusable buffers for STRQ/TPQ evaluation — the query-path counterpart
 /// of the build path's `KMeansWorkspace`. One workspace per thread: the
 /// steady-state query loop performs no heap allocation beyond the
-/// returned outcome itself.
+/// returned outcome itself. Dereferences to the source's probe state `X`,
+/// where a source keeps its per-thread settings (on disk, the I/O budget).
 #[derive(Debug, Default)]
-pub struct QueryWorkspace {
-    /// Index-level scratch (Huffman decode buffer, posting bitset, …).
-    scratch: QueryScratch,
-    /// IDs proposed by the index before reconstruction filtering.
+pub struct Workspace<X> {
+    probe: X,
+    /// IDs proposed by the source before reconstruction filtering.
     raw: Vec<u32>,
     /// Reconstructed positions of the surviving candidates (parallel to
     /// the candidate list), so the approximate answer derives from the
     /// candidate pass without re-reconstructing.
     pts: Vec<Point>,
+    /// Per-shard outcomes staged for merging. Only the spine is reused:
+    /// the answer vectors are the ones a single-shard query returns.
+    outcomes: Vec<StrqOutcome>,
+    /// Ping-pong scratch for [`posting::union_fold_into`].
+    tmp: Vec<u32>,
+    /// `(page reads, buffer hits)` of the most recent query through this
+    /// workspace, failed queries included — Table 9's per-query "No.I/Os"
+    /// and its pool-absorbed complement. `(0, 0)` from in-memory sources.
+    pub last_io: (u64, u64),
 }
 
-impl QueryWorkspace {
-    pub fn new() -> QueryWorkspace {
-        QueryWorkspace::default()
+/// Workspace of the in-memory engines, sharded or not.
+pub type QueryWorkspace = Workspace<QueryScratch>;
+pub type ShardedQueryWorkspace = QueryWorkspace;
+
+impl<X: Default> Workspace<X> {
+    pub fn new() -> Workspace<X> {
+        Workspace::default()
+    }
+}
+
+impl<X> Deref for Workspace<X> {
+    type Target = X;
+
+    fn deref(&self) -> &X {
+        &self.probe
     }
 }
 
@@ -178,21 +322,15 @@ impl QueryWorkspace {
 /// any machine.
 pub const QUERY_CHUNK: usize = 32;
 
-/// The one implementation of the batched-evaluation determinism
-/// contract, shared by every `*_batch` form (sharded, unsharded, and the
-/// disk-resident engine in `ppq-repo`): queries are split into fixed
-/// [`QUERY_CHUNK`]-sized chunks (never thread-count-dependent), each
-/// chunk runs through one fresh reusable workspace, and chunk results
-/// concatenate in order — so batch output is bit-identical at any
+/// The batched-evaluation determinism contract: queries are split into
+/// fixed [`QUERY_CHUNK`]-sized chunks (never thread-count-dependent),
+/// each chunk runs through one fresh reusable workspace, and chunk
+/// results concatenate in order — so batch output is bit-identical at any
 /// `RAYON_NUM_THREADS`.
-pub fn batch_chunked<W, R>(
+pub fn batch_chunked<W: Default, R: Send>(
     queries: &[(u32, Point)],
     per_query: impl Fn(u32, &Point, &mut W) -> R + Sync,
-) -> Vec<R>
-where
-    W: Default,
-    R: Send,
-{
+) -> Vec<R> {
     let chunks: Vec<Vec<R>> = queries
         .par_chunks(QUERY_CHUNK)
         .map(|chunk| {
@@ -206,36 +344,58 @@ where
     chunks.into_iter().flatten().collect()
 }
 
-/// Query engine binding a summary-like index to its original dataset.
-pub struct QueryEngine<'a, S: ReconIndex + ?Sized> {
-    index: &'a S,
+/// The STRQ/TPQ kernel, binding a [`ShardSet`] to the original dataset.
+///
+/// * **STRQ** probes every shard (the query cell may contain
+///   trajectories of any shard) and merges the per-shard answer sets with
+///   two-pointer unions. Shards own disjoint id sets, so the merge is a
+///   pure interleave — no candidate is dropped or duplicated.
+/// * **TPQ** reuses that STRQ for matching, then routes each matched
+///   trajectory's payload reconstruction to its owning shard.
+/// * **Batches** are chunk-parallel under the [`batch_chunked`] contract.
+///
+/// Per-shard local search keeps recall 1 — each trajectory lives in
+/// exactly one shard whose CQC bound covers it — so exact answers are
+/// shard-count-invariant; only the approximate answer can differ
+/// (per-shard codebooks reconstruct slightly differently), which
+/// `ppq_shard_scaling` measures. Query methods return `io::Result` over
+/// a fallible source and the bare value otherwise ([`PostingSource::Ret`]).
+pub struct QueryEngine<'a, B: ShardSet + ?Sized> {
+    shards: &'a B,
     dataset: &'a Dataset,
     /// Canonical query grid: a uniform `g_c` grid over the dataset extent.
-    /// Using one grid for every method makes precision/recall comparable
-    /// across methods (the paper keeps `g_c` fixed at 100 m for the same
-    /// reason).
-    grid: GridSpec,
+    /// One grid for every method and every shard makes precision/recall
+    /// comparable across them (the paper keeps `g_c` fixed at 100 m for
+    /// the same reason).
+    grid: Cow<'a, GridSpec>,
 }
 
-impl<'a, S: ReconIndex + ?Sized> QueryEngine<'a, S> {
-    pub fn new(index: &'a S, dataset: &'a Dataset, gc: f64) -> QueryEngine<'a, S> {
+/// Cross-shard STRQ/TPQ over a [`ShardedSummary`]: the query-side mirror
+/// of [`crate::shard::ShardedPpqStream`]'s ingest fan-out.
+pub type ShardedQueryEngine<'a> = QueryEngine<'a, ShardedSummary>;
+
+impl<'a, B: ShardSet + ?Sized> QueryEngine<'a, B> {
+    pub fn new(shards: &'a B, dataset: &'a Dataset, gc: f64) -> QueryEngine<'a, B> {
         let bbox = dataset
             .bbox()
             .unwrap_or(BBox::from_extents(0.0, 0.0, 1.0, 1.0));
-        QueryEngine::with_grid(index, dataset, GridSpec::covering(&bbox.inflate(gc), gc))
+        QueryEngine::with_grid(shards, dataset, GridSpec::covering(&bbox.inflate(gc), gc))
     }
 
     /// [`QueryEngine::new`] with a precomputed canonical grid, skipping
-    /// the O(points) extent scan. This is the constructor for serving
-    /// paths that rebuild engines repeatedly over snapshots of the same
-    /// extent (e.g. the live-ingest service): compute the grid once with
-    /// [`GridSpec::covering`] and reuse it, which also pins cell
-    /// boundaries across snapshots.
-    pub fn with_grid(index: &'a S, dataset: &'a Dataset, grid: GridSpec) -> QueryEngine<'a, S> {
+    /// the O(points) extent scan. Serving paths that build an engine per
+    /// request over snapshots of one extent (the live-ingest service)
+    /// compute the grid once with [`GridSpec::covering`] and lend it
+    /// (`&GridSpec`), which also pins cell boundaries across snapshots.
+    pub fn with_grid(
+        shards: &'a B,
+        dataset: &'a Dataset,
+        grid: impl Into<Cow<'a, GridSpec>>,
+    ) -> QueryEngine<'a, B> {
         QueryEngine {
-            index,
+            shards,
             dataset,
-            grid,
+            grid: grid.into(),
         }
     }
 
@@ -262,414 +422,208 @@ impl<'a, S: ReconIndex + ?Sized> QueryEngine<'a, S> {
         out
     }
 
-    /// Run one STRQ at all answer levels.
-    pub fn strq(&self, t: u32, p: &Point) -> StrqOutcome {
-        self.strq_with(t, p, &mut QueryWorkspace::new())
+    /// The index-backed tiers of one STRQ: per shard, one posting probe
+    /// over the local-search rectangle, the reconstruction filter, and
+    /// the approx / candidates / exact derivation; then the cross-shard
+    /// merge.
+    ///
+    /// One probe serves both answer levels: the query cell is contained
+    /// in the inflated rectangle and a source's proposals are monotone in
+    /// the rectangle, so the approximate answer is exactly the candidates
+    /// whose reconstruction falls in the query cell.
+    fn strq_tiers(&self, t: u32, p: &Point, ws: &mut WorkspaceOf<B>) -> Try<B, StrqOutcome> {
+        let Some(cell) = self.cell_bbox(p) else {
+            return Ok(StrqOutcome::default());
+        };
+        ws.outcomes.clear();
+        for shard in self.shards.shards() {
+            let recon = shard.recon_index();
+            let search_rect = cell.inflate(recon.search_radius());
+            ws.raw.clear();
+            shard.postings(t, &search_rect, self.dataset, &mut ws.probe, &mut ws.raw)?;
+            let mut candidates = Vec::new();
+            ws.pts.clear();
+            for &id in &ws.raw {
+                if let Some(r) = recon.recon(id, t) {
+                    if search_rect.contains(&r) {
+                        candidates.push(id);
+                        ws.pts.push(r);
+                    }
+                }
+            }
+            let approx = candidates
+                .iter()
+                .zip(&ws.pts)
+                .filter(|(_, r)| cell.contains(r))
+                .map(|(&id, _)| id)
+                .collect();
+            // Refinement accesses every candidate's original trajectory.
+            let in_cell = |id: &TrajId| {
+                let original = self.dataset.trajectory(*id).at(t);
+                original.is_some_and(|q| cell.contains(&q))
+            };
+            let exact = candidates.iter().copied().filter(in_cell).collect();
+            ws.outcomes.push(StrqOutcome {
+                truth: Vec::new(),
+                approx,
+                visited: candidates.len(),
+                candidates,
+                exact,
+            });
+        }
+        if ws.outcomes.len() == 1 {
+            return Ok(ws.outcomes.pop().expect("one shard outcome"));
+        }
+        let mut merged = StrqOutcome {
+            visited: ws.outcomes.iter().map(|o| o.visited).sum(),
+            ..StrqOutcome::default()
+        };
+        // Indexed-accessor unions, so no `Vec<&[u32]>` is built per query.
+        let (outcomes, tmp) = (&ws.outcomes, &mut ws.tmp);
+        let mut union = |tier: fn(&StrqOutcome) -> &[u32], out: &mut Vec<u32>| {
+            posting::union_fold_into(outcomes.len(), |i| tier(&outcomes[i]), tmp, out)
+        };
+        union(|o| &o.candidates, &mut merged.candidates);
+        union(|o| &o.approx, &mut merged.approx);
+        union(|o| &o.exact, &mut merged.exact);
+        Ok(merged)
     }
 
-    /// [`QueryEngine::strq`] through a reusable [`QueryWorkspace`] — the
-    /// allocation-lean form used by batched evaluation.
-    pub fn strq_with(&self, t: u32, p: &Point, ws: &mut QueryWorkspace) -> StrqOutcome {
-        let mut outcome = self.strq_online_with(t, p, ws);
+    /// [`Self::strq_tiers`] under its span and accounts. I/O is settled on
+    /// every exit: a failed query's page-ins are real I/O, and `last_io`
+    /// must describe this query, not the prior one.
+    fn try_online(&self, t: u32, p: &Point, ws: &mut WorkspaceOf<B>) -> Try<B, StrqOutcome> {
+        let mut sp = B::strq_span();
+        let result = self.strq_tiers(t, p, ws);
+        self.shards.settle_io(ws);
+        sp.io(ws.last_io.0, ws.last_io.1);
+        if let Ok(outcome) = &result {
+            sp.visited(outcome.visited as u64);
+            // Table 4's "trajectories visited", live, for every engine.
+            let refined = &query_metrics().candidates_refined;
+            refined.add(outcome.visited as u64);
+        }
+        result
+    }
+
+    fn try_strq(&self, t: u32, p: &Point, ws: &mut WorkspaceOf<B>) -> Try<B, StrqOutcome> {
+        let mut outcome = self.try_online(t, p, ws)?;
         outcome.truth = self.truth(t, p);
-        outcome
+        Ok(outcome)
+    }
+
+    fn try_tpq(&self, t: u32, p: &Point, l: u32, ws: &mut WorkspaceOf<B>) -> Try<B, TpqAnswer> {
+        let mut sp = B::tpq_span();
+        let outcome = self.try_online(t, p, ws)?;
+        sp.io(ws.last_io.0, ws.last_io.1);
+        sp.visited(outcome.visited as u64);
+        let payload = |&id: &TrajId| (id, self.sub_trajectory(id, t, l));
+        Ok(outcome.exact.iter().map(payload).collect())
+    }
+
+    /// Run one STRQ at all answer levels, ground truth included (the
+    /// Tables 2–4 scoring protocol).
+    pub fn strq(&self, t: u32, p: &Point) -> Ret<B, StrqOutcome> {
+        self.strq_with(t, p, &mut Workspace::default())
+    }
+
+    /// [`QueryEngine::strq`] through a reusable [`Workspace`].
+    pub fn strq_with(&self, t: u32, p: &Point, ws: &mut WorkspaceOf<B>) -> Ret<B, StrqOutcome> {
+        B::Source::ret(self.try_strq(t, p, ws))
     }
 
     /// The *production* form of STRQ: the index-backed answers (approx,
     /// local-search candidates, exact refinement) without the
-    /// ground-truth scan, which exists only to score precision/recall in
-    /// the Tables 2–4 protocol. `truth` is left empty.
-    ///
-    /// One index probe serves both answer levels: the query cell is
-    /// contained in the inflated local-search rectangle and the TPI's
-    /// rect proposals are monotone in the rectangle, so the approximate
-    /// answer is exactly the candidates whose reconstruction falls in
-    /// the query cell.
-    pub fn strq_online_with(&self, t: u32, p: &Point, ws: &mut QueryWorkspace) -> StrqOutcome {
-        let Some(cell) = self.cell_bbox(p) else {
-            return StrqOutcome {
-                truth: Vec::new(),
-                approx: Vec::new(),
-                candidates: Vec::new(),
-                exact: Vec::new(),
-                visited: 0,
-            };
-        };
-        let search_rect = cell.inflate(self.index.search_radius());
-        ws.raw.clear();
-        match self.index.index() {
-            // The index path yields sorted, deduplicated ids already.
-            Some(tpi) => tpi.query_rect_into(t, &search_rect, &mut ws.scratch, &mut ws.raw),
-            // Index-free fallback: scan the active set, whose slice order
-            // is not guaranteed — sort to meet the outcome contract.
-            None => {
-                ws.raw
-                    .extend(self.dataset.points_at(t).iter().map(|(id, _)| *id));
-                ws.raw.sort_unstable();
-                ws.raw.dedup();
-            }
-        }
-        let mut candidates = Vec::new();
-        ws.pts.clear();
-        for &id in &ws.raw {
-            if let Some(r) = self.index.recon(id, t) {
-                if search_rect.contains(&r) {
-                    candidates.push(id);
-                    ws.pts.push(r);
-                }
-            }
-        }
-        let approx: Vec<TrajId> = candidates
-            .iter()
-            .zip(&ws.pts)
-            .filter(|(_, r)| cell.contains(r))
-            .map(|(&id, _)| id)
-            .collect();
-        let visited = candidates.len();
-        // Refinement accesses the original trajectory of every candidate;
-        // the registry counts those accesses across all engines (Table 4's
-        // "trajectories visited", live).
-        query_metrics().candidates_refined.add(visited as u64);
-        let exact: Vec<TrajId> = candidates
-            .iter()
-            .copied()
-            .filter(|id| {
-                self.dataset
-                    .trajectory(*id)
-                    .at(t)
-                    .map(|q| cell.contains(&q))
-                    .unwrap_or(false)
-            })
-            .collect();
-        StrqOutcome {
-            truth: Vec::new(),
-            approx,
-            candidates,
-            exact,
-            visited,
-        }
+    /// ground-truth scan, which exists only to score precision/recall.
+    /// `truth` is left empty.
+    pub fn strq_online(&self, t: u32, p: &Point) -> Ret<B, StrqOutcome> {
+        self.strq_online_with(t, p, &mut Workspace::default())
+    }
+
+    /// [`QueryEngine::strq_online`] through a reusable [`Workspace`].
+    pub fn strq_online_with(
+        &self,
+        t: u32,
+        p: &Point,
+        ws: &mut WorkspaceOf<B>,
+    ) -> Ret<B, StrqOutcome> {
+        B::Source::ret(self.try_online(t, p, ws))
     }
 
     /// TPQ (Definition 5.3): the exact STRQ ids plus their reconstructed
     /// sub-trajectories over `[t, t + l]`.
-    pub fn tpq(&self, t: u32, p: &Point, l: u32) -> Vec<(TrajId, Vec<(u32, Point)>)> {
-        self.tpq_with(t, p, l, &mut QueryWorkspace::new())
+    pub fn tpq(&self, t: u32, p: &Point, l: u32) -> Ret<B, TpqAnswer> {
+        self.tpq_with(t, p, l, &mut Workspace::default())
     }
 
-    /// [`QueryEngine::tpq`] through a reusable [`QueryWorkspace`]. Runs
-    /// the online STRQ (TPQ never consumes the ground truth).
+    /// [`QueryEngine::tpq`] through a reusable [`Workspace`]. Runs the
+    /// online STRQ (TPQ never consumes the ground truth).
     pub fn tpq_with(
         &self,
         t: u32,
         p: &Point,
         l: u32,
-        ws: &mut QueryWorkspace,
-    ) -> Vec<(TrajId, Vec<(u32, Point)>)> {
-        let outcome = self.strq_online_with(t, p, ws);
-        outcome
-            .exact
-            .iter()
-            .map(|&id| {
-                let mut sub = Vec::new();
-                self.index.recon_range(id, t, t.saturating_add(l), &mut sub);
-                (id, sub)
-            })
-            .collect()
+        ws: &mut WorkspaceOf<B>,
+    ) -> Ret<B, TpqAnswer> {
+        B::Source::ret(self.try_tpq(t, p, l, ws))
     }
 
-    /// Reconstructed sub-trajectory for specific ids (the Table 3 protocol
-    /// fixes the same ids across methods).
+    /// Reconstructed sub-trajectory for a specific id (the Table 3
+    /// protocol fixes the same ids across methods) — served by the owning
+    /// shard's summary, no fan-out and no I/O.
     pub fn sub_trajectory(&self, id: TrajId, t: u32, l: u32) -> Vec<(u32, Point)> {
         let mut out = Vec::new();
-        self.index.recon_range(id, t, t.saturating_add(l), &mut out);
+        let owner = self.shards.shard_for(id).recon_index();
+        owner.recon_range(id, t, t.saturating_add(l), &mut out);
         out
     }
 
-    /// Evaluate a batch of STRQs, chunk-parallel across worker threads
-    /// with the `batch_chunked` determinism contract (results in query
-    /// order, bit-identical at any `RAYON_NUM_THREADS`).
-    pub fn strq_batch(&self, queries: &[(u32, Point)]) -> Vec<StrqOutcome>
+    pub fn num_shards(&self) -> usize {
+        self.shards.shards().len()
+    }
+
+    /// A single-shard engine over shard `i`, on the same grid (tests
+    /// compare per-shard answers against the merged ones through this).
+    pub fn shard_engine(&self, i: usize) -> QueryEngine<'_, B::Source>
     where
-        S: Sync,
+        B::Source: ShardSet,
     {
-        batch_chunked(queries, |t, p, ws| self.strq_with(t, p, ws))
+        let shard = self.shards.shards().nth(i).expect("shard index in range");
+        QueryEngine::with_grid(shard, self.dataset, &*self.grid)
     }
 
-    /// Batched [`QueryEngine::strq_online_with`] — the production query
-    /// workload (no ground-truth scoring scan), with the same
-    /// ordering/determinism contract as [`QueryEngine::strq_batch`].
-    pub fn strq_online_batch(&self, queries: &[(u32, Point)]) -> Vec<StrqOutcome>
-    where
-        S: Sync,
-    {
-        batch_chunked(queries, |t, p, ws| self.strq_online_with(t, p, ws))
-    }
-
-    /// Evaluate a batch of TPQs with horizon `l`, chunk-parallel with the
-    /// same ordering/determinism contract as [`QueryEngine::strq_batch`].
-    #[allow(clippy::type_complexity)]
-    pub fn tpq_batch(
-        &self,
-        queries: &[(u32, Point)],
-        l: u32,
-    ) -> Vec<Vec<(TrajId, Vec<(u32, Point)>)>>
-    where
-        S: Sync,
-    {
-        batch_chunked(queries, |t, p, ws| self.tpq_with(t, p, l, ws))
-    }
-
-    #[inline]
-    pub fn dataset(&self) -> &Dataset {
-        self.dataset
-    }
-
-    #[inline]
+    /// The canonical query grid (identical across shards).
     pub fn grid(&self) -> &GridSpec {
         &self.grid
     }
 }
 
-/// Reusable buffers for cross-shard STRQ/TPQ evaluation: one
-/// [`QueryWorkspace`] per shard plus the merge scratch.
-#[derive(Debug, Default)]
-pub struct ShardedQueryWorkspace {
-    per_shard: Vec<QueryWorkspace>,
-    /// Per-shard outcomes staged for merging. Only the spine is reused
-    /// across queries: the inner answer vectors are freshly allocated by
-    /// each per-shard probe (the same per-query allocation the unsharded
-    /// engine performs for its returned outcome) and dropped after the
-    /// union copies them into the merged outcome.
-    outcomes: Vec<StrqOutcome>,
-    /// Ping-pong scratch for [`posting::union_fold_into`].
-    tmp: Vec<u32>,
-}
-
-impl ShardedQueryWorkspace {
-    pub fn new() -> ShardedQueryWorkspace {
-        ShardedQueryWorkspace::default()
-    }
-
-    fn ensure_shards(&mut self, shards: usize) {
-        if self.per_shard.len() < shards {
-            self.per_shard.resize_with(shards, QueryWorkspace::new);
-        }
-    }
-}
-
-/// Cross-shard STRQ/TPQ over a [`ShardedSummary`]: the query-side mirror
-/// of [`crate::shard::ShardedPpqStream`]'s ingest fan-out.
-///
-/// * **STRQ** fans out to every shard's partition index (the query cell
-///   may contain trajectories of any shard) and merges the per-shard
-///   answer sets with two-pointer unions ([`posting::union_fold_into`]).
-///   Shards own disjoint id sets, so the merge is a pure interleave — no
-///   candidate is dropped or duplicated, and the merged candidate set
-///   equals the union of the per-shard candidate sets by construction.
-/// * **TPQ** reuses the fanned-out STRQ for matching, then routes each
-///   matched trajectory's payload reconstruction directly to its owning
-///   shard ([`ShardedSummary::shard_for`]).
-/// * **Batches** are chunk-parallel with the same fixed-[`QUERY_CHUNK`]
-///   determinism contract as [`QueryEngine::strq_batch`]: results are
-///   bit-identical at any `RAYON_NUM_THREADS`.
-///
-/// Every shard engine shares one canonical `g_c` grid (derived from the
-/// same dataset extent), so cell boundaries agree across shards and with
-/// the unsharded engine. Per-shard local search keeps recall 1 — each
-/// trajectory lives in exactly one shard whose CQC bound covers it — so
-/// exact answers match the unsharded engine's; only the approximate
-/// answer can differ (per-shard codebooks reconstruct slightly
-/// differently), which `ppq_shard_scaling` measures.
-pub struct ShardedQueryEngine<'a> {
-    summary: &'a ShardedSummary,
-    engines: Vec<QueryEngine<'a, PpqSummary>>,
-    dataset: &'a Dataset,
-}
-
-impl<'a> ShardedQueryEngine<'a> {
-    pub fn new(
-        summary: &'a ShardedSummary,
-        dataset: &'a Dataset,
-        gc: f64,
-    ) -> ShardedQueryEngine<'a> {
-        let engines = summary
-            .shards()
-            .iter()
-            .map(|s| QueryEngine::new(s, dataset, gc))
-            .collect();
-        ShardedQueryEngine {
-            summary,
-            engines,
-            dataset,
-        }
-    }
-
-    /// [`ShardedQueryEngine::new`] with a precomputed canonical grid —
-    /// every shard engine shares `grid` and no extent scan runs. See
-    /// [`QueryEngine::with_grid`].
-    pub fn with_grid(
-        summary: &'a ShardedSummary,
-        dataset: &'a Dataset,
-        grid: GridSpec,
-    ) -> ShardedQueryEngine<'a> {
-        let engines = summary
-            .shards()
-            .iter()
-            .map(|s| QueryEngine::with_grid(s, dataset, grid.clone()))
-            .collect();
-        ShardedQueryEngine {
-            summary,
-            engines,
-            dataset,
-        }
-    }
-
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// The canonical query grid (identical across shards).
-    #[inline]
-    pub fn grid(&self) -> &GridSpec {
-        self.engines[0].grid()
-    }
-
-    #[inline]
-    pub fn dataset(&self) -> &Dataset {
-        self.dataset
-    }
-
-    /// The per-shard engine for shard `i` (tests compare per-shard
-    /// answers against the merged ones through this).
-    #[inline]
-    pub fn shard_engine(&self, i: usize) -> &QueryEngine<'a, PpqSummary> {
-        &self.engines[i]
-    }
-
-    /// The canonical `g_c` cell containing `p`.
-    pub fn cell_bbox(&self, p: &Point) -> Option<BBox> {
-        self.engines[0].cell_bbox(p)
-    }
-
-    /// Ground truth for STRQ at `(p, t)` (shard-independent).
-    pub fn truth(&self, t: u32, p: &Point) -> Vec<TrajId> {
-        self.engines[0].truth(t, p)
-    }
-
-    /// Run one STRQ at all answer levels (fan-out + merge + truth).
-    pub fn strq(&self, t: u32, p: &Point) -> StrqOutcome {
-        self.strq_with(t, p, &mut ShardedQueryWorkspace::new())
-    }
-
-    /// [`ShardedQueryEngine::strq`] through a reusable workspace.
-    pub fn strq_with(&self, t: u32, p: &Point, ws: &mut ShardedQueryWorkspace) -> StrqOutcome {
-        let mut outcome = self.strq_online_with(t, p, ws);
-        outcome.truth = self.truth(t, p);
-        outcome
-    }
-
-    /// The production form: fan the online STRQ out to every shard and
-    /// merge the per-shard answer sets. `truth` is left empty.
-    pub fn strq_online_with(
-        &self,
-        t: u32,
-        p: &Point,
-        ws: &mut ShardedQueryWorkspace,
-    ) -> StrqOutcome {
-        let mut sp = ppq_obs::Span::with("strq", &query_metrics().strq_ns);
-        ws.ensure_shards(self.engines.len());
-        ws.outcomes.clear();
-        for (engine, shard_ws) in self.engines.iter().zip(&mut ws.per_shard) {
-            ws.outcomes.push(engine.strq_online_with(t, p, shard_ws));
-        }
-        let mut merged = StrqOutcome {
-            truth: Vec::new(),
-            approx: Vec::new(),
-            candidates: Vec::new(),
-            exact: Vec::new(),
-            visited: ws.outcomes.iter().map(|o| o.visited).sum(),
-        };
-        // Indexed-accessor form so no `Vec<&[u32]>` is built per query
-        // (ws.outcomes and ws.tmp are disjoint fields, borrowed apart).
-        let (outcomes, tmp) = (&ws.outcomes, &mut ws.tmp);
-        let n = outcomes.len();
-        posting::union_fold_into(
-            n,
-            |i| outcomes[i].candidates.as_slice(),
-            tmp,
-            &mut merged.candidates,
-        );
-        posting::union_fold_into(
-            n,
-            |i| outcomes[i].approx.as_slice(),
-            tmp,
-            &mut merged.approx,
-        );
-        posting::union_fold_into(n, |i| outcomes[i].exact.as_slice(), tmp, &mut merged.exact);
-        sp.visited(merged.visited as u64);
-        merged
-    }
-
-    /// TPQ: fanned-out exact STRQ, then each match's reconstructed
-    /// sub-trajectory over `[t, t + l]` served by its owning shard.
-    pub fn tpq(&self, t: u32, p: &Point, l: u32) -> Vec<(TrajId, Vec<(u32, Point)>)> {
-        self.tpq_with(t, p, l, &mut ShardedQueryWorkspace::new())
-    }
-
-    /// [`ShardedQueryEngine::tpq`] through a reusable workspace.
-    pub fn tpq_with(
-        &self,
-        t: u32,
-        p: &Point,
-        l: u32,
-        ws: &mut ShardedQueryWorkspace,
-    ) -> Vec<(TrajId, Vec<(u32, Point)>)> {
-        let mut sp = ppq_obs::Span::with("tpq", &query_metrics().tpq_ns);
-        let outcome = self.strq_online_with(t, p, ws);
-        sp.visited(outcome.visited as u64);
-        outcome
-            .exact
-            .iter()
-            .map(|&id| {
-                let mut sub = Vec::new();
-                self.summary
-                    .shard_for(id)
-                    .recon_range(id, t, t.saturating_add(l), &mut sub);
-                (id, sub)
-            })
-            .collect()
-    }
-
-    /// Reconstructed sub-trajectory for a specific id — routed directly
-    /// to the owning shard, no fan-out.
-    pub fn sub_trajectory(&self, id: TrajId, t: u32, l: u32) -> Vec<(u32, Point)> {
-        let mut out = Vec::new();
-        self.summary
-            .shard_for(id)
-            .recon_range(id, t, t.saturating_add(l), &mut out);
-        out
-    }
-
-    /// Batched STRQ with ground truth — same chunking/determinism
-    /// contract as [`QueryEngine::strq_batch`].
-    pub fn strq_batch(&self, queries: &[(u32, Point)]) -> Vec<StrqOutcome> {
-        batch_chunked(queries, |t, p, ws| self.strq_with(t, p, ws))
-    }
-
-    /// Batched production STRQ (no ground-truth scan).
-    pub fn strq_online_batch(&self, queries: &[(u32, Point)]) -> Vec<StrqOutcome> {
-        batch_chunked(queries, |t, p, ws| self.strq_online_with(t, p, ws))
-    }
-
-    /// Batched TPQ with horizon `l`.
-    #[allow(clippy::type_complexity)]
-    pub fn tpq_batch(
-        &self,
+/// The chunk-parallel forms (results in query order, bit-identical at any
+/// `RAYON_NUM_THREADS`), for shard sets worker threads can share.
+impl<B: ShardSet + Sync + ?Sized> QueryEngine<'_, B> {
+    /// [`batch_chunked`] over a fallible per-query form: the first error
+    /// in query order wins.
+    fn batch<R: Send>(
         queries: &[(u32, Point)],
-        l: u32,
-    ) -> Vec<Vec<(TrajId, Vec<(u32, Point)>)>> {
-        batch_chunked(queries, |t, p, ws| self.tpq_with(t, p, l, ws))
+        per_query: impl Fn(u32, &Point, &mut WorkspaceOf<B>) -> Try<B, R> + Sync,
+    ) -> Ret<B, Vec<R>> {
+        B::Source::ret(batch_chunked(queries, per_query).into_iter().collect())
+    }
+
+    /// Batched [`QueryEngine::strq_with`].
+    pub fn strq_batch(&self, queries: &[(u32, Point)]) -> Ret<B, Vec<StrqOutcome>> {
+        Self::batch(queries, |t, p, ws| self.try_strq(t, p, ws))
+    }
+
+    /// Batched [`QueryEngine::strq_online_with`] — the production query
+    /// workload (no ground-truth scoring scan).
+    pub fn strq_online_batch(&self, queries: &[(u32, Point)]) -> Ret<B, Vec<StrqOutcome>> {
+        Self::batch(queries, |t, p, ws| self.try_online(t, p, ws))
+    }
+
+    /// Batched [`QueryEngine::tpq_with`] with horizon `l`.
+    pub fn tpq_batch(&self, queries: &[(u32, Point)], l: u32) -> Ret<B, Vec<TpqAnswer>> {
+        Self::batch(queries, |t, p, ws| self.try_tpq(t, p, l, ws))
     }
 }
 

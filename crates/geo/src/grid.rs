@@ -3,6 +3,7 @@
 
 use crate::bbox::BBox;
 use crate::point::Point;
+use std::borrow::Cow;
 
 /// A uniform grid laid over a rectangle.
 ///
@@ -16,6 +17,20 @@ pub struct GridSpec {
     cell: f64,
     cols: u32,
     rows: u32,
+}
+
+/// Holders of a grid take `impl Into<Cow<GridSpec>>`, so a caller can lend
+/// a long-lived grid instead of handing over a copy.
+impl From<GridSpec> for Cow<'_, GridSpec> {
+    fn from(grid: GridSpec) -> Self {
+        Cow::Owned(grid)
+    }
+}
+
+impl<'a> From<&'a GridSpec> for Cow<'a, GridSpec> {
+    fn from(grid: &'a GridSpec) -> Self {
+        Cow::Borrowed(grid)
+    }
 }
 
 impl GridSpec {

@@ -236,10 +236,11 @@ impl LiveService {
 
     /// A query engine over `snap` — the identical evaluation path the
     /// offline [`ShardedQueryEngine`] uses, pinned to the service's
-    /// canonical grid. The consistency test replays through this same
+    /// canonical grid. Three borrows, so building one per request costs
+    /// nothing. The consistency test replays through this same
     /// constructor so live and quiescent answers share every code path.
     pub fn engine_for<'a>(&'a self, snap: &'a Published) -> ShardedQueryEngine<'a> {
-        ShardedQueryEngine::with_grid(&snap.summary, &self.dataset, self.grid.clone())
+        ShardedQueryEngine::with_grid(&snap.summary, &self.dataset, &self.grid)
     }
 
     /// One production STRQ against the current snapshot. Returns the

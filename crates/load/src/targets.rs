@@ -5,9 +5,11 @@
 //! each implementation lives with its backend (the orphan rule wants it
 //! there anyway):
 //!
-//! * `ShardedQueryEngine` — in `ppq-core`, next to the engine.
-//! * `DiskQueryEngine` — in `ppq-repo` (I/O errors panic: an open-loop
-//!   run cannot meaningfully continue past a failing disk).
+//! * `ShardedQueryEngine` and `DiskQueryEngine` — one query kernel
+//!   (`ppq_core::query::QueryEngine`) over the in-memory and the paged
+//!   posting source; the impls sit in `ppq-core` and `ppq-repo` (where
+//!   I/O errors panic: an open-loop run cannot meaningfully continue
+//!   past a failing disk).
 //! * `LiveService` — in `ppq-live`, answering against published
 //!   snapshots.
 //! * `RemoteClient` — in `ppq-server`, driving a live server over TCP

@@ -1,60 +1,30 @@
 //! STRQ/TPQ served directly from an open repository.
 //!
-//! [`DiskQueryEngine`] is the disk-resident mirror of
-//! `ppq_core::query::QueryEngine` (one shard) and `ShardedQueryEngine`
-//! (many): the same canonical `g_c` grid, the same single-probe STRQ
-//! derivation (approximate answer derived from the local-search candidate
-//! pass), the same fan-out/merge across shards — but the TPI probe pages
-//! ID blocks in from the page segments instead of walking in-memory
-//! posting lists. Because the block directory stores exactly the posting
-//! dictionary cells the in-memory `Pi` holds, and the walk reuses
-//! `sindex::posting::walk_cells_in_range` over the same sorted keys, the
-//! candidate sets — and therefore every answer level — are bit-identical
-//! to the in-memory engines on the same summary. The parity tests in
-//! `tests/persistence.rs` and the bench's `bit_identical` flag assert
-//! this, not just assume it.
+//! There is no disk query algorithm: [`DiskQueryEngine`] is
+//! `ppq_core::query::QueryEngine` over the posting source defined here. A
+//! [`ShardStore`] answers a rectangle probe from the block directory,
+//! which stores exactly the posting dictionary cells the in-memory `Pi`
+//! holds, under the same sorted keys
+//! `sindex::posting::walk_cells_in_range` walks — identical postings in,
+//! identical answers out.
 //!
 //! I/O accounting follows Table 9: a buffer-pool hit is not an I/O. Every
-//! query runs against its own [`IoStats`] counter (exposed as
-//! [`DiskQueryWorkspace::last_io`]) and is then absorbed into the
+//! query runs against its workspace's own [`IoStats`] counter (exposed as
+//! `DiskQueryWorkspace::last_io`) and is then absorbed into the
 //! repository's cumulative counter, so both per-query and per-batch
 //! page-in numbers fall out of one mechanism.
 
-use crate::dir::{BlockMeta, DiskPeriod};
+use crate::dir::BlockMeta;
 use crate::repo::{Repo, ShardStore};
-use ppq_core::query::{batch_chunked, StrqOutcome};
-use ppq_geo::{BBox, GridSpec, Point};
+use ppq_core::query::{PostingSource, QueryEngine, QueryTarget, ShardSet, Workspace};
+use ppq_core::PpqSummary;
+use ppq_geo::{BBox, Point};
 use ppq_sindex::posting;
 use ppq_storage::IoStats;
-use ppq_traj::{Dataset, TrajId};
+use ppq_traj::Dataset;
 use std::io;
+use std::ops::Deref;
 use std::sync::OnceLock;
-
-/// How the engine turns a query plan into page reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReadMode {
-    /// Plan-then-fetch (the default): walk the block directory first,
-    /// collect the deduplicated page set, resolve it in one
-    /// [`ppq_storage::SharedBufferPool::fetch_batch`] — hits pinned
-    /// immediately, misses overlapped on the I/O backend.
-    #[default]
-    Batched,
-    /// One synchronous page-in per block as the directory walk visits it
-    /// — the pre-batching behaviour, kept selectable for the
-    /// `fewer_or_equal_ios` A/B in `ppq_disk_path`.
-    Sequential,
-}
-
-impl ReadMode {
-    /// `PPQ_READ_MODE=seq|sequential` selects [`ReadMode::Sequential`];
-    /// anything else (including unset) is [`ReadMode::Batched`].
-    pub fn from_env() -> ReadMode {
-        match std::env::var("PPQ_READ_MODE").as_deref() {
-            Ok("seq") | Ok("sequential") => ReadMode::Sequential,
-            _ => ReadMode::Batched,
-        }
-    }
-}
 
 /// Registry handles for the disk query layer, resolved once so the
 /// per-query path touches only atomics. Separate histograms from the
@@ -79,188 +49,73 @@ fn disk_metrics() -> &'static DiskQueryMetrics {
     })
 }
 
-/// Reusable per-thread state for disk query evaluation: the posting
-/// union machinery of the in-memory `QueryWorkspace`, the block staging
-/// buffers, and the per-query I/O counter.
+/// Per-thread probe state of the disk source: the posting union
+/// machinery, the block staging buffers, and the per-query I/O counter.
 #[derive(Default)]
-pub struct DiskQueryWorkspace {
-    /// Union-dedup bitset + staging, as in the in-memory path.
+pub struct DiskProbe {
     set: posting::IdBitSet,
     ids: Vec<u32>,
-    raw: Vec<u32>,
-    pts: Vec<Point>,
-    /// Per-shard outcomes staged for the merge.
-    outcomes: Vec<StrqOutcome>,
-    /// Ping-pong scratch for the k-way union.
-    tmp: Vec<u32>,
-    /// Byte staging for block reads.
+    /// Byte staging for block decodes.
     block: Vec<u8>,
-    /// The query plan: every directory block the current rect probe
-    /// touches, collected *before* any page is read.
+    /// Every directory block the current rect probe touches, collected
+    /// *before* any page is read.
     plan: Vec<BlockMeta>,
-    /// Per-query I/O counter; a snapshot survives in [`Self::last_io`].
     io: IoStats,
-    /// `(page reads, buffer hits)` of the most recent query through this
-    /// workspace — Table 9's per-query "No.I/Os" and its pool-absorbed
-    /// complement.
-    pub last_io: (u64, u64),
 }
 
-impl DiskQueryWorkspace {
-    pub fn new() -> DiskQueryWorkspace {
-        DiskQueryWorkspace::default()
-    }
-
+impl DiskProbe {
     /// Cap page-in attempts per query served through this workspace
-    /// (`u64::MAX` — the default — is unlimited). The cap survives the
-    /// per-query counter reset; an over-budget query fails typed
-    /// (`RepoError::Io` at the repository surface) *before* dispatching
-    /// the refused batch, never silently truncated.
-    pub fn set_io_budget(&mut self, max_reads: u64) {
+    /// (`u64::MAX` — the default — is unlimited). An over-budget query
+    /// fails typed (`RepoError::Io` at the repository surface) *before*
+    /// dispatching the refused batch, never silently truncated.
+    pub fn set_io_budget(&self, max_reads: u64) {
         self.io.set_budget(max_reads);
     }
-
-    /// The configured per-query read budget.
-    pub fn io_budget(&self) -> u64 {
-        self.io.budget()
-    }
 }
 
-/// Disk-resident STRQ/TPQ engine over an open [`Repo`].
-pub struct DiskQueryEngine<'a> {
-    repo: &'a Repo,
-    dataset: &'a Dataset,
-    /// Canonical query grid — same construction as the in-memory engines
-    /// so cell boundaries agree across engines and methods.
-    grid: GridSpec,
-    search_radius: f64,
-    read_mode: ReadMode,
-    /// Warm the pool with the next timestep's blocks after each rect
-    /// probe (`PPQ_PREFETCH_NEXT=1`). Prefetched page-ins are charged to
-    /// the triggering query's [`IoStats`], so the pool/stats
-    /// reconciliation invariant stays exact; prefetch failures never fail
-    /// the query.
-    prefetch_next: bool,
-}
+/// Reusable per-thread state for disk query evaluation.
+pub type DiskQueryWorkspace = Workspace<DiskProbe>;
 
-impl<'a> DiskQueryEngine<'a> {
-    pub fn new(repo: &'a Repo, dataset: &'a Dataset, gc: f64) -> DiskQueryEngine<'a> {
-        let bbox = dataset
-            .bbox()
-            .unwrap_or(BBox::from_extents(0.0, 0.0, 1.0, 1.0));
-        // All shards share one config; the local-search radius is the
-        // CQC-guaranteed deviation, exactly as ReconIndex reports it.
-        let search_radius = repo.shard(0).summary().config().guaranteed_deviation();
-        DiskQueryEngine {
-            repo,
-            dataset,
-            grid: GridSpec::covering(&bbox.inflate(gc), gc),
-            search_radius,
-            read_mode: ReadMode::from_env(),
-            prefetch_next: std::env::var("PPQ_PREFETCH_NEXT").as_deref() == Ok("1"),
-        }
+/// One repository shard as a posting source — bit-identical to
+/// `Tpi::query_rect_into` on the in-memory index of the same summary.
+impl PostingSource for ShardStore {
+    type Recon = PpqSummary;
+    type Probe = DiskProbe;
+    type Error = io::Error;
+    type Ret<T> = io::Result<T>;
+
+    fn recon_index(&self) -> &PpqSummary {
+        self.summary()
     }
 
-    #[inline]
-    pub fn read_mode(&self) -> ReadMode {
-        self.read_mode
+    fn ret<T>(result: io::Result<T>) -> io::Result<T> {
+        result
     }
 
-    /// Override the environment-selected read mode (the bench A/B).
-    pub fn set_read_mode(&mut self, mode: ReadMode) {
-        self.read_mode = mode;
-    }
-
-    /// Enable or disable next-timestep prefetch (default: env-selected).
-    pub fn set_prefetch_next(&mut self, on: bool) {
-        self.prefetch_next = on;
-    }
-
-    #[inline]
-    pub fn repo(&self) -> &Repo {
-        self.repo
-    }
-
-    #[inline]
-    pub fn dataset(&self) -> &Dataset {
-        self.dataset
-    }
-
-    #[inline]
-    pub fn grid(&self) -> &GridSpec {
-        &self.grid
-    }
-
-    /// The canonical `g_c` cell containing `p`.
-    pub fn cell_bbox(&self, p: &Point) -> Option<BBox> {
-        self.grid
-            .locate(p)
-            .map(|(cx, cy)| self.grid.cell_bbox(cx, cy))
-    }
-
-    /// Ground truth for STRQ at `(p, t)` (identical to the in-memory
-    /// engines' scan).
-    pub fn truth(&self, t: u32, p: &Point) -> Vec<TrajId> {
-        let Some(cell) = self.cell_bbox(p) else {
-            return Vec::new();
-        };
-        let mut out: Vec<TrajId> = self
-            .dataset
-            .points_at(t)
-            .iter()
-            .filter(|(_, q)| cell.contains(q))
-            .map(|(id, _)| *id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The disk TPI rect probe for one shard: candidate regions by bbox
-    /// intersection, then the sorted-posting walk over the directory's
-    /// cell keys, paging in each surviving block. Appends the sorted,
-    /// deduplicated union to `out` — bit-identical to
-    /// `Tpi::query_rect_into` on the in-memory index.
-    fn query_rect_shard(
+    /// Plan-then-fetch. *Plan*: the block directory walk alone —
+    /// candidate regions by bbox intersection, then the sorted-posting
+    /// walk over the directory's cell keys — collecting every surviving
+    /// block's meta; no page is touched. *Fetch*: resolve the plan's whole
+    /// page set in one pinned pool batch. *Decode*: every block out of
+    /// the pinned pages. Read order does not matter — the bitset union
+    /// and sorted drain fix the output.
+    fn postings(
         &self,
-        shard: &ShardStore,
         t: u32,
         rect: &BBox,
-        ws: &mut DiskQueryWorkspace,
+        _dataset: &Dataset,
+        probe: &mut DiskProbe,
         out: &mut Vec<u32>,
     ) -> io::Result<()> {
-        let Some((pidx, period)) = shard.period_of(t) else {
+        let Some((pidx, period)) = self.period_of(t) else {
             return Ok(());
         };
-        let result = match self.read_mode {
-            ReadMode::Batched => self.collect_rect_batched(shard, pidx, period, t, rect, ws),
-            ReadMode::Sequential => Self::collect_rect_sequential(shard, pidx, period, t, rect, ws),
-        };
-        if let Err(e) = result {
-            // Leave the bitset clean for the next query.
-            ws.ids.clear();
-            ws.set.drain_sorted_into(&mut ws.ids);
-            return Err(e);
-        }
-        ws.set.drain_sorted_into(out);
-        Ok(())
-    }
-
-    /// The *plan* phase: the block directory walk alone, with the same
-    /// region/bounds pruning as the sequential path, appending every
-    /// surviving block's meta to `plan` — no page is touched.
-    fn plan_rect(
-        shard: &ShardStore,
-        pidx: usize,
-        period: &DiskPeriod,
-        t: u32,
-        rect: &BBox,
-        plan: &mut Vec<BlockMeta>,
-    ) {
+        probe.plan.clear();
         for (ri, region) in period.regions.iter().enumerate() {
             if !region.bbox.intersects(rect) {
                 continue;
             }
-            let Some((cells, metas, bounds)) = shard.directory().group(pidx as u32, ri as u32, t)
+            let Some((cells, metas, bounds)) = self.directory().group(pidx as u32, ri as u32, t)
             else {
                 continue;
             };
@@ -269,354 +124,95 @@ impl<'a> DiskQueryEngine<'a> {
             };
             // Clip to the occupied cell bounds (pruning only — the walk
             // visits stored cells exclusively either way).
-            let lo_x = lo_x.max(bounds.min_cx);
-            let lo_y = lo_y.max(bounds.min_cy);
-            let hi_x = hi_x.min(bounds.max_cx);
-            let hi_y = hi_y.min(bounds.max_cy);
-            if lo_x > hi_x || lo_y > hi_y {
-                continue;
-            }
-            posting::walk_cells_in_range(
-                &region.grid,
-                cells,
-                (lo_x, lo_y, hi_x, hi_y),
-                |i, _cx, _cy| plan.push(metas[i]),
+            let range = (
+                lo_x.max(bounds.min_cx),
+                lo_y.max(bounds.min_cy),
+                hi_x.min(bounds.max_cx),
+                hi_y.min(bounds.max_cy),
             );
+            posting::walk_cells_in_range(&region.grid, cells, range, |i, _cx, _cy| {
+                probe.plan.push(metas[i])
+            });
         }
-    }
-
-    /// Plan-then-fetch: collect the plan, resolve its whole page set in
-    /// one pinned pool batch, then decode every block out of the pinned
-    /// pages. Read order no longer matters — the bitset union and sorted
-    /// drain make the candidate set identical to the sequential path.
-    fn collect_rect_batched(
-        &self,
-        shard: &ShardStore,
-        pidx: usize,
-        period: &DiskPeriod,
-        t: u32,
-        rect: &BBox,
-        ws: &mut DiskQueryWorkspace,
-    ) -> io::Result<()> {
-        ws.plan.clear();
-        Self::plan_rect(shard, pidx, period, t, rect, &mut ws.plan);
-        if !ws.plan.is_empty() {
-            let pages = shard.fetch_blocks(&ws.plan, &ws.io)?;
-            let (plan, block, ids, set) = (&ws.plan, &mut ws.block, &mut ws.ids, &mut ws.set);
-            for meta in plan {
-                ids.clear();
-                shard.decode_block_from(meta, &pages, block, ids)?;
-                set.insert_all(ids);
-            }
+        if probe.plan.is_empty() {
+            return Ok(());
         }
-        if self.prefetch_next {
-            self.prefetch_rect(shard, t.saturating_add(1), rect, ws);
-        }
-        Ok(())
-    }
-
-    /// Warm the pool with the blocks the same rect will touch at `t`
-    /// (used with the *next* timestep — the TPQ follow-up pattern). Best
-    /// effort: the pinned guard is dropped immediately (the pages stay
-    /// resident) and errors are swallowed — an over-budget or failed
-    /// prefetch must not fail the query that triggered it.
-    fn prefetch_rect(&self, shard: &ShardStore, t: u32, rect: &BBox, ws: &mut DiskQueryWorkspace) {
-        let Some((pidx, period)) = shard.period_of(t) else {
-            return;
-        };
-        ws.plan.clear();
-        Self::plan_rect(shard, pidx, period, t, rect, &mut ws.plan);
-        if !ws.plan.is_empty() {
-            let _ = shard.fetch_blocks(&ws.plan, &ws.io);
-        }
-    }
-
-    /// The pre-batching read path: one synchronous page-in per block, in
-    /// walk order, stopping at the first error.
-    fn collect_rect_sequential(
-        shard: &ShardStore,
-        pidx: usize,
-        period: &DiskPeriod,
-        t: u32,
-        rect: &BBox,
-        ws: &mut DiskQueryWorkspace,
-    ) -> io::Result<()> {
-        let mut io_err: Option<io::Error> = None;
-        for (ri, region) in period.regions.iter().enumerate() {
-            if !region.bbox.intersects(rect) {
-                continue;
-            }
-            let Some((cells, metas, bounds)) = shard.directory().group(pidx as u32, ri as u32, t)
-            else {
-                continue;
-            };
-            let Some((lo_x, lo_y, hi_x, hi_y)) = region.grid.cell_range_in_rect(rect) else {
-                continue;
-            };
-            let lo_x = lo_x.max(bounds.min_cx);
-            let lo_y = lo_y.max(bounds.min_cy);
-            let hi_x = hi_x.min(bounds.max_cx);
-            let hi_y = hi_y.min(bounds.max_cy);
-            if lo_x > hi_x || lo_y > hi_y {
-                continue;
-            }
-            let (set, ids, block, io) = (&mut ws.set, &mut ws.ids, &mut ws.block, &ws.io);
-            posting::walk_cells_in_range(
-                &region.grid,
-                cells,
-                (lo_x, lo_y, hi_x, hi_y),
-                |i, _cx, _cy| {
-                    if io_err.is_some() {
-                        return;
-                    }
-                    ids.clear();
-                    match shard.read_block_into(&metas[i], io, block, ids) {
-                        Ok(()) => set.insert_all(ids),
-                        Err(e) => io_err = Some(e),
-                    }
-                },
-            );
-            if let Some(e) = io_err.take() {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Per-shard production STRQ (no ground truth): disk candidate
-    /// generation, then the same reconstruction filtering and refinement
-    /// as `QueryEngine::strq_online_with` against the shard's decoded
-    /// summary.
-    fn strq_online_shard(
-        &self,
-        shard: &ShardStore,
-        t: u32,
-        cell: &BBox,
-        search_rect: &BBox,
-        ws: &mut DiskQueryWorkspace,
-    ) -> io::Result<StrqOutcome> {
-        // Take the reusable candidate buffer; restore it on *every* exit
-        // so a transient I/O error does not discard its grown capacity.
-        let mut raw = std::mem::take(&mut ws.raw);
-        raw.clear();
-        if let Err(e) = self.query_rect_shard(shard, t, search_rect, ws, &mut raw) {
-            ws.raw = raw;
-            return Err(e);
-        }
-        let summary = shard.summary();
-        let mut candidates = Vec::new();
-        ws.pts.clear();
-        for &id in &raw {
-            if let Some(r) = summary.reconstruct(id, t) {
-                if search_rect.contains(&r) {
-                    candidates.push(id);
-                    ws.pts.push(r);
-                }
-            }
-        }
-        ws.raw = raw;
-        let approx: Vec<TrajId> = candidates
-            .iter()
-            .zip(&ws.pts)
-            .filter(|(_, r)| cell.contains(r))
-            .map(|(&id, _)| id)
-            .collect();
-        let visited = candidates.len();
-        let exact: Vec<TrajId> = candidates
-            .iter()
-            .copied()
-            .filter(|id| {
-                self.dataset
-                    .trajectory(*id)
-                    .at(t)
-                    .map(|q| cell.contains(&q))
-                    .unwrap_or(false)
-            })
-            .collect();
-        Ok(StrqOutcome {
-            truth: Vec::new(),
-            approx,
-            candidates,
-            exact,
-            visited,
-        })
-    }
-
-    /// The production form of STRQ: fan out over shards, merge with the
-    /// same two-pointer unions as `ShardedQueryEngine`, `truth` left
-    /// empty. Per-query page I/Os land in [`DiskQueryWorkspace::last_io`]
-    /// and the repository's cumulative [`Repo::io_stats`].
-    pub fn strq_online_with(
-        &self,
-        t: u32,
-        p: &Point,
-        ws: &mut DiskQueryWorkspace,
-    ) -> io::Result<StrqOutcome> {
-        let mut sp = ppq_obs::Span::with("disk_strq", &disk_metrics().strq_ns);
-        ws.io.reset();
-        let result = self.strq_online_inner(t, p, ws);
-        // Account on *every* exit: a failed query's partial page-ins are
-        // real I/O, and last_io must describe this query, not the prior
-        // successful one.
-        ws.last_io = (ws.io.reads(), ws.io.buffer_hits());
-        self.repo.io_stats().absorb(&ws.io);
-        disk_metrics().pages_read.add(ws.last_io.0);
-        sp.io(ws.last_io.0, ws.last_io.1);
-        if let Ok(o) = &result {
-            sp.visited(o.visited as u64);
-        }
-        result
-    }
-
-    /// [`DiskQueryEngine::strq_online_with`] minus the I/O bookkeeping
-    /// (which the wrapper applies on success and failure alike).
-    fn strq_online_inner(
-        &self,
-        t: u32,
-        p: &Point,
-        ws: &mut DiskQueryWorkspace,
-    ) -> io::Result<StrqOutcome> {
-        let empty = StrqOutcome {
-            truth: Vec::new(),
-            approx: Vec::new(),
-            candidates: Vec::new(),
-            exact: Vec::new(),
-            visited: 0,
-        };
-        let Some(cell) = self.cell_bbox(p) else {
-            return Ok(empty);
-        };
-        let search_rect = cell.inflate(self.search_radius);
-        ws.outcomes.clear();
-        for i in 0..self.repo.num_shards() {
-            let outcome = self.strq_online_shard(self.repo.shard(i), t, &cell, &search_rect, ws)?;
-            ws.outcomes.push(outcome);
-        }
-        let mut merged = empty;
-        merged.visited = ws.outcomes.iter().map(|o| o.visited).sum();
-        let (outcomes, tmp) = (&ws.outcomes, &mut ws.tmp);
-        let n = outcomes.len();
-        posting::union_fold_into(
-            n,
-            |i| outcomes[i].candidates.as_slice(),
-            tmp,
-            &mut merged.candidates,
-        );
-        posting::union_fold_into(
-            n,
-            |i| outcomes[i].approx.as_slice(),
-            tmp,
-            &mut merged.approx,
-        );
-        posting::union_fold_into(n, |i| outcomes[i].exact.as_slice(), tmp, &mut merged.exact);
-        Ok(merged)
-    }
-
-    /// STRQ with ground truth (the Tables 2–4 scoring protocol).
-    pub fn strq_with(
-        &self,
-        t: u32,
-        p: &Point,
-        ws: &mut DiskQueryWorkspace,
-    ) -> io::Result<StrqOutcome> {
-        let mut outcome = self.strq_online_with(t, p, ws)?;
-        outcome.truth = self.truth(t, p);
-        Ok(outcome)
-    }
-
-    /// One-shot convenience forms.
-    pub fn strq(&self, t: u32, p: &Point) -> io::Result<StrqOutcome> {
-        self.strq_with(t, p, &mut DiskQueryWorkspace::new())
-    }
-
-    pub fn strq_online(&self, t: u32, p: &Point) -> io::Result<StrqOutcome> {
-        self.strq_online_with(t, p, &mut DiskQueryWorkspace::new())
-    }
-
-    /// TPQ: exact STRQ matches plus their reconstructed sub-trajectories
-    /// over `[t, t + l]`, each payload served by the owning shard's
-    /// decoded summary (route, don't fan out — as in the sharded engine).
-    #[allow(clippy::type_complexity)]
-    pub fn tpq_with(
-        &self,
-        t: u32,
-        p: &Point,
-        l: u32,
-        ws: &mut DiskQueryWorkspace,
-    ) -> io::Result<Vec<(TrajId, Vec<(u32, Point)>)>> {
-        let mut sp = ppq_obs::Span::with("disk_tpq", &disk_metrics().tpq_ns);
-        let outcome = self.strq_online_with(t, p, ws)?;
-        sp.io(ws.last_io.0, ws.last_io.1);
-        sp.visited(outcome.visited as u64);
-        Ok(outcome
-            .exact
-            .iter()
-            .map(|&id| {
-                let sub =
-                    self.repo
-                        .shard_for(id)
-                        .summary()
-                        .reconstruct_range(id, t, t.saturating_add(l));
-                (id, sub)
-            })
-            .collect())
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub fn tpq(&self, t: u32, p: &Point, l: u32) -> io::Result<Vec<(TrajId, Vec<(u32, Point)>)>> {
-        self.tpq_with(t, p, l, &mut DiskQueryWorkspace::new())
-    }
-
-    /// Reconstructed sub-trajectory for a specific id, routed to its
-    /// owning shard (no disk I/O — payloads come from the summary).
-    pub fn sub_trajectory(&self, id: TrajId, t: u32, l: u32) -> Vec<(u32, Point)> {
-        self.repo
-            .shard_for(id)
-            .summary()
-            .reconstruct_range(id, t, t.saturating_add(l))
-    }
-
-    /// Batched production STRQ under the shared fixed-chunk determinism
-    /// contract (bit-identical at any `RAYON_NUM_THREADS`).
-    pub fn strq_online_batch(&self, queries: &[(u32, Point)]) -> io::Result<Vec<StrqOutcome>> {
-        batch_chunked(queries, |t, p, ws: &mut DiskQueryWorkspace| {
-            self.strq_online_with(t, p, ws)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Batched STRQ with ground truth.
-    pub fn strq_batch(&self, queries: &[(u32, Point)]) -> io::Result<Vec<StrqOutcome>> {
-        batch_chunked(queries, |t, p, ws: &mut DiskQueryWorkspace| {
-            self.strq_with(t, p, ws)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Batched TPQ with horizon `l`.
-    #[allow(clippy::type_complexity)]
-    pub fn tpq_batch(
-        &self,
-        queries: &[(u32, Point)],
-        l: u32,
-    ) -> io::Result<Vec<Vec<(TrajId, Vec<(u32, Point)>)>>> {
-        batch_chunked(queries, |t, p, ws: &mut DiskQueryWorkspace| {
-            self.tpq_with(t, p, l, ws)
-        })
-        .into_iter()
-        .collect()
+        let pages = self.fetch_blocks(&probe.plan, &probe.io)?;
+        let decoded = probe.plan.iter().try_for_each(|meta| {
+            probe.ids.clear();
+            self.decode_block_from(meta, &pages, &mut probe.block, &mut probe.ids)?;
+            probe.set.insert_all(&probe.ids);
+            Ok(())
+        });
+        // Drained on failure too, so the bitset is clean for the next
+        // query.
+        probe.set.drain_sorted_into(out);
+        decoded
     }
 }
 
-/// The disk engine as a [`ppq_core::query::QueryTarget`] backend (load harness, server).
+impl ShardSet for Repo {
+    type Source = ShardStore;
+
+    fn shards(&self) -> impl ExactSizeIterator<Item = &ShardStore> {
+        Repo::shards(self).iter()
+    }
+
+    fn strq_span() -> ppq_obs::Span {
+        ppq_obs::Span::with("disk_strq", &disk_metrics().strq_ns)
+    }
+
+    fn tpq_span() -> ppq_obs::Span {
+        ppq_obs::Span::with("disk_tpq", &disk_metrics().tpq_ns)
+    }
+
+    /// Publish the query's page I/O as `last_io`, roll it into
+    /// [`Repo::io_stats`] and zero the counter for the next query (the
+    /// budget, a setting, survives).
+    fn settle_io(&self, ws: &mut DiskQueryWorkspace) {
+        ws.last_io = (ws.io.reads(), ws.io.buffer_hits());
+        self.io_stats().absorb(&ws.io);
+        disk_metrics().pages_read.add(ws.last_io.0);
+        ws.io.reset();
+    }
+}
+
+/// Disk-resident STRQ/TPQ engine over an open [`Repo`]: the shared query
+/// kernel (every method of [`QueryEngine`], returning `io::Result`) over
+/// the repository's shards.
+pub struct DiskQueryEngine<'a> {
+    kernel: QueryEngine<'a, Repo>,
+    repo: &'a Repo,
+}
+
+impl<'a> DiskQueryEngine<'a> {
+    pub fn new(repo: &'a Repo, dataset: &'a Dataset, gc: f64) -> DiskQueryEngine<'a> {
+        DiskQueryEngine {
+            kernel: QueryEngine::new(repo, dataset, gc),
+            repo,
+        }
+    }
+
+    pub fn repo(&self) -> &'a Repo {
+        self.repo
+    }
+}
+
+impl<'a> Deref for DiskQueryEngine<'a> {
+    type Target = QueryEngine<'a, Repo>;
+
+    fn deref(&self) -> &QueryEngine<'a, Repo> {
+        &self.kernel
+    }
+}
+
+/// The disk engine as a [`QueryTarget`] backend (load harness, server).
 ///
 /// The trait's counting signatures cannot carry `io::Result`, so a page
 /// I/O failure panics here — under synthetic load an I/O error means the
 /// store is gone, and the harness should stop measuring, not record the
 /// failure as a fast answer.
-impl ppq_core::query::QueryTarget for DiskQueryEngine<'_> {
+impl QueryTarget for DiskQueryEngine<'_> {
     type Ctx = DiskQueryWorkspace;
 
     fn strq(&self, t: u32, p: &Point, ctx: &mut Self::Ctx) -> usize {

@@ -25,7 +25,7 @@
 //!   summary chain (proving it equals the writer's summary via the
 //!   recorded end-to-end CRC), merges the per-generation block
 //!   directories newest-wins into one sorted directory, and attaches all
-//!   page segments to one shared LRU buffer pool
+//!   page segments to one shared segmented-LRU buffer pool
 //!   ([`ppq_storage::SharedBufferPool`], frames keyed per generation) —
 //!   data pages are only touched when a query needs them.
 //! * [`Repo::compact`] collapses the chain back into a single fresh base
@@ -35,7 +35,8 @@
 //!   encoding bit-for-bit). Superseded segments are swept only after the
 //!   commit.
 //! * [`DiskQueryEngine`] answers STRQ/TPQ straight off the open
-//!   repository, bit-identical to the in-memory
+//!   repository. It is `ppq_core`'s one query kernel over a paged posting
+//!   source, so it is bit-identical to the in-memory
 //!   `QueryEngine`/`ShardedQueryEngine` on the same summary — whether the
 //!   store was written in one shot, grown by appends, or compacted — with
 //!   page I/Os counted the way Table 9 counts them (a buffer hit is not
@@ -98,7 +99,7 @@ pub mod repo;
 pub mod writer;
 
 pub use appender::Appender;
-pub use engine::{DiskQueryEngine, DiskQueryWorkspace, ReadMode};
+pub use engine::{DiskProbe, DiskQueryEngine, DiskQueryWorkspace};
 pub use layout::{GenKind, GenManifest, Manifest, RepoError, ShardManifest};
 pub use repo::{Repo, ShardStore};
 pub use writer::RepoWriter;

@@ -24,10 +24,7 @@ use crate::writer::RepoWriter;
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardRouter, ShardedSummary};
 use ppq_geo::Point;
-use ppq_storage::{
-    crc32, IoStats, PageRequest, PinnedPages, PoolPolicy, Segment, SharedBufferPool,
-};
-use ppq_traj::TrajId;
+use ppq_storage::{crc32, IoStats, PageRequest, PinnedPages, Segment, SharedBufferPool};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -289,23 +286,9 @@ impl Repo {
     /// trailer on page-in). A stale `MANIFEST.ppq.tmp` from a crashed
     /// write is ignored.
     pub fn open(dir: &Path, pool_pages: usize) -> Result<Repo, RepoError> {
-        // Residency policy from the environment (`PPQ_POOL_POLICY`,
-        // `PPQ_POOL_PROTECTED_PCT`): segmented LRU by default, so scans
-        // cannot flush the hot set a skewed query mix builds up.
-        Self::open_with_policy(dir, pool_pages, PoolPolicy::from_env())
-    }
-
-    /// [`Repo::open`] with an explicit residency policy, ignoring the
-    /// environment — the A/B form the residency-curve benchmark uses to
-    /// compare plain LRU against segmented LRU on one process.
-    pub fn open_with_policy(
-        dir: &Path,
-        pool_pages: usize,
-        policy: PoolPolicy,
-    ) -> Result<Repo, RepoError> {
         let manifest_bytes = std::fs::read(dir.join(MANIFEST_NAME))?;
         let manifest = Manifest::from_bytes(&manifest_bytes)?;
-        let pool = SharedBufferPool::with_policy(pool_pages, policy);
+        let pool = SharedBufferPool::new(pool_pages);
         let page_size = manifest.page_size as usize;
         let capacity = ppq_storage::payload_capacity(page_size);
         let mut shards = Vec::with_capacity(manifest.num_shards());
@@ -405,13 +388,6 @@ impl Repo {
     #[inline]
     pub fn router(&self) -> &ShardRouter {
         &self.router
-    }
-
-    /// The shard owning trajectory `id` (same pure hash as the ingest
-    /// router, rebuilt from the manifest's shard count).
-    #[inline]
-    pub fn shard_for(&self, id: TrajId) -> &ShardStore {
-        &self.shards[self.router.shard_of(id)]
     }
 
     #[inline]

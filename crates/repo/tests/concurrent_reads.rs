@@ -20,10 +20,10 @@
 //! Everything here must hold at `RAYON_NUM_THREADS=1` and `=4`; the CI
 //! determinism matrix runs this suite under both.
 
-use ppq_core::query::StrqOutcome;
+use ppq_core::query::{ShardedQueryEngine, StrqOutcome};
 use ppq_core::{PpqConfig, ShardedSummary, Variant};
 use ppq_geo::Point;
-use ppq_repo::{DiskQueryEngine, DiskQueryWorkspace, ReadMode, Repo, RepoError, RepoWriter};
+use ppq_repo::{DiskQueryEngine, DiskQueryWorkspace, Repo, RepoError, RepoWriter};
 use ppq_storage::fault;
 use ppq_traj::synth::{porto_like, PortoConfig};
 use ppq_traj::Dataset;
@@ -70,6 +70,11 @@ fn queries(data: &Dataset) -> Vec<(u32, Point)> {
 /// A 3-shard on-disk store of the synthetic fixture; small pages so
 /// multi-page blocks are routine.
 fn build_store(name: &str) -> (PathBuf, Dataset, f64) {
+    let (dir, data, gc, _) = build_store_and_summary(name);
+    (dir, data, gc)
+}
+
+fn build_store_and_summary(name: &str) -> (PathBuf, Dataset, f64, ShardedSummary) {
     let data = dataset();
     let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
     let gc = cfg.tpi.pi.gc;
@@ -78,7 +83,7 @@ fn build_store(name: &str) -> (PathBuf, Dataset, f64) {
     RepoWriter::with_page_size(&dir, PAGE)
         .write_sharded(&sharded)
         .unwrap();
-    (dir, data, gc)
+    (dir, data, gc, sharded)
 }
 
 fn points_bit_eq(a: &Point, b: &Point) -> bool {
@@ -415,33 +420,31 @@ fn faulty_threads_do_not_disturb_clean_readers() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Table 4's live counter covers every engine: the same queries through
+/// the in-memory and the disk engine over one summary advance
+/// `ppq_query_candidates_refined` by the same amount, the summed
+/// `visited` of their answers.
 #[test]
-fn read_modes_and_prefetch_are_bit_identical() {
+fn candidates_refined_counts_disk_queries_like_memory_queries() {
     let _g = lock();
-    let (dir, data, gc) = build_store("modes");
+    let (dir, data, gc, sharded) = build_store_and_summary("refined");
     let repo = Repo::open(&dir, 64).unwrap();
     let qs = queries(&data);
+    let refined = ppq_obs::counter("ppq_query_candidates_refined");
 
-    let mut engine = DiskQueryEngine::new(&repo, &data, gc);
-    engine.set_read_mode(ReadMode::Sequential);
-    let strq_seq = engine.strq_batch(&qs).unwrap();
-    let tpq_seq = engine.tpq_batch(&qs, 10).unwrap();
+    let before = refined.get();
+    let mem = ShardedQueryEngine::new(&sharded, &data, gc).strq_online_batch(&qs);
+    let mem_delta = refined.get() - before;
+    let before = refined.get();
+    let disk = DiskQueryEngine::new(&repo, &data, gc)
+        .strq_online_batch(&qs)
+        .unwrap();
+    let disk_delta = refined.get() - before;
 
-    engine.set_read_mode(ReadMode::Batched);
-    repo.clear_cache();
-    let strq_bat = engine.strq_batch(&qs).unwrap();
-    let tpq_bat = engine.tpq_batch(&qs, 10).unwrap();
-    assert_eq!(
-        strq_seq, strq_bat,
-        "batched and sequential STRQ answers diverged"
-    );
-    assert_tpq_bit_identical(&tpq_bat, &tpq_seq, "batched vs sequential TPQ");
-
-    // Next-period prefetch is a residency hint, never an answer change.
-    engine.set_prefetch_next(true);
-    repo.clear_cache();
-    let strq_pf = engine.strq_batch(&qs).unwrap();
-    assert_eq!(strq_seq, strq_pf, "prefetch changed STRQ answers");
-    assert_eq!(repo.pool().pinned_frames(), 0, "prefetch leaked pins");
+    let visited = |outcomes: &[StrqOutcome]| outcomes.iter().map(|o| o.visited as u64).sum::<u64>();
+    assert!(visited(&mem) > 0, "fixture queries must refine something");
+    assert_eq!(mem_delta, visited(&mem), "memory engine");
+    assert_eq!(disk_delta, visited(&disk), "disk engine");
+    assert_eq!(disk_delta, mem_delta);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -34,5 +34,5 @@ pub use crc32::crc32;
 pub use io::{global_backend, IoBackend, PageRead, SerialBackend, ThreadPoolBackend};
 pub use page::{payload_capacity, Page, PAGE_SIZE, PAGE_TRAILER};
 pub use page_index::PageIndex;
-pub use pool::{PageRequest, PinnedPages, PoolPolicy, Segment, SharedBufferPool};
+pub use pool::{PageRequest, PinnedPages, Segment, SharedBufferPool};
 pub use store::{IoStats, PageStore};

@@ -9,14 +9,13 @@
 //! competes for the same frames and a hot shard can occupy most of the
 //! pool.
 //!
-//! Beyond plain LRU the pool implements a *residency policy*
-//! ([`PoolPolicy`]):
+//! Residency is managed two ways:
 //!
-//! * **Segmented LRU** (the repository default) — frames enter a
-//!   probationary tier on first touch and are promoted to a protected
-//!   tier on re-reference. One-touch scan traffic washes through
-//!   probation without displacing the hot set that spatio-temporal skew
-//!   concentrates into a few cells, which plain LRU handles poorly.
+//! * **Segmented LRU** — frames enter a probationary tier on first touch
+//!   and are promoted to a protected tier (80 % of capacity) on
+//!   re-reference. One-touch scan traffic washes through probation
+//!   without displacing the hot set that spatio-temporal skew
+//!   concentrates into a few cells, which plain recency handles poorly.
 //! * **Pinning** — [`SharedBufferPool::fetch_batch`] pins every frame a
 //!   query's plan touches until the returned [`PinnedPages`] guard
 //!   drops, so one query's working set cannot be evicted mid-batch by a
@@ -64,44 +63,12 @@ use std::sync::Arc;
 /// never collide in the pool.
 pub type FrameKey = (u64, u64);
 
-/// The pool's residency policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PoolPolicy {
-    /// Plain LRU — every touch moves the frame to MRU, eviction takes
-    /// the oldest unpinned frame. The pre-residency behaviour, kept for
-    /// A/B measurement (`ppq_disk_path` residency curves).
-    Lru,
-    /// Segmented LRU with scan-resistant admission: new frames enter a
-    /// probationary queue; a re-reference promotes to the protected
-    /// queue, capped at `protected_pct`% of capacity (demotions go back
-    /// to probation MRU). Eviction drains probation first, so one-touch
-    /// scans cannot flush the re-referenced hot set.
-    SegmentedLru {
-        /// Percent of capacity reserved for the protected tier (1–99).
-        protected_pct: u8,
-    },
-}
-
-impl PoolPolicy {
-    /// The repository default: segmented LRU with an 80% protected tier.
-    pub const fn default_slru() -> PoolPolicy {
-        PoolPolicy::SegmentedLru { protected_pct: 80 }
-    }
-
-    /// Policy from the environment: `PPQ_POOL_POLICY=lru|slru` (default
-    /// `slru`) and `PPQ_POOL_PROTECTED_PCT` (default 80, clamped 1–99).
-    pub fn from_env() -> PoolPolicy {
-        let pct = std::env::var("PPQ_POOL_PROTECTED_PCT")
-            .ok()
-            .and_then(|v| v.parse::<u8>().ok())
-            .unwrap_or(80)
-            .clamp(1, 99);
-        match std::env::var("PPQ_POOL_POLICY").as_deref() {
-            Ok("lru") => PoolPolicy::Lru,
-            _ => PoolPolicy::SegmentedLru { protected_pct: pct },
-        }
-    }
-}
+/// Percent of capacity the protected tier may hold (at least one frame).
+/// New frames enter the probationary queue; a re-reference promotes to
+/// the protected queue, and past this cap the coldest protected frame is
+/// demoted back to probation MRU. Eviction drains probation first, so
+/// one-touch scans cannot flush the re-referenced hot set.
+const PROTECTED_PCT: usize = 80;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Tier {
@@ -119,10 +86,8 @@ struct Frame {
 
 struct PoolInner {
     capacity: usize,
-    policy: PoolPolicy,
     /// Recency queues, most-recent last (pool sizes in the experiments
     /// are small; Vecs keep this allocation-lean and obviously correct).
-    /// Plain LRU uses only `probation`.
     probation: Vec<FrameKey>,
     protected: Vec<FrameKey>,
     frames: HashMap<FrameKey, Frame>,
@@ -166,45 +131,30 @@ fn remove_key(queue: &mut Vec<FrameKey>, key: FrameKey) {
 
 impl PoolInner {
     fn protected_cap(&self) -> usize {
-        match self.policy {
-            PoolPolicy::Lru => 0,
-            PoolPolicy::SegmentedLru { protected_pct } => {
-                ((self.capacity * protected_pct as usize) / 100).max(1)
-            }
-        }
+        ((self.capacity * PROTECTED_PCT) / 100).max(1)
     }
 
-    /// Record a hit on a resident frame: LRU touches; segmented LRU
-    /// promotes probation → protected (demoting over the protected cap).
+    /// Record a hit on a resident frame: a protected frame moves to MRU,
+    /// a probationary one is promoted (demoting over the protected cap).
     fn touch(&mut self, key: FrameKey) {
-        match self.policy {
-            PoolPolicy::Lru => {
-                remove_key(&mut self.probation, key);
-                self.probation.push(key);
+        match self.frames.get(&key).map(|f| f.tier) {
+            Some(Tier::Protected) => {
+                remove_key(&mut self.protected, key);
+                self.protected.push(key);
             }
-            PoolPolicy::SegmentedLru { .. } => {
-                let tier = self.frames.get(&key).map(|f| f.tier);
-                match tier {
-                    Some(Tier::Protected) => {
-                        remove_key(&mut self.protected, key);
-                        self.protected.push(key);
-                    }
-                    Some(Tier::Probation) => {
-                        remove_key(&mut self.probation, key);
-                        self.protected.push(key);
-                        self.frames.get_mut(&key).expect("resident").tier = Tier::Protected;
-                        if self.protected.len() > self.protected_cap() {
-                            // Demote the coldest protected frame (pinned
-                            // or not — demotion is a queue move, not an
-                            // eviction).
-                            let demoted = self.protected.remove(0);
-                            self.frames.get_mut(&demoted).expect("resident").tier = Tier::Probation;
-                            self.probation.push(demoted);
-                        }
-                    }
-                    None => {}
+            Some(Tier::Probation) => {
+                remove_key(&mut self.probation, key);
+                self.protected.push(key);
+                self.frames.get_mut(&key).expect("resident").tier = Tier::Protected;
+                if self.protected.len() > self.protected_cap() {
+                    // Demote the coldest protected frame (pinned or not —
+                    // demotion is a queue move, not an eviction).
+                    let demoted = self.protected.remove(0);
+                    self.frames.get_mut(&demoted).expect("resident").tier = Tier::Probation;
+                    self.probation.push(demoted);
                 }
             }
+            None => {}
         }
     }
 
@@ -288,43 +238,23 @@ pub struct SharedBufferPool {
 }
 
 impl SharedBufferPool {
-    /// A pool of `capacity` page frames with plain-LRU residency (0
-    /// disables caching: every read is a real I/O — the cold-path
-    /// configuration of the disk benches).
+    /// A pool of `capacity` page frames (0 disables caching: every read
+    /// is a real I/O — the cold-path configuration of the disk benches),
+    /// dispatching batched misses to the process-wide I/O backend.
     pub fn new(capacity: usize) -> Arc<SharedBufferPool> {
-        Self::with_policy(capacity, PoolPolicy::Lru)
-    }
-
-    /// A pool with an explicit residency policy, using the process-wide
-    /// I/O backend for batched misses.
-    pub fn with_policy(capacity: usize, policy: PoolPolicy) -> Arc<SharedBufferPool> {
-        Self::with_policy_and_backend(capacity, policy, global_backend())
-    }
-
-    /// Full control (tests pin a specific backend here).
-    pub fn with_policy_and_backend(
-        capacity: usize,
-        policy: PoolPolicy,
-        backend: Arc<dyn IoBackend>,
-    ) -> Arc<SharedBufferPool> {
         Arc::new(SharedBufferPool {
             inner: Mutex::new(PoolInner {
                 capacity,
-                policy,
                 probation: Vec::new(),
                 protected: Vec::new(),
                 frames: HashMap::new(),
             }),
-            backend,
+            backend: global_backend(),
         })
     }
 
     pub fn capacity(&self) -> usize {
         self.inner.lock().capacity
-    }
-
-    pub fn policy(&self) -> PoolPolicy {
-        self.inner.lock().policy
     }
 
     /// The batch backend this pool dispatches misses to.
@@ -772,7 +702,7 @@ mod tests {
         b.read(0, &stats).unwrap();
         assert_eq!(stats.reads(), 2);
         assert_eq!(stats.buffer_hits(), 2);
-        // A third distinct frame evicts the LRU (a:0).
+        // A third distinct frame evicts the coldest probationary one (a:0).
         a.read(1, &stats).unwrap();
         a.read(0, &stats).unwrap();
         assert_eq!(stats.reads(), 4);
@@ -842,7 +772,7 @@ mod tests {
     fn fetch_batch_dedups_and_pins() {
         let p = tmp("batch");
         write_pages(&p, 4);
-        let pool = SharedBufferPool::with_policy(4, PoolPolicy::default_slru());
+        let pool = SharedBufferPool::new(4);
         let seg = Segment::open(&p, 0, PS, Arc::clone(&pool)).unwrap();
         let stats = IoStats::default();
         let reqs = [
@@ -894,7 +824,7 @@ mod tests {
     fn pinned_frames_survive_eviction_pressure() {
         let p = tmp("pinned");
         write_pages(&p, 4);
-        let pool = SharedBufferPool::with_policy(2, PoolPolicy::Lru);
+        let pool = SharedBufferPool::new(2);
         let seg = Segment::open(&p, 0, PS, Arc::clone(&pool)).unwrap();
         let stats = IoStats::default();
         let batch = pool
@@ -969,7 +899,7 @@ mod tests {
     fn slru_scan_does_not_flush_hot_set() {
         let p = tmp("slru-scan");
         write_pages(&p, 8);
-        let pool = SharedBufferPool::with_policy(4, PoolPolicy::SegmentedLru { protected_pct: 50 });
+        let pool = SharedBufferPool::new(4);
         let seg = Segment::open(&p, 0, PS, Arc::clone(&pool)).unwrap();
         let stats = IoStats::default();
         // Establish a hot set: pages 0 and 1, re-referenced (promoted).
@@ -981,8 +911,8 @@ mod tests {
         for page in 2..8 {
             seg.read(page, &stats).unwrap();
         }
-        // The hot set is still resident; the same re-reads under plain
-        // LRU would have been evicted by the scan.
+        // The hot set is still resident; plain recency would have let
+        // the scan evict it.
         let stats2 = IoStats::default();
         seg.read(0, &stats2).unwrap();
         seg.read(1, &stats2).unwrap();

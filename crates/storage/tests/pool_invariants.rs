@@ -13,18 +13,16 @@
 //!    misses == Σ per-query attempts (buffer hits + read attempts),
 //!    including batches with duplicate requests and injected failures.
 //! 4. **Replacement model** — the resident set evolves exactly like an
-//!    independent reference implementation of the policy (plain LRU and
-//!    segmented LRU), step for step, so eviction *order* is pinned, not
-//!    just eviction *count*.
+//!    independent reference implementation of the segmented-LRU policy,
+//!    step for step, so eviction *order* is pinned, not just eviction
+//!    *count*.
 //!
 //! The pool instruments are process-global registry counters, so every
 //! test in this binary serializes on one lock — deltas measured by the
 //! accounting test must not interleave with pool traffic from its
 //! neighbours.
 
-use ppq_storage::{
-    fault, IoStats, Page, PageRequest, PageStore, PoolPolicy, Segment, SharedBufferPool,
-};
+use ppq_storage::{fault, IoStats, Page, PageRequest, PageStore, Segment, SharedBufferPool};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -82,14 +80,7 @@ fn resident_never_exceeds_capacity_under_random_traces() {
         let path = tmp(&format!("cap-{seed}"));
         write_segment(&path, 64);
         let capacity = 1 + (seed as usize % 7);
-        let policy = if seed % 2 == 0 {
-            PoolPolicy::Lru
-        } else {
-            PoolPolicy::SegmentedLru {
-                protected_pct: 20 + (seed as u8 % 6) * 10,
-            }
-        };
-        let pool = SharedBufferPool::with_policy(capacity, policy);
+        let pool = SharedBufferPool::new(capacity);
         let seg = Segment::open(&path, 0, PS, Arc::clone(&pool)).unwrap();
         let stats = IoStats::default();
         let mut rng = Rng::new(seed * 7919);
@@ -135,7 +126,7 @@ fn pinned_pages_survive_any_scan_pressure() {
         let path = tmp(&format!("pin-{seed}"));
         write_segment(&path, 48);
         let capacity = 4;
-        let pool = SharedBufferPool::with_policy(capacity, PoolPolicy::default_slru());
+        let pool = SharedBufferPool::new(capacity);
         let seg = Segment::open(&path, 0, PS, Arc::clone(&pool)).unwrap();
         let stats = IoStats::default();
         // Pin a working set of 3 pages.
@@ -182,7 +173,7 @@ fn pool_instruments_reconcile_with_per_query_stats() {
     let _g = lock();
     let path = tmp("recon");
     write_segment(&path, 32);
-    let pool = SharedBufferPool::with_policy(6, PoolPolicy::default_slru());
+    let pool = SharedBufferPool::new(6);
     let seg = Segment::open(&path, 0, PS, Arc::clone(&pool)).unwrap();
     let hits = ppq_obs::counter("ppq_pool_hits");
     let misses = ppq_obs::counter("ppq_pool_misses");
@@ -242,7 +233,7 @@ fn budget_violations_charge_nothing_on_either_side() {
     let _g = lock();
     let path = tmp("recon-budget");
     write_segment(&path, 16);
-    let pool = SharedBufferPool::with_policy(4, PoolPolicy::Lru);
+    let pool = SharedBufferPool::new(4);
     let seg = Segment::open(&path, 0, PS, Arc::clone(&pool)).unwrap();
     let hits = ppq_obs::counter("ppq_pool_hits");
     let misses = ppq_obs::counter("ppq_pool_misses");
@@ -268,33 +259,7 @@ fn budget_violations_charge_nothing_on_either_side() {
     std::fs::remove_file(path).ok();
 }
 
-// --- Reference replacement models -------------------------------------------
-
-/// Plain-LRU reference: recency list, most-recent last.
-struct LruModel {
-    capacity: usize,
-    order: Vec<u64>,
-}
-
-impl LruModel {
-    fn touch(&mut self, page: u64) {
-        if let Some(i) = self.order.iter().position(|&p| p == page) {
-            self.order.remove(i);
-            self.order.push(page);
-        } else {
-            if self.order.len() == self.capacity {
-                self.order.remove(0);
-            }
-            self.order.push(page);
-        }
-    }
-
-    fn resident(&self) -> Vec<u64> {
-        let mut v = self.order.clone();
-        v.sort_unstable();
-        v
-    }
-}
+// --- Reference replacement model --------------------------------------------
 
 /// Segmented-LRU reference: probation + protected queues, promote on
 /// re-reference, demote the coldest protected frame past the cap, evict
@@ -308,10 +273,12 @@ struct SlruModel {
 }
 
 impl SlruModel {
-    fn new(capacity: usize, protected_pct: u8) -> SlruModel {
+    /// The documented split: the protected tier holds 80 % of capacity,
+    /// at least one frame.
+    fn new(capacity: usize) -> SlruModel {
         SlruModel {
             capacity,
-            protected_cap: ((capacity * protected_pct as usize) / 100).max(1),
+            protected_cap: ((capacity * 80) / 100).max(1),
             probation: Vec::new(),
             protected: Vec::new(),
         }
@@ -353,53 +320,16 @@ impl SlruModel {
 }
 
 #[test]
-fn lru_pool_matches_reference_model_step_for_step() {
-    let _g = lock();
-    for seed in 1..=5u64 {
-        let path = tmp(&format!("model-lru-{seed}"));
-        write_segment(&path, 40);
-        let capacity = 2 + (seed as usize % 5);
-        let pool = SharedBufferPool::with_policy(capacity, PoolPolicy::Lru);
-        let seg = Segment::open(&path, 0, PS, Arc::clone(&pool)).unwrap();
-        let stats = IoStats::default();
-        let mut model = LruModel {
-            capacity,
-            order: Vec::new(),
-        };
-        let mut rng = Rng::new(seed * 6_364_136);
-        for step in 0..600 {
-            // Zipf-ish skew: half the trace hits an 8-page hot set.
-            let page = if rng.below(2) == 0 {
-                rng.below(8)
-            } else {
-                rng.below(40)
-            };
-            seg.read(page, &stats).unwrap();
-            model.touch(page);
-            let resident: Vec<u64> = pool.resident_keys().iter().map(|&(_, p)| p).collect();
-            assert_eq!(
-                resident,
-                model.resident(),
-                "seed {seed} step {step} (page {page}): LRU diverged from model"
-            );
-        }
-        std::fs::remove_file(path).ok();
-    }
-}
-
-#[test]
 fn slru_pool_matches_reference_model_step_for_step() {
     let _g = lock();
     for seed in 1..=5u64 {
         let path = tmp(&format!("model-slru-{seed}"));
         write_segment(&path, 40);
         let capacity = 3 + (seed as usize % 5);
-        let protected_pct = 30 + (seed as u8 % 5) * 10;
-        let pool =
-            SharedBufferPool::with_policy(capacity, PoolPolicy::SegmentedLru { protected_pct });
+        let pool = SharedBufferPool::new(capacity);
         let seg = Segment::open(&path, 0, PS, Arc::clone(&pool)).unwrap();
         let stats = IoStats::default();
-        let mut model = SlruModel::new(capacity, protected_pct);
+        let mut model = SlruModel::new(capacity);
         let mut rng = Rng::new(seed * 2_862_933);
         for step in 0..600 {
             // Hotspot schedule with periodic one-touch scan bursts.
