@@ -18,6 +18,7 @@ use ppq_tpi::Tpi;
 use ppq_traj::{Dataset, TrajId};
 use rayon::prelude::*;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Points per parallel work unit in the predict-then-quantize sweep.
@@ -78,6 +79,14 @@ pub struct PpqStream {
     pub(crate) recon: Vec<Vec<Point>>,
     pub(crate) coeffs: Vec<Vec<Predictor>>,
     pub(crate) stats: BuildStats,
+    /// The index over the reconstructed stream (kept when
+    /// `config.build_index`), grown one slice at a time. A stream restored
+    /// from a checkpoint starts with the cell empty — restoring does not
+    /// pay for an index nobody has asked for yet — and the first
+    /// `snapshot`/`finish` replays `tpi_slices` into it, once.
+    pub(crate) tpi: OnceLock<Tpi>,
+    /// Every reconstructed slice handed to the index: what a checkpoint
+    /// stores of it.
     pub(crate) tpi_slices: Vec<(u32, Vec<(TrajId, Point)>)>,
     pub(crate) active_prev: HashSet<TrajId>,
     pub(crate) feature_buf: Vec<f64>,
@@ -134,6 +143,7 @@ impl PpqStream {
             recon: Vec::new(),
             coeffs: Vec::new(),
             stats: BuildStats::default(),
+            tpi: OnceLock::from(Tpi::new(config.tpi.clone())),
             tpi_slices: Vec::new(),
             active_prev: HashSet::new(),
             feature_buf: Vec::new(),
@@ -196,9 +206,7 @@ impl PpqStream {
             self.coeffs.push(Vec::new());
             self.stats.partitions_per_step.push((t, 0));
             self.stats.codewords_per_step.push((t, 0));
-            if self.config.build_index {
-                self.tpi_slices.push((t, Vec::new()));
-            }
+            self.index_slice(t, Vec::new());
             // Every previously-active trajectory has now ended.
             for id in self.active_prev.drain() {
                 self.ended[id as usize] = true;
@@ -402,9 +410,7 @@ impl PpqStream {
             self.recon[idx].push(fin);
             slice_recon.push((id, fin));
         }
-        if self.config.build_index {
-            self.tpi_slices.push((t, slice_recon));
-        }
+        self.index_slice(t, slice_recon);
 
         // Retire trajectories that ended at t (keeps partitioner maps
         // small on long streams) and mark them so reappearance is caught.
@@ -421,26 +427,63 @@ impl PpqStream {
         self.coeffs.push(step_coeffs);
     }
 
+    /// Feed one reconstructed slice to the index (Algorithm 4's step) and
+    /// keep it for checkpoints.
+    fn index_slice(&mut self, t: u32, recon: Vec<(TrajId, Point)>) {
+        if !self.config.build_index {
+            return;
+        }
+        if let Some(tpi) = self.tpi.get_mut() {
+            let t_index = Instant::now();
+            tpi.push_slice(t, &recon);
+            self.stats.indexing += t_index.elapsed();
+        }
+        self.tpi_slices.push((t, recon));
+    }
+
+    /// The index over every slice consumed so far, replaying
+    /// `tpi_slices` first if a restore left it unbuilt.
+    fn index(&self) -> &Tpi {
+        self.tpi.get_or_init(|| {
+            let mut tpi = Tpi::new(self.config.tpi.clone());
+            for (t, points) in &self.tpi_slices {
+                tpi.push_slice(*t, points);
+            }
+            tpi
+        })
+    }
+
     /// The summary of everything consumed so far, without closing the
     /// stream — the snapshot a persistence layer hands to
     /// `RepoWriter::write`/`append` between time slices. Equivalent to
     /// `self.clone().finish()`: because every piece of pipeline state is
     /// append-only (the codebook only pushes words, coefficient rows are
-    /// fixed once written, per-trajectory arrays only grow), a snapshot is
-    /// an exact prefix of any later snapshot — the invariant
-    /// [`crate::summary_io::delta_to_bytes`] verifies and exploits.
+    /// fixed once written, per-trajectory arrays only grow, sealed index
+    /// periods never change), a snapshot is an exact prefix of any later
+    /// snapshot — the invariant [`crate::summary_io::delta_to_bytes`]
+    /// verifies and exploits. The index is not rebuilt: the clone shares
+    /// every sealed period with the stream and seals a copy of the open
+    /// one.
     pub fn snapshot(&self) -> PpqSummary {
+        if self.config.build_index {
+            // Replay a restored stream's index here, not in the clone,
+            // so it is paid for once.
+            self.index();
+        }
         self.clone().finish()
     }
 
-    /// Close the stream and produce the summary (building the TPI over
-    /// the reconstructed stream when `config.build_index` is set).
+    /// Close the stream and produce the summary (sealing the index's
+    /// open period when `config.build_index` is set).
     pub fn finish(mut self) -> PpqSummary {
         let t_index = Instant::now();
         let tpi = self.config.build_index.then(|| {
-            Tpi::build_from_slices(std::mem::take(&mut self.tpi_slices), &self.config.tpi)
+            self.index();
+            let mut tpi = self.tpi.take().expect("initialised by index()");
+            tpi.seal();
+            tpi
         });
-        self.stats.indexing = t_index.elapsed();
+        self.stats.indexing += t_index.elapsed();
         self.stats.total = self.started.elapsed();
 
         let codebook = match self.incremental {

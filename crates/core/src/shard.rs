@@ -5,12 +5,13 @@
 //! partitioner, one codebook, and one TPI. [`ShardedPpqStream`] splits the
 //! id space over `S` fully independent shards — each owns its own
 //! [`PpqStream`] (codebook, error-bound state, TPI slices) — and fans each
-//! incoming time slice out to the shards in parallel. Because a
-//! trajectory's entire life belongs to exactly one shard and shards share
-//! no state, the result for any shard depends only on that shard's input
-//! order, which the scatter preserves; sharded ingest is therefore
-//! bit-identical at any `RAYON_NUM_THREADS`, and at `S = 1` bit-identical
-//! to the unsharded [`PpqStream`].
+//! incoming time slice out to the shards, on threads when the slice is
+//! wide enough to pay for them. Because a trajectory's entire life belongs
+//! to exactly one shard and shards share no state, the result for any
+//! shard depends only on that shard's input order, which the scatter
+//! preserves; sharded ingest is therefore bit-identical at any
+//! `RAYON_NUM_THREADS`, and at `S = 1` bit-identical to the unsharded
+//! [`PpqStream`].
 //!
 //! What sharding trades away is *codebook sharing*: each shard grows its
 //! own error-bounded codebook from only its trajectories' prediction
@@ -30,6 +31,14 @@ use ppq_predict::Predictor;
 use ppq_quantize::Codebook;
 use ppq_traj::{Dataset, TrajId};
 use rayon::prelude::*;
+
+/// Minimum slice width before a slice's shards run on separate threads.
+/// The rayon shim spawns fresh scoped threads per call (no pool) and the
+/// caller sleeps until they join: on a narrow slice that costs as much as
+/// the shards' own work, and what it costs moves with how the host
+/// schedules the wake-ups. Below this the shards take the slice in turn.
+/// Same idiom and size as `PARALLEL_PREDICT_MIN` in `pipeline.rs`.
+const PARALLEL_SHARD_MIN: usize = 4096;
 
 /// Deterministic trajectory-id → shard assignment.
 ///
@@ -77,9 +86,10 @@ impl ShardRouter {
 /// contiguous per-trajectory appearances — and it scatters each slice by
 /// [`ShardRouter::shard_of`] (preserving the slice's relative point
 /// order within every shard) and advances all shards, in parallel when a
-/// thread pool is available. Every shard sees every timestep (possibly as
-/// an empty slice), so shard clocks stay aligned and per-shard
-/// trajectory-retirement semantics match the unsharded pipeline's.
+/// thread pool is available and the slice is wide. Every shard sees every
+/// timestep (possibly as an empty slice), so shard clocks stay aligned and
+/// per-shard trajectory-retirement semantics match the unsharded
+/// pipeline's.
 ///
 /// ```
 /// use ppq_core::shard::ShardedPpqStream;
@@ -143,7 +153,8 @@ impl ShardedPpqStream {
         self.shards[0].next_t()
     }
 
-    /// Consume one timestep, fanning the slice out across shards.
+    /// Consume one timestep, fanning the slice out across shards (on
+    /// threads once it is `PARALLEL_SHARD_MIN` points wide).
     ///
     /// Determinism contract: shard `i`'s state after this call depends
     /// only on the subsequence of `points` routed to shard `i`, in slice
@@ -155,7 +166,10 @@ impl ShardedPpqStream {
         for &(id, p) in points {
             self.buckets[self.router.shard_of(id)].push((id, p));
         }
-        if self.shards.len() > 1 && rayon::current_num_threads() > 1 {
+        if self.shards.len() > 1
+            && points.len() >= PARALLEL_SHARD_MIN
+            && rayon::current_num_threads() > 1
+        {
             let jobs: Vec<(&mut PpqStream, &Vec<(TrajId, Point)>)> =
                 self.shards.iter_mut().zip(self.buckets.iter()).collect();
             jobs.into_par_iter()
@@ -170,25 +184,28 @@ impl ShardedPpqStream {
     /// The sharded summary of everything consumed so far, without closing
     /// the stream (the sharded mirror of [`PpqStream::snapshot`]).
     pub fn snapshot(&self) -> ShardedSummary {
-        self.clone().finish()
-    }
-
-    /// Close every shard and produce the sharded summary (per-shard TPIs
-    /// build in parallel inside each shard's `finish`).
-    pub fn finish(self) -> ShardedSummary {
-        let summaries: Vec<PpqSummary> =
-            if self.shards.len() > 1 && rayon::current_num_threads() > 1 {
-                self.shards
-                    .into_par_iter()
-                    .map(|shard| shard.finish())
-                    .collect()
-            } else {
-                self.shards.into_iter().map(PpqStream::finish).collect()
-            };
         ShardedSummary {
             router: self.router,
-            shards: summaries,
+            shards: summarise(self.shards.iter().collect(), PpqStream::snapshot),
         }
+    }
+
+    /// Close every shard and produce the sharded summary.
+    pub fn finish(self) -> ShardedSummary {
+        ShardedSummary {
+            router: self.router,
+            shards: summarise(self.shards, PpqStream::finish),
+        }
+    }
+}
+
+/// Every shard's summary, taken in parallel when a thread pool is
+/// available.
+fn summarise<S: Send>(shards: Vec<S>, f: impl Fn(S) -> PpqSummary + Sync) -> Vec<PpqSummary> {
+    if shards.len() > 1 && rayon::current_num_threads() > 1 {
+        shards.into_par_iter().map(f).collect()
+    } else {
+        shards.into_iter().map(f).collect()
     }
 }
 
@@ -577,6 +594,33 @@ mod tests {
         }
     }
 
+    /// The integration tests' slices are tens of points wide and so never
+    /// leave the calling thread; this fixture is wide enough to.
+    #[test]
+    fn wide_slices_on_threads_match_the_same_slices_in_turn() {
+        let data = porto_like(&PortoConfig {
+            trajectories: PARALLEL_SHARD_MIN + 200,
+            mean_len: 8,
+            min_len: 6,
+            start_spread: 1,
+            seed: 34,
+        });
+        let widest = data.time_slices().map(|s| s.points.len()).max().unwrap();
+        assert!(widest >= PARALLEL_SHARD_MIN, "fixture stays serial");
+        let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+        let serial = rayon::with_thread_count(1, || ShardedSummary::build(&data, &cfg, 4));
+        let threaded = rayon::with_thread_count(4, || ShardedSummary::build(&data, &cfg, 4));
+        assert_eq!(serial.breakdown(), threaded.breakdown());
+        for (id, t, _) in data.iter_points() {
+            let a = serial.reconstruct(id, t).unwrap();
+            let b = threaded.reconstruct(id, t).unwrap();
+            assert!(
+                a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
+                "thread-count divergence at traj {id} t {t}"
+            );
+        }
+    }
+
     #[test]
     fn fragmentation_grows_codebook_but_not_error() {
         let data = dataset();
@@ -650,6 +694,52 @@ mod tests {
         assert_eq!(rebuilt.num_points(), s2.num_points());
         let (id, t, _) = data.iter_points().next().unwrap();
         assert_eq!(rebuilt.reconstruct(id, t), s2.reconstruct(id, t));
+    }
+
+    #[test]
+    fn consecutive_snapshots_share_sealed_periods() {
+        let data = dataset();
+        let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+        let slices: Vec<_> = data.time_slices().collect();
+        let mut stream = ShardedPpqStream::new(cfg, 2);
+        let cut = slices.len() / 2;
+        for s in &slices[..cut] {
+            stream.push_slice(s.t, s.points);
+        }
+        let first = stream.snapshot();
+        for s in &slices[cut..cut + 3] {
+            stream.push_slice(s.t, s.points);
+        }
+        let second = stream.snapshot();
+        let mut shared = 0;
+        for (a, b) in first.shards().iter().zip(second.shards()) {
+            let (a, b) = (a.tpi().unwrap().periods(), b.tpi().unwrap().periods());
+            // Every period but the first snapshot's last was sealed by the
+            // stream before that snapshot: both hold the very same one.
+            for (pa, pb) in a[..a.len() - 1].iter().zip(b) {
+                assert!(std::sync::Arc::ptr_eq(pa, pb), "sealed period was copied");
+                shared += 1;
+            }
+            // The open period was sealed in a copy; the stream went on to
+            // extend (or close) its own.
+            assert!(!std::sync::Arc::ptr_eq(&a[a.len() - 1], &b[a.len() - 1]));
+        }
+        assert!(shared > 0, "fixture never sealed a period");
+        // Growth after the first snapshot did not reach back into it.
+        let control = {
+            let mut c = ShardedPpqStream::new(first.config().clone(), 2);
+            for s in &slices[..cut] {
+                c.push_slice(s.t, s.points);
+            }
+            c.finish()
+        };
+        for (a, b) in first.shards().iter().zip(control.shards()) {
+            let blocks = |s: &PpqSummary| -> Vec<_> {
+                let periods = s.tpi().unwrap().periods().iter();
+                periods.map(|p| p.pi.export_blocks()).collect()
+            };
+            assert_eq!(blocks(a), blocks(b));
+        }
     }
 
     #[test]

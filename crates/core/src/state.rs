@@ -399,6 +399,8 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
     // dimensionality, scratch buffers); the decode below overwrites the
     // evolving state.
     let mut s = PpqStream::new(config.clone());
+    // The index is rebuilt from the decoded slices when first needed.
+    s.tpi = std::sync::OnceLock::new();
     s.min_t = get_opt_u32(d)?;
     s.next_t = get_opt_u32(d)?;
 
@@ -543,6 +545,11 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
             let p = d.try_point().ok_or(err)?;
             pts.push((id, p));
         }
+        // The index replays these through `Tpi::push_slice`, which takes
+        // strictly ascending timesteps.
+        if s.tpi_slices.last().is_some_and(|(prev, _)| *prev >= t) {
+            return Err(DecodeError::Corrupt("index slices out of order"));
+        }
         s.tpi_slices.push((t, pts));
     }
 
@@ -641,6 +648,43 @@ mod tests {
         let once = sharded_to_bytes(&stream);
         let twice = sharded_to_bytes(&sharded_from_bytes(&once).unwrap());
         assert_eq!(once, twice);
+    }
+
+    /// A restore does not build the index; the first snapshot replays the
+    /// checkpointed slices into the restored stream itself — once — so
+    /// the next snapshot shares its sealed periods instead of replaying.
+    #[test]
+    fn restored_stream_replays_its_index_once() {
+        let data = dataset();
+        let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+        let mut golden = ShardedPpqStream::new(cfg, 2);
+        for s in data.time_slices() {
+            golden.push_slice(s.t, s.points);
+        }
+        let restored = sharded_from_bytes(&sharded_to_bytes(&golden)).unwrap();
+        assert!(restored.shards.iter().all(|s| s.tpi.get().is_none()));
+        let (first, second, want) = (restored.snapshot(), restored.snapshot(), golden.snapshot());
+        for ((a, b), w) in first
+            .shards()
+            .iter()
+            .zip(second.shards())
+            .zip(want.shards())
+        {
+            let (a, b, w) = (a.tpi().unwrap(), b.tpi().unwrap(), w.tpi().unwrap());
+            assert_eq!(a.stats(), w.stats());
+            assert_eq!(a.size_bytes(), w.size_bytes());
+            let sealed = a.periods().len() - 1;
+            assert!(sealed > 0, "fixture never sealed a period");
+            for (pa, pb) in a.periods()[..sealed].iter().zip(b.periods()) {
+                assert!(
+                    std::sync::Arc::ptr_eq(pa, pb),
+                    "second snapshot replayed again"
+                );
+            }
+            for (pa, pw) in a.periods().iter().zip(w.periods()) {
+                assert_eq!(pa.pi.export_blocks(), pw.pi.export_blocks());
+            }
+        }
     }
 
     #[test]

@@ -164,6 +164,13 @@ const MAX_CQC_GRID_SIDE: i64 = 1025;
 /// steps).
 const MAX_TOTAL_PARTITIONS: usize = 1 << 22;
 
+/// Largest accepted per-shard trajectory-array length (largest id + 1).
+/// A delta may grow the arrays by ids that contributed no points to it —
+/// ids are global, so a shard's arrays have a slot for every id below the
+/// largest it has seen, and ids need not arrive in order — and such slots
+/// occupy no delta bytes; this hard cap is what bounds that growth.
+const MAX_TRAJECTORIES: usize = 1 << 22;
+
 macro_rules! need {
     ($opt:expr, $what:literal) => {
         $opt.ok_or(DecodeError::Corrupt($what))?
@@ -820,9 +827,7 @@ pub fn apply_delta(base: &mut PpqSummary, bytes: &[u8]) -> Result<u32, DecodeErr
     // --- Per-trajectory suffixes. ----------------------------------------
     let cqc_depth = base.template.as_ref().map(|t| t.depth()).unwrap_or(0);
     let full_n_traj = need!(d.try_u32(), "delta trajectory count") as usize;
-    if full_n_traj < base.codes.len()
-        || (full_n_traj - base.codes.len()).saturating_mul(1) > d.remaining()
-    {
+    if full_n_traj < base.codes.len() || full_n_traj > MAX_TRAJECTORIES {
         return Err(DecodeError::Corrupt("delta trajectory count"));
     }
     base.starts.resize(full_n_traj, 0);

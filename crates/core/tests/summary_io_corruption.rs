@@ -167,3 +167,39 @@ fn valid_delta_fixtures_apply() {
         assert!(base.num_points() > before);
     }
 }
+
+/// Trajectory ids need not arrive in order: a trajectory first seen in
+/// the delta window may carry an id far beyond the base's array length
+/// while the delta itself stays a few hundred bytes — the slots below the
+/// new id hold no points and so occupy no delta bytes. Such a delta is
+/// valid and must apply.
+#[test]
+fn delta_introducing_a_far_id_applies() {
+    let mut cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+    cfg.build_index = false;
+    let mut stream = PpqStream::new(cfg);
+    let at = |id: u32, t: u32| {
+        let step = t as f64 * 1e-4;
+        (
+            id,
+            ppq_geo::Point::new(-8.6 + step, 41.1 + id as f64 * 1e-7),
+        )
+    };
+    for t in 0..10 {
+        stream.push_slice(t, &[at(0, t), at(1, t), at(2, t)]);
+    }
+    let snap = stream.snapshot();
+    for t in 10..14 {
+        stream.push_slice(t, &[at(0, t), at(1, t), at(2, t), at(5000, t)]);
+    }
+    let full = stream.finish();
+    let delta = delta_to_bytes(&snap, &full).expect("snapshot is a prefix");
+    assert!(
+        delta.len() < 4000,
+        "the case needs fewer delta bytes ({}) than new array slots",
+        delta.len()
+    );
+    let mut base = from_bytes(&to_bytes(&snap), false).expect("valid base");
+    apply_delta(&mut base, &delta).expect("a far first-seen id is not corruption");
+    assert_eq!(to_bytes(&base), to_bytes(&full));
+}

@@ -465,19 +465,46 @@ impl LiveRepo {
     /// Failures are absorbed into the backoff state, never propagated —
     /// the WAL keeps covering everything the chain is missing.
     pub fn maintain_if_due(&mut self) -> MaintenanceOutcome {
-        let mut out = MaintenanceOutcome::default();
         if self.cfg.fold_every == 0 {
-            return out;
+            return MaintenanceOutcome::default();
         }
         let shift = self.failures.min(self.cfg.max_backoff_shift).min(63);
         let due = self.cfg.fold_every.saturating_mul(1u64 << shift);
         if self.steps_since_fold < due {
-            return out;
+            return MaintenanceOutcome::default();
         }
-        out.attempted = true;
         let had_work = self.steps_since_fold > 0;
+        let result = self.fold().and_then(|()| self.maybe_compact());
+        self.settle(had_work, result)
+    }
+
+    /// Graceful-shutdown drain: the same fold → auto-compaction pass a
+    /// due tick runs, whatever the cadence says, then a sweep of the
+    /// chain the last commit superseded (no reader outlives a shutdown to
+    /// need it) — so the store a shutdown leaves does not depend on where
+    /// the last tick fell. A failed fold is the caller's error
+    /// (acknowledged slices are still only in the WAL); a failure after it
+    /// is recorded like a tick's — the drain itself lost nothing.
+    pub(crate) fn drain(&mut self) -> Result<(), LiveError> {
+        let had_work = self.steps_since_fold > 0;
+        self.fold()?;
+        let tidied = self.maybe_compact().and_then(|compacted| {
+            RepoWriter::with_page_size(&self.dir, self.cfg.page_size).sweep_superseded()?;
+            Ok(compacted)
+        });
+        self.settle(had_work, tidied);
+        Ok(())
+    }
+
+    /// Book one attempted `fold → maybe_compact` pass into the counters
+    /// and the backoff state, and report it.
+    fn settle(&mut self, had_work: bool, result: Result<bool, LiveError>) -> MaintenanceOutcome {
+        let mut out = MaintenanceOutcome {
+            attempted: true,
+            ..MaintenanceOutcome::default()
+        };
         let m = live_metrics();
-        match self.fold().and_then(|()| self.maybe_compact()) {
+        match result {
             Ok(compacted) => {
                 out.folded = had_work;
                 out.compacted = compacted;

@@ -364,10 +364,11 @@ impl LiveService {
     /// Final drain for graceful shutdown: fsync the WAL and fold
     /// everything outstanding into the chain (fold = sync → generation
     /// commit → checkpoint → WAL truncate), so recovery starts from a
-    /// checkpoint covering every acknowledged slice.
+    /// checkpoint covering every acknowledged slice — then compact if the
+    /// policy asks, exactly as the tick that would have followed.
     pub(crate) fn final_drain(&self) -> Result<(), LiveError> {
         let mut w = self.writer.lock().expect("writer lock poisoned");
-        w.live.fold()
+        w.live.drain()
     }
 
     // --- Test-only escape hatches -----------------------------------------

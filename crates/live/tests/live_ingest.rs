@@ -8,7 +8,7 @@ use ppq_core::query::ShardedQueryEngine;
 use ppq_core::summary_io;
 use ppq_core::{PpqConfig, ShardedPpqStream, Variant};
 use ppq_geo::Point;
-use ppq_live::{LiveConfig, LiveError, LiveRepo, CKPT_NAME};
+use ppq_live::{LiveConfig, LiveError, LiveRepo, LiveService, MaintenanceConfig, CKPT_NAME};
 use ppq_repo::{DiskQueryEngine, Repo};
 use ppq_traj::synth::{porto_like, PortoConfig};
 use ppq_traj::Dataset;
@@ -253,5 +253,130 @@ fn maintenance_failure_degrades_gracefully_and_recovers() {
     };
     let reopened = LiveRepo::recover(&dir, live_config(4)).unwrap();
     assert_snapshots_bit_identical(&reopened, &control);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Trajectory ids are the caller's: they need not be assigned in arrival
+/// order, and a delta generation of a few slices may introduce an id far
+/// beyond everything seen so far. Such a stream must fold, compact,
+/// reopen and recover, and hold exactly what its twin whose ids are the
+/// arrival ranks holds.
+#[test]
+fn ids_out_of_arrival_order_fold_recover_and_answer() {
+    // `Dataset` numbers trajectories in input order: sorted by start,
+    // ids are arrival ranks. The scattered twin maps rank `r` to a
+    // sparse, non-monotone id, so a later arrival can land thousands of
+    // slots past the end of the per-trajectory arrays.
+    let ranked = {
+        let mut trajs = dataset().trajectories().to_vec();
+        trajs.sort_by_key(|t| t.start);
+        Dataset::new(trajs)
+    };
+    let n = ranked.num_trajectories() as u32;
+    let scatter = |rank: u32| 2000 * ((rank * 7) % n);
+
+    let mut cfg = live_config(4);
+    cfg.shards = 1; // one pipeline, so the twins differ in ids alone
+    let run = |name: &str, id_of: &dyn Fn(u32) -> u32| {
+        let dir = tmp_dir(name);
+        let mut control = ShardedPpqStream::new(cfg.ppq.clone(), cfg.shards);
+        {
+            let mut live = LiveRepo::recover(&dir, cfg.clone()).unwrap();
+            for s in ranked.time_slices() {
+                let points: Vec<_> = s.points.iter().map(|&(id, p)| (id_of(id), p)).collect();
+                live.push_slice(s.t, &points).unwrap();
+                control.push_slice(s.t, &points);
+                assert!(
+                    live.last_maintenance_error().is_none(),
+                    "{name}: maintenance failed: {:?}",
+                    live.last_maintenance_error()
+                );
+            }
+            live.fold().unwrap();
+        }
+        // The folded chain stitches back to the stream's summary...
+        let full = control.snapshot();
+        let repo = Repo::open(&dir, 64).unwrap();
+        assert_eq!(
+            summary_io::to_bytes(repo.shards()[0].summary()),
+            summary_io::to_bytes(full.shard(0)),
+            "{name}: reopened chain diverges from the stream"
+        );
+        // ...and recovery resumes it bit for bit.
+        let recovered = LiveRepo::recover(&dir, cfg.clone()).unwrap();
+        assert_snapshots_bit_identical(&recovered, &control);
+        let _ = std::fs::remove_dir_all(dir);
+        full
+    };
+    let want = run("ids-ranked", &|rank| rank);
+    let got = run("ids-scattered", &scatter);
+
+    let radius = want.search_radius();
+    let (want_tpi, got_tpi) = (want.shard(0).tpi().unwrap(), got.shard(0).tpi().unwrap());
+    for (rank, t, p) in ranked.iter_points() {
+        let (a, b) = (want.reconstruct(rank, t), got.reconstruct(scatter(rank), t));
+        assert_eq!(a, b, "reconstruction of rank {rank} at t={t}");
+        let mut near: Vec<u32> = want_tpi
+            .query_disc(t, &p, radius)
+            .into_iter()
+            .map(scatter)
+            .collect();
+        near.sort_unstable();
+        assert_eq!(near, got_tpi.query_disc(t, &p, radius));
+    }
+}
+
+/// A graceful shutdown runs the pass a tick would have: fold, then
+/// compact if the policy asks. Here the drain's fold is what takes the
+/// chain to the length threshold, so a drain that only folded would
+/// leave a chain the very next tick would have collapsed.
+#[test]
+fn graceful_shutdown_leaves_a_chain_the_policy_would_leave_alone() {
+    let data = std::sync::Arc::new(dataset());
+    let mut cfg = live_config(4);
+    cfg.compact_max_chain = 2;
+    cfg.compact_dead_frac = 2.0; // isolate the length trigger
+    let dir = tmp_dir("drain-compacts");
+    let slices: Vec<_> = data.time_slices().collect();
+    let service = std::sync::Arc::new(
+        LiveService::open(&dir, cfg.clone(), std::sync::Arc::clone(&data), 4).unwrap(),
+    );
+    // Inline maintenance folds the base generation at the fourth slice.
+    for s in &slices[..4] {
+        service.push_slice(s.t, s.points).unwrap();
+    }
+    // The worker now owns the cadence; three more slices are not due.
+    let worker = service
+        .start_maintenance(MaintenanceConfig::default())
+        .expect("worker attaches");
+    for s in &slices[4..7] {
+        service.push_slice(s.t, s.points).unwrap();
+    }
+    worker.shutdown().expect("drain");
+    assert!(service.status().last_maintenance_error.is_none());
+    drop(service);
+
+    let mut recovered = LiveRepo::recover(&dir, cfg).unwrap();
+    assert_eq!(recovered.next_t(), Some(slices[6].t + 1));
+    assert_eq!(recovered.wal_pending(), 0);
+    assert_eq!(
+        recovered.chain_generations(),
+        1,
+        "the drain's delta generation was left on a full chain"
+    );
+    assert!(
+        !recovered.maybe_compact().unwrap(),
+        "shutdown left work for the compaction policy"
+    );
+    // Nor does the chain that compaction superseded outlive the service:
+    // every segment file belongs to the one live generation.
+    let live_generation = Repo::open(&dir, 16).unwrap().manifest().generation();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if let Some((_, rest)) = name.split_once("-g") {
+            let generation: u64 = rest.split('-').next().unwrap().parse().unwrap();
+            assert_eq!(generation, live_generation, "superseded segment {name}");
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

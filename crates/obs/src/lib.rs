@@ -91,7 +91,9 @@ mod tests {
     use std::time::Duration;
 
     /// Global-state tests share this lock so parallel test threads do
-    /// not clobber each other's enabled-flag or threshold changes.
+    /// not clobber each other's enabled-flag or threshold changes. Every
+    /// test that records into an instrument takes it too: recording is a
+    /// no-op while another test holds the process-wide flag off.
     pub(crate) fn global_guard() -> std::sync::MutexGuard<'static, ()> {
         static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
         GUARD.lock().unwrap_or_else(|e| e.into_inner())
@@ -99,6 +101,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_register_once() {
+        let _guard = global_guard();
         let r = Registry::new();
         let a = r.counter("test_hits");
         let b = r.counter("test_hits");
@@ -124,6 +127,7 @@ mod tests {
 
     #[test]
     fn atomic_histogram_matches_plain() {
+        let _guard = global_guard();
         let r = Registry::new();
         let h = r.histogram("test_lat_ns");
         let mut plain = LatencyHistogram::new();
@@ -142,6 +146,7 @@ mod tests {
 
     #[test]
     fn snapshot_lookup_helpers() {
+        let _guard = global_guard();
         let r = Registry::new();
         r.counter("test_c").add(5);
         r.gauge("test_g").set(9);
@@ -212,6 +217,7 @@ mod tests {
 
     #[test]
     fn render_text_shape() {
+        let _guard = global_guard();
         let r = Registry::new();
         r.counter("test_rt_requests").add(4);
         r.gauge("test_rt_active").set(2);
@@ -227,6 +233,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_everything_but_keeps_handles() {
+        let _guard = global_guard();
         let r = Registry::new();
         let c = r.counter("test_reset_c");
         let h = r.histogram("test_reset_ns");

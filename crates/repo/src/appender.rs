@@ -24,7 +24,7 @@ use crate::layout::{
     dir_seg_name, read_verified, sdelta_seg_name, GenKind, GenManifest, Manifest, RepoError,
 };
 use crate::repo::load_shard_summary;
-use crate::writer::{check_period_extension, tpi_blocks, RepoWriter};
+use crate::writer::{check_period_extension, tpi_blocks, tpi_periods, RepoWriter};
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardedSummary};
 use ppq_storage::PAGE_SIZE;
@@ -142,14 +142,17 @@ impl Appender {
             let delta_bytes = summary_io::delta_to_bytes(&state.base, full)?;
             check_period_extension(&state.periods, tpi)?;
             let t_hi = state.periods.last().map(|p| p.t_end);
-            let (periods, blocks) = tpi_blocks(tpi, t_hi);
+            let periods = tpi_periods(tpi);
             shard_manifests.push(self.writer.write_segments(
                 generation,
                 i as u32,
                 &sdelta_seg_name(generation, i as u32),
                 &delta_bytes,
                 &periods,
-                &mut blocks.into_iter().map(Ok),
+                &mut |sink| {
+                    tpi_blocks(tpi, t_hi, sink);
+                    Ok(())
+                },
             )?);
             new_periods.push(periods);
         }

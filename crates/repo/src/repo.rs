@@ -508,19 +508,21 @@ impl Repo {
                 for (i, shard) in self.shards.iter().enumerate() {
                     let summary_bytes = summary_io::to_bytes(shard.summary());
                     let stats = IoStats::default();
-                    let mut scratch: Vec<u8> = Vec::new();
-                    let mut blocks = shard.directory.entries().map(|(p, r, t, c, meta)| {
-                        let mut ids = Vec::with_capacity(meta.n_ids as usize);
-                        shard.read_block_into(&meta, &stats, &mut scratch, &mut ids)?;
-                        Ok((p, r, t, c, ids))
-                    });
+                    let (mut scratch, mut ids) = (Vec::new(), Vec::new());
                     shard_manifests.push(writer.write_segments(
                         generation,
                         i as u32,
                         &summary_seg_name(generation, i as u32),
                         &summary_bytes,
                         &shard.periods,
-                        &mut blocks,
+                        &mut |sink| {
+                            for (p, r, t, c, meta) in shard.directory.entries() {
+                                ids.clear();
+                                shard.read_block_into(&meta, &stats, &mut scratch, &mut ids)?;
+                                sink(p, r, t, c, &ids);
+                            }
+                            Ok(())
+                        },
                     )?);
                     self.stats.absorb(&stats);
                 }
@@ -536,14 +538,16 @@ impl Repo {
                     summary.rebuild_index();
                     let tpi = summary.tpi().expect("just rebuilt");
                     let summary_bytes = summary_io::to_bytes(&summary);
-                    let (periods, blocks) = crate::writer::tpi_blocks_full(tpi);
                     shard_manifests.push(writer.write_segments(
                         generation,
                         i as u32,
                         &summary_seg_name(generation, i as u32),
                         &summary_bytes,
-                        &periods,
-                        &mut blocks.into_iter().map(Ok),
+                        &crate::writer::tpi_periods(tpi),
+                        &mut |sink| {
+                            crate::writer::tpi_blocks(tpi, None, sink);
+                            Ok(())
+                        },
                     )?);
                 }
             }

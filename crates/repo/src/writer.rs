@@ -34,9 +34,10 @@ use ppq_tpi::Tpi;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-/// One block bound for the page segment: `(period, region, t, cell)` key
-/// plus the trajectory IDs, produced in strictly ascending key order.
-pub(crate) type BlockRecord = (u32, u32, u32, u32, Vec<u32>);
+/// Receives the blocks bound for a page segment: a `(period, region, t,
+/// cell)` key plus the trajectory IDs (borrowed for the call), in strictly
+/// ascending key order.
+pub(crate) type BlockSink<'a> = dyn FnMut(u32, u32, u32, u32, &[u32]) + 'a;
 
 /// Writes a repository directory. One `write*`/`append*` call produces
 /// one new *generation* of segment files and commits it by writing the
@@ -98,14 +99,16 @@ impl RepoWriter {
         for (i, summary) in shards.iter().enumerate() {
             let tpi = summary.tpi().ok_or(RepoError::MissingIndex)?;
             let summary_bytes = summary_io::to_bytes(summary);
-            let (periods, blocks) = tpi_blocks(tpi, None);
             shard_manifests.push(self.write_segments(
                 generation,
                 i as u32,
                 &summary_seg_name(generation, i as u32),
                 &summary_bytes,
-                &periods,
-                &mut blocks.into_iter().map(Ok),
+                &tpi_periods(tpi),
+                &mut |sink| {
+                    tpi_blocks(tpi, None, sink);
+                    Ok(())
+                },
             )?);
         }
         let manifest = Manifest {
@@ -183,14 +186,16 @@ impl RepoWriter {
             check_period_extension(&stored_periods, tpi)?;
             // Blocks strictly past the committed horizon.
             let t_hi = stored_periods.last().map(|p| p.t_end);
-            let (periods, blocks) = tpi_blocks(tpi, t_hi);
             shard_manifests.push(self.write_segments(
                 generation,
                 i as u32,
                 &sdelta_seg_name(generation, i as u32),
                 &delta_bytes,
-                &periods,
-                &mut blocks.into_iter().map(Ok),
+                &tpi_periods(tpi),
+                &mut |sink| {
+                    tpi_blocks(tpi, t_hi, sink);
+                    Ok(())
+                },
             )?);
         }
         let mut manifest = prev.clone();
@@ -216,8 +221,8 @@ impl RepoWriter {
 
     /// Write one shard's three segments for generation `generation`: the
     /// summary (or summary-delta) bytes under `summary_name`, the blocks
-    /// packed back to back onto CRC-sealed pages, and the directory
-    /// segment mapping every block to `(page, offset)`.
+    /// `blocks` feeds its sink packed back to back onto CRC-sealed pages,
+    /// and the directory segment mapping every block to `(page, offset)`.
     pub(crate) fn write_segments(
         &self,
         generation: u64,
@@ -225,7 +230,7 @@ impl RepoWriter {
         summary_name: &str,
         summary_bytes: &[u8],
         periods: &[DiskPeriod],
-        blocks: &mut dyn Iterator<Item = Result<BlockRecord, RepoError>>,
+        blocks: &mut dyn FnMut(&mut BlockSink<'_>) -> Result<(), RepoError>,
     ) -> Result<ShardManifest, RepoError> {
         std::fs::create_dir_all(&self.dir)?;
         write_durable(&self.dir.join(summary_name), summary_bytes)?;
@@ -241,8 +246,7 @@ impl RepoWriter {
         )?;
         let mut entries: Vec<DirEntry> = Vec::new();
         let mut stream: Vec<u8> = Vec::new();
-        for block in blocks {
-            let (period, region, t, cell, ids) = block?;
+        blocks(&mut |period, region, t, cell, ids| {
             entries.push(DirEntry {
                 period,
                 region,
@@ -258,7 +262,7 @@ impl RepoWriter {
             for id in ids {
                 stream.extend_from_slice(&id.to_le_bytes());
             }
-        }
+        })?;
         for chunk in stream.chunks(capacity) {
             store.append(&Page::from_payload_with(chunk, self.page_size))?;
         }
@@ -304,9 +308,24 @@ impl RepoWriter {
         Ok(())
     }
 
-    /// Best-effort removal of segment files from generations referenced
-    /// by neither the committed nor the immediately previous manifest.
-    /// Failure is harmless: stale files are never referenced again.
+    /// Remove the segment files of every generation the committed
+    /// manifest does not reference. [`RepoWriter::commit`] deliberately
+    /// leaves the chain it replaced on disk, for a reader that loaded the
+    /// old manifest just before the rename; call this only when no such
+    /// reader can exist — a service shutting down — so that a superseded
+    /// chain (after a compaction, larger than the live one) does not
+    /// outlive the process.
+    pub fn sweep_superseded(&self) -> Result<(), RepoError> {
+        if let Some(manifest) = self.committed_manifest()? {
+            let live = manifest.generations.iter().map(|g| g.generation);
+            self.sweep_unreferenced(&live.collect());
+        }
+        Ok(())
+    }
+
+    /// Best-effort removal of segment files from generations not in
+    /// `keep`. Failure is harmless: stale files are never referenced
+    /// again.
     fn sweep_unreferenced(&self, keep: &HashSet<u64>) {
         let Ok(read) = std::fs::read_dir(&self.dir) else {
             return;
@@ -333,26 +352,13 @@ fn segment_generation(name: &str) -> Option<u64> {
     rest.split('-').next()?.parse().ok()
 }
 
-/// [`tpi_blocks`] without a horizon filter — the full-rewrite shape,
-/// shared with `Repo::compact`'s re-shard path.
-pub(crate) fn tpi_blocks_full(tpi: &Tpi) -> (Vec<DiskPeriod>, Vec<BlockRecord>) {
-    tpi_blocks(tpi, None)
-}
-
-/// Flatten a TPI into the disk shape: the full period/region table plus
-/// every block as `(period, region, t, cell, ids)` in ascending key
-/// order. With `min_exclusive_t` set, only blocks strictly past that
-/// timestep are kept (the delta window) — the period table is always the
-/// full current one, since the stitched reader takes its structure from
-/// the newest generation.
-pub(crate) fn tpi_blocks(
-    tpi: &Tpi,
-    min_exclusive_t: Option<u32>,
-) -> (Vec<DiskPeriod>, Vec<BlockRecord>) {
-    let mut periods: Vec<DiskPeriod> = Vec::with_capacity(tpi.periods().len());
-    let mut records: Vec<BlockRecord> = Vec::new();
-    for (pidx, period) in tpi.periods().iter().enumerate() {
-        periods.push(DiskPeriod {
+/// The full period/region table of a TPI in the disk shape. A delta
+/// generation records the whole current table too, since the stitched
+/// reader takes its structure from the newest generation.
+pub(crate) fn tpi_periods(tpi: &Tpi) -> Vec<DiskPeriod> {
+    tpi.periods()
+        .iter()
+        .map(|period| DiskPeriod {
             t_start: period.t_start,
             t_end: period.t_end,
             regions: period
@@ -364,25 +370,25 @@ pub(crate) fn tpi_blocks(
                     grid: r.grid().clone(),
                 })
                 .collect(),
-        });
-        if let Some(t_hi) = min_exclusive_t {
-            if period.t_end <= t_hi {
-                continue; // entirely inside the committed horizon
-            }
+        })
+        .collect()
+}
+
+/// Feed every block of a TPI to `sink` as `(period, region, t, cell,
+/// ids)` in ascending key order — the order [`ppq_tpi::Pi::for_each_block`]
+/// walks each period in. With `min_exclusive_t` set, only blocks strictly
+/// past that timestep are fed (the delta window).
+pub(crate) fn tpi_blocks(tpi: &Tpi, min_exclusive_t: Option<u32>, sink: &mut BlockSink<'_>) {
+    for (pidx, period) in tpi.periods().iter().enumerate() {
+        if min_exclusive_t.is_some_and(|t_hi| period.t_end <= t_hi) {
+            continue; // entirely inside the committed horizon
         }
-        // export_blocks is region-major, (cell, t)-sorted; the directory
-        // wants (region, t, cell) so groups of one (period, region, t)
-        // are contiguous with ascending cells.
-        let mut blocks = period.pi.export_blocks();
-        blocks.sort_unstable_by_key(|&(region, t, cell, _)| (region, t, cell));
-        for (region, t, cell, ids) in blocks {
-            if min_exclusive_t.is_some_and(|t_hi| t <= t_hi) {
-                continue;
-            }
-            records.push((pidx as u32, region, t, cell, ids));
-        }
+        period
+            .pi
+            .for_each_block(min_exclusive_t, |region, t, cell, ids| {
+                sink(pidx as u32, region, t, cell, ids)
+            });
     }
-    (periods, records)
 }
 
 /// Verify the committed period table is a structural prefix of the

@@ -880,3 +880,92 @@ fn corruption_is_detected() {
     assert!(saw_crc_error, "no query touched the corrupted page");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A dataset made with `+ - * /` alone (an LCG random walk), so that what
+/// it summarises to does not depend on the platform's `sin`/`ln`.
+fn arithmetic_dataset() -> Dataset {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as u32
+    };
+    let trajectories = (0..40)
+        .map(|id| {
+            let start = next() % 12;
+            let len = 30 + next() % 20;
+            let mut p = Point::new(
+                -8.6 + (next() % 1000) as f64 * 1e-4,
+                41.1 + (next() % 1000) as f64 * 1e-4,
+            );
+            let points = (0..len)
+                .map(|_| {
+                    let step = |r: u32| ((r % 7) as f64 - 3.0) * 2e-5;
+                    p = Point::new(p.x + step(next()), p.y + step(next()));
+                    p
+                })
+                .collect();
+            ppq_traj::Trajectory { id, start, points }
+        })
+        .collect();
+    Dataset::new(trajectories)
+}
+
+/// The segments a writer lays down are a function of the summary alone:
+/// for a fixed build, every generation's summary, directory and page
+/// segment of a base + two-delta chain (the full and the
+/// `min_exclusive_t` forms of the block walk) and of the single-shot
+/// store carry the CRCs recorded when this test was written. An in-memory
+/// index representation may change; what reaches the disk may not, short
+/// of a format revision.
+#[test]
+fn written_segments_match_the_recorded_crcs() {
+    let data = arithmetic_dataset();
+    let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+    let (appended, single, _) = appended_fixture(&data, &cfg, 2, "golden");
+    // (summary CRC, directory CRC, CRC over the pages' trailer CRCs), per
+    // generation and shard in manifest order.
+    let crcs = |dir: &std::path::Path| -> Vec<(u32, u32, u32)> {
+        let manifest = ppq_repo::Manifest::from_bytes(
+            &std::fs::read(dir.join(ppq_repo::layout::MANIFEST_NAME)).unwrap(),
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        for g in &manifest.generations {
+            for (i, sm) in g.shards.iter().enumerate() {
+                let pages = dir.join(ppq_repo::layout::tpi_seg_name(g.generation, i as u32));
+                let trailers: Vec<u8> = std::fs::read(pages)
+                    .unwrap()
+                    .chunks(PAGE)
+                    .flat_map(|page| page[PAGE - ppq_storage::PAGE_TRAILER..].to_vec())
+                    .collect();
+                out.push((sm.summary_crc, sm.dir_crc, ppq_storage::crc32(&trailers)));
+            }
+        }
+        out
+    };
+    assert_eq!(
+        crcs(&appended),
+        [
+            (0xb072c48d, 0xbbb18d10, 0x673b9dbf),
+            (0xb81b7404, 0xc81ecf29, 0x4e473492),
+            (0x174b6d81, 0x59770650, 0x75ea15dd),
+            (0x54978649, 0xdf40938f, 0xa41db445),
+            (0xa8bbc616, 0x0ea7228a, 0x602528dd),
+            (0xf6a9c81a, 0x80f4e7bc, 0xfd2223fb),
+        ],
+        "base + two deltas"
+    );
+    assert_eq!(
+        crcs(&single),
+        [
+            (0xe13af442, 0xc0e958ef, 0x1cf0eb70),
+            (0xacb428d6, 0x94617ad8, 0xa88abdb8),
+        ],
+        "single-shot store"
+    );
+    for dir in [appended, single] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}

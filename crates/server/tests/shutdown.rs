@@ -73,7 +73,7 @@ fn drain_preserves_every_acknowledged_slice() {
     // Acked ⇒ durable across a graceful shutdown.
     server.shutdown().expect("graceful drain");
 
-    let recovered = LiveRepo::recover(&dir, cfg).expect("recover after shutdown");
+    let mut recovered = LiveRepo::recover(&dir, cfg).expect("recover after shutdown");
     assert_eq!(
         recovered.next_t(),
         Some(acked),
@@ -83,6 +83,12 @@ fn drain_preserves_every_acknowledged_slice() {
         recovered.wal_pending(),
         0,
         "drain left unsynced WAL records"
+    );
+    // The drain is a whole maintenance pass: the chain it committed is
+    // one the compaction policy leaves alone.
+    assert!(
+        !recovered.maybe_compact().expect("policy check"),
+        "shutdown left work for the compaction policy"
     );
 
     // The recovered summary answers exactly like an uncrashed in-memory

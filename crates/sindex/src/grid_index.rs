@@ -6,32 +6,28 @@
 //! `(x, y)` (or all cells within the local-search radius) and return the
 //! union of the stored ID lists.
 //!
-//! Storage is a *posting dictionary*: occupied cells are kept as a vector
-//! sorted by flat cell index, so a query probes by binary search and a
+//! Storage is a sealed [`PostingDict`]: occupied cells sorted by flat cell
+//! index over one arena of ID lists, packed under the index's own code
+//! when that is smaller, so a query probes by binary search and a
 //! rectangle/disc query walks sorted row intervals instead of hashing
 //! every covered cell. The bounding box of the occupied cells is
 //! precomputed at build time; probes that miss it return without touching
 //! any posting.
 
-use crate::idlist::CompressedIdList;
+use crate::dict::{seal, PostingDict};
+use crate::huffman::Huffman;
 use crate::posting::QueryScratch;
 use ppq_geo::{BBox, GridSpec, Point};
-use std::collections::HashMap;
 
 /// A grid index over one rectangle.
-///
-/// Cell keys and compressed lists live in parallel vectors: a
-/// `CompressedIdList` embeds its Huffman tables, so binary searching a
-/// `Vec<(u32, CompressedIdList)>` would take a cache miss per probe; the
-/// dense key vector keeps the whole search within a few cache lines.
 #[derive(Clone, Debug)]
 pub struct GridIndex {
     region: BBox,
     grid: GridSpec,
-    /// Occupied flat cell indices, sorted ascending.
-    keys: Vec<u32>,
-    /// `lists[i]` holds the compressed IDs of cell `keys[i]`.
-    lists: Vec<CompressedIdList>,
+    /// Occupied flat cell index → IDs.
+    cells: PostingDict,
+    /// The code `cells` is packed under (`None`: kept raw).
+    code: Option<Box<Huffman>>,
     /// Geometric union of the occupied cells — the candidate-pruning box.
     content_bounds: BBox,
     points_indexed: usize,
@@ -50,32 +46,27 @@ impl GridIndex {
             "grid has {} cells, exceeding the u32 posting-key domain",
             grid.len()
         );
-        let mut raw: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut points_indexed = 0;
-        for (id, p) in points {
-            if !region.contains(p) {
-                continue;
-            }
-            let (cx, cy) = grid.locate_clamped(p);
-            raw.entry(grid.flat(cx, cy) as u32).or_default().push(*id);
-            points_indexed += 1;
-        }
-        let mut cells: Vec<(u32, CompressedIdList)> = raw
-            .into_iter()
-            .map(|(cell, ids)| (cell, CompressedIdList::compress(&ids)))
+        let mut pairs: Vec<(u32, u32)> = points
+            .iter()
+            .filter(|(_, p)| region.contains(p))
+            .map(|(id, p)| {
+                let (cx, cy) = grid.locate_clamped(p);
+                (grid.flat(cx, cy) as u32, *id)
+            })
             .collect();
-        cells.sort_unstable_by_key(|(cell, _)| *cell);
+        let points_indexed = pairs.len();
+        let mut cells = PostingDict::from_pairs(&mut pairs);
         let mut content_bounds = BBox::EMPTY;
-        for (cell, _) in &cells {
-            let (cx, cy) = grid.unflat(*cell as usize);
+        for &cell in cells.keys() {
+            let (cx, cy) = grid.unflat(cell as usize);
             content_bounds = content_bounds.union(&grid.cell_bbox(cx, cy));
         }
-        let (keys, lists) = cells.into_iter().unzip();
+        let code = seal(&mut [&mut cells]).map(Box::new);
         GridIndex {
             region,
             grid,
-            keys,
-            lists,
+            cells,
+            code,
             content_bounds,
             points_indexed,
         }
@@ -120,11 +111,6 @@ impl GridIndex {
         self.region.contains(p)
     }
 
-    #[inline]
-    fn list_at(&self, flat: u32) -> Option<&CompressedIdList> {
-        self.keys.binary_search(&flat).ok().map(|i| &self.lists[i])
-    }
-
     /// IDs stored in the cell containing `p` (empty when `p` is outside
     /// the region or the cell holds nothing).
     pub fn query_cell(&self, p: &Point) -> Vec<u32> {
@@ -140,9 +126,12 @@ impl GridIndex {
             return;
         }
         let (cx, cy) = self.grid.locate_clamped(p);
-        if let Some(list) = self.list_at(self.grid.flat(cx, cy) as u32) {
-            list.decompress_into(&mut scratch.bytes, out);
-        }
+        self.cells.get_into(
+            self.grid.flat(cx, cy) as u32,
+            self.code.as_deref(),
+            &mut scratch.bytes,
+            out,
+        );
     }
 
     /// Union of IDs in every cell intersecting the disc of radius `r`
@@ -175,12 +164,17 @@ impl GridIndex {
         let r2 = r * r;
         crate::posting::walk_cells_in_range(
             &self.grid,
-            &self.keys,
+            self.cells.keys(),
             (lo_x, lo_y, hi_x, hi_y),
             |i, cx, cy| {
                 if self.grid.cell_dist2(cx, cy, p) <= r2 {
                     scratch.ids.clear();
-                    self.lists[i].decompress_into(&mut scratch.bytes, &mut scratch.ids);
+                    self.cells.list_into(
+                        i,
+                        self.code.as_deref(),
+                        &mut scratch.bytes,
+                        &mut scratch.ids,
+                    );
                     scratch.set.insert_all(&scratch.ids);
                 }
             },
@@ -190,18 +184,14 @@ impl GridIndex {
 
     /// Number of occupied cells.
     pub fn occupied_cells(&self) -> usize {
-        self.keys.len()
+        self.cells.len()
     }
 
-    /// Stored size: region + grid header + per-cell compressed lists.
+    /// Stored size: region + grid header, the posting dictionary and its
+    /// code table.
     pub fn size_bytes(&self) -> usize {
         let header = 4 * 8 + 4 * 8; // region extents + grid spec
-        header
-            + self
-                .lists
-                .iter()
-                .map(|l| l.size_bytes() + 8 /* cell key */)
-                .sum::<usize>()
+        header + self.cells.size_bytes() + self.code.as_ref().map_or(0, |c| c.table_bytes())
     }
 }
 

@@ -2,9 +2,11 @@
 //!
 //! Used to compress the delta-encoded trajectory-ID lists of grid cells
 //! (paper §5.1 cites the delta + Huffman approach of the Torch search
-//! engine). The implementation is a standard length-limited-free canonical
-//! Huffman: build the code-length table from frequencies, assign canonical
-//! codes, encode/decode bit streams.
+//! engine): one code is built per sealed group of lists — a TPI period —
+//! from the group's byte histogram, and each list is a bit range of the
+//! group's streams. The implementation is a standard length-limited-free
+//! canonical Huffman: build the code-length table from frequencies, assign
+//! canonical codes, encode/decode bit streams.
 
 use std::collections::BinaryHeap;
 
@@ -35,6 +37,11 @@ impl Huffman {
     /// Symbols with zero frequency get no code. At least one symbol must
     /// have nonzero frequency.
     pub fn from_frequencies(freq: &[u64; 256]) -> Huffman {
+        Self::from_lengths(Self::code_lengths(freq))
+    }
+
+    /// Optimal code length per symbol for `freq` (0 = unused symbol).
+    fn code_lengths(freq: &[u64; 256]) -> [u8; 256] {
         #[derive(PartialEq, Eq)]
         struct Node {
             weight: u64,
@@ -99,7 +106,7 @@ impl Huffman {
                 }
             }
         }
-        Self::from_lengths(lengths)
+        lengths
     }
 
     /// Build the canonical code from a code-length table.
@@ -139,49 +146,79 @@ impl Huffman {
         }
     }
 
-    /// Encode `data`; returns the bit stream and its exact bit length.
-    pub fn encode(&self, data: &[u8]) -> (Vec<u8>, usize) {
-        let mut out = Vec::with_capacity(data.len() / 2 + 1);
-        let mut bitpos = 0usize;
+    /// Build the code for a byte histogram, or `None` when there is
+    /// nothing to code (empty histogram) or the optimal code would need
+    /// words longer than the decoder's accumulator (a Fibonacci-skewed
+    /// histogram of several million bytes) — callers keep such payloads
+    /// raw.
+    pub fn for_histogram(freq: &[u64; 256]) -> Option<Huffman> {
+        if freq.iter().all(|&f| f == 0) {
+            return None;
+        }
+        let lengths = Self::code_lengths(freq);
+        lengths
+            .iter()
+            .all(|&l| l as usize <= MAX_CODE_LEN)
+            .then(|| Self::from_lengths(lengths))
+    }
+
+    /// Bits [`Self::encode_append`] would emit for `data`.
+    pub fn encoded_bits(&self, data: &[u8]) -> usize {
+        data.iter()
+            .map(|&b| self.lengths[b as usize] as usize)
+            .sum()
+    }
+
+    /// Encode `data`, appending to the bit stream `out` whose current
+    /// length is `*bitpos` bits (MSB-first within each code and byte).
+    pub fn encode_append(&self, data: &[u8], out: &mut Vec<u8>, bitpos: &mut usize) {
         for &b in data {
             let len = self.lengths[b as usize];
             assert!(len > 0, "symbol {b} has no code");
             let code = self.codes[b as usize];
-            // MSB-first within the code.
             for k in (0..len).rev() {
-                let bit = (code >> k) & 1;
                 if bitpos.is_multiple_of(8) {
                     out.push(0);
                 }
-                if bit == 1 {
-                    *out.last_mut().unwrap() |= 1 << (7 - (bitpos % 8));
+                if (code >> k) & 1 == 1 {
+                    *out.last_mut().expect("pushed above") |= 1 << (7 - (*bitpos % 8));
                 }
-                bitpos += 1;
+                *bitpos += 1;
             }
         }
+    }
+
+    /// Encode `data`; returns the bit stream and its exact bit length.
+    pub fn encode(&self, data: &[u8]) -> (Vec<u8>, usize) {
+        let mut out = Vec::with_capacity(data.len() / 2 + 1);
+        let mut bitpos = 0usize;
+        self.encode_append(data, &mut out, &mut bitpos);
         (out, bitpos)
     }
 
     /// Decode `n` symbols from a bit stream produced by [`Self::encode`].
     pub fn decode(&self, bits: &[u8], bit_len: usize, n: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(n);
-        self.decode_into(bits, bit_len, n, &mut out);
+        self.decode_into(bits, 0, bit_len, &mut out);
+        assert_eq!(out.len(), n, "bit stream holds a different symbol count");
         out
     }
 
-    /// Decode `n` symbols, appending to `out` — the allocation-free form
-    /// used by the query path (pass a reused scratch buffer).
-    pub fn decode_into(&self, bits: &[u8], bit_len: usize, n: usize, out: &mut Vec<u8>) {
-        out.reserve(n);
-        let mut pos = 0usize;
+    /// Decode every code word in the bit range `start..end` of `bits`,
+    /// appending the symbols to `out` — the allocation-free form used by
+    /// the query path (pass a reused scratch buffer). Posting lists sit
+    /// back to back in one bit stream, so a list is addressed by its bit
+    /// range rather than by a symbol count.
+    pub fn decode_into(&self, bits: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
+        let mut pos = start;
         // Canonical decode: accumulate bits; at each length the codes are
         // consecutive starting at `first_code[len]`, so membership is one
         // subtraction + compare (no per-symbol search).
-        for _ in 0..n {
+        while pos < end {
             let mut code = 0u32;
             let mut len = 0usize;
             loop {
-                assert!(pos < bit_len, "bit stream exhausted");
+                assert!(pos < end, "bit stream exhausted");
                 let bit = (bits[pos / 8] >> (7 - (pos % 8))) & 1;
                 pos += 1;
                 code = (code << 1) | bit as u32;
@@ -199,7 +236,38 @@ impl Huffman {
     /// Serialized size of the code table: one length byte per used symbol
     /// plus the symbol list.
     pub fn table_bytes(&self) -> usize {
-        self.sorted_symbols.len() * 2 + 2
+        Self::table_bytes_for(self.sorted_symbols.len())
+    }
+
+    /// [`Self::table_bytes`] of any code over `symbols` used symbols.
+    pub fn table_bytes_for(symbols: usize) -> usize {
+        symbols * 2 + 2
+    }
+
+    /// Append the code table to `out` — exactly [`Self::table_bytes`]
+    /// bytes: the used-symbol count, then `(symbol, length)` pairs.
+    pub fn write_table(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.sorted_symbols.len() as u16).to_le_bytes());
+        for &s in &self.sorted_symbols {
+            out.push(s);
+            out.push(self.lengths[s as usize]);
+        }
+    }
+
+    /// Rebuild a code from the front of `bytes` as written by
+    /// [`Self::write_table`]; returns it with the table's byte length.
+    /// `None` when `bytes` does not start with a well-formed table.
+    pub fn read_table(bytes: &[u8]) -> Option<(Huffman, usize)> {
+        let n = u16::from_le_bytes([*bytes.first()?, *bytes.get(1)?]) as usize;
+        let pairs = bytes.get(2..2 + 2 * n)?;
+        let mut lengths = [0u8; 256];
+        for pair in pairs.chunks_exact(2) {
+            if pair[1] == 0 || pair[1] as usize > MAX_CODE_LEN || lengths[pair[0] as usize] != 0 {
+                return None;
+            }
+            lengths[pair[0] as usize] = pair[1];
+        }
+        (n > 0).then(|| (Self::from_lengths(lengths), 2 + 2 * n))
     }
 }
 

@@ -1,21 +1,27 @@
-//! Delta + Huffman compressed trajectory-ID lists (paper §5.1).
+//! The trajectory-ID list codec (paper §5.1).
 //!
-//! Grid cells map to lists of trajectory IDs. The lists are sorted, delta
-//! encoded (gaps), the gaps LEB128-byte-split, and the byte stream Huffman
-//! coded. This is the storage representation whose size shows up in the
-//! paper's index-size tables (7–9).
+//! Grid cells map to lists of trajectory IDs. A list is sorted, delta
+//! encoded (gaps) and the gaps LEB128-byte-split; those bytes are either
+//! stored as they are or Huffman-packed under a code shared by every list
+//! that is sealed together (after Torch's one shared code). The lists of
+//! an index live in [`crate::PostingDict`] arenas; [`CompressedIdList`]
+//! is the same codec over a single list.
 
 use crate::huffman::{byte_histogram, Huffman};
 
-/// A compressed, sorted list of u32 IDs.
+/// A compressed, sorted list of u32 IDs: one list sealed on its own, so
+/// when packing pays its code table travels in front of the bit stream.
 #[derive(Clone, Debug)]
 pub struct CompressedIdList {
-    bits: Vec<u8>,
-    bit_len: usize,
-    n_bytes: usize,
-    len: usize,
-    huffman: Huffman,
+    /// The delta-varint bytes, or — when `packed_bits > 0` — the code
+    /// table followed by the Huffman bit stream of those bytes.
+    bytes: Box<[u8]>,
+    len: u32,
+    packed_bits: u32,
 }
+
+// A per-list code table (1.6 KB inline at one time) must not creep back.
+const _: () = assert!(std::mem::size_of::<CompressedIdList>() <= 64);
 
 /// LEB128-encode a u32 into `out`.
 fn write_varint(mut v: u32, out: &mut Vec<u8>) {
@@ -30,20 +36,31 @@ fn write_varint(mut v: u32, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode one LEB128 u32 from `data` starting at `pos`.
-fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
+/// Append the delta-varint encoding of `sorted` (ascending, distinct).
+pub(crate) fn encode_ids(sorted: impl IntoIterator<Item = u32>, out: &mut Vec<u8>) {
+    let mut prev = 0u32;
+    for id in sorted {
+        write_varint(id - prev, out);
+        prev = id;
+    }
+}
+
+/// Decode a whole delta-varint list, appending the ascending IDs to `out`.
+pub(crate) fn decode_ids(bytes: &[u8], out: &mut Vec<u32>) {
+    let mut acc = 0u32;
     let mut v = 0u32;
     let mut shift = 0;
-    loop {
-        let byte = data[*pos];
-        *pos += 1;
+    for &byte in bytes {
         v |= ((byte & 0x7F) as u32) << shift;
         if byte & 0x80 == 0 {
-            break;
+            acc += v;
+            out.push(acc);
+            v = 0;
+            shift = 0;
+        } else {
+            shift += 7;
         }
-        shift += 7;
     }
-    v
 }
 
 impl CompressedIdList {
@@ -52,31 +69,34 @@ impl CompressedIdList {
         let mut sorted: Vec<u32> = ids.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut bytes = Vec::with_capacity(sorted.len() + 4);
-        let mut prev = 0u32;
-        for (i, &id) in sorted.iter().enumerate() {
-            let delta = if i == 0 { id } else { id - prev };
-            write_varint(delta, &mut bytes);
-            prev = id;
+        let mut raw = Vec::with_capacity(sorted.len() + 4);
+        encode_ids(sorted.iter().copied(), &mut raw);
+        let len = sorted.len() as u32;
+        if let Some(code) = Huffman::for_histogram(&byte_histogram(&raw)) {
+            let bits = code.encoded_bits(&raw);
+            if code.table_bytes() + bits.div_ceil(8) < raw.len() {
+                let mut bytes = Vec::with_capacity(code.table_bytes() + bits.div_ceil(8));
+                code.write_table(&mut bytes);
+                let mut bitpos = bytes.len() * 8;
+                code.encode_append(&raw, &mut bytes, &mut bitpos);
+                return CompressedIdList {
+                    bytes: bytes.into(),
+                    len,
+                    packed_bits: u32::try_from(bits).expect("list exceeds the u32 bit domain"),
+                };
+            }
         }
-        if bytes.is_empty() {
-            bytes.push(0); // keep the Huffman alphabet non-empty
-        }
-        let huffman = Huffman::from_frequencies(&byte_histogram(&bytes));
-        let (bits, bit_len) = huffman.encode(&bytes);
         CompressedIdList {
-            bits,
-            bit_len,
-            n_bytes: bytes.len(),
-            len: sorted.len(),
-            huffman,
+            bytes: raw.into(),
+            len,
+            packed_bits: 0,
         }
     }
 
     /// Number of IDs stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     #[inline]
@@ -86,7 +106,7 @@ impl CompressedIdList {
 
     /// Decompress back into the sorted ID list.
     pub fn decompress(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         self.decompress_into(&mut Vec::new(), &mut out);
         out
     }
@@ -97,25 +117,25 @@ impl CompressedIdList {
     /// reused buffer (for example [`crate::QueryScratch::bytes`]) makes the
     /// hot query loop allocation-free after warm-up.
     pub fn decompress_into(&self, scratch: &mut Vec<u8>, out: &mut Vec<u32>) {
-        if self.len == 0 {
-            return;
+        out.reserve(self.len());
+        if self.packed_bits == 0 {
+            return decode_ids(&self.bytes, out);
         }
+        let (code, table) = Huffman::read_table(&self.bytes).expect("table written by compress");
         scratch.clear();
-        self.huffman
-            .decode_into(&self.bits, self.bit_len, self.n_bytes, scratch);
-        out.reserve(self.len);
-        let mut pos = 0usize;
-        let mut acc = 0u32;
-        for i in 0..self.len {
-            let delta = read_varint(scratch, &mut pos);
-            acc = if i == 0 { delta } else { acc + delta };
-            out.push(acc);
-        }
+        let start = table * 8;
+        code.decode_into(
+            &self.bytes,
+            start,
+            start + self.packed_bits as usize,
+            scratch,
+        );
+        decode_ids(scratch, out);
     }
 
-    /// Stored size: bit payload + Huffman table + counters.
+    /// Stored size: payload (with its code table when packed) + counters.
     pub fn size_bytes(&self) -> usize {
-        self.bits.len() + self.huffman.table_bytes() + 8
+        self.bytes.len() + 8
     }
 }
 
@@ -149,6 +169,8 @@ mod tests {
     fn single_id() {
         let c = CompressedIdList::compress(&[123456]);
         assert_eq!(c.decompress(), vec![123456]);
+        // Three varint bytes: no code table can pay for itself.
+        assert_eq!(c.size_bytes(), 3 + 8);
     }
 
     #[test]
@@ -171,9 +193,9 @@ mod tests {
         for v in [0u32, 1, 127, 128, 300, 16383, 16384, u32::MAX] {
             let mut buf = Vec::new();
             write_varint(v, &mut buf);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), v);
-            assert_eq!(pos, buf.len());
+            let mut out = Vec::new();
+            decode_ids(&buf, &mut out);
+            assert_eq!(out, vec![v]);
         }
     }
 

@@ -3,12 +3,15 @@
 //! * [`pi`] — the per-timestep partition index **PI** (Algorithm 3):
 //!   bounded spatial partitioning with `ε_s`, minimum bounding rectangles,
 //!   overlap removal into disjoint rectangles, and a `g_c` grid per
-//!   rectangle whose cells hold per-timestep compressed trajectory-ID
-//!   lists. Also hosts the trajectory-region-density machinery (TRD,
-//!   Definition 5.1) and the average dropping rate (ADR, Eqs. 12–14).
-//! * [`tpi`] — the temporal index **TPI** (Algorithm 4): reuse the current
-//!   PI while `ADR ≤ ε_d` (building small "Insertion" PIs for uncovered
-//!   points), otherwise close the period and re-build.
+//!   rectangle whose cells hold per-timestep trajectory-ID lists — raw
+//!   while the period is open, packed under one Huffman code per period
+//!   once it seals. Also hosts the trajectory-region-density machinery
+//!   (TRD, Definition 5.1) and the average dropping rate (ADR,
+//!   Eqs. 12–14).
+//! * [`tpi`] — the temporal index **TPI** (Algorithm 4), grown one slice
+//!   at a time: reuse the current PI while `ADR ≤ ε_d` (building small
+//!   "Insertion" PIs for uncovered points), otherwise seal the period and
+//!   re-build. Sealed periods are immutable and shared between clones.
 //! * [`disk`] — the disk-resident variant of §6.5: period data written to
 //!   1 MiB pages behind the lightweight page index, with I/O counting.
 

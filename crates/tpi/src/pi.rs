@@ -1,19 +1,22 @@
 //! The partition index PI (paper Algorithm 3) and the TRD/ADR machinery
 //! (Definition 5.1, Eqs. 12–14).
 //!
-//! Query-path layout: each region keeps one *posting dictionary* per
-//! timestep — occupied cells sorted by flat index with their compressed
-//! ID lists plus the occupied cell-coordinate bounds — and the PI keeps a
-//! coarse locator grid over its region rectangles. A rectangle query
-//! therefore touches only the regions whose boxes the locator proposes
-//! and, within each, only the sorted posting intervals of the covered
-//! rows, instead of the seed's scan over every region and every covered
-//! cell.
+//! Query-path layout: each region keeps one [`PostingDict`] per timestep
+//! — occupied cells sorted by flat index over one arena of ID lists, plus
+//! the occupied cell-coordinate bounds — and the PI keeps a coarse
+//! locator grid over its region rectangles. A rectangle query therefore
+//! touches only the regions whose boxes the locator proposes and, within
+//! each, only the sorted posting intervals of the covered rows, instead
+//! of the seed's scan over every region and every covered cell.
+//!
+//! Lifecycle: while its period is open a PI takes insertions and its
+//! arenas hold raw delta-varint bytes; [`Pi::seal`] packs every arena
+//! once under one Huffman code for the whole period (kept raw when that
+//! is not smaller), after which the PI is immutable.
 
 use ppq_geo::{BBox, GridSpec, Point};
 use ppq_quantize::{bounded_kmeans, KMeansConfig};
-use ppq_sindex::{remove_overlap, CompressedIdList, QueryScratch};
-use std::collections::HashMap;
+use ppq_sindex::{remove_overlap, Huffman, PostingDict, QueryScratch};
 
 /// Parameters of PI construction.
 #[derive(Clone, Debug)]
@@ -41,20 +44,12 @@ impl Default for PiConfig {
 /// regions.
 pub type CoverageSplit = (Vec<(u32, Point)>, Vec<(u32, Point)>);
 
-/// One timestep's occupied cells: a posting dictionary sorted by flat
+/// One timestep's occupied cells: the posting dictionary keyed by flat
 /// cell index, with the occupied cell-coordinate bounds for pruning.
-///
-/// Keys and compressed lists live in *parallel* vectors: a
-/// `CompressedIdList` is large (it embeds its Huffman tables), so binary
-/// searching a `Vec<(u32, CompressedIdList)>` would touch one cache line
-/// per ~1.5 KB stride. The dense `keys` vector keeps the whole search
-/// within a few cache lines.
 #[derive(Clone, Debug)]
 struct SlicePostings {
-    /// Occupied flat cell indices, sorted ascending.
-    keys: Vec<u32>,
-    /// `lists[i]` holds the IDs of cell `keys[i]`.
-    lists: Vec<CompressedIdList>,
+    t: u32,
+    dict: PostingDict,
     /// Inclusive occupied cell-coordinate bounds `(min_cx, min_cy,
     /// max_cx, max_cy)`.
     min_cx: u32,
@@ -63,25 +58,8 @@ struct SlicePostings {
     max_cy: u32,
 }
 
-impl SlicePostings {
-    fn new() -> SlicePostings {
-        SlicePostings {
-            keys: Vec::new(),
-            lists: Vec::new(),
-            min_cx: u32::MAX,
-            min_cy: u32::MAX,
-            max_cx: 0,
-            max_cy: 0,
-        }
-    }
-
-    fn note_occupied(&mut self, cx: u32, cy: u32) {
-        self.min_cx = self.min_cx.min(cx);
-        self.min_cy = self.min_cy.min(cy);
-        self.max_cx = self.max_cx.max(cx);
-        self.max_cy = self.max_cy.max(cy);
-    }
-}
+/// Encoded size of a slice header: timestep, list count, cell bounds.
+const SLICE_HEADER_BYTES: usize = 4 + 4 + 4 * 4;
 
 /// One non-overlapping rectangle with its grid and per-timestep ID lists.
 #[derive(Clone, Debug)]
@@ -91,8 +69,8 @@ pub struct Region {
     /// Density `d(R, t_build)` measured when the region was created — the
     /// reference value of Eq. 13.
     built_density: f64,
-    /// timestep → sorted posting dictionary.
-    slices: HashMap<u32, SlicePostings>,
+    /// One posting dictionary per populated timestep, ascending.
+    slices: Vec<SlicePostings>,
     points_indexed: usize,
 }
 
@@ -111,7 +89,7 @@ impl Region {
             bbox,
             grid,
             built_density: 0.0,
-            slices: HashMap::new(),
+            slices: Vec::new(),
             points_indexed: 0,
         }
     }
@@ -150,86 +128,58 @@ impl Region {
         self.points_indexed
     }
 
-    fn insert_slice(&mut self, t: u32, points: &[(u32, Point)]) {
-        let mut per_cell: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (id, p) in points {
-            let (cx, cy) = self.grid.locate_clamped(p);
-            per_cell
-                .entry(self.grid.flat(cx, cy) as u32)
-                .or_default()
-                .push(*id);
-            self.points_indexed += 1;
-        }
-        // Sort the incoming cells once and merge with the existing
-        // dictionary in one pass (repeated sorted `Vec::insert` would be
-        // quadratic in occupied cells, memmoving large list structs).
-        let mut incoming: Vec<(u32, Vec<u32>)> = per_cell.into_iter().collect();
-        incoming.sort_unstable_by_key(|(cell, _)| *cell);
-        let slice = self.slices.entry(t).or_insert_with(SlicePostings::new);
-        for (cell, _) in &incoming {
-            let (cx, cy) = self.grid.unflat(*cell as usize);
-            slice.note_occupied(cx, cy);
-        }
-        if slice.keys.is_empty() {
-            // Common case: first population of this timestep's slice.
-            slice.keys.extend(incoming.iter().map(|(cell, _)| *cell));
-            slice.lists.extend(
-                incoming
-                    .iter()
-                    .map(|(_, ids)| CompressedIdList::compress(ids)),
-            );
-            return;
-        }
-        // Two-pointer merge; on a key collision (possible when an
-        // insertion round routes more points into a cell already filled
-        // this timestep) the lists are merged and recompressed.
-        let old_keys = std::mem::take(&mut slice.keys);
-        let old_lists = std::mem::take(&mut slice.lists);
-        slice.keys.reserve(old_keys.len() + incoming.len());
-        slice.lists.reserve(old_lists.len() + incoming.len());
-        let mut old = old_keys.into_iter().zip(old_lists).peekable();
-        let mut new = incoming.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(&(ok, _)), Some(&(nk, _))) => match ok.cmp(&nk) {
-                    std::cmp::Ordering::Less => {
-                        let (k, l) = old.next().unwrap();
-                        slice.keys.push(k);
-                        slice.lists.push(l);
-                    }
-                    std::cmp::Ordering::Greater => {
-                        let (k, ids) = new.next().unwrap();
-                        slice.keys.push(k);
-                        slice.lists.push(CompressedIdList::compress(&ids));
-                    }
-                    std::cmp::Ordering::Equal => {
-                        let (k, l) = old.next().unwrap();
-                        let (_, ids) = new.next().unwrap();
-                        let mut all = l.decompress();
-                        all.extend(ids);
-                        slice.keys.push(k);
-                        slice.lists.push(CompressedIdList::compress(&all));
-                    }
+    fn slice_at(&self, t: u32) -> Option<&SlicePostings> {
+        let i = self.slices.partition_point(|s| s.t < t);
+        self.slices.get(i).filter(|s| s.t == t)
+    }
+
+    /// Index `(cell, id)` postings at `t` (sorted and deduplicated in
+    /// place).
+    fn insert_slice(&mut self, t: u32, pairs: &mut Vec<(u32, u32)>) {
+        self.points_indexed += pairs.len();
+        let incoming = PostingDict::from_pairs(pairs);
+        let i = self.slices.partition_point(|s| s.t < t);
+        if self.slices.get(i).is_none_or(|s| s.t != t) {
+            self.slices.insert(
+                i,
+                SlicePostings {
+                    t,
+                    dict: PostingDict::default(),
+                    min_cx: u32::MAX,
+                    min_cy: u32::MAX,
+                    max_cx: 0,
+                    max_cy: 0,
                 },
-                (Some(_), None) => {
-                    let (k, l) = old.next().unwrap();
-                    slice.keys.push(k);
-                    slice.lists.push(l);
-                }
-                (None, Some(_)) => {
-                    let (k, ids) = new.next().unwrap();
-                    slice.keys.push(k);
-                    slice.lists.push(CompressedIdList::compress(&ids));
-                }
-                (None, None) => break,
-            }
+            );
         }
+        let slice = &mut self.slices[i];
+        for &cell in incoming.keys() {
+            let (cx, cy) = self.grid.unflat(cell as usize);
+            slice.min_cx = slice.min_cx.min(cx);
+            slice.min_cy = slice.min_cy.min(cy);
+            slice.max_cx = slice.max_cx.max(cx);
+            slice.max_cy = slice.max_cy.max(cy);
+        }
+        // First population of a timestep is the common case; a second
+        // insertion round into the same timestep merges the dictionaries.
+        slice.dict = if slice.dict.is_empty() {
+            incoming
+        } else {
+            slice.dict.merge(&incoming)
+        };
     }
 
     /// IDs of the single cell containing `p` at `t`, appended to `out`
-    /// (already sorted + deduplicated — one compressed list).
-    fn query_cell_into(&self, t: u32, p: &Point, scratch: &mut QueryScratch, out: &mut Vec<u32>) {
-        let Some(slice) = self.slices.get(&t) else {
+    /// (already sorted + deduplicated — one list).
+    fn query_cell_into(
+        &self,
+        t: u32,
+        p: &Point,
+        code: Option<&Huffman>,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<u32>,
+    ) {
+        let Some(slice) = self.slice_at(t) else {
             return;
         };
         let (cx, cy) = self.grid.locate_clamped(p);
@@ -237,46 +187,25 @@ impl Region {
             return;
         }
         let flat = self.grid.flat(cx, cy) as u32;
-        if let Ok(i) = slice.keys.binary_search(&flat) {
-            slice.lists[i].decompress_into(&mut scratch.bytes, out);
-        }
-    }
-
-    /// Decompress every posting in cells intersecting `rect` at `t` into
-    /// `scratch.set` (deduplicating across cells and regions).
-    fn query_rect_into_set(&self, t: u32, rect: &BBox, scratch: &mut QueryScratch) {
-        self.covered_postings(t, rect, scratch, |_, _| true);
-    }
-
-    /// Like [`Region::query_rect_into_set`] for the disc of radius `r`
-    /// around `p` (the paper's local search).
-    fn query_disc_into_set(&self, t: u32, p: &Point, r: f64, scratch: &mut QueryScratch) {
-        let probe = BBox::from_extents(p.x - r, p.y - r, p.x + r, p.y + r);
-        let r2 = r * r;
-        let grid = &self.grid;
-        self.covered_postings(t, &probe, scratch, move |cx, cy| {
-            grid.cell_dist2(cx, cy, p) <= r2
-        });
+        slice.dict.get_into(flat, code, &mut scratch.bytes, out);
     }
 
     /// Walk the sorted posting intervals of every row the `probe`
     /// rectangle covers at `t`; postings whose cell passes `keep` are
-    /// decompressed into `scratch.set`. Falls back to one linear pass
-    /// over the dictionary when the probe covers more cells than the
-    /// dictionary holds.
+    /// decoded into `scratch.set` (deduplicating across cells and
+    /// regions). Falls back to one linear pass over the dictionary when
+    /// the probe covers more cells than the dictionary holds.
     fn covered_postings(
         &self,
         t: u32,
         probe: &BBox,
+        code: Option<&Huffman>,
         scratch: &mut QueryScratch,
         keep: impl Fn(u32, u32) -> bool,
     ) {
-        let Some(slice) = self.slices.get(&t) else {
+        let Some(slice) = self.slice_at(t) else {
             return;
         };
-        if slice.keys.is_empty() {
-            return;
-        }
         let Some((lo_x, lo_y, hi_x, hi_y)) = self.grid.cell_range_in_rect(probe) else {
             return;
         };
@@ -290,26 +219,29 @@ impl Region {
         }
         ppq_sindex::posting::walk_cells_in_range(
             &self.grid,
-            &slice.keys,
+            slice.dict.keys(),
             (lo_x, lo_y, hi_x, hi_y),
             |i, cx, cy| {
                 if keep(cx, cy) {
                     scratch.ids.clear();
-                    slice.lists[i].decompress_into(&mut scratch.bytes, &mut scratch.ids);
+                    slice
+                        .dict
+                        .list_into(i, code, &mut scratch.bytes, &mut scratch.ids);
                     scratch.set.insert_all(&scratch.ids);
                 }
             },
         );
     }
 
+    /// Encoded size: region + grid header, then every slice's header,
+    /// keys, offsets and payload.
     pub fn size_bytes(&self) -> usize {
         let header = 4 * 8 + 4 * 8 + 8;
         header
             + self
                 .slices
-                .values()
-                .flat_map(|s| s.lists.iter())
-                .map(|l| l.size_bytes() + 8)
+                .iter()
+                .map(|s| SLICE_HEADER_BYTES + s.dict.size_bytes())
                 .sum::<usize>()
     }
 }
@@ -321,8 +253,10 @@ impl Region {
 #[derive(Clone, Debug)]
 struct RegionLocator {
     grid: GridSpec,
-    /// Per flat locator cell: ascending region indices intersecting it.
-    cells: Vec<Vec<u32>>,
+    /// Flat locator cell `c` lists `regions[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    /// Ascending region indices intersecting each cell, cell after cell.
+    regions: Vec<u32>,
 }
 
 impl RegionLocator {
@@ -352,26 +286,49 @@ impl RegionLocator {
             return None;
         }
         let grid = GridSpec::covering(&union, cell);
-        let mut cells: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
-        for (ri, r) in regions.iter().enumerate() {
-            if let Some((lo_x, lo_y, hi_x, hi_y)) = grid.cell_range_in_rect(&r.bbox) {
-                for cy in lo_y..=hi_y {
-                    for cx in lo_x..=hi_x {
-                        // Regions are visited in ascending index order, so
-                        // each cell list is born sorted.
-                        cells[grid.flat(cx, cy)].push(ri as u32);
+        // Two passes over the covered cells: count, then fill. Regions are
+        // visited in ascending index order, so each cell's run is born
+        // sorted.
+        let covered = |visit: &mut dyn FnMut(usize, u32)| {
+            for (ri, r) in regions.iter().enumerate() {
+                if let Some((lo_x, lo_y, hi_x, hi_y)) = grid.cell_range_in_rect(&r.bbox) {
+                    for cy in lo_y..=hi_y {
+                        for cx in lo_x..=hi_x {
+                            visit(grid.flat(cx, cy), ri as u32);
+                        }
                     }
                 }
             }
+        };
+        let mut starts = vec![0u32; grid.len() + 1];
+        covered(&mut |c, _| starts[c + 1] += 1);
+        for c in 0..grid.len() {
+            starts[c + 1] += starts[c];
         }
-        Some(RegionLocator { grid, cells })
+        let mut next = starts.clone();
+        let mut listed = vec![0u32; starts[grid.len()] as usize];
+        covered(&mut |c, ri| {
+            listed[next[c] as usize] = ri;
+            next[c] += 1;
+        });
+        Some(RegionLocator {
+            grid,
+            starts,
+            regions: listed,
+        })
+    }
+
+    /// Candidate regions of flat locator cell `c` (ascending).
+    #[inline]
+    fn cell(&self, c: usize) -> &[u32] {
+        &self.regions[self.starts[c] as usize..self.starts[c + 1] as usize]
     }
 
     /// Candidate regions for a point (ascending; a superset filter).
     #[inline]
     fn candidates_at(&self, p: &Point) -> &[u32] {
         match self.grid.locate(p) {
-            Some((cx, cy)) => &self.cells[self.grid.flat(cx, cy)],
+            Some((cx, cy)) => self.cell(self.grid.flat(cx, cy)),
             None => &[],
         }
     }
@@ -385,6 +342,11 @@ pub struct Pi {
     /// Timestep the PI was (re)built at (`t_s`).
     built_at: u32,
     locator: Option<RegionLocator>,
+    /// Set by [`Pi::seal`]; a sealed PI takes no further insertions.
+    sealed: bool,
+    /// The one code every arena of a sealed PI is packed under (`None`
+    /// while open, and for a sealed PI whose arenas stayed raw).
+    code: Option<Box<Huffman>>,
 }
 
 impl Pi {
@@ -397,6 +359,8 @@ impl Pi {
             cfg: cfg.clone(),
             built_at: t,
             locator: None,
+            sealed: false,
+            code: None,
         };
         if !points.is_empty() {
             pi.add_regions_for(t, points);
@@ -407,6 +371,7 @@ impl Pi {
     /// Create regions covering `points` that avoid every existing region,
     /// then index the points. Shared by the initial build and "Insertion".
     fn add_regions_for(&mut self, t: u32, points: &[(u32, Point)]) {
+        assert!(!self.sealed, "insertion into a sealed PI");
         let positions: Vec<Point> = points.iter().map(|(_, p)| *p).collect();
         let res = bounded_kmeans(&positions, self.cfg.eps_s, &self.cfg.kmeans);
         // Group member points per partition, take MBRs.
@@ -436,20 +401,10 @@ impl Pi {
         // pre-existing regions are the caller's responsibility).
         let start = self.regions.len();
         self.regions.extend(new_regions);
-        let mut routed: HashMap<usize, Vec<(u32, Point)>> = HashMap::new();
-        for &(id, p) in points {
-            if let Some(ri) = self.locate_region_from(start, &p) {
-                routed.entry(ri).or_default().push((id, p));
-            }
-        }
-        for (ri, pts) in routed {
-            self.regions[ri].insert_slice(t, &pts);
-            let count = pts.len();
-            let d = self.regions[ri].density_of(count);
-            // First population defines the reference density.
-            if self.regions[ri].built_density == 0.0 {
-                self.regions[ri].built_density = d;
-            }
+        self.index_points(t, points, |pi, p| pi.locate_region_from(start, p));
+        // First population defines the reference density.
+        for r in &mut self.regions[start..] {
+            r.built_density = r.density_of(r.points_indexed);
         }
         // Drop regions that ended up with no points (overlap-removal
         // slivers not containing any member).
@@ -515,14 +470,33 @@ impl Pi {
 
     /// Insert a timestep's covered points into the existing regions.
     pub fn insert_covered(&mut self, t: u32, covered: &[(u32, Point)]) {
-        let mut routed: HashMap<usize, Vec<(u32, Point)>> = HashMap::new();
-        for &(id, p) in covered {
-            if let Some(ri) = self.locate_region(&p) {
-                routed.entry(ri).or_default().push((id, p));
-            }
-        }
-        for (ri, pts) in routed {
-            self.regions[ri].insert_slice(t, &pts);
+        assert!(!self.sealed, "insertion into a sealed PI");
+        self.index_points(t, covered, Pi::locate_region);
+    }
+
+    /// Index `points` at `t`, each in the region `locate` names (points it
+    /// places nowhere are dropped): one dictionary insertion per region.
+    fn index_points(
+        &mut self,
+        t: u32,
+        points: &[(u32, Point)],
+        locate: impl Fn(&Pi, &Point) -> Option<usize>,
+    ) {
+        let mut postings: Vec<(u32, u32, u32)> = points
+            .iter()
+            .filter_map(|(id, p)| {
+                let ri = locate(self, p)?;
+                let grid = &self.regions[ri].grid;
+                let (cx, cy) = grid.locate_clamped(p);
+                Some((ri as u32, grid.flat(cx, cy) as u32, *id))
+            })
+            .collect();
+        postings.sort_unstable();
+        let mut pairs = Vec::new();
+        for group in postings.chunk_by(|a, b| a.0 == b.0) {
+            pairs.clear();
+            pairs.extend(group.iter().map(|&(_, cell, id)| (cell, id)));
+            self.regions[group[0].0 as usize].insert_slice(t, &mut pairs);
         }
     }
 
@@ -572,7 +546,7 @@ impl Pi {
     /// [`Pi::query`] appending into `out` through a reusable scratch.
     pub fn query_into(&self, t: u32, p: &Point, scratch: &mut QueryScratch, out: &mut Vec<u32>) {
         if let Some(ri) = self.locate_region(p) {
-            self.regions[ri].query_cell_into(t, p, scratch, out);
+            self.regions[ri].query_cell_into(t, p, self.code.as_deref(), scratch, out);
         }
     }
 
@@ -590,12 +564,12 @@ impl Pi {
                     // cell's candidate list is already sorted and unique.
                     scratch
                         .aux
-                        .extend_from_slice(&loc.cells[loc.grid.flat(lo_x, lo_y)]);
+                        .extend_from_slice(loc.cell(loc.grid.flat(lo_x, lo_y)));
                 } else {
                     debug_assert!(scratch.set.is_empty());
                     for cy in lo_y..=hi_y {
                         for cx in lo_x..=hi_x {
-                            for &ri in &loc.cells[loc.grid.flat(cx, cy)] {
+                            for &ri in loc.cell(loc.grid.flat(cx, cy)) {
                                 scratch.set.insert(ri);
                             }
                         }
@@ -636,7 +610,13 @@ impl Pi {
         self.candidate_regions(rect, scratch);
         let aux = std::mem::take(&mut scratch.aux);
         for &ri in &aux {
-            self.regions[ri as usize].query_rect_into_set(t, rect, scratch);
+            self.regions[ri as usize].covered_postings(
+                t,
+                rect,
+                self.code.as_deref(),
+                scratch,
+                |_, _| true,
+            );
         }
         scratch.aux = aux;
         scratch.set.drain_sorted_into(out);
@@ -663,15 +643,45 @@ impl Pi {
         let probe = BBox::from_extents(p.x - r, p.y - r, p.x + r, p.y + r);
         self.candidate_regions(&probe, scratch);
         let aux = std::mem::take(&mut scratch.aux);
+        let r2 = r * r;
         for &ri in &aux {
-            self.regions[ri as usize].query_disc_into_set(t, p, r, scratch);
+            let region = &self.regions[ri as usize];
+            region.covered_postings(t, &probe, self.code.as_deref(), scratch, |cx, cy| {
+                region.grid.cell_dist2(cx, cy, p) <= r2
+            });
         }
         scratch.aux = aux;
         scratch.set.drain_sorted_into(out);
     }
 
+    /// Close the PI: Huffman-pack every posting arena under one code
+    /// built from the whole period's byte histogram — or keep them raw
+    /// when packing plus the code table would not be smaller. Idempotent;
+    /// a sealed PI rejects insertions.
+    pub fn seal(&mut self) {
+        if self.sealed {
+            return;
+        }
+        let mut dicts: Vec<&mut PostingDict> = self
+            .regions
+            .iter_mut()
+            .flat_map(|r| r.slices.iter_mut().map(|s| &mut s.dict))
+            .collect();
+        self.code = ppq_sindex::dict::seal(&mut dicts).map(Box::new);
+        self.sealed = true;
+    }
+
+    #[inline]
+    pub fn is_sealed(&self) -> bool {
+        self.sealed
+    }
+
+    /// Encoded size: every region (headers, slice headers, keys, offsets,
+    /// payload) plus the period's code table when packed.
     pub fn size_bytes(&self) -> usize {
-        self.regions.iter().map(Region::size_bytes).sum::<usize>() + 16
+        self.regions.iter().map(Region::size_bytes).sum::<usize>()
+            + self.code.as_ref().map_or(0, |c| c.table_bytes())
+            + 16
     }
 
     pub fn points_indexed(&self) -> usize {
@@ -687,36 +697,46 @@ impl Pi {
         Some((ri as u32, grid.flat(cx, cy) as u32))
     }
 
-    /// Export every (region, timestep, cell, ids) block, region-major then
-    /// time-major — the on-disk layout of the period ("the trajectory
-    /// points within a time period can be written into several pages",
-    /// §5.1).
-    pub fn export_blocks(&self) -> Vec<(u32, u32, u32, Vec<u32>)> {
-        let mut out = Vec::new();
+    /// Visit every `(region, timestep, cell, ids)` block in the block
+    /// directory's order — region, then timestep, then cell, ascending —
+    /// decoding each list into one reused buffer. With `min_exclusive_t`
+    /// set, only blocks strictly past that timestep are visited.
+    pub fn for_each_block(
+        &self,
+        min_exclusive_t: Option<u32>,
+        mut visit: impl FnMut(u32, u32, u32, &[u32]),
+    ) {
+        let (mut bytes, mut ids) = (Vec::new(), Vec::new());
         for (ri, region) in self.regions.iter().enumerate() {
-            let mut keys: Vec<(u32, u32, &CompressedIdList)> = region
-                .slices
-                .iter()
-                .flat_map(|(&t, slice)| {
+            let first =
+                min_exclusive_t.map_or(0, |t_hi| region.slices.partition_point(|s| s.t <= t_hi));
+            for slice in &region.slices[first..] {
+                for (i, &cell) in slice.dict.keys().iter().enumerate() {
+                    ids.clear();
                     slice
-                        .keys
-                        .iter()
-                        .zip(&slice.lists)
-                        .map(move |(&cell, list)| (cell, t, list))
-                })
-                .collect();
-            // (cell, t) sorted cell-major keeps a cell's history adjacent.
-            keys.sort_unstable_by_key(|&(cell, t, _)| (cell, t));
-            for (cell, t, list) in keys {
-                out.push((ri as u32, t, cell, list.decompress()));
+                        .dict
+                        .list_into(i, self.code.as_deref(), &mut bytes, &mut ids);
+                    visit(ri as u32, slice.t, cell, &ids);
+                }
             }
         }
+    }
+
+    /// Every `(region, timestep, cell, ids)` block, materialised in
+    /// [`Pi::for_each_block`] order — the on-disk layout of the period
+    /// ("the trajectory points within a time period can be written into
+    /// several pages", §5.1).
+    pub fn export_blocks(&self) -> Vec<(u32, u32, u32, Vec<u32>)> {
+        let mut out = Vec::new();
+        self.for_each_block(None, |region, t, cell, ids| {
+            out.push((region, t, cell, ids.to_vec()))
+        });
         out
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn cluster(center: Point, n: usize, spread: f64) -> Vec<(u32, Point)> {
@@ -857,14 +877,14 @@ mod tests {
 
     /// The seed's query algorithm, reconstructed from `export_blocks`:
     /// per-cell hash probes over every region, concatenate, sort, dedup.
-    struct SeedIndex {
+    pub(crate) struct SeedIndex {
         /// (region, cell, t) → ids.
         cells: std::collections::HashMap<(u32, u32, u32), Vec<u32>>,
         regions: Vec<(BBox, GridSpec)>,
     }
 
     impl SeedIndex {
-        fn of(pi: &Pi) -> SeedIndex {
+        pub(crate) fn of(pi: &Pi) -> SeedIndex {
             SeedIndex {
                 cells: pi
                     .export_blocks()
@@ -879,7 +899,7 @@ mod tests {
             }
         }
 
-        fn query_rect(&self, t: u32, rect: &BBox) -> Vec<u32> {
+        pub(crate) fn query_rect(&self, t: u32, rect: &BBox) -> Vec<u32> {
             let mut out = Vec::new();
             for (ri, (bbox, grid)) in self.regions.iter().enumerate() {
                 if !bbox.intersects(rect) {
@@ -896,7 +916,7 @@ mod tests {
             out
         }
 
-        fn query_disc(&self, t: u32, p: &Point, r: f64) -> Vec<u32> {
+        pub(crate) fn query_disc(&self, t: u32, p: &Point, r: f64) -> Vec<u32> {
             let probe = BBox::from_extents(p.x - r, p.y - r, p.x + r, p.y + r);
             let mut out = Vec::new();
             for (ri, (bbox, grid)) in self.regions.iter().enumerate() {

@@ -3,6 +3,7 @@
 use crate::pi::{Pi, PiConfig};
 use ppq_geo::Point;
 use ppq_traj::Dataset;
+use std::sync::Arc;
 
 /// TPI parameters (paper Table 1 / §6.1 defaults).
 #[derive(Clone, Debug)]
@@ -45,65 +46,89 @@ pub struct Period {
 }
 
 /// The temporal partition-based index.
+///
+/// The index grows with the stream: [`Tpi::push_slice`] is one step of
+/// Algorithm 4, and only the last period is ever mutable. A period is
+/// sealed ([`Pi::seal`]) the moment a re-build closes it and is never
+/// touched again, so periods are shared: cloning a `Tpi` bumps one `Arc`
+/// per period, and a clone that goes on to seal or extend its open period
+/// copies that one period only.
 #[derive(Clone, Debug)]
 pub struct Tpi {
-    periods: Vec<Period>,
+    periods: Vec<Arc<Period>>,
     stats: TpiStats,
+    cfg: TpiConfig,
 }
 
 impl Tpi {
-    /// Algorithm 4 over an ordered stream of time slices.
+    /// An empty index that will grow by [`Tpi::push_slice`].
+    pub fn new(cfg: TpiConfig) -> Tpi {
+        Tpi {
+            periods: Vec::new(),
+            stats: TpiStats::default(),
+            cfg,
+        }
+    }
+
+    /// One step of Algorithm 4: index the points at timestep `t`, which
+    /// must be past every timestep pushed so far.
     ///
-    /// Each item is `(t, points-at-t)`; timesteps must be strictly
-    /// increasing. Works for raw, reconstructed, or CQC-corrected points —
-    /// the paper notes TPI "can actually be applied for any of `T`, `T̄'`
-    /// and `T̂`".
-    pub fn build_from_slices<'a, I>(slices: I, cfg: &TpiConfig) -> Tpi
-    where
-        I: IntoIterator<Item = (u32, Vec<(u32, Point)>)>,
-        I::IntoIter: 'a,
-    {
-        let mut periods: Vec<Period> = Vec::new();
-        let mut stats = TpiStats::default();
-        for (t, points) in slices {
-            stats.timesteps += 1;
-            match periods.last_mut() {
-                None => {
-                    periods.push(Period {
-                        t_start: t,
-                        t_end: t,
-                        pi: Pi::build(t, &points, &cfg.pi),
-                    });
-                    stats.periods += 1;
+    /// Works for raw, reconstructed, or CQC-corrected points — the paper
+    /// notes TPI "can actually be applied for any of `T`, `T̄'` and `T̂`".
+    pub fn push_slice(&mut self, t: u32, points: &[(u32, Point)]) {
+        self.stats.timesteps += 1;
+        if let Some(last) = self.periods.last_mut() {
+            let period = Arc::make_mut(last);
+            assert!(!period.pi.is_sealed(), "push_slice into a sealed TPI");
+            debug_assert!(t > period.t_end, "slices must be time-ordered");
+            let (covered, uncovered) = period.pi.split_coverage(points);
+            // ADR over the covered set w.r.t. the period's regions
+            // (Algorithm 4 line 6 computes ADR(t_s, t_e, ε_c) on the
+            // covered points).
+            if period.pi.adr(&covered, self.cfg.eps_c) > self.cfg.eps_d {
+                // Re-build: the period is closed for good; a fresh PI
+                // starts below.
+                period.pi.seal();
+            } else {
+                period.pi.insert_covered(t, &covered);
+                if !uncovered.is_empty() {
+                    period.pi.append_insertion(t, &uncovered);
+                    self.stats.insertions += 1;
                 }
-                Some(period) => {
-                    debug_assert!(t > period.t_end, "slices must be time-ordered");
-                    let (covered, uncovered) = period.pi.split_coverage(&points);
-                    // ADR over the covered set w.r.t. the period's regions
-                    // (Algorithm 4 line 6 computes ADR(t_s, t_e, ε_c) on
-                    // the covered points).
-                    let adr = period.pi.adr(&covered, cfg.eps_c);
-                    if adr > cfg.eps_d {
-                        // Re-build: close the period, start a fresh PI.
-                        let pi = Pi::build(t, &points, &cfg.pi);
-                        periods.push(Period {
-                            t_start: t,
-                            t_end: t,
-                            pi,
-                        });
-                        stats.periods += 1;
-                    } else {
-                        period.pi.insert_covered(t, &covered);
-                        if !uncovered.is_empty() {
-                            period.pi.append_insertion(t, &uncovered);
-                            stats.insertions += 1;
-                        }
-                        period.t_end = t;
-                    }
-                }
+                period.t_end = t;
+                return;
             }
         }
-        Tpi { periods, stats }
+        self.periods.push(Arc::new(Period {
+            t_start: t,
+            t_end: t,
+            pi: Pi::build(t, points, &self.cfg.pi),
+        }));
+        self.stats.periods += 1;
+    }
+
+    /// Seal the open period: the index is complete and immutable.
+    pub fn seal(&mut self) {
+        if let Some(last) = self.periods.last_mut() {
+            if !last.pi.is_sealed() {
+                Arc::make_mut(last).pi.seal();
+            }
+        }
+    }
+
+    /// Algorithm 4 over an ordered stream of time slices: a fold of
+    /// [`Tpi::push_slice`] over `(t, points-at-t)` items with strictly
+    /// increasing timesteps, sealed at the end.
+    pub fn build_from_slices<I>(slices: I, cfg: &TpiConfig) -> Tpi
+    where
+        I: IntoIterator<Item = (u32, Vec<(u32, Point)>)>,
+    {
+        let mut tpi = Tpi::new(cfg.clone());
+        for (t, points) in slices {
+            tpi.push_slice(t, &points);
+        }
+        tpi.seal();
+        tpi
     }
 
     /// Convenience: build over a dataset's raw points.
@@ -116,8 +141,10 @@ impl Tpi {
         &self.stats
     }
 
+    /// The periods in time order; all but the last are sealed and shared
+    /// with every clone of this index.
     #[inline]
-    pub fn periods(&self) -> &[Period] {
+    pub fn periods(&self) -> &[Arc<Period>] {
         &self.periods
     }
 
@@ -126,6 +153,7 @@ impl Tpi {
         let idx = self.periods.partition_point(|p| p.t_end < t);
         self.periods
             .get(idx)
+            .map(Arc::as_ref)
             .filter(|p| p.t_start <= t && t <= p.t_end)
     }
 
@@ -308,6 +336,125 @@ mod tests {
         let tpi = Tpi::build_from_slices(jumpy_stream(3), &cfg(0.5, 0.5));
         assert!(tpi.period_of(100).is_none());
         assert!(tpi.query(100, &Point::ORIGIN).is_empty());
+    }
+
+    /// A population of `n` ids on a ring that drifts `drift` per step and
+    /// jumps far away every `jump_every` steps; a few ids sit out each
+    /// step so cells, regions and insertions vary.
+    fn wandering_stream(
+        seed: u64,
+        steps: u32,
+        n: u32,
+        jump_every: u32,
+        drift: f64,
+    ) -> Vec<(u32, Vec<(u32, Point)>)> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..steps)
+            .map(|t| {
+                let centre = (t / jump_every) as f64 * 60.0 + t as f64 * drift;
+                let points = (0..n)
+                    .filter_map(|i| {
+                        let (sits_out, wobble) = (next() % 8 == 0, (next() % 100) as f64 * 0.01);
+                        let a = i as f64 * 0.7;
+                        let p = Point::new(centre + a.cos() * (1.0 + wobble), a.sin() * 2.0);
+                        (!sits_out).then_some((i, p))
+                    })
+                    .collect();
+                (t, points)
+            })
+            .collect()
+    }
+
+    /// One period's extent and exported blocks.
+    type PeriodContents = (u32, u32, Vec<(u32, u32, u32, Vec<u32>)>);
+
+    /// What a TPI holds, period by period.
+    fn contents(tpi: &Tpi) -> Vec<PeriodContents> {
+        tpi.periods()
+            .iter()
+            .map(|p| (p.t_start, p.t_end, p.pi.export_blocks()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A TPI grown slice by slice, cloned along the way, is at every
+        /// clone the TPI a batch build over the same prefix gives — same
+        /// blocks, size, statistics and answers (checked against the
+        /// seed's per-cell scan) — and the clone shares every sealed
+        /// period with the index it was taken from.
+        #[test]
+        fn grown_and_cloned_equals_batch_over_the_prefix(
+            seed in proptest::prelude::any::<u64>(),
+            steps in 3u32..14,
+            n in 8u32..40,
+            jump_every in 2u32..7,
+            drift in 0.0f64..1.2,
+            cuts in proptest::collection::vec(0usize..14, 1..4),
+        ) {
+            let cfg = cfg(0.5, 0.5);
+            let slices = wandering_stream(seed, steps, n, jump_every, drift);
+            let mut grown = Tpi::new(cfg.clone());
+            let mut snapshots: Vec<(usize, Tpi)> = Vec::new();
+            for (i, (t, points)) in slices.iter().enumerate() {
+                grown.push_slice(*t, points);
+                if cuts.contains(&i) {
+                    let mut snapshot = grown.clone();
+                    snapshot.seal();
+                    let sealed = grown.periods().len() - 1;
+                    for (a, b) in snapshot.periods()[..sealed].iter().zip(grown.periods()) {
+                        proptest::prop_assert!(Arc::ptr_eq(a, b), "sealed period copied");
+                    }
+                    proptest::prop_assert!(!Arc::ptr_eq(
+                        &snapshot.periods()[sealed],
+                        &grown.periods()[sealed]
+                    ));
+                    snapshots.push((i, snapshot));
+                }
+            }
+            grown.seal();
+            snapshots.push((slices.len() - 1, grown));
+            // Checked once the stream has moved on: growth after a clone
+            // must not reach back into it.
+            for (i, snapshot) in &snapshots {
+                let batch = Tpi::build_from_slices(slices[..=*i].iter().cloned(), &cfg);
+                proptest::prop_assert_eq!(contents(snapshot), contents(&batch));
+                proptest::prop_assert_eq!(snapshot.size_bytes(), batch.size_bytes());
+                proptest::prop_assert_eq!(snapshot.stats(), batch.stats());
+                for period in snapshot.periods() {
+                    let seed_index = crate::pi::tests::SeedIndex::of(&period.pi);
+                    for (t, points) in &slices[..=*i] {
+                        if *t < period.t_start || *t > period.t_end {
+                            continue;
+                        }
+                        for (k, (_, p)) in points.iter().enumerate().step_by(5) {
+                            let r = 0.3 + (k % 4) as f64;
+                            let rect = ppq_geo::BBox::from_extents(p.x - r, p.y - 0.4, p.x + 0.2, p.y + r);
+                            let want = seed_index.query_rect(*t, &rect);
+                            proptest::prop_assert_eq!(&snapshot.query_rect(*t, &rect), &want);
+                            proptest::prop_assert_eq!(&batch.query_rect(*t, &rect), &want);
+                            let want = seed_index.query_disc(*t, p, r);
+                            proptest::prop_assert_eq!(&snapshot.query_disc(*t, p, r), &want);
+                            proptest::prop_assert_eq!(&batch.query_disc(*t, p, r), &want);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sealed TPI")]
+    fn sealed_index_rejects_further_slices() {
+        let mut tpi = Tpi::build_from_slices(jumpy_stream(2), &cfg(0.5, 0.5));
+        tpi.push_slice(99, &[(0, Point::ORIGIN)]);
     }
 
     #[test]
