@@ -112,6 +112,7 @@ fn main() {
         let mut live = LiveRepo::recover(&dir, cfg.clone()).expect("fresh live repo");
         for slice in &slices {
             live.push_slice(slice.t, slice.points).expect("push");
+            live.maintain_if_due();
             assert!(
                 live.last_maintenance_error().is_none(),
                 "maintenance must not fail in a fault-free bench run"

@@ -27,7 +27,7 @@
 use ppq_bench::report::merge_bench_section;
 use ppq_bench::scale;
 use ppq_core::{PpqConfig, ShardedSummary, Variant};
-use ppq_live::{LiveConfig, LiveService};
+use ppq_live::{LiveConfig, LiveService, MaintenanceConfig};
 use ppq_load::{
     run_open_loop, run_open_loop_scraped, saturation_throughput, ClassStats, MixConfig, OpKind,
     Schedule, ScheduleConfig,
@@ -175,8 +175,13 @@ fn main() {
     live_cfg.page_size = PAGE_SIZE_BENCH;
     live_cfg.fold_every = 16;
     live_cfg.compact_max_chain = 4;
-    let service =
-        LiveService::open(&live_dir, live_cfg, data.clone(), 8).expect("open live service");
+    let service = Arc::new(
+        LiveService::open(&live_dir, live_cfg, data.clone(), 8).expect("open live service"),
+    );
+    // Folds and compactions run only on an attached worker.
+    let worker = service
+        .start_maintenance(MaintenanceConfig::default())
+        .expect("worker attaches");
     let mut next_slice = 0usize;
     // The scrape lane polls the process-wide metrics registry while the
     // schedule plays — the same closure shape a TCP run uses with
@@ -184,7 +189,7 @@ fn main() {
     // that); here the target is in-process, so the registry *is* the
     // server side.
     let (live_report, live_scrape) = run_open_loop_scraped(
-        &service,
+        &*service,
         &live_schedule,
         readers,
         || {
@@ -243,7 +248,7 @@ fn main() {
     );
     service.publish();
     let live_saturation = saturation_throughput(
-        &service,
+        &*service,
         &live_schedule,
         readers,
         (ops / readers.max(1)).clamp(100, 2000),
@@ -335,6 +340,7 @@ fn main() {
     std::fs::write(&out_path, merged).expect("write BENCH_ppq.json");
     eprintln!("wrote {out_path} (load_path section)");
 
+    worker.shutdown().expect("maintenance drain");
     drop(service);
     let _ = std::fs::remove_dir_all(&work_dir);
 }

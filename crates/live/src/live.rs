@@ -15,7 +15,7 @@ use ppq_traj::TrajId;
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Registry handles for the maintenance path, resolved once.
 struct LiveMetrics {
@@ -70,8 +70,9 @@ pub struct LiveConfig {
     pub page_size: usize,
     /// Fsync the WAL every this-many appended slices (1 = every append).
     pub group_commit: usize,
-    /// Fold the WAL into a delta generation every this-many slices;
-    /// 0 disables automatic folding ([`LiveRepo::fold`] still works).
+    /// Fold the WAL into a delta generation every this-many slices (the
+    /// cadence of [`LiveRepo::maintain_if_due`] and of the maintenance
+    /// worker); 0 disables it ([`LiveRepo::fold`] still works).
     pub fold_every: u64,
     /// Auto-compact when the committed chain reaches this many
     /// generations; 0 disables the length trigger.
@@ -163,14 +164,22 @@ impl From<DecodeError> for LiveError {
 
 /// Crash-safe live ingest over a [`ppq_repo`] generation chain.
 ///
-/// Ingest path: [`LiveRepo::push_slice`] logs the slice to the WAL,
-/// feeds it to the in-memory [`ShardedPpqStream`], and — on the folding
-/// cadence — drains the WAL into a delta generation, checkpoints the
-/// pipeline state, truncates the log, and compacts the chain when it
-/// crosses the configured thresholds. Maintenance failures never take
-/// down ingest: they are recorded ([`LiveRepo::last_maintenance_error`])
-/// and retried with doubling backoff while the WAL keeps absorbing
-/// slices.
+/// A live repository has two halves with separate owners. The *ingest
+/// half* (WAL, in-memory [`ShardedPpqStream`], unfolded-slice count) is
+/// all [`LiveRepo::push_slice`] touches: it logs the slice and feeds the
+/// pipeline, nothing more. The *maintenance half* (chain appender,
+/// checkpoint, failure backoff, chain stats) drains the WAL into a delta
+/// generation, checkpoints the pipeline state, truncates the log, and
+/// compacts the chain when it crosses the configured thresholds. A fold
+/// touches the ingest half only to freeze and to commit (see
+/// [`LiveRepo::fold`]), which is what lets [`crate::LiveService`] write
+/// generations and compact without holding its writer lock. A
+/// `LiveRepo` owns both halves; nothing folds unless
+/// [`LiveRepo::maintain_if_due`] or [`LiveRepo::fold`] is called.
+///
+/// Maintenance failures never take down ingest: they are recorded
+/// ([`LiveRepo::last_maintenance_error`]) and retried with doubling
+/// backoff while the WAL keeps absorbing slices.
 ///
 /// [`LiveRepo::recover`] is the only constructor: opening a directory
 /// *is* recovery (a clean shutdown is just a crash with an empty WAL
@@ -179,16 +188,29 @@ impl From<DecodeError> for LiveError {
 /// torn final record — and converges to the same pipeline state, bit for
 /// bit, as an uncrashed run that consumed the same acknowledged slices.
 pub struct LiveRepo {
-    dir: PathBuf,
-    cfg: LiveConfig,
+    pub(crate) ingest: Ingest,
+    pub(crate) maint: Maintainer,
+}
+
+/// The ingest half: everything an append touches.
+/// [`crate::LiveService`] keeps it behind its writer lock.
+pub(crate) struct Ingest {
     wal: Wal,
     stream: ShardedPpqStream,
+    /// Slices ingested after the horizon of the last committed fold.
+    steps_since_fold: u64,
+}
+
+/// The maintenance half, touched only by the one maintainer: the caller
+/// of [`LiveRepo`]'s maintenance methods, or a service's
+/// [`crate::worker::MaintenanceWorker`].
+pub(crate) struct Maintainer {
+    dir: PathBuf,
+    cfg: LiveConfig,
     appender: Appender,
     /// Whether a base generation has been committed (first fold writes
     /// the base, later folds append deltas).
     based: bool,
-    /// Slices ingested since the last successful fold.
-    steps_since_fold: u64,
     /// Consecutive maintenance failures (fold or compaction).
     failures: u32,
     last_error: Option<LiveError>,
@@ -199,11 +221,45 @@ pub struct LiveRepo {
     /// (`None` until one happens in this incarnation).
     last_fold_unix_ms: Option<u64>,
     last_compaction_unix_ms: Option<u64>,
-    /// Whether `push_slice` runs due maintenance itself (the default) or
-    /// leaves the cadence to an external owner — the background
-    /// [`crate::worker::MaintenanceWorker`] flips this off so fold,
-    /// compaction, and WAL syncs leave the ingest path.
-    inline_maintenance: bool,
+    /// The fields above as status reports read them (see
+    /// [`Maintainer::refresh_view`]).
+    view: Arc<Mutex<MaintenanceView>>,
+}
+
+/// How a fold reaches the ingest half: a [`LiveRepo`] owns it outright,
+/// [`crate::LiveService`] takes its writer lock for each call. A fold
+/// makes two calls, the freeze and the commit; its write phase runs
+/// between them and holds nothing.
+pub(crate) trait IngestAccess {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Ingest) -> R) -> R;
+}
+
+impl IngestAccess for Ingest {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Ingest) -> R) -> R {
+        f(self)
+    }
+}
+
+/// A fold between its freeze and its commit.
+struct Frozen {
+    /// The stream's `next_t` at the freeze: the checkpoint covers every
+    /// slice before it, and the commit cuts the log there.
+    horizon: u32,
+    /// Unfolded slices at the freeze — the ones this fold covers.
+    folded: u64,
+    /// `ppq_fold_ns`, recorded when the commit drops it.
+    _span: ppq_obs::Span,
+}
+
+/// The maintenance half's state as a status report shows it, copied out
+/// whenever it changes so a reader never waits on a pass in progress.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MaintenanceView {
+    pub failures: u32,
+    pub last_error: Option<String>,
+    pub chain_generations: u32,
+    pub last_fold_unix_ms: Option<u64>,
+    pub last_compaction_unix_ms: Option<u64>,
 }
 
 /// What one [`LiveRepo::maintain_if_due`] pass actually did — the
@@ -265,35 +321,149 @@ impl LiveRepo {
         }
 
         let based = dir.join(ppq_repo::layout::MANIFEST_NAME).exists();
-        let mut live = LiveRepo {
+        let mut maint = Maintainer {
             dir: dir.to_path_buf(),
-            cfg: cfg.clone(),
-            wal,
-            stream,
             appender: Appender::with_page_size(dir, cfg.page_size),
+            cfg,
             based,
-            steps_since_fold: replayed,
             failures: 0,
             last_error: None,
             chain_generations: 0,
             last_fold_unix_ms: None,
             last_compaction_unix_ms: None,
-            inline_maintenance: true,
+            view: Arc::default(),
         };
         if based {
-            live.chain_generations = live.committed_manifest()?.generations.len() as u32;
+            maint.chain_generations = maint.committed_manifest()?.generations.len() as u32;
         }
-        live_metrics()
-            .chain_generations
-            .set(live.chain_generations as u64);
-        Ok(live)
+        maint.refresh_view();
+        Ok(LiveRepo {
+            ingest: Ingest {
+                wal,
+                stream,
+                steps_since_fold: replayed,
+            },
+            maint,
+        })
     }
 
     /// Ingest one time slice: WAL first (group-committed), then the
-    /// in-memory pipeline, then any due maintenance. Returns only after
-    /// the slice is logged; maintenance failures are absorbed (see
-    /// [`LiveRepo::last_maintenance_error`]).
+    /// in-memory pipeline. Returns only after the slice is logged. Never
+    /// folds — see [`LiveRepo::maintain_if_due`].
     pub fn push_slice(&mut self, t: u32, points: &[(TrajId, Point)]) -> Result<(), LiveError> {
+        self.ingest.push_slice(t, points)
+    }
+
+    /// Force the WAL to stable storage (the group-commit flush).
+    pub fn sync(&mut self) -> Result<(), LiveError> {
+        self.ingest.sync()
+    }
+
+    /// Drain the WAL into the repository in three phases:
+    ///
+    /// 1. **freeze** (touches the ingest half): fsync the log, copy the
+    ///    stream, note its horizon `H = next_t`;
+    /// 2. **write** (does not): persist the copy's snapshot as a
+    ///    generation (base on first fold, delta after), then checkpoint
+    ///    the copy;
+    /// 3. **commit** (touches the ingest half): truncate the log before
+    ///    `H`, keeping any slice appended since the freeze.
+    ///
+    /// Ordering is the crash contract: each step only widens what
+    /// recovery can see, and the log is only cut once the checkpoint
+    /// durably covers it. This is the one fold implementation;
+    /// [`LiveRepo::maintain_if_due`] and the service's worker run it too.
+    pub fn fold(&mut self) -> Result<(), LiveError> {
+        self.maint.fold(&mut self.ingest, 0, || {}).map(drop)
+    }
+
+    /// Collapse the committed chain to a single base generation if it
+    /// crosses either compaction threshold. Called automatically after
+    /// each successful fold of [`LiveRepo::maintain_if_due`].
+    pub fn maybe_compact(&mut self) -> Result<bool, LiveError> {
+        self.maint.maybe_compact()
+    }
+
+    /// Run fold + auto-compaction if the cadence (with failure backoff)
+    /// says it is due. This is the single maintenance entry point, shared
+    /// with the background [`crate::worker::MaintenanceWorker`]'s tick.
+    /// Failures are absorbed into the backoff state, never propagated —
+    /// the WAL keeps covering everything the chain is missing.
+    pub fn maintain_if_due(&mut self) -> MaintenanceOutcome {
+        self.maint.maintain_if_due(&mut self.ingest)
+    }
+
+    /// The timestep the stream expects next (`None` before any slice).
+    #[inline]
+    pub fn next_t(&self) -> Option<u32> {
+        self.ingest.next_t()
+    }
+
+    /// The live in-memory pipeline (for snapshots and online queries).
+    #[inline]
+    pub fn stream(&self) -> &ShardedPpqStream {
+        &self.ingest.stream
+    }
+
+    /// Summary of everything ingested so far (including slices not yet
+    /// folded to disk).
+    pub fn snapshot(&self) -> ShardedSummary {
+        self.ingest.snapshot()
+    }
+
+    /// The last maintenance (fold/compaction) failure since the last
+    /// success, if any. Ingest keeps running through these; the WAL
+    /// holds everything the chain is missing.
+    #[inline]
+    pub fn last_maintenance_error(&self) -> Option<&LiveError> {
+        self.maint.last_error.as_ref()
+    }
+
+    /// Consecutive failed maintenance attempts (drives the backoff).
+    #[inline]
+    pub fn maintenance_failures(&self) -> u32 {
+        self.maint.failures
+    }
+
+    /// WAL records appended but not yet fsynced.
+    #[inline]
+    pub fn wal_pending(&self) -> usize {
+        self.ingest.wal_pending()
+    }
+
+    /// Committed-structure bytes of the WAL (its append position) — the
+    /// durable backlog the next fold will drain.
+    #[inline]
+    pub fn wal_pending_bytes(&self) -> u64 {
+        self.ingest.wal_pending_bytes()
+    }
+
+    /// Committed generations in the chain (0 before the first fold).
+    /// Cached from the manifest; status queries never touch the disk.
+    #[inline]
+    pub fn chain_generations(&self) -> u32 {
+        self.maint.chain_generations
+    }
+
+    /// Wall-clock ms of the last successful fold in this incarnation.
+    #[inline]
+    pub fn last_fold_unix_ms(&self) -> Option<u64> {
+        self.maint.last_fold_unix_ms
+    }
+
+    /// Wall-clock ms of the last compaction in this incarnation.
+    #[inline]
+    pub fn last_compaction_unix_ms(&self) -> Option<u64> {
+        self.maint.last_compaction_unix_ms
+    }
+}
+
+impl Ingest {
+    pub(crate) fn push_slice(
+        &mut self,
+        t: u32,
+        points: &[(TrajId, Point)],
+    ) -> Result<(), LiveError> {
         if let Some(expected) = self.stream.next_t() {
             if t != expected {
                 return Err(LiveError::OutOfOrder { expected, got: t });
@@ -302,31 +472,111 @@ impl LiveRepo {
         self.wal.append(t, points)?;
         self.stream.push_slice(t, points);
         self.steps_since_fold += 1;
-        self.maintain();
         Ok(())
     }
 
-    /// Force the WAL to stable storage (the group-commit flush).
-    pub fn sync(&mut self) -> Result<(), LiveError> {
+    pub(crate) fn sync(&mut self) -> Result<(), LiveError> {
         self.wal.sync()?;
         Ok(())
     }
 
-    /// Drain the WAL into the repository: persist the current snapshot
-    /// as a generation (base on first fold, delta after), checkpoint the
-    /// pipeline state, then truncate the log. Ordering is the crash
-    /// contract: each step only widens what recovery can see, and the
-    /// log is only cut once the checkpoint durably covers it.
-    pub fn fold(&mut self) -> Result<(), LiveError> {
-        if self.stream.next_t().is_none() {
-            return Ok(()); // nothing ingested yet
+    pub(crate) fn next_t(&self) -> Option<u32> {
+        self.stream.next_t()
+    }
+
+    pub(crate) fn snapshot(&self) -> ShardedSummary {
+        self.stream.snapshot()
+    }
+
+    pub(crate) fn wal_pending(&self) -> usize {
+        self.wal.pending()
+    }
+
+    pub(crate) fn wal_pending_bytes(&self) -> u64 {
+        self.wal.len_bytes()
+    }
+
+    /// Phase 3 of a fold: the checkpoint now covers every slice before
+    /// the horizon, so the log drops them. Records appended since the
+    /// freeze have `t ≥ horizon` and survive the rewrite.
+    fn commit(&mut self, frozen: Frozen) -> Result<u64, LiveError> {
+        self.wal.truncate_before(frozen.horizon)?;
+        self.steps_since_fold -= frozen.folded;
+        Ok(frozen.folded)
+    }
+}
+
+impl Maintainer {
+    /// [`LiveRepo::maintain_if_due`] over either owner of the ingest
+    /// half.
+    pub(crate) fn maintain_if_due(&mut self, ingest: &mut impl IngestAccess) -> MaintenanceOutcome {
+        if self.cfg.fold_every == 0 {
+            return MaintenanceOutcome::default();
         }
-        if self.based && self.steps_since_fold == 0 {
-            return Ok(()); // nothing new since the last fold
+        let shift = self.failures.min(self.cfg.max_backoff_shift).min(63);
+        let due = self.cfg.fold_every.saturating_mul(1u64 << shift);
+        // `due` ≥ 1, so a due fold always has work: `None` = not due.
+        let result = match self.fold(ingest, due, || {}) {
+            Ok(None) => return MaintenanceOutcome::default(),
+            Ok(Some(folded)) => self.maybe_compact().map(|compacted| (folded, compacted)),
+            Err(e) => Err(e),
+        };
+        self.settle(result)
+    }
+
+    /// [`LiveRepo::fold`]: freeze → write → `before_commit` → commit, if
+    /// at least `min_steps` slices are unfolded. Returns the slices
+    /// folded, or `None` when there was nothing to fold.
+    pub(crate) fn fold(
+        &mut self,
+        ingest: &mut impl IngestAccess,
+        min_steps: u64,
+        before_commit: impl FnOnce(),
+    ) -> Result<Option<u64>, LiveError> {
+        let Some((frozen, stream)) = ingest.with(|i| self.freeze(i, min_steps))? else {
+            return Ok(None);
+        };
+        self.write(stream)?;
+        before_commit();
+        let folded = ingest.with(|i| i.commit(frozen))?;
+        self.last_fold_unix_ms = Some(ppq_obs::unix_ms());
+        self.refresh_view();
+        Ok(Some(folded))
+    }
+
+    /// Phase 1 of a fold: fsync the log and copy the stream at its
+    /// horizon. The copy is O(stream) — the one part of the write that
+    /// still happens under the writer lock.
+    fn freeze(
+        &self,
+        ingest: &mut Ingest,
+        min_steps: u64,
+    ) -> Result<Option<(Frozen, ShardedPpqStream)>, LiveError> {
+        let folded = ingest.steps_since_fold;
+        let Some(horizon) = ingest.stream.next_t() else {
+            return Ok(None); // nothing ingested yet
+        };
+        if folded < min_steps || (self.based && folded == 0) {
+            return Ok(None); // not due, or nothing new since the last fold
         }
-        let _sp = ppq_obs::Span::with("fold", &live_metrics().fold_ns);
-        self.wal.sync()?;
-        let snapshot = self.stream.snapshot();
+        let span = ppq_obs::Span::with("fold", &live_metrics().fold_ns);
+        ingest.wal.sync()?;
+        let frozen = Frozen {
+            horizon,
+            folded,
+            _span: span,
+        };
+        Ok(Some((frozen, ingest.stream.clone())))
+    }
+
+    /// Phase 2 of a fold, touching nothing ingest uses: the frozen
+    /// stream's summary becomes a generation, then its state the
+    /// checkpoint.
+    fn write(&mut self, stream: ShardedPpqStream) -> Result<(), LiveError> {
+        // Encoded before `finish` consumes the copy; committed after the
+        // generation, as the crash contract orders them.
+        let state_bytes = state::sharded_to_bytes(&stream);
+        let snapshot = stream.finish();
         if self.based {
             match self.appender.append_sharded(&snapshot) {
                 Ok(_) => {}
@@ -343,22 +593,16 @@ impl LiveRepo {
             RepoWriter::with_page_size(&self.dir, self.cfg.page_size).write_sharded(&snapshot)?;
             self.based = true;
         }
-        self.write_checkpoint()?;
-        let horizon = self.stream.next_t().expect("stream is non-empty");
-        self.wal.truncate_before(horizon)?;
-        self.steps_since_fold = 0;
+        write_checkpoint(&self.dir, &state_bytes)?;
         self.chain_generations = self.committed_manifest()?.generations.len() as u32;
-        self.last_fold_unix_ms = Some(ppq_obs::unix_ms());
-        live_metrics()
-            .chain_generations
-            .set(self.chain_generations as u64);
+        self.refresh_view();
         Ok(())
     }
 
-    /// Collapse the committed chain to a single base generation if it
-    /// crosses either compaction threshold. Called automatically after
-    /// each successful fold.
-    pub fn maybe_compact(&mut self) -> Result<bool, LiveError> {
+    /// [`LiveRepo::maybe_compact`]. Reads and rewrites only the committed
+    /// chain, which nothing but this maintainer writes — so it needs no
+    /// part of the ingest half.
+    pub(crate) fn maybe_compact(&mut self) -> Result<bool, LiveError> {
         if !self.based {
             return Ok(false);
         }
@@ -373,109 +617,8 @@ impl LiveRepo {
         Repo::open(&self.dir, COMPACT_POOL_PAGES)?.compact(None)?;
         self.chain_generations = 1;
         self.last_compaction_unix_ms = Some(ppq_obs::unix_ms());
-        live_metrics().chain_generations.set(1);
+        self.refresh_view();
         Ok(true)
-    }
-
-    /// The timestep the stream expects next (`None` before any slice).
-    #[inline]
-    pub fn next_t(&self) -> Option<u32> {
-        self.stream.next_t()
-    }
-
-    /// The live in-memory pipeline (for snapshots and online queries).
-    #[inline]
-    pub fn stream(&self) -> &ShardedPpqStream {
-        &self.stream
-    }
-
-    /// Summary of everything ingested so far (including slices not yet
-    /// folded to disk).
-    pub fn snapshot(&self) -> ShardedSummary {
-        self.stream.snapshot()
-    }
-
-    /// The last maintenance (fold/compaction) failure since the last
-    /// success, if any. Ingest keeps running through these; the WAL
-    /// holds everything the chain is missing.
-    #[inline]
-    pub fn last_maintenance_error(&self) -> Option<&LiveError> {
-        self.last_error.as_ref()
-    }
-
-    /// Consecutive failed maintenance attempts (drives the backoff).
-    #[inline]
-    pub fn maintenance_failures(&self) -> u32 {
-        self.failures
-    }
-
-    /// WAL records appended but not yet fsynced.
-    #[inline]
-    pub fn wal_pending(&self) -> usize {
-        self.wal.pending()
-    }
-
-    /// Committed-structure bytes of the WAL (its append position) — the
-    /// durable backlog the next fold will drain.
-    #[inline]
-    pub fn wal_pending_bytes(&self) -> u64 {
-        self.wal.len_bytes()
-    }
-
-    /// Committed generations in the chain (0 before the first fold).
-    /// Cached from the manifest; status queries never touch the disk.
-    #[inline]
-    pub fn chain_generations(&self) -> u32 {
-        self.chain_generations
-    }
-
-    /// Wall-clock ms of the last successful fold in this incarnation.
-    #[inline]
-    pub fn last_fold_unix_ms(&self) -> Option<u64> {
-        self.last_fold_unix_ms
-    }
-
-    /// Wall-clock ms of the last compaction in this incarnation.
-    #[inline]
-    pub fn last_compaction_unix_ms(&self) -> Option<u64> {
-        self.last_compaction_unix_ms
-    }
-
-    /// Whether `push_slice` runs due maintenance inline. `true` unless a
-    /// background maintenance worker has taken ownership of the cadence.
-    #[inline]
-    pub fn inline_maintenance(&self) -> bool {
-        self.inline_maintenance
-    }
-
-    pub(crate) fn set_inline_maintenance(&mut self, on: bool) {
-        self.inline_maintenance = on;
-    }
-
-    fn maintain(&mut self) {
-        if self.inline_maintenance {
-            self.maintain_if_due();
-        }
-    }
-
-    /// Run fold + auto-compaction if the cadence (with failure backoff)
-    /// says it is due. This is the single maintenance entry point, shared
-    /// by the inline path (`push_slice` when no worker owns maintenance)
-    /// and the background [`crate::worker::MaintenanceWorker`]'s tick.
-    /// Failures are absorbed into the backoff state, never propagated —
-    /// the WAL keeps covering everything the chain is missing.
-    pub fn maintain_if_due(&mut self) -> MaintenanceOutcome {
-        if self.cfg.fold_every == 0 {
-            return MaintenanceOutcome::default();
-        }
-        let shift = self.failures.min(self.cfg.max_backoff_shift).min(63);
-        let due = self.cfg.fold_every.saturating_mul(1u64 << shift);
-        if self.steps_since_fold < due {
-            return MaintenanceOutcome::default();
-        }
-        let had_work = self.steps_since_fold > 0;
-        let result = self.fold().and_then(|()| self.maybe_compact());
-        self.settle(had_work, result)
     }
 
     /// Graceful-shutdown drain: the same fold → auto-compaction pass a
@@ -485,28 +628,50 @@ impl LiveRepo {
     /// the last tick fell. A failed fold is the caller's error
     /// (acknowledged slices are still only in the WAL); a failure after it
     /// is recorded like a tick's — the drain itself lost nothing.
-    pub(crate) fn drain(&mut self) -> Result<(), LiveError> {
-        let had_work = self.steps_since_fold > 0;
-        self.fold()?;
+    pub(crate) fn drain(&mut self, ingest: &mut impl IngestAccess) -> Result<(), LiveError> {
+        let folded = self.fold(ingest, 0, || {})?.unwrap_or(0);
         let tidied = self.maybe_compact().and_then(|compacted| {
             RepoWriter::with_page_size(&self.dir, self.cfg.page_size).sweep_superseded()?;
-            Ok(compacted)
+            Ok((folded, compacted))
         });
-        self.settle(had_work, tidied);
+        self.settle(tidied);
         Ok(())
     }
 
-    /// Book one attempted `fold → maybe_compact` pass into the counters
-    /// and the backoff state, and report it.
-    fn settle(&mut self, had_work: bool, result: Result<bool, LiveError>) -> MaintenanceOutcome {
+    /// The view status reports read, kept current by this half.
+    pub(crate) fn view(&self) -> Arc<Mutex<MaintenanceView>> {
+        Arc::clone(&self.view)
+    }
+
+    /// Copy the status fields out, and set the chain gauge with them, so
+    /// a status report and a metrics scrape agree. Called wherever those
+    /// fields change: at the generation commit, the log truncation, the
+    /// compaction and the end of a pass.
+    fn refresh_view(&self) {
+        live_metrics()
+            .chain_generations
+            .set(self.chain_generations as u64);
+        *self.view.lock().expect("maintenance view lock poisoned") = MaintenanceView {
+            failures: self.failures,
+            last_error: self.last_error.as_ref().map(|e| e.to_string()),
+            chain_generations: self.chain_generations,
+            last_fold_unix_ms: self.last_fold_unix_ms,
+            last_compaction_unix_ms: self.last_compaction_unix_ms,
+        };
+    }
+
+    /// Book one attempted fold → compaction pass (`(slices folded,
+    /// compacted)`) into the counters and the backoff state, and report
+    /// it.
+    fn settle(&mut self, result: Result<(u64, bool), LiveError>) -> MaintenanceOutcome {
         let mut out = MaintenanceOutcome {
             attempted: true,
             ..MaintenanceOutcome::default()
         };
         let m = live_metrics();
         match result {
-            Ok(compacted) => {
-                out.folded = had_work;
+            Ok((folded, compacted)) => {
+                out.folded = folded > 0;
                 out.compacted = compacted;
                 self.failures = 0;
                 self.last_error = None;
@@ -530,6 +695,7 @@ impl LiveRepo {
         }
         m.backoff_shift
             .set(self.failures.min(self.cfg.max_backoff_shift) as u64);
+        self.refresh_view();
         out
     }
 
@@ -537,27 +703,26 @@ impl LiveRepo {
         let bytes = std::fs::read(self.dir.join(ppq_repo::layout::MANIFEST_NAME))?;
         Ok(Manifest::from_bytes(&bytes)?)
     }
+}
 
-    /// Persist the full pipeline state, CRC-sealed, temp + rename +
-    /// directory fsync — the same commit discipline as the manifest.
-    fn write_checkpoint(&self) -> Result<(), LiveError> {
-        let state_bytes = state::sharded_to_bytes(&self.stream);
-        let mut out = Vec::with_capacity(CKPT_HEADER_LEN + state_bytes.len());
-        out.extend_from_slice(&CKPT_MAGIC);
-        out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        out.extend_from_slice(&crc32(&state_bytes).to_le_bytes());
-        out.extend_from_slice(&state_bytes);
+/// Persist sealed pipeline state as the checkpoint, CRC-sealed, temp +
+/// rename + directory fsync — the same commit discipline as the manifest.
+fn write_checkpoint(dir: &Path, state_bytes: &[u8]) -> Result<(), LiveError> {
+    let mut out = Vec::with_capacity(CKPT_HEADER_LEN + state_bytes.len());
+    out.extend_from_slice(&CKPT_MAGIC);
+    out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+    out.extend_from_slice(&crc32(state_bytes).to_le_bytes());
+    out.extend_from_slice(state_bytes);
 
-        let tmp = self.dir.join(CKPT_TMP_NAME);
-        {
-            let mut f = File::create(&tmp)?;
-            fault::write_all(&mut f, &out)?;
-            fault::sync_all(&f)?;
-        }
-        fault::rename(&tmp, &self.dir.join(CKPT_NAME))?;
-        fault::sync_all(&File::open(&self.dir)?)?;
-        Ok(())
+    let tmp = dir.join(CKPT_TMP_NAME);
+    {
+        let mut f = File::create(&tmp)?;
+        fault::write_all(&mut f, &out)?;
+        fault::sync_all(&f)?;
     }
+    fault::rename(&tmp, &dir.join(CKPT_NAME))?;
+    fault::sync_all(&File::open(dir)?)?;
+    Ok(())
 }
 
 /// Superseded fraction of the committed store's bytes: every delta

@@ -23,20 +23,26 @@
 //!
 //! ## Maintenance ownership
 //!
-//! By default the service inherits [`LiveRepo`]'s inline behavior: every
-//! `push_slice` runs due maintenance (fold, compaction) on the calling
-//! thread. Attaching a [`crate::worker::MaintenanceWorker`]
-//! ([`LiveService::start_maintenance`]) transfers that ownership to a
-//! dedicated background thread: ingest then only appends to the WAL and
-//! the in-memory pipeline, and **exactly one** agent — the worker —
-//! drives fold/sync/compaction. To make that contract unforgeable, the
-//! direct maintenance methods (`fold`, `sync`, `with_repo`) are not part
-//! of the public serving surface; they exist only for tests behind the
-//! `test-internals` feature. Production callers observe maintenance
-//! through [`LiveService::status`] and the worker's
+//! The service holds the two halves of a [`LiveRepo`] apart: the ingest
+//! half (WAL, pipeline) behind the writer lock, the maintenance half
+//! (chain appender, checkpoint, backoff) behind its own lock, which only
+//! the maintainer takes. The maintainer is the attached
+//! [`crate::worker::MaintenanceWorker`] ([`LiveService::start_maintenance`]):
+//! **exactly one** agent drives fold/sync/compaction. A service with no
+//! worker never folds — the server attaches one by default, and a
+//! worker-less service is meant for `fold_every = 0` deployments. A fold
+//! takes the writer lock twice, briefly: to freeze (WAL fsync, a copy of
+//! the stream) and to commit (WAL truncation). Writing the generation and
+//! the checkpoint, and compacting, happen with it free, so appends,
+//! publishes and [`LiveService::status`] never wait on them. The lock
+//! order is maintainer, then writer. The direct maintenance methods
+//! (`fold`, `fold_with`, `sync`) are not part of the public serving
+//! surface; they exist only for tests behind the `test-internals`
+//! feature. Production callers observe maintenance through
+//! [`LiveService::status`] and the worker's
 //! [`crate::worker::WorkerStats`].
 
-use crate::live::MaintenanceOutcome;
+use crate::live::{Ingest, IngestAccess, Maintainer, MaintenanceOutcome, MaintenanceView};
 use crate::{LiveConfig, LiveError, LiveRepo};
 use ppq_core::query::{QueryTarget, ShardedQueryEngine, ShardedQueryWorkspace, StrqOutcome};
 use ppq_core::ShardedSummary;
@@ -53,6 +59,9 @@ struct ServiceMetrics {
     published_version: ppq_obs::Gauge,
     last_publish_unix_ms: ppq_obs::Gauge,
     publishes: ppq_obs::Counter,
+    /// Each writer-lock hold maintenance takes: freeze, commit, the due
+    /// check, the group-commit sync.
+    maintenance_lock_ns: ppq_obs::Histogram,
 }
 
 fn service_metrics() -> &'static ServiceMetrics {
@@ -63,6 +72,7 @@ fn service_metrics() -> &'static ServiceMetrics {
             published_version: r.gauge("ppq_published_version"),
             last_publish_unix_ms: r.gauge("ppq_last_publish_unix_ms"),
             publishes: r.counter("ppq_publishes"),
+            maintenance_lock_ns: r.histogram("ppq_maintenance_lock_ns"),
         }
     })
 }
@@ -77,8 +87,20 @@ pub struct Published {
 }
 
 struct Writer {
-    live: LiveRepo,
+    ingest: Ingest,
     since_publish: u64,
+}
+
+/// A maintenance pass's route to the ingest half: the writer lock, taken
+/// per call and its hold timed into `ppq_maintenance_lock_ns`.
+struct WriterLock<'a>(&'a Mutex<Writer>);
+
+impl IngestAccess for WriterLock<'_> {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Ingest) -> R) -> R {
+        let mut w = self.0.lock().expect("writer lock poisoned");
+        let _held = ppq_obs::Span::with("maintenance_lock", &service_metrics().maintenance_lock_ns);
+        f(&mut w.ingest)
+    }
 }
 
 /// A point-in-time health/progress report of the service — the public
@@ -97,9 +119,8 @@ pub struct ServiceStatus {
     pub maintenance_failures: u32,
     /// The last maintenance failure since the last success, rendered.
     pub last_maintenance_error: Option<String>,
-    /// Whether `push_slice` still runs maintenance inline (no worker).
-    pub inline_maintenance: bool,
-    /// Whether a background maintenance worker owns the cadence.
+    /// Whether a background maintenance worker owns the cadence (without
+    /// one, nothing folds).
     pub worker_attached: bool,
     /// Committed-structure bytes of the WAL — the durable backlog the
     /// next fold will drain.
@@ -132,6 +153,13 @@ pub(crate) struct TickOutcome {
 /// Concurrent ingest-and-serve front end for a [`LiveRepo`].
 pub struct LiveService {
     writer: Mutex<Writer>,
+    /// The maintenance half. Taken before `writer` whenever both are
+    /// held; a fold holds it throughout and `writer` only to freeze and
+    /// to commit.
+    maintainer: Mutex<Maintainer>,
+    /// What [`LiveService::status`] reports of the maintainer, which
+    /// keeps it current — so a status read never waits on a pass.
+    maintenance_view: Arc<Mutex<MaintenanceView>>,
     published: RwLock<Arc<Published>>,
     /// Original-point store backing exact-answer refinement — the same
     /// role the repository's full dataset plays for `DiskQueryEngine`.
@@ -149,6 +177,8 @@ impl LiveService {
     /// Open (recovering if needed) the live directory and start serving.
     /// A fresh snapshot is published every `publish_every` ingested
     /// slices (0 publishes only on explicit [`LiveService::publish`]).
+    /// Nothing folds until a worker is attached
+    /// ([`LiveService::start_maintenance`]).
     pub fn open(
         dir: &Path,
         cfg: LiveConfig,
@@ -160,16 +190,18 @@ impl LiveService {
             .bbox()
             .unwrap_or(BBox::from_extents(0.0, 0.0, 1.0, 1.0));
         let grid = GridSpec::covering(&bbox.inflate(gc), gc);
-        let live = LiveRepo::recover(dir, cfg)?;
+        let LiveRepo { ingest, maint } = LiveRepo::recover(dir, cfg)?;
         let snapshot = Arc::new(Published {
-            version: live.next_t().unwrap_or(0),
-            summary: live.snapshot(),
+            version: ingest.next_t().unwrap_or(0),
+            summary: ingest.snapshot(),
         });
         Ok(LiveService {
             writer: Mutex::new(Writer {
-                live,
+                ingest,
                 since_publish: 0,
             }),
+            maintenance_view: maint.view(),
+            maintainer: Mutex::new(maint),
             published: RwLock::new(snapshot),
             dataset,
             grid,
@@ -178,12 +210,12 @@ impl LiveService {
         })
     }
 
-    /// Ingest one slice (WAL + pipeline + due maintenance unless a
-    /// background worker owns it, exactly [`LiveRepo::push_slice`]) and
-    /// republish if the cadence is due.
+    /// Ingest one slice (WAL + pipeline, exactly [`LiveRepo::push_slice`])
+    /// and republish if the cadence is due. Never waits on a fold's
+    /// write phase or a compaction.
     pub fn push_slice(&self, t: u32, points: &[(TrajId, Point)]) -> Result<(), LiveError> {
         let mut w = self.writer.lock().expect("writer lock poisoned");
-        w.live.push_slice(t, points)?;
+        w.ingest.push_slice(t, points)?;
         w.since_publish += 1;
         if self.publish_every > 0 && w.since_publish >= self.publish_every {
             self.publish_locked(&mut w);
@@ -206,7 +238,7 @@ impl LiveService {
     }
 
     fn publish_locked(&self, w: &mut Writer) -> u32 {
-        let version = w.live.next_t().unwrap_or(0);
+        let version = w.ingest.next_t().unwrap_or(0);
         w.since_publish = 0;
         {
             let current = self.published.read().expect("publish lock poisoned");
@@ -216,7 +248,7 @@ impl LiveService {
         }
         let snapshot = Arc::new(Published {
             version,
-            summary: w.live.snapshot(),
+            summary: w.ingest.snapshot(),
         });
         *self.published.write().expect("publish lock poisoned") = snapshot;
         let m = service_metrics();
@@ -265,25 +297,39 @@ impl LiveService {
         (snap.version, answers)
     }
 
-    /// Health/progress snapshot (briefly takes the writer lock).
+    /// Health/progress snapshot. Briefly takes the writer lock for the
+    /// ingest fields; the maintenance fields come from the copy the
+    /// maintainer updates as it commits, so neither waits on a fold's
+    /// write phase or a compaction.
     pub fn status(&self) -> ServiceStatus {
-        let w = self.writer.lock().expect("writer lock poisoned");
+        let (next_t, wal_pending, wal_pending_bytes) = {
+            let w = self.writer.lock().expect("writer lock poisoned");
+            (
+                w.ingest.next_t(),
+                w.ingest.wal_pending(),
+                w.ingest.wal_pending_bytes(),
+            )
+        };
+        let m = self
+            .maintenance_view
+            .lock()
+            .expect("maintenance view lock poisoned")
+            .clone();
         ServiceStatus {
-            next_t: w.live.next_t(),
+            next_t,
             published_version: self
                 .published
                 .read()
                 .expect("publish lock poisoned")
                 .version,
-            wal_pending: w.live.wal_pending(),
-            maintenance_failures: w.live.maintenance_failures(),
-            last_maintenance_error: w.live.last_maintenance_error().map(|e| e.to_string()),
-            inline_maintenance: w.live.inline_maintenance(),
+            wal_pending,
+            maintenance_failures: m.failures,
+            last_maintenance_error: m.last_error,
             worker_attached: self.worker_attached.load(Ordering::Acquire),
-            wal_pending_bytes: w.live.wal_pending_bytes(),
-            chain_generations: w.live.chain_generations(),
-            last_fold_unix_ms: w.live.last_fold_unix_ms(),
-            last_compaction_unix_ms: w.live.last_compaction_unix_ms(),
+            wal_pending_bytes,
+            chain_generations: m.chain_generations,
+            last_fold_unix_ms: m.last_fold_unix_ms,
+            last_compaction_unix_ms: m.last_compaction_unix_ms,
             pool_resident_frames: ppq_obs::gauge("ppq_pool_resident_frames").get(),
             pool_pinned_frames: ppq_obs::gauge("ppq_pool_pinned_frames").get(),
         }
@@ -303,54 +349,54 @@ impl LiveService {
     /// Unreachable while a worker (or any other clone of the owning
     /// `Arc`) is alive, so it cannot race background maintenance.
     pub fn into_inner(self) -> LiveRepo {
-        self.writer.into_inner().expect("writer lock poisoned").live
+        LiveRepo {
+            ingest: self
+                .writer
+                .into_inner()
+                .expect("writer lock poisoned")
+                .ingest,
+            maint: self
+                .maintainer
+                .into_inner()
+                .expect("maintainer lock poisoned"),
+        }
+    }
+
+    /// Run one pass as the maintainer: its half locked throughout, the
+    /// writer lock reachable per phase.
+    fn maintain<T>(&self, pass: impl FnOnce(&mut Maintainer, &mut WriterLock<'_>) -> T) -> T {
+        let mut m = self.maintainer.lock().expect("maintainer lock poisoned");
+        pass(&mut m, &mut WriterLock(&self.writer))
     }
 
     // --- Worker hooks (crate-internal; `worker.rs` is the one caller) ---
 
-    /// Claim maintenance ownership: flips the repo to worker-driven
-    /// maintenance. Returns `false` if another worker already owns it.
+    /// Claim maintenance ownership. Returns `false` if another worker
+    /// already owns it.
     pub(crate) fn attach_worker(&self) -> bool {
-        if self.worker_attached.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        self.writer
-            .lock()
-            .expect("writer lock poisoned")
-            .live
-            .set_inline_maintenance(false);
-        true
+        !self.worker_attached.swap(true, Ordering::AcqRel)
     }
 
-    /// Release maintenance ownership (worker shutdown/drop): inline
-    /// maintenance resumes so an un-workered service never silently
-    /// stops folding.
+    /// Release maintenance ownership (worker shutdown/drop). The service
+    /// stops folding until the next attach.
     pub(crate) fn detach_worker(&self) {
-        self.writer
-            .lock()
-            .expect("writer lock poisoned")
-            .live
-            .set_inline_maintenance(true);
         self.worker_attached.store(false, Ordering::Release);
     }
 
     /// One background-maintenance tick: run due fold/compaction, flush
     /// the WAL group-commit remainder, then republish (a no-op unless a
-    /// slice arrived). The writer lock is held only for the repo work —
-    /// never across the publish `RwLock` swap's readers.
+    /// slice arrived). The writer lock is taken only for the fold's
+    /// freeze and commit and for the sync, never across a write phase,
+    /// a compaction or the publish `RwLock` swap's readers.
     pub(crate) fn worker_tick(&self, sync_wal: bool, publish: bool) -> TickOutcome {
-        let (maintenance, synced, sync_error) = {
-            let mut w = self.writer.lock().expect("writer lock poisoned");
-            let maintenance = w.live.maintain_if_due();
-            let (synced, sync_error) = if sync_wal && w.live.wal_pending() > 0 {
-                match w.live.sync() {
-                    Ok(()) => (true, None),
-                    Err(e) => (false, Some(e)),
-                }
-            } else {
-                (false, None)
-            };
-            (maintenance, synced, sync_error)
+        let maintenance = self.maintain(|m, w| m.maintain_if_due(w));
+        let sync = sync_wal
+            .then(|| WriterLock(&self.writer).with(|i| (i.wal_pending() > 0).then(|| i.sync())))
+            .flatten();
+        let (synced, sync_error) = match sync {
+            Some(Ok(())) => (true, None),
+            Some(Err(e)) => (false, Some(e)),
+            None => (false, None),
         };
         let published = if publish { Some(self.publish()) } else { None };
         TickOutcome {
@@ -367,8 +413,7 @@ impl LiveService {
     /// checkpoint covering every acknowledged slice — then compact if the
     /// policy asks, exactly as the tick that would have followed.
     pub(crate) fn final_drain(&self) -> Result<(), LiveError> {
-        let mut w = self.writer.lock().expect("writer lock poisoned");
-        w.live.drain()
+        self.maintain(|m, w| m.drain(w))
     }
 
     // --- Test-only escape hatches -----------------------------------------
@@ -383,7 +428,7 @@ impl LiveService {
         self.writer
             .lock()
             .expect("writer lock poisoned")
-            .live
+            .ingest
             .sync()
     }
 
@@ -391,18 +436,16 @@ impl LiveService {
     /// maintenance worker owns folds in production.
     #[cfg(any(test, feature = "test-internals"))]
     pub fn fold(&self) -> Result<(), LiveError> {
-        self.writer
-            .lock()
-            .expect("writer lock poisoned")
-            .live
-            .fold()
+        self.fold_with(|| {})
     }
 
-    /// Run `f` with the underlying repo under the writer lock. Test-only:
-    /// queries and production maintenance must not use this.
+    /// [`LiveService::fold`], running `in_write_phase` after the
+    /// generation and checkpoint are written and before the commit: the
+    /// maintainer holds its half, the writer lock is free, and the WAL
+    /// still holds the folded records. Test-only.
     #[cfg(any(test, feature = "test-internals"))]
-    pub fn with_repo<T>(&self, f: impl FnOnce(&mut LiveRepo) -> T) -> T {
-        f(&mut self.writer.lock().expect("writer lock poisoned").live)
+    pub fn fold_with(&self, in_write_phase: impl FnOnce()) -> Result<(), LiveError> {
+        self.maintain(|m, w| m.fold(w, 0, in_write_phase)).map(drop)
     }
 }
 

@@ -1,14 +1,11 @@
 //! Background maintenance: fold, compaction, WAL sync, and snapshot
 //! publication on a dedicated thread, off the ingest path.
 //!
-//! Inline maintenance (the [`crate::LiveRepo`] default) charges the
-//! fold/compaction cost to whichever `push_slice` call happens to cross
-//! the cadence — a latency spike on the ingest thread exactly when the
-//! stream is busiest. [`MaintenanceWorker`] moves that work to its own
-//! thread: once attached via [`crate::LiveService::start_maintenance`],
-//! ingest only appends (WAL + in-memory pipeline) and the worker is the
-//! **sole agent** driving fold, compaction, WAL group-commit flushes,
-//! and the periodic publish tick.
+//! A [`crate::LiveService`] never maintains itself: without a worker,
+//! nothing folds. [`MaintenanceWorker`], attached via
+//! [`crate::LiveService::start_maintenance`], is the **sole agent**
+//! driving fold, compaction, WAL group-commit flushes, and the periodic
+//! publish tick; ingest only appends (WAL + in-memory pipeline).
 //!
 //! ## State machine
 //!
@@ -22,11 +19,25 @@
 //!               (stop → join → final fold/checkpoint → detach)
 //! ```
 //!
-//! Each tick takes the writer lock once: [`crate::LiveRepo::maintain_if_due`]
-//! (which applies the repo's exponential backoff after failures — a
-//! failing disk does not get hammered every tick), then a WAL `sync` if
-//! records are pending, then — outside the lock — a publish that is a
-//! no-op unless a slice arrived since the last one.
+//! ## One tick
+//!
+//! ```text
+//!  writer lock:   [due? freeze]                          [commit] [sync]
+//!                  WAL fsync,                             WAL truncate
+//!                  stream copy, H                         before H
+//!  maintainer:    ├─────────── write ──────────────────┤          ├ compact ┤
+//!                  snapshot → generation → checkpoint
+//!  appends:       ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶
+//! ```
+//!
+//! [`crate::LiveRepo::maintain_if_due`]'s fold (with the repo's
+//! exponential backoff after failures — a failing disk does not get
+//! hammered every tick) takes the writer lock only to freeze and to
+//! commit; the generation, the checkpoint and any compaction are written
+//! while appends, publishes and status reads go on. Slices acknowledged
+//! during the write have `t ≥ H`, so the commit's truncation keeps them.
+//! Then a WAL `sync` if records are pending, then — outside the lock — a
+//! publish that is a no-op unless a slice arrived since the last one.
 //!
 //! Shutdown is a drain, not an abort: the in-flight tick finishes, then
 //! a final fold pushes every acknowledged slice into a checkpointed
@@ -120,9 +131,9 @@ pub struct MaintenanceWorker {
 }
 
 impl LiveService {
-    /// Attach a background [`MaintenanceWorker`]: disables inline
-    /// maintenance on the ingest path and starts a thread driving
-    /// fold/compaction/WAL-sync/publish at `cfg.tick` cadence.
+    /// Attach a background [`MaintenanceWorker`]: starts the thread
+    /// that drives fold/compaction/WAL-sync/publish at `cfg.tick`
+    /// cadence.
     ///
     /// Returns `None` if a worker is already attached.
     pub fn start_maintenance(
@@ -213,7 +224,7 @@ impl MaintenanceWorker {
 
     /// Graceful drain: stop the tick loop, join the thread, fold every
     /// outstanding slice into a checkpointed generation chain, and
-    /// re-enable inline maintenance on the service. After `Ok(())`,
+    /// detach from the service. After `Ok(())`,
     /// `LiveRepo::recover` on the directory restores exactly the
     /// acknowledged state.
     pub fn shutdown(mut self) -> Result<(), LiveError> {

@@ -1,7 +1,8 @@
 //! Concurrent-consistency of serve-during-ingest (satellite of the load
 //! harness PR): STRQ/TPQ answers served by [`LiveService`] *while* a
-//! writer ingests, folds, and compacts must match a quiescent replay of
-//! the acknowledged slice prefix the answer's snapshot version claims.
+//! writer ingests and the maintenance worker folds and compacts off the
+//! writer lock must match a quiescent replay of the acknowledged slice
+//! prefix the answer's snapshot version claims.
 //!
 //! The protocol: every served answer is stamped with its snapshot
 //! version `v` (= the stream's `next_t` at publish). After the run, for
@@ -22,7 +23,7 @@
 use ppq_core::query::{ShardedQueryEngine, ShardedQueryWorkspace, StrqOutcome};
 use ppq_core::{PpqConfig, ShardedPpqStream, Variant};
 use ppq_geo::Point;
-use ppq_live::{LiveConfig, LiveService};
+use ppq_live::{LiveConfig, LiveService, MaintenanceConfig};
 use ppq_traj::synth::{porto_like, PortoConfig};
 use ppq_traj::TrajId;
 use std::collections::BTreeMap;
@@ -82,7 +83,16 @@ fn answers_during_ingest_match_quiescent_replay() {
 
     let dir = std::env::temp_dir().join(format!("ppq-concurrency-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let service = LiveService::open(&dir, cfg, data.clone(), 4).expect("open service");
+    let service = Arc::new(LiveService::open(&dir, cfg, data.clone(), 4).expect("open service"));
+    // A 1 ms worker folds and compacts off the writer lock while the
+    // readers run: the contract is checked against that path.
+    let worker = service
+        .start_maintenance(MaintenanceConfig {
+            tick: std::time::Duration::from_millis(1),
+            sync_wal: true,
+            publish: true,
+        })
+        .expect("worker attaches");
 
     let slices: Vec<(u32, Vec<(TrajId, Point)>)> = data
         .time_slices()
@@ -147,12 +157,21 @@ fn answers_during_ingest_match_quiescent_replay() {
         all
     });
 
-    // Ingest finished without maintenance failures (folds and
-    // compactions really ran on the fold_every=8 cadence).
-    service.with_repo(|live| {
-        assert!(live.last_maintenance_error().is_none());
-        assert!(live.next_t().is_some());
-    });
+    // Ingest finished without maintenance failures, and the worker
+    // really folded on the fold_every=8 cadence (bounded wait: the last
+    // due fold may land just after the writer's final slice).
+    for _ in 0..1000 {
+        if worker.stats().folds > 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    let wstats = worker.stats();
+    assert!(wstats.folds > 0, "the worker never folded: {wstats:?}");
+    assert_eq!(wstats.maintenance_failures, 0);
+    let status = service.status();
+    assert!(status.last_maintenance_error.is_none());
+    assert!(status.next_t.is_some());
 
     // A final full-version round anchors the test even if the readers
     // lost every race: publish, then query everything once more.
@@ -218,6 +237,7 @@ fn answers_during_ingest_match_quiescent_replay() {
         }
     }
 
+    worker.shutdown().expect("drain");
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -95,6 +95,7 @@ fn run_client(
         if live.push_slice(*t, points).is_err() {
             return Err(*t);
         }
+        live.maintain_if_due();
     }
     Ok(())
 }

@@ -70,6 +70,7 @@ fn reopen_resumes_bit_identically_across_folds() {
         assert!(live.next_t().is_none(), "fresh directory starts empty");
         for s in &slices[..cut] {
             live.push_slice(s.t, s.points).unwrap();
+            live.maintain_if_due();
             assert!(
                 live.last_maintenance_error().is_none(),
                 "maintenance must succeed in a fault-free run"
@@ -88,6 +89,7 @@ fn reopen_resumes_bit_identically_across_folds() {
     assert_snapshots_bit_identical(&live, &control);
     for s in &slices[cut..] {
         live.push_slice(s.t, s.points).unwrap();
+        live.maintain_if_due();
         control.push_slice(s.t, s.points);
     }
     assert_snapshots_bit_identical(&live, &control);
@@ -160,6 +162,7 @@ fn chain_length_threshold_triggers_auto_compaction() {
     let mut max_gens = 0;
     for s in &slices {
         live.push_slice(s.t, s.points).unwrap();
+        live.maintain_if_due();
         assert!(live.last_maintenance_error().is_none());
         if let Ok(repo) = Repo::open(&dir, 16) {
             max_gens = max_gens.max(repo.num_generations());
@@ -186,6 +189,7 @@ fn corrupt_checkpoint_is_a_typed_error_not_silent_data_loss() {
         let mut live = LiveRepo::recover(&dir, cfg.clone()).unwrap();
         for s in &slices[..10] {
             live.push_slice(s.t, s.points).unwrap();
+            live.maintain_if_due();
         }
         live.fold().unwrap();
     }
@@ -221,10 +225,12 @@ fn maintenance_failure_degrades_gracefully_and_recovers() {
     // later retry (after backoff doubles the cadence) must self-heal.
     for s in &slices[..3] {
         live.push_slice(s.t, s.points).unwrap();
+        live.maintain_if_due();
     }
     fault::arm(1, fault::FaultKind::Fail, fault::FaultMode::OneShot);
     live.push_slice(slices[3].t, slices[3].points)
         .expect("ingest must survive a failed fold");
+    live.maintain_if_due();
     fault::disarm();
     assert!(live.last_maintenance_error().is_some());
     assert_eq!(live.maintenance_failures(), 1);
@@ -233,6 +239,7 @@ fn maintenance_failure_degrades_gracefully_and_recovers() {
     // (fold_every << 1) and succeeds, clearing the failure state.
     for s in &slices[4..] {
         live.push_slice(s.t, s.points).unwrap();
+        live.maintain_if_due();
     }
     assert!(
         live.last_maintenance_error().is_none(),
@@ -285,6 +292,7 @@ fn ids_out_of_arrival_order_fold_recover_and_answer() {
             for s in ranked.time_slices() {
                 let points: Vec<_> = s.points.iter().map(|&(id, p)| (id_of(id), p)).collect();
                 live.push_slice(s.t, &points).unwrap();
+                live.maintain_if_due();
                 control.push_slice(s.t, &points);
                 assert!(
                     live.last_maintenance_error().is_none(),
@@ -341,10 +349,12 @@ fn graceful_shutdown_leaves_a_chain_the_policy_would_leave_alone() {
     let service = std::sync::Arc::new(
         LiveService::open(&dir, cfg.clone(), std::sync::Arc::clone(&data), 4).unwrap(),
     );
-    // Inline maintenance folds the base generation at the fourth slice.
+    // The base generation, folded at the fourth slice as a due tick
+    // would.
     for s in &slices[..4] {
         service.push_slice(s.t, s.points).unwrap();
     }
+    service.fold().unwrap();
     // The worker now owns the cadence; three more slices are not due.
     let worker = service
         .start_maintenance(MaintenanceConfig::default())

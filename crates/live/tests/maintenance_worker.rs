@@ -80,10 +80,22 @@ fn worker_owns_maintenance_and_drains_on_shutdown() {
     let dir = scratch("worker");
     let service = Arc::new(LiveService::open(&dir, cfg.clone(), data, 4).expect("open"));
 
-    // Before attach: inline maintenance, no worker.
+    // Before attach: no worker, so two folds' worth of slices fold
+    // nothing. The last fold's worth is held back for after the detach.
+    let fold_every = cfg.fold_every as usize;
+    assert!(slices.len() > 4 * fold_every, "fixture too short");
+    let (before, rest) = slices.split_at(2 * fold_every);
+    let (during, after) = rest.split_at(rest.len() - fold_every);
+    for (t, points) in before {
+        service.push_slice(*t, points).expect("ingest");
+    }
     let status = service.status();
-    assert!(status.inline_maintenance);
     assert!(!status.worker_attached);
+    assert_eq!(status.chain_generations, 0, "folded without a worker");
+    assert!(
+        status.last_fold_unix_ms.is_none(),
+        "folded without a worker"
+    );
 
     let worker = service
         .start_maintenance(MaintenanceConfig {
@@ -100,12 +112,11 @@ fn worker_owns_maintenance_and_drains_on_shutdown() {
         "second worker must be refused"
     );
     let status = service.status();
-    assert!(!status.inline_maintenance, "ingest path still maintains");
     assert!(status.worker_attached);
 
     let last_t = {
         let mut last = 0;
-        for (t, points) in &slices {
+        for (t, points) in during {
             service.push_slice(*t, points).expect("ingest");
             last = *t;
             // Give the 1 ms worker tick room to land folds mid-stream.
@@ -136,10 +147,21 @@ fn worker_owns_maintenance_and_drains_on_shutdown() {
 
     // Shutdown = drain: stop the thread, fold everything, detach.
     worker.shutdown().expect("drain");
+    let drained = service.status();
+    assert!(!drained.worker_attached);
+    assert_eq!(drained.wal_pending, 0, "drain left pending WAL records");
+
+    // Detached: a fold's worth more slices is logged, never folded.
+    for (t, points) in after {
+        service.push_slice(*t, points).expect("ingest");
+    }
+    let last_t = after.last().map_or(last_t, |s| s.0);
     let status = service.status();
-    assert!(status.inline_maintenance, "inline maintenance not restored");
-    assert!(!status.worker_attached);
-    assert_eq!(status.wal_pending, 0, "drain left pending WAL records");
+    assert_eq!(
+        (status.chain_generations, status.last_fold_unix_ms),
+        (drained.chain_generations, drained.last_fold_unix_ms),
+        "folded without a worker"
+    );
 
     // Recovery sees every acknowledged slice.
     drop(Arc::try_unwrap(service).ok().expect("sole owner"));

@@ -204,6 +204,10 @@ pub struct StatsBody {
     pub published_version: u32,
     pub wal_pending: u64,
     pub maintenance_failures: u32,
+    /// Always `false`. Services no longer maintain inline on the ingest
+    /// path (only an attached worker folds), but the byte stays in the
+    /// frame so the Stats encoding, and every peer decoding it, is
+    /// unchanged.
     pub inline_maintenance: bool,
     pub worker_attached: bool,
     pub last_maintenance_error: Option<String>,

@@ -63,7 +63,8 @@ pub struct ServerConfig {
     pub poll_interval: Duration,
     /// When `Some`, the server attaches a background
     /// [`MaintenanceWorker`] to the service and owns its drain on
-    /// shutdown. `None` leaves maintenance inline on the ingest path.
+    /// shutdown. `None` attaches nothing, and the service never folds:
+    /// only for `fold_every = 0` services or a caller-attached worker.
     pub maintenance: Option<MaintenanceConfig>,
 }
 
@@ -454,7 +455,7 @@ fn dispatch(service: &Arc<LiveService>, req: Request, ws: &mut ShardedQueryWorks
                 published_version: s.published_version,
                 wal_pending: s.wal_pending as u64,
                 maintenance_failures: s.maintenance_failures,
-                inline_maintenance: s.inline_maintenance,
+                inline_maintenance: false,
                 worker_attached: s.worker_attached,
                 last_maintenance_error: s.last_maintenance_error,
                 wal_pending_bytes: s.wal_pending_bytes,

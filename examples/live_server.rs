@@ -209,14 +209,10 @@ fn demo() -> Result<(), Box<dyn std::error::Error>> {
     // --- Health + maintenance placement. --------------------------------
     let stats = conn.stats()?;
     println!(
-        "server stats: next_t={:?} version={} wal_pending={} worker_attached={} inline_maintenance={}",
-        stats.next_t,
-        stats.published_version,
-        stats.wal_pending,
-        stats.worker_attached,
-        stats.inline_maintenance
+        "server stats: next_t={:?} version={} wal_pending={} worker_attached={}",
+        stats.next_t, stats.published_version, stats.wal_pending, stats.worker_attached
     );
-    assert!(stats.worker_attached && !stats.inline_maintenance);
+    assert!(stats.worker_attached);
     let wstats = server.worker_stats().expect("worker attached");
     println!(
         "background maintenance: folds={} compactions={} wal_syncs={} publishes={}",
