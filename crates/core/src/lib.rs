@@ -38,6 +38,8 @@ pub mod partition;
 pub mod pipeline;
 pub mod query;
 pub mod shard;
+#[cfg(test)]
+mod snapshot_props;
 pub mod state;
 pub mod summary;
 pub mod summary_io;

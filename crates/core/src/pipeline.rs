@@ -8,17 +8,17 @@
 use crate::config::{BuildBudget, PartitionMode, PpqConfig};
 use crate::ndkmeans::Features;
 use crate::partition::Partitioner;
-use crate::summary::{predict_with_scratch, BuildStats, CodebookStore, PpqSummary};
-use ppq_cqc::{CqcCode, CqcTemplate};
+use crate::summary::{predict_with_scratch, BuildStats, CodebookStore, PpqSummary, TrajRecord};
+use ppq_cqc::CqcTemplate;
 use ppq_geo::Point;
 use ppq_predict::linear::{fit_predictor, TrainingRow};
 use ppq_predict::{ar_coefficients, History, Predictor};
-use ppq_quantize::{kmeans, IncrementalQuantizer};
+use ppq_quantize::{kmeans, Codebook, IncrementalQuantizer};
 use ppq_tpi::Tpi;
 use ppq_traj::{Dataset, TrajId};
 use rayon::prelude::*;
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Points per parallel work unit in the predict-then-quantize sweep.
@@ -58,7 +58,6 @@ pub struct PpqStream {
     pub(crate) config: PpqConfig,
     pub(crate) template: Option<CqcTemplate>,
     pub(crate) incremental: Option<IncrementalQuantizer>,
-    pub(crate) per_step_books: Vec<Vec<Point>>,
     pub(crate) partitioner: Option<Partitioner>,
     pub(crate) d: usize,
     pub(crate) started: Instant,
@@ -67,18 +66,10 @@ pub struct PpqStream {
     pub(crate) histories: Vec<History>,
     pub(crate) raw_windows: Vec<History>,
     pub(crate) ages: Vec<usize>,
-    pub(crate) starts: Vec<u32>,
     pub(crate) ended: Vec<bool>,
 
-    // Outputs.
-    pub(crate) min_t: Option<u32>,
     pub(crate) next_t: Option<u32>,
-    pub(crate) codes: Vec<Vec<u32>>,
-    pub(crate) labels: Vec<Vec<u32>>,
-    pub(crate) cqc_codes: Vec<Vec<CqcCode>>,
-    pub(crate) recon: Vec<Vec<Point>>,
-    pub(crate) coeffs: Vec<Vec<Predictor>>,
-    pub(crate) stats: BuildStats,
+    pub(crate) out: Outputs,
     /// The index over the reconstructed stream (kept when
     /// `config.build_index`), grown one slice at a time. A stream restored
     /// from a checkpoint starts with the cell empty — restoring does not
@@ -86,14 +77,34 @@ pub struct PpqStream {
     /// `snapshot`/`finish` replays `tpi_slices` into it, once.
     pub(crate) tpi: OnceLock<Tpi>,
     /// Every reconstructed slice handed to the index: what a checkpoint
-    /// stores of it.
-    pub(crate) tpi_slices: Vec<(u32, Vec<(TrajId, Point)>)>,
+    /// stores of it. Each slice is fixed once written, so a copy of the
+    /// stream shares them.
+    pub(crate) tpi_slices: Vec<(u32, SlicePoints)>,
     pub(crate) active_prev: HashSet<TrajId>,
     pub(crate) feature_buf: Vec<f64>,
     // Reusable per-step scratch (allocation-free steady state).
     pub(crate) preds_buf: Vec<Point>,
     pub(crate) errors_buf: Vec<Point>,
     pub(crate) kbuf: Vec<Vec<Point>>,
+}
+
+/// One timestep's reconstructed points, as the index took them.
+pub(crate) type SlicePoints = Arc<[(TrajId, Point)]>;
+
+/// The stream state a summary is made of, apart from the config, the CQC
+/// template, the global codebook and the index. Append-only: coefficient
+/// rows and per-step codebooks are fixed once written, and a trajectory
+/// record only grows. Cloning it bumps one `Arc` per coefficient row and
+/// per trajectory, which is what lets a snapshot share the stream's
+/// history instead of copying it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Outputs {
+    pub(crate) min_t: Option<u32>,
+    pub(crate) starts: Vec<u32>,
+    pub(crate) trajs: Vec<Arc<TrajRecord>>,
+    pub(crate) coeffs: Vec<Arc<[Predictor]>>,
+    pub(crate) per_step_books: Vec<Vec<Point>>,
+    pub(crate) stats: BuildStats,
 }
 
 impl PpqStream {
@@ -126,23 +137,15 @@ impl PpqStream {
                 .use_cqc
                 .then(|| CqcTemplate::new(config.eps1, config.gs)),
             incremental,
-            per_step_books: Vec::new(),
             partitioner,
             d,
             started: Instant::now(),
             histories: Vec::new(),
             raw_windows: Vec::new(),
             ages: Vec::new(),
-            starts: Vec::new(),
             ended: Vec::new(),
-            min_t: None,
             next_t: None,
-            codes: Vec::new(),
-            labels: Vec::new(),
-            cqc_codes: Vec::new(),
-            recon: Vec::new(),
-            coeffs: Vec::new(),
-            stats: BuildStats::default(),
+            out: Outputs::default(),
             tpi: OnceLock::from(Tpi::new(config.tpi.clone())),
             tpi_slices: Vec::new(),
             active_prev: HashSet::new(),
@@ -161,7 +164,7 @@ impl PpqStream {
 
     /// Number of timesteps consumed so far.
     pub fn timesteps(&self) -> usize {
-        self.coeffs.len()
+        self.out.coeffs.len()
     }
 
     /// The timestep the stream expects next (`None` before the first
@@ -179,12 +182,9 @@ impl PpqStream {
             self.raw_windows
                 .push(History::new(self.config.ar_window.max(k + 1)));
             self.ages.push(0);
-            self.starts.push(0);
             self.ended.push(false);
-            self.codes.push(Vec::new());
-            self.labels.push(Vec::new());
-            self.cqc_codes.push(Vec::new());
-            self.recon.push(Vec::new());
+            self.out.starts.push(0);
+            self.out.trajs.push(Arc::default());
         }
     }
 
@@ -194,7 +194,7 @@ impl PpqStream {
     pub fn push_slice(&mut self, t: u32, points: &[(TrajId, Point)]) {
         match self.next_t {
             None => {
-                self.min_t = Some(t);
+                self.out.min_t = Some(t);
                 self.next_t = Some(t + 1);
             }
             Some(expected) => {
@@ -203,9 +203,9 @@ impl PpqStream {
             }
         }
         if points.is_empty() {
-            self.coeffs.push(Vec::new());
-            self.stats.partitions_per_step.push((t, 0));
-            self.stats.codewords_per_step.push((t, 0));
+            self.out.coeffs.push(Arc::new([]));
+            self.out.stats.partitions_per_step.push((t, 0));
+            self.out.stats.codewords_per_step.push((t, 0));
             self.index_slice(t, Vec::new());
             // Every previously-active trajectory has now ended.
             for id in self.active_prev.drain() {
@@ -224,7 +224,7 @@ impl PpqStream {
                  contiguous per-trajectory sampling"
             );
             if self.ages[idx] == 0 {
-                self.starts[idx] = t;
+                self.out.starts[idx] = t;
             }
             // Feed raw windows first so AR features can see the current
             // point (the feature for partitioning time t uses data ≤ t).
@@ -257,8 +257,8 @@ impl PpqStream {
                 }
                 let features = Features::new(&self.feature_buf, self.d);
                 let (labels, step_stats) = partitioner.step(&ids, &features);
-                self.stats.merges += step_stats.merges;
-                self.stats.repartitions += step_stats.repartitioned;
+                self.out.stats.merges += step_stats.merges;
+                self.out.stats.repartitions += step_stats.repartitioned;
                 labels
             }
             (None, _) => vec![0u32; points.len()],
@@ -269,8 +269,8 @@ impl PpqStream {
             .max()
             .map(|m| m as usize + 1)
             .unwrap_or(0);
-        self.stats.partitioning += t_part.elapsed();
-        self.stats.partitions_per_step.push((t, q as u32));
+        self.out.stats.partitioning += t_part.elapsed();
+        self.out.stats.partitions_per_step.push((t, q as u32));
 
         // ---- 2. Fit per-partition predictors (Eq. 6). -----------------
         let t_fit = Instant::now();
@@ -311,7 +311,7 @@ impl PpqStream {
             let rounded: Vec<f64> = fitted.coeffs().iter().map(|&c| c as f32 as f64).collect();
             step_coeffs.push(Predictor::from_coeffs(rounded));
         }
-        self.stats.fitting += t_fit.elapsed();
+        self.out.stats.fitting += t_fit.elapsed();
 
         // ---- 3. Predict, quantize errors (Alg. 1 lines 4–7). ----------
         // The per-point predict-then-diff sweep is pure given the shared
@@ -361,7 +361,7 @@ impl PpqStream {
             (None, BuildBudget::PerStepBits(bits)) => {
                 let clusters = (1usize << bits).min(self.errors_buf.len());
                 let (cents, assign) = kmeans(&self.errors_buf, clusters, &self.config.kmeans);
-                self.per_step_books.push(cents);
+                self.out.per_step_books.push(cents);
                 assign
             }
             (None, BuildBudget::PerStepWords(_)) => {
@@ -372,16 +372,17 @@ impl PpqStream {
                     .expect("PerStepWords")
                     .min(self.errors_buf.len());
                 let (cents, assign) = kmeans(&self.errors_buf, clusters, &self.config.kmeans);
-                self.per_step_books.push(cents);
+                self.out.per_step_books.push(cents);
                 assign
             }
             (None, BuildBudget::ErrorBounded) => unreachable!(),
         };
         let distinct: HashSet<u32> = step_codes.iter().copied().collect();
-        self.stats
+        self.out
+            .stats
             .codewords_per_step
             .push((t, distinct.len() as u32));
-        self.stats.quantizing += t_quant.elapsed();
+        self.out.stats.quantizing += t_quant.elapsed();
 
         // ---- 4. Reconstruct, CQC, advance state. ----------------------
         let mut slice_recon: Vec<(TrajId, Point)> = Vec::with_capacity(points.len());
@@ -389,7 +390,9 @@ impl PpqStream {
             let idx = id as usize;
             let word = match &self.incremental {
                 Some(quant) => quant.word(step_codes[i]),
-                None => self.per_step_books.last().expect("pushed above")[step_codes[i] as usize],
+                None => {
+                    self.out.per_step_books.last().expect("pushed above")[step_codes[i] as usize]
+                }
             };
             let hat = self.preds_buf[i] + word;
             // History holds the codebook-level reconstruction T̂ — Eq. 2
@@ -397,17 +400,19 @@ impl PpqStream {
             self.histories[idx].push(hat);
             self.ages[idx] += 1;
 
+            // Copies the record only if a snapshot still holds it.
+            let record = Arc::make_mut(&mut self.out.trajs[idx]);
             let fin = match &self.template {
                 Some(tpl) => {
                     let code = tpl.encode(p - hat);
-                    self.cqc_codes[idx].push(code);
+                    record.cqc_codes.push(code);
                     hat + tpl.decode(code)
                 }
                 None => hat,
             };
-            self.codes[idx].push(step_codes[i]);
-            self.labels[idx].push(step_labels[i]);
-            self.recon[idx].push(fin);
+            record.codes.push(step_codes[i]);
+            record.labels.push(step_labels[i]);
+            record.recon.push(fin);
             slice_recon.push((id, fin));
         }
         self.index_slice(t, slice_recon);
@@ -424,7 +429,7 @@ impl PpqStream {
         }
         self.active_prev = active_now;
 
-        self.coeffs.push(step_coeffs);
+        self.out.coeffs.push(step_coeffs.into());
     }
 
     /// Feed one reconstructed slice to the index (Algorithm 4's step) and
@@ -436,9 +441,9 @@ impl PpqStream {
         if let Some(tpi) = self.tpi.get_mut() {
             let t_index = Instant::now();
             tpi.push_slice(t, &recon);
-            self.stats.indexing += t_index.elapsed();
+            self.out.stats.indexing += t_index.elapsed();
         }
-        self.tpi_slices.push((t, recon));
+        self.tpi_slices.push((t, recon.into()));
     }
 
     /// The index over every slice consumed so far, replaying
@@ -455,55 +460,75 @@ impl PpqStream {
 
     /// The summary of everything consumed so far, without closing the
     /// stream — the snapshot a persistence layer hands to
-    /// `RepoWriter::write`/`append` between time slices. Equivalent to
-    /// `self.clone().finish()`: because every piece of pipeline state is
-    /// append-only (the codebook only pushes words, coefficient rows are
-    /// fixed once written, per-trajectory arrays only grow, sealed index
-    /// periods never change), a snapshot is an exact prefix of any later
-    /// snapshot — the invariant [`crate::summary_io::delta_to_bytes`]
-    /// verifies and exploits. The index is not rebuilt: the clone shares
-    /// every sealed period with the stream and seals a copy of the open
-    /// one.
+    /// `RepoWriter::write`/`append` between time slices, and a live
+    /// service publishes. Equal to `self.clone().finish()`, and built
+    /// without copying the stream's history: the summary shares every
+    /// coefficient row, every trajectory record and every sealed index
+    /// period with the stream (an `Arc` bump each), and seals a copy of
+    /// the open period only. The stream then copies a shared trajectory
+    /// record once, on its next point; an ended trajectory is never copied
+    /// again. Because every piece of pipeline state is append-only, a
+    /// snapshot is an exact prefix of any later snapshot — the invariant
+    /// [`crate::summary_io::delta_to_bytes`] verifies and exploits.
     pub fn snapshot(&self) -> PpqSummary {
-        if self.config.build_index {
-            // Replay a restored stream's index here, not in the clone,
-            // so it is paid for once.
-            self.index();
-        }
-        self.clone().finish()
+        assemble(
+            self.config.clone(),
+            self.template.clone(),
+            self.incremental.as_ref().map(|q| q.codebook().clone()),
+            self.out.clone(),
+            self.config.build_index.then(|| self.index().clone()),
+            self.started,
+        )
     }
 
     /// Close the stream and produce the summary (sealing the index's
     /// open period when `config.build_index` is set).
     pub fn finish(mut self) -> PpqSummary {
-        let t_index = Instant::now();
         let tpi = self.config.build_index.then(|| {
             self.index();
-            let mut tpi = self.tpi.take().expect("initialised by index()");
-            tpi.seal();
-            tpi
+            self.tpi.take().expect("initialised by index()")
         });
-        self.stats.indexing += t_index.elapsed();
-        self.stats.total = self.started.elapsed();
-
-        let codebook = match self.incremental {
-            Some(q) => CodebookStore::Global(q.codebook().clone()),
-            None => CodebookStore::PerStep(self.per_step_books),
-        };
-        PpqSummary {
-            config: self.config,
-            codebook,
-            coeffs: self.coeffs,
-            min_t: self.min_t.unwrap_or(0),
-            starts: self.starts,
-            codes: self.codes,
-            labels: self.labels,
-            cqc_codes: self.cqc_codes,
-            template: self.template,
-            recon: self.recon,
+        assemble(
+            self.config,
+            self.template,
+            self.incremental.map(|q| q.codebook().clone()),
+            self.out,
             tpi,
-            stats: self.stats,
-        }
+            self.started,
+        )
+    }
+}
+
+/// The one definition of what a summary holds: [`PpqStream::finish`]
+/// moves the stream's parts in, [`PpqStream::snapshot`] clones them.
+/// `codebook` is the global codebook, or `None` for per-step codebooks.
+fn assemble(
+    config: PpqConfig,
+    template: Option<CqcTemplate>,
+    codebook: Option<Codebook>,
+    mut out: Outputs,
+    mut tpi: Option<Tpi>,
+    started: Instant,
+) -> PpqSummary {
+    let t_index = Instant::now();
+    if let Some(tpi) = &mut tpi {
+        tpi.seal();
+    }
+    out.stats.indexing += t_index.elapsed();
+    out.stats.total = started.elapsed();
+    PpqSummary {
+        config,
+        codebook: match codebook {
+            Some(cb) => CodebookStore::Global(cb),
+            None => CodebookStore::PerStep(out.per_step_books),
+        },
+        coeffs: out.coeffs,
+        min_t: out.min_t.unwrap_or(0),
+        starts: out.starts,
+        trajs: out.trajs,
+        template,
+        tpi,
+        stats: out.stats,
     }
 }
 

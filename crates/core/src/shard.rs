@@ -25,12 +25,13 @@
 
 use crate::config::PpqConfig;
 use crate::pipeline::PpqStream;
-use crate::summary::{BuildStats, CodebookStore, PpqSummary, SummaryBreakdown};
+use crate::summary::{BuildStats, CodebookStore, PpqSummary, SummaryBreakdown, TrajRecord};
 use ppq_geo::Point;
 use ppq_predict::Predictor;
 use ppq_quantize::Codebook;
 use ppq_traj::{Dataset, TrajId};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Minimum slice width before a slice's shards run on separate threads.
 /// The rayon shim spawns fresh scoped threads per call (no pool) and the
@@ -182,30 +183,29 @@ impl ShardedPpqStream {
     }
 
     /// The sharded summary of everything consumed so far, without closing
-    /// the stream (the sharded mirror of [`PpqStream::snapshot`]).
+    /// the stream (the sharded mirror of [`PpqStream::snapshot`]). The
+    /// shards take their snapshots in turn: each shares its history
+    /// rather than copying it, which takes less time than spawning a
+    /// thread per shard.
     pub fn snapshot(&self) -> ShardedSummary {
         ShardedSummary {
             router: self.router,
-            shards: summarise(self.shards.iter().collect(), PpqStream::snapshot),
+            shards: self.shards.iter().map(PpqStream::snapshot).collect(),
         }
     }
 
-    /// Close every shard and produce the sharded summary.
+    /// Close every shard and produce the sharded summary, in parallel
+    /// when a thread pool is available.
     pub fn finish(self) -> ShardedSummary {
+        let shards = if self.shards.len() > 1 && rayon::current_num_threads() > 1 {
+            self.shards.into_par_iter().map(PpqStream::finish).collect()
+        } else {
+            self.shards.into_iter().map(PpqStream::finish).collect()
+        };
         ShardedSummary {
             router: self.router,
-            shards: summarise(self.shards, PpqStream::finish),
+            shards,
         }
-    }
-}
-
-/// Every shard's summary, taken in parallel when a thread pool is
-/// available.
-fn summarise<S: Send>(shards: Vec<S>, f: impl Fn(S) -> PpqSummary + Sync) -> Vec<PpqSummary> {
-    if shards.len() > 1 && rayon::current_num_threads() > 1 {
-        shards.into_par_iter().map(f).collect()
-    } else {
-        shards.into_iter().map(f).collect()
     }
 }
 
@@ -353,7 +353,7 @@ impl ShardedSummary {
         // Per-step concatenated coefficient rows + per-(shard, step) label
         // offsets.
         let mut row_off: Vec<Vec<u32>> = vec![Vec::with_capacity(steps); old.len()];
-        let mut coeffs: Vec<Vec<Predictor>> = Vec::with_capacity(steps);
+        let mut coeffs: Vec<Arc<[Predictor]>> = Vec::with_capacity(steps);
         for t_off in 0..steps {
             let mut step: Vec<Predictor> = Vec::new();
             for (si, s) in old.iter().enumerate() {
@@ -363,10 +363,10 @@ impl ShardedSummary {
             if step.len() > u16::MAX as usize + 1 {
                 return Err(ReshardError::LabelOverflow);
             }
-            coeffs.push(step);
+            coeffs.push(step.into());
         }
 
-        let n_traj = old.iter().map(|s| s.codes.len()).max().unwrap_or(0);
+        let n_traj = old.iter().map(|s| s.trajs.len()).max().unwrap_or(0);
         let new_router = ShardRouter::new(new_shards);
         let template = old[0].template.clone();
         let mut shards: Vec<PpqSummary> = (0..new_shards)
@@ -376,11 +376,8 @@ impl ShardedSummary {
                 coeffs: coeffs.clone(),
                 min_t,
                 starts: vec![0; n_traj],
-                codes: vec![Vec::new(); n_traj],
-                labels: vec![Vec::new(); n_traj],
-                cqc_codes: vec![Vec::new(); n_traj],
+                trajs: vec![Arc::default(); n_traj],
                 template: template.clone(),
-                recon: vec![Vec::new(); n_traj],
                 tpi: None,
                 stats: BuildStats::default(),
             })
@@ -389,24 +386,28 @@ impl ShardedSummary {
         for id in 0..n_traj as u32 {
             let owner = &old[self.router.shard_of(id)];
             let idx = id as usize;
-            let Some(codes) = owner.codes.get(idx).filter(|c| !c.is_empty()) else {
+            let Some(traj) = owner.trajs.get(idx).filter(|r| !r.codes.is_empty()) else {
                 continue;
             };
             let dst = &mut shards[new_router.shard_of(id)];
             let off = word_off[self.router.shard_of(id)];
             let rows = &row_off[self.router.shard_of(id)];
             dst.starts[idx] = owner.starts[idx];
-            dst.codes[idx] = codes.iter().map(|&b| b + off).collect();
             let t0 = (owner.starts[idx] - min_t) as usize;
-            dst.labels[idx] = owner.labels[idx]
-                .iter()
-                .enumerate()
-                .map(|(p, &l)| l + rows[t0 + p])
-                .collect();
-            dst.cqc_codes[idx] = owner.cqc_codes[idx].clone();
-            // Reconstructions are unchanged by construction: the remapped
-            // indices resolve to the very same words and coefficient rows.
-            dst.recon[idx] = owner.recon[idx].clone();
+            dst.trajs[idx] = Arc::new(TrajRecord {
+                codes: traj.codes.iter().map(|&b| b + off).collect(),
+                labels: traj
+                    .labels
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &l)| l + rows[t0 + p])
+                    .collect(),
+                cqc_codes: traj.cqc_codes.clone(),
+                // Reconstructions are unchanged by construction: the
+                // remapped indices resolve to the very same words and
+                // coefficient rows.
+                recon: traj.recon.clone(),
+            });
         }
         Ok(ShardedSummary {
             router: new_router,
@@ -451,7 +452,7 @@ impl ShardedSummary {
     pub fn num_trajectories(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.codes.iter().filter(|c| !c.is_empty()).count())
+            .map(|s| s.trajs.iter().filter(|r| !r.codes.is_empty()).count())
             .sum()
     }
 
@@ -662,7 +663,7 @@ mod tests {
                 let shard = re.shard_for(traj.id);
                 let replayed = shard.replay(traj.id);
                 for (off, p) in replayed.iter().enumerate() {
-                    let cached = shard.recon[traj.id as usize][off];
+                    let cached = shard.trajs[traj.id as usize].recon[off];
                     assert!(
                         p.x.to_bits() == cached.x.to_bits() && p.y.to_bits() == cached.y.to_bits(),
                         "replay of remapped arrays diverged at traj {} off {off}",

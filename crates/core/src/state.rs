@@ -28,8 +28,9 @@
 
 use crate::config::{BuildBudget, ColdStart, PartitionMode, PpqConfig};
 use crate::partition::Partitioner;
-use crate::pipeline::PpqStream;
+use crate::pipeline::{PpqStream, SlicePoints};
 use crate::shard::{ShardRouter, ShardedPpqStream};
+use crate::summary::TrajRecord;
 use crate::summary_io::DecodeError;
 use ppq_cqc::CqcCode;
 use ppq_geo::Point;
@@ -39,6 +40,7 @@ use ppq_quantize::IncrementalQuantizer;
 use ppq_storage::codec::{Decoder, Encoder};
 use ppq_tpi::{PiConfig, TpiConfig};
 use ppq_traj::TrajId;
+use std::sync::Arc;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"PPQK");
 const VERSION: u32 = 1;
@@ -302,7 +304,8 @@ fn get_opt_u32(d: &mut Decoder) -> Result<Option<u32>, DecodeError> {
 }
 
 fn put_stream(e: &mut Encoder, s: &PpqStream) {
-    put_opt_u32(e, s.min_t);
+    let out = &s.out;
+    put_opt_u32(e, out.min_t);
     put_opt_u32(e, s.next_t);
 
     let n = s.histories.len();
@@ -313,22 +316,23 @@ fn put_stream(e: &mut Encoder, s: &PpqStream) {
         let raw: Vec<Point> = s.raw_windows[i].iter().collect();
         put_points(e, &raw);
         e.put_u64(s.ages[i] as u64);
-        e.put_u32(s.starts[i]);
+        e.put_u32(out.starts[i]);
         e.put_u32(s.ended[i] as u32);
-        put_u32s(e, &s.codes[i]);
-        put_u32s(e, &s.labels[i]);
-        e.put_u32(s.cqc_codes[i].len() as u32);
-        for code in &s.cqc_codes[i] {
+        let traj = &out.trajs[i];
+        put_u32s(e, &traj.codes);
+        put_u32s(e, &traj.labels);
+        e.put_u32(traj.cqc_codes.len() as u32);
+        for code in &traj.cqc_codes {
             e.put_u64(code.raw_bits());
             e.put_u32(code.depth() as u32);
         }
-        put_points(e, &s.recon[i]);
+        put_points(e, &traj.recon);
     }
 
-    e.put_u32(s.coeffs.len() as u32);
-    for step in &s.coeffs {
+    e.put_u32(out.coeffs.len() as u32);
+    for step in &out.coeffs {
         e.put_u32(step.len() as u32);
-        for p in step {
+        for p in step.iter() {
             e.put_u32(p.coeffs().len() as u32);
             for &c in p.coeffs() {
                 e.put_f64(c);
@@ -336,8 +340,8 @@ fn put_stream(e: &mut Encoder, s: &PpqStream) {
         }
     }
 
-    e.put_u32(s.per_step_books.len() as u32);
-    for book in &s.per_step_books {
+    e.put_u32(out.per_step_books.len() as u32);
+    for book in &out.per_step_books {
         put_points(e, book);
     }
 
@@ -369,7 +373,7 @@ fn put_stream(e: &mut Encoder, s: &PpqStream) {
     for (t, pts) in &s.tpi_slices {
         e.put_u32(*t);
         e.put_u32(pts.len() as u32);
-        for (id, p) in pts {
+        for (id, p) in pts.iter() {
             e.put_u32(*id);
             e.put_point(p);
         }
@@ -379,15 +383,15 @@ fn put_stream(e: &mut Encoder, s: &PpqStream) {
     active.sort_unstable();
     put_u32s(e, &active);
 
-    e.put_u64(s.stats.merges as u64);
-    e.put_u64(s.stats.repartitions as u64);
-    e.put_u32(s.stats.partitions_per_step.len() as u32);
-    for &(t, q) in &s.stats.partitions_per_step {
+    e.put_u64(out.stats.merges as u64);
+    e.put_u64(out.stats.repartitions as u64);
+    e.put_u32(out.stats.partitions_per_step.len() as u32);
+    for &(t, q) in &out.stats.partitions_per_step {
         e.put_u32(t);
         e.put_u32(q);
     }
-    e.put_u32(s.stats.codewords_per_step.len() as u32);
-    for &(t, c) in &s.stats.codewords_per_step {
+    e.put_u32(out.stats.codewords_per_step.len() as u32);
+    for &(t, c) in &out.stats.codewords_per_step {
         e.put_u32(t);
         e.put_u32(c);
     }
@@ -401,13 +405,13 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
     let mut s = PpqStream::new(config.clone());
     // The index is rebuilt from the decoded slices when first needed.
     s.tpi = std::sync::OnceLock::new();
-    s.min_t = get_opt_u32(d)?;
+    s.out.min_t = get_opt_u32(d)?;
     s.next_t = get_opt_u32(d)?;
 
     let n = d.try_u32().ok_or(err)? as usize;
     let hist_cap = config.k.max(1);
     let raw_cap = config.ar_window.max(config.k + 1);
-    for i in 0..n {
+    for _ in 0..n {
         let mut hist = History::new(hist_cap);
         for p in get_points(d)? {
             hist.push(p);
@@ -419,10 +423,10 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
         }
         s.raw_windows.push(raw);
         s.ages.push(d.try_u64().ok_or(err)? as usize);
-        s.starts.push(d.try_u32().ok_or(err)?);
+        s.out.starts.push(d.try_u32().ok_or(err)?);
         s.ended.push(d.try_u32().ok_or(err)? != 0);
-        s.codes.push(get_u32s(d)?);
-        s.labels.push(get_u32s(d)?);
+        let codes = get_u32s(d)?;
+        let labels = get_u32s(d)?;
         let n_cqc = d.try_u32().ok_or(err)? as usize;
         if n_cqc * 12 > d.remaining() {
             return Err(err);
@@ -436,11 +440,16 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
             }
             cqc.push(CqcCode::from_raw(bits, depth as u8));
         }
-        s.cqc_codes.push(cqc);
-        s.recon.push(get_points(d)?);
-        if s.codes[i].len() != s.recon[i].len() || s.codes[i].len() != s.labels[i].len() {
+        let recon = get_points(d)?;
+        if codes.len() != recon.len() || codes.len() != labels.len() {
             return Err(DecodeError::Corrupt("per-trajectory arrays disagree"));
         }
+        s.out.trajs.push(Arc::new(TrajRecord {
+            codes,
+            labels,
+            cqc_codes: cqc,
+            recon,
+        }));
     }
 
     let steps = d.try_u32().ok_or(err)? as usize;
@@ -461,12 +470,12 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
             }
             step.push(Predictor::from_coeffs(coeffs));
         }
-        s.coeffs.push(step);
+        s.out.coeffs.push(step.into());
     }
 
     let books = d.try_u32().ok_or(err)? as usize;
     for _ in 0..books {
-        s.per_step_books.push(get_points(d)?);
+        s.out.per_step_books.push(get_points(d)?);
     }
 
     match d.try_u32().ok_or(err)? {
@@ -539,12 +548,9 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
         if n_pts * 20 > d.remaining() {
             return Err(err);
         }
-        let mut pts = Vec::with_capacity(n_pts);
-        for _ in 0..n_pts {
-            let id = d.try_u32().ok_or(err)?;
-            let p = d.try_point().ok_or(err)?;
-            pts.push((id, p));
-        }
+        // The bytes are there (checked above): decoded straight into the
+        // shared slice, with no intermediate `Vec` to copy from.
+        let pts: SlicePoints = (0..n_pts).map(|_| (d.u32(), d.point())).collect();
         // The index replays these through `Tpi::push_slice`, which takes
         // strictly ascending timesteps.
         if s.tpi_slices.last().is_some_and(|(prev, _)| *prev >= t) {
@@ -555,8 +561,8 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
 
     s.active_prev = get_u32s(d)?.into_iter().collect();
 
-    s.stats.merges = d.try_u64().ok_or(err)? as usize;
-    s.stats.repartitions = d.try_u64().ok_or(err)? as usize;
+    s.out.stats.merges = d.try_u64().ok_or(err)? as usize;
+    s.out.stats.repartitions = d.try_u64().ok_or(err)? as usize;
     let n_pps = d.try_u32().ok_or(err)? as usize;
     if n_pps * 8 > d.remaining() {
         return Err(err);
@@ -564,7 +570,7 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
     for _ in 0..n_pps {
         let t = d.try_u32().ok_or(err)?;
         let q = d.try_u32().ok_or(err)?;
-        s.stats.partitions_per_step.push((t, q));
+        s.out.stats.partitions_per_step.push((t, q));
     }
     let n_cps = d.try_u32().ok_or(err)? as usize;
     if n_cps * 8 > d.remaining() {
@@ -573,7 +579,7 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
     for _ in 0..n_cps {
         let t = d.try_u32().ok_or(err)?;
         let c = d.try_u32().ok_or(err)?;
-        s.stats.codewords_per_step.push((t, c));
+        s.out.stats.codewords_per_step.push((t, c));
     }
 
     Ok(s)

@@ -18,6 +18,7 @@ use ppq_quantize::codebook::index_bits_for;
 use ppq_quantize::Codebook;
 use ppq_tpi::Tpi;
 use ppq_traj::{Dataset, TrajId};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Global (error-bounded) or per-timestep (budgeted) codebooks.
@@ -109,27 +110,39 @@ impl SummaryBreakdown {
     }
 }
 
+/// One trajectory's output series, one entry per point.
+///
+/// A stream extends a record with `Arc::make_mut`, so a record some
+/// summary still holds is copied once before it grows, and a record whose
+/// trajectory has ended is shared by every later summary.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TrajRecord {
+    /// Codeword indices.
+    pub(crate) codes: Vec<u32>,
+    /// Partition labels.
+    pub(crate) labels: Vec<u32>,
+    /// CQC codes (empty when `use_cqc` is off).
+    pub(crate) cqc_codes: Vec<CqcCode>,
+    /// Materialized final reconstructions (a query-time cache, rebuilt
+    /// from the summary on demand — not charged to the summary size).
+    pub(crate) recon: Vec<Point>,
+}
+
 /// The built summary.
 #[derive(Clone, Debug)]
 pub struct PpqSummary {
     pub(crate) config: PpqConfig,
     pub(crate) codebook: CodebookStore,
     /// `coeffs[t_off][label]` — prediction coefficients per partition per
-    /// timestep.
-    pub(crate) coeffs: Vec<Vec<Predictor>>,
+    /// timestep. A row is fixed once written and shared by every summary
+    /// taken after it.
+    pub(crate) coeffs: Vec<Arc<[Predictor]>>,
     pub(crate) min_t: u32,
     /// Per-trajectory start timestep (mirrors the dataset).
     pub(crate) starts: Vec<u32>,
-    /// Per-trajectory codeword indices, one per point.
-    pub(crate) codes: Vec<Vec<u32>>,
-    /// Per-trajectory partition labels, one per point.
-    pub(crate) labels: Vec<Vec<u32>>,
-    /// Per-trajectory CQC codes (empty when `use_cqc` is off).
-    pub(crate) cqc_codes: Vec<Vec<CqcCode>>,
+    /// Per-trajectory output series, indexed by id.
+    pub(crate) trajs: Vec<Arc<TrajRecord>>,
     pub(crate) template: Option<CqcTemplate>,
-    /// Materialized final reconstructions (a query-time cache, rebuilt
-    /// from the summary on demand — not charged to the summary size).
-    pub(crate) recon: Vec<Vec<Point>>,
     pub(crate) tpi: Option<Tpi>,
     pub(crate) stats: BuildStats,
 }
@@ -156,11 +169,11 @@ impl PpqSummary {
     }
 
     pub fn num_trajectories(&self) -> usize {
-        self.codes.len()
+        self.trajs.len()
     }
 
     pub fn num_points(&self) -> usize {
-        self.codes.iter().map(Vec::len).sum()
+        self.trajs.iter().map(|r| r.codes.len()).sum()
     }
 
     /// The stored codebook (global or per-step).
@@ -176,7 +189,7 @@ impl PpqSummary {
     /// Final reconstructed position of trajectory `id` at timestep `t`
     /// (CQC-corrected when enabled). `None` when inactive at `t`.
     pub fn reconstruct(&self, id: TrajId, t: u32) -> Option<Point> {
-        let traj = self.recon.get(id as usize)?;
+        let traj = &self.trajs.get(id as usize)?.recon;
         let start = self.starts[id as usize];
         if t < start {
             return None;
@@ -198,7 +211,7 @@ impl PpqSummary {
         from: u32,
         to: u32,
     ) -> impl Iterator<Item = (u32, Point)> + '_ {
-        let slice: &[Point] = match self.recon.get(id as usize) {
+        let slice: &[Point] = match self.trajs.get(id as usize).map(|r| &r.recon) {
             Some(traj) if from <= to => {
                 let start = self.starts[id as usize];
                 let lo = from.max(start);
@@ -225,25 +238,26 @@ impl PpqSummary {
     /// decoded without an index (or assembled by re-sharding) needs to be
     /// written back out as a repository generation.
     pub fn rebuild_index(&mut self) {
-        let n = self.codes.len();
-        let max_t = (0..n)
-            .map(|i| self.starts[i] + self.codes[i].len() as u32)
+        let trajs = self.trajs.iter().zip(&self.starts);
+        let max_t = trajs
+            .clone()
+            .map(|(traj, &start)| start + traj.codes.len() as u32)
             .max()
             .unwrap_or(self.min_t);
-        let slices = (self.min_t..max_t).map(|t| {
-            let pts: Vec<(u32, Point)> = (0..n)
-                .filter_map(|i| {
-                    let start = self.starts[i];
-                    if t < start {
-                        return None;
-                    }
-                    self.recon[i]
-                        .get((t - start) as usize)
-                        .map(|p| (i as u32, *p))
-                })
-                .collect();
-            (t, pts)
-        });
+        // One pass over the trajectories in id order, so each slice lists
+        // its points by ascending id.
+        let mut slices = vec![Vec::new(); max_t.saturating_sub(self.min_t) as usize];
+        for (id, (traj, &start)) in trajs.enumerate() {
+            if traj.recon.is_empty() {
+                continue; // an id with no points: its start is a placeholder
+            }
+            let first = (start - self.min_t) as usize;
+            for (slice, p) in slices[first..].iter_mut().zip(&traj.recon) {
+                slice.push((id as u32, *p));
+            }
+        }
+        let min_t = self.min_t;
+        let slices = slices.into_iter().zip(min_t..).map(|(pts, t)| (t, pts));
         self.tpi = Some(Tpi::build_from_slices(slices, &self.config.tpi));
     }
 
@@ -254,19 +268,20 @@ impl PpqSummary {
     pub fn replay(&self, id: TrajId) -> Vec<Point> {
         let idx = id as usize;
         let start = self.starts[idx];
-        let n = self.codes[idx].len();
+        let traj = &self.trajs[idx];
+        let n = traj.codes.len();
         let k = self.config.k;
         let mut history = History::new(k.max(1));
         let mut out = Vec::with_capacity(n);
         for off in 0..n {
             let t_off = (start - self.min_t) as usize + off;
-            let label = self.labels[idx][off] as usize;
+            let label = traj.labels[off] as usize;
             let predictor = &self.coeffs[t_off][label];
             let pred = predict_with(&self.config, predictor, &history, off);
-            let word = self.codebook.word(t_off, self.codes[idx][off]);
+            let word = self.codebook.word(t_off, traj.codes[off]);
             let hat = pred + word;
             history.push(hat);
-            let fin = match (&self.template, self.cqc_codes[idx].get(off)) {
+            let fin = match (&self.template, traj.cqc_codes.get(off)) {
                 (Some(tpl), Some(code)) => hat + tpl.decode(*code),
                 _ => hat,
             };
@@ -308,13 +323,19 @@ impl PpqSummary {
 
         // Partition labels: RLE per trajectory. Each run costs a 2-byte
         // length plus the label at ceil(log2 q_max) bits (≥ 1 byte charged).
-        let q_max = self.coeffs.iter().map(Vec::len).max().unwrap_or(1).max(1);
+        let q_max = self
+            .coeffs
+            .iter()
+            .map(|s| s.len())
+            .max()
+            .unwrap_or(1)
+            .max(1);
         let label_bytes = (index_bits_for(q_max) as usize).div_ceil(8);
         let mut partition_runs = 0usize;
-        for labels in &self.labels {
+        for traj in &self.trajs {
             let mut runs = 0usize;
             let mut prev = u32::MAX;
-            for &l in labels {
+            for &l in &traj.labels {
                 if l != prev {
                     runs += 1;
                     prev = l;
@@ -386,9 +407,10 @@ impl PpqSummary {
     /// the trajectory has no points at all.
     pub fn forecast(&self, id: TrajId, horizon: usize) -> Vec<(u32, Point)> {
         let idx = id as usize;
-        let Some(points) = self.recon.get(idx) else {
+        let Some(traj) = self.trajs.get(idx) else {
             return Vec::new();
         };
+        let points = &traj.recon;
         if points.is_empty() || horizon == 0 {
             return Vec::new();
         }
@@ -398,7 +420,7 @@ impl PpqSummary {
         // The trajectory's final predictor, if one is applicable.
         let predictor = if self.config.predict && points.len() >= k {
             let t_off = (last_t - self.min_t) as usize;
-            let label = *self.labels[idx].last().expect("non-empty") as usize;
+            let label = *traj.labels.last().expect("non-empty") as usize;
             self.coeffs
                 .get(t_off)
                 .and_then(|step| step.get(label))
@@ -493,6 +515,20 @@ mod tests {
         // Sub-range length.
         let sub = s.reconstruct_range(traj.id, traj.start + 2, traj.start + 6);
         assert_eq!(sub.len(), 5);
+    }
+
+    #[test]
+    fn rebuilt_index_equals_the_streamed_one() {
+        let (_, s) = build();
+        let mut rebuilt = s.clone();
+        rebuilt.rebuild_index();
+        let periods = |s: &PpqSummary| -> Vec<_> {
+            let periods = s.tpi().expect("built with an index").periods().iter();
+            periods
+                .map(|p| (p.t_start, p.t_end, p.pi.export_blocks()))
+                .collect()
+        };
+        assert_eq!(periods(&s), periods(&rebuilt));
     }
 
     #[test]

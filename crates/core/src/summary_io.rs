@@ -15,13 +15,14 @@
 //! derived by replaying the summary on load.
 
 use crate::config::{BuildBudget, ColdStart, PartitionMode, PpqConfig};
-use crate::summary::{BuildStats, CodebookStore, PpqSummary};
+use crate::summary::{BuildStats, CodebookStore, PpqSummary, TrajRecord};
 use ppq_cqc::{CqcCode, CqcTemplate};
 use ppq_geo::Point;
 use ppq_predict::Predictor;
 use ppq_quantize::bits::{BitReader, BitWriter};
 use ppq_quantize::Codebook;
 use ppq_storage::codec::{Decoder, Encoder};
+use std::sync::Arc;
 
 const MAGIC: u32 = 0x5050_5153; // "PPQS"
 const VERSION: u32 = 1;
@@ -120,7 +121,7 @@ pub fn to_bytes(s: &PpqSummary) -> Vec<u8> {
     e.put_u32(s.coeffs.len() as u32);
     for step in &s.coeffs {
         e.put_u32(step.len() as u32);
-        for pred in step {
+        for pred in step.iter() {
             for &c in pred.coeffs() {
                 e.put_f32(c as f32);
             }
@@ -129,18 +130,18 @@ pub fn to_bytes(s: &PpqSummary) -> Vec<u8> {
 
     // --- Per-trajectory payloads. --------------------------------------
     let cqc_depth = s.template.as_ref().map(|t| t.depth()).unwrap_or(0);
-    e.put_u32(s.codes.len() as u32);
-    for idx in 0..s.codes.len() {
-        let n = s.codes[idx].len() as u32;
-        e.put_u32(s.starts[idx]);
+    e.put_u32(s.trajs.len() as u32);
+    for (traj, &start) in s.trajs.iter().zip(&s.starts) {
+        let n = traj.codes.len() as u32;
+        e.put_u32(start);
         e.put_u32(n);
         if n == 0 {
             continue;
         }
-        put_packed_codes(&mut e, &s.codes[idx], index_bits);
-        put_labels_rle(&mut e, &s.labels[idx]);
+        put_packed_codes(&mut e, &traj.codes, index_bits);
+        put_labels_rle(&mut e, &traj.labels);
         if cqc_depth > 0 {
-            put_packed_cqc(&mut e, &s.cqc_codes[idx], cqc_depth);
+            put_packed_cqc(&mut e, &traj.cqc_codes, cqc_depth);
         }
     }
     e.finish().to_vec()
@@ -383,7 +384,7 @@ pub fn from_bytes(bytes: &[u8], rebuild_index: bool) -> Result<PpqSummary, Decod
     if steps_n.saturating_mul(4) > d.remaining() {
         return Err(DecodeError::Corrupt("coeff steps"));
     }
-    let mut coeffs = Vec::with_capacity(steps_n);
+    let mut coeffs: Vec<Arc<[Predictor]>> = Vec::with_capacity(steps_n);
     let mut total_partitions = 0usize;
     for _ in 0..steps_n {
         let q = need!(d.try_u32(), "coeff partitions") as usize;
@@ -402,7 +403,7 @@ pub fn from_bytes(bytes: &[u8], rebuild_index: bool) -> Result<PpqSummary, Decod
             }
             step.push(Predictor::from_coeffs(cs));
         }
-        coeffs.push(step);
+        coeffs.push(step.into());
     }
 
     // --- Trajectories. -----------------------------------------------------
@@ -418,17 +419,13 @@ pub fn from_bytes(bytes: &[u8], rebuild_index: bool) -> Result<PpqSummary, Decod
         return Err(DecodeError::Corrupt("trajectory count"));
     }
     let mut starts = Vec::with_capacity(n_traj);
-    let mut codes = Vec::with_capacity(n_traj);
-    let mut labels = Vec::with_capacity(n_traj);
-    let mut cqc_codes = Vec::with_capacity(n_traj);
+    let mut trajs = Vec::with_capacity(n_traj);
     for _ in 0..n_traj {
         let start = need!(d.try_u32(), "trajectory start");
         let n = need!(d.try_u32(), "trajectory len") as usize;
         starts.push(start);
         if n == 0 {
-            codes.push(Vec::new());
-            labels.push(Vec::new());
-            cqc_codes.push(Vec::new());
+            trajs.push(Arc::default());
             continue;
         }
         // Every point references a coefficient row at `start - min_t + off`
@@ -457,7 +454,6 @@ pub fn from_bytes(bytes: &[u8], rebuild_index: bool) -> Result<PpqSummary, Decod
         if !valid {
             return Err(DecodeError::Corrupt("codeword index out of range"));
         }
-        codes.push(traj_codes);
         let ls = read_labels_rle(&mut d, n)?;
         // Labels must resolve in their step's coefficient row.
         if ls
@@ -467,12 +463,17 @@ pub fn from_bytes(bytes: &[u8], rebuild_index: bool) -> Result<PpqSummary, Decod
         {
             return Err(DecodeError::Corrupt("partition label out of range"));
         }
-        labels.push(ls);
-        if cqc_depth > 0 {
-            cqc_codes.push(read_packed_cqc(&mut d, n, cqc_depth)?);
+        let cqc_codes = if cqc_depth > 0 {
+            read_packed_cqc(&mut d, n, cqc_depth)?
         } else {
-            cqc_codes.push(Vec::new());
-        }
+            Vec::new()
+        };
+        trajs.push(Arc::new(TrajRecord {
+            codes: traj_codes,
+            labels: ls,
+            cqc_codes,
+            recon: Vec::new(),
+        }));
     }
     // The format has no trailing slack — `to_bytes` output is consumed
     // exactly. Leftover bytes mean a count field was corrupted downward
@@ -488,20 +489,16 @@ pub fn from_bytes(bytes: &[u8], rebuild_index: bool) -> Result<PpqSummary, Decod
         coeffs,
         min_t,
         starts,
-        codes,
-        labels,
-        cqc_codes,
+        trajs,
         template,
-        recon: Vec::new(),
         tpi: None,
         stats: BuildStats::default(),
     };
-    let n = summary.codes.len();
-    let mut recon = Vec::with_capacity(n);
-    for id in 0..n {
-        recon.push(summary.replay(id as u32));
+    for id in 0..summary.trajs.len() {
+        let recon = summary.replay(id as u32);
+        // Unshared: fills the record in place.
+        Arc::make_mut(&mut summary.trajs[id]).recon = recon;
     }
-    summary.recon = recon;
     if rebuild_index {
         summary.rebuild_index();
     }
@@ -600,7 +597,7 @@ fn verify_extension(base: &PpqSummary, full: &PpqSummary) -> Result<(), DeltaErr
         if bs.len() != fs.len() {
             return Err(err("coefficient rows"));
         }
-        for (bp, fp) in bs.iter().zip(fs) {
+        for (bp, fp) in bs.iter().zip(fs.iter()) {
             if bp.coeffs().len() != fp.coeffs().len()
                 || !bp
                     .coeffs()
@@ -612,22 +609,22 @@ fn verify_extension(base: &PpqSummary, full: &PpqSummary) -> Result<(), DeltaErr
             }
         }
     }
-    if base.codes.len() > full.codes.len() {
+    if base.trajs.len() > full.trajs.len() {
         return Err(err("trajectory count shrank"));
     }
-    for idx in 0..base.codes.len() {
-        let bn = base.codes[idx].len();
+    for (idx, (b, f)) in base.trajs.iter().zip(&full.trajs).enumerate() {
+        let bn = b.codes.len();
         if bn == 0 {
             continue;
         }
         if base.starts[idx] != full.starts[idx] {
             return Err(err("trajectory start"));
         }
-        if bn > full.codes[idx].len()
-            || base.cqc_codes[idx].len() > full.cqc_codes[idx].len()
-            || base.codes[idx] != full.codes[idx][..bn]
-            || base.labels[idx] != full.labels[idx][..bn]
-            || base.cqc_codes[idx] != full.cqc_codes[idx][..base.cqc_codes[idx].len()]
+        if bn > f.codes.len()
+            || b.cqc_codes.len() > f.cqc_codes.len()
+            || b.codes != f.codes[..bn]
+            || b.labels != f.labels[..bn]
+            || b.cqc_codes != f.cqc_codes[..b.cqc_codes.len()]
         {
             return Err(err("trajectory payload"));
         }
@@ -651,7 +648,7 @@ pub fn delta_to_bytes(base: &PpqSummary, full: &PpqSummary) -> Result<Vec<u8>, D
     e.put_u32(DELTA_VERSION);
 
     // --- Base fingerprint + end-to-end check value. --------------------
-    e.put_u32(base.codes.len() as u32);
+    e.put_u32(base.trajs.len() as u32);
     e.put_u32(base.coeffs.len() as u32);
     match (&base.codebook, &full.codebook) {
         (CodebookStore::Global(b), _) => {
@@ -692,7 +689,7 @@ pub fn delta_to_bytes(base: &PpqSummary, full: &PpqSummary) -> Result<Vec<u8>, D
     e.put_u32(new_steps.len() as u32);
     for step in new_steps {
         e.put_u32(step.len() as u32);
-        for pred in step {
+        for pred in step.iter() {
             for &c in pred.coeffs() {
                 e.put_f32(c as f32);
             }
@@ -703,24 +700,21 @@ pub fn delta_to_bytes(base: &PpqSummary, full: &PpqSummary) -> Result<Vec<u8>, D
     // Codes are bit-packed at the *merged* codebook's index width, which
     // both sides derive independently (the reader extends its codebook
     // first, then computes `index_bits`).
-    e.put_u32(full.codes.len() as u32);
-    let touched: Vec<usize> = (0..full.codes.len())
-        .filter(|&idx| {
-            let base_len = base.codes.get(idx).map(Vec::len).unwrap_or(0);
-            full.codes[idx].len() > base_len
-        })
+    let base_len = |idx: usize| base.trajs.get(idx).map_or(0, |r| r.codes.len());
+    e.put_u32(full.trajs.len() as u32);
+    let touched: Vec<usize> = (0..full.trajs.len())
+        .filter(|&idx| full.trajs[idx].codes.len() > base_len(idx))
         .collect();
     e.put_u32(touched.len() as u32);
     for &idx in &touched {
-        let base_len = base.codes.get(idx).map(Vec::len).unwrap_or(0);
-        let n_new = full.codes[idx].len() - base_len;
+        let (traj, from) = (&full.trajs[idx], base_len(idx));
         e.put_u32(idx as u32);
         e.put_u32(full.starts[idx]);
-        e.put_u32(n_new as u32);
-        put_packed_codes(&mut e, &full.codes[idx][base_len..], index_bits);
-        put_labels_rle(&mut e, &full.labels[idx][base_len..]);
+        e.put_u32((traj.codes.len() - from) as u32);
+        put_packed_codes(&mut e, &traj.codes[from..], index_bits);
+        put_labels_rle(&mut e, &traj.labels[from..]);
         if cqc_depth > 0 {
-            put_packed_cqc(&mut e, &full.cqc_codes[idx][base_len..], cqc_depth);
+            put_packed_cqc(&mut e, &traj.cqc_codes[from..], cqc_depth);
         }
     }
     Ok(e.finish().to_vec())
@@ -755,7 +749,7 @@ pub fn apply_delta(base: &mut PpqSummary, bytes: &[u8]) -> Result<u32, DecodeErr
     let base_steps = need!(d.try_u32(), "delta base steps") as usize;
     let cb_tag = need!(d.try_u32(), "delta codebook tag");
     let cb_len = need!(d.try_u32(), "delta codebook len") as usize;
-    let fingerprint_ok = base_n_traj == base.codes.len()
+    let fingerprint_ok = base_n_traj == base.trajs.len()
         && base_steps == base.coeffs.len()
         && match &base.codebook {
             CodebookStore::Global(cb) => cb_tag == 0 && cb_len == cb.len(),
@@ -803,7 +797,7 @@ pub fn apply_delta(base: &mut PpqSummary, bytes: &[u8]) -> Result<u32, DecodeErr
     if new_steps.saturating_mul(4) > d.remaining() {
         return Err(DecodeError::Corrupt("delta coeff steps"));
     }
-    let mut total_partitions: usize = base.coeffs.iter().map(Vec::len).sum();
+    let mut total_partitions: usize = base.coeffs.iter().map(|s| s.len()).sum();
     for _ in 0..new_steps {
         let q = need!(d.try_u32(), "delta coeff partitions") as usize;
         if q.saturating_mul(k.saturating_mul(4)) > d.remaining() {
@@ -821,20 +815,17 @@ pub fn apply_delta(base: &mut PpqSummary, bytes: &[u8]) -> Result<u32, DecodeErr
             }
             step.push(Predictor::from_coeffs(cs));
         }
-        base.coeffs.push(step);
+        base.coeffs.push(step.into());
     }
 
     // --- Per-trajectory suffixes. ----------------------------------------
     let cqc_depth = base.template.as_ref().map(|t| t.depth()).unwrap_or(0);
     let full_n_traj = need!(d.try_u32(), "delta trajectory count") as usize;
-    if full_n_traj < base.codes.len() || full_n_traj > MAX_TRAJECTORIES {
+    if full_n_traj < base.trajs.len() || full_n_traj > MAX_TRAJECTORIES {
         return Err(DecodeError::Corrupt("delta trajectory count"));
     }
     base.starts.resize(full_n_traj, 0);
-    base.codes.resize(full_n_traj, Vec::new());
-    base.labels.resize(full_n_traj, Vec::new());
-    base.cqc_codes.resize(full_n_traj, Vec::new());
-    base.recon.resize(full_n_traj, Vec::new());
+    base.trajs.resize(full_n_traj, Arc::default());
     let n_touched = need!(d.try_u32(), "delta touched count") as usize;
     if n_touched > full_n_traj || n_touched.saturating_mul(12) > d.remaining() {
         return Err(DecodeError::Corrupt("delta touched count"));
@@ -851,7 +842,7 @@ pub fn apply_delta(base: &mut PpqSummary, bytes: &[u8]) -> Result<u32, DecodeErr
         if n_new == 0 {
             return Err(DecodeError::Corrupt("delta empty suffix"));
         }
-        let base_len = base.codes[idx].len();
+        let base_len = base.trajs[idx].codes.len();
         if base_len == 0 {
             base.starts[idx] = start;
         } else if base.starts[idx] != start {
@@ -893,14 +884,19 @@ pub fn apply_delta(base: &mut PpqSummary, bytes: &[u8]) -> Result<u32, DecodeErr
         {
             return Err(DecodeError::Corrupt("delta label out of range"));
         }
-        base.codes[idx].extend(new_codes);
-        base.labels[idx].extend(ls);
-        if cqc_depth > 0 {
-            base.cqc_codes[idx].extend(read_packed_cqc(&mut d, n_new, cqc_depth)?);
-        }
+        let new_cqc = if cqc_depth > 0 {
+            read_packed_cqc(&mut d, n_new, cqc_depth)?
+        } else {
+            Vec::new()
+        };
+        let traj = Arc::make_mut(&mut base.trajs[idx]);
+        traj.codes.extend(new_codes);
+        traj.labels.extend(ls);
+        traj.cqc_codes.extend(new_cqc);
         // Replay the whole trajectory: prediction history runs from its
         // first point, so a suffix cannot be reconstructed in isolation.
-        base.recon[idx] = base.replay(idx as u32);
+        let recon = base.replay(idx as u32);
+        Arc::make_mut(&mut base.trajs[idx]).recon = recon;
     }
     if d.remaining() != 0 {
         return Err(DecodeError::Corrupt("delta trailing bytes"));
@@ -1119,11 +1115,11 @@ mod tests {
         let base = PpqTrajectory::build(&d, &cfg).into_summary();
         let mut full = base.clone();
         let idx = full
-            .cqc_codes
+            .trajs
             .iter()
-            .position(|c| !c.is_empty())
+            .position(|r| !r.cqc_codes.is_empty())
             .expect("CQC variant has codes");
-        full.cqc_codes[idx].pop();
+        Arc::make_mut(&mut full.trajs[idx]).cqc_codes.pop();
         assert!(matches!(
             delta_to_bytes(&base, &full),
             Err(DeltaError::NotAnExtension(_))

@@ -545,8 +545,11 @@ impl Maintainer {
     }
 
     /// Phase 1 of a fold: fsync the log and copy the stream at its
-    /// horizon. The copy is O(stream) — the one part of the write that
-    /// still happens under the writer lock.
+    /// horizon — the one part of the write that still happens under the
+    /// writer lock. The copy shares the stream's outputs (coefficient
+    /// rows, trajectory records, index slices and sealed periods); what
+    /// it still copies is the per-trajectory histories and raw windows,
+    /// the partitioner and the index's open period.
     fn freeze(
         &self,
         ingest: &mut Ingest,
@@ -603,14 +606,22 @@ impl Maintainer {
     /// chain, which nothing but this maintainer writes — so it needs no
     /// part of the ingest half.
     pub(crate) fn maybe_compact(&mut self) -> Result<bool, LiveError> {
+        self.compact_if_due(false)
+    }
+
+    /// Compact if the policy asks — or, with `whole`, whenever the chain
+    /// holds more than one generation and auto-compaction is on at all.
+    fn compact_if_due(&mut self, whole: bool) -> Result<bool, LiveError> {
         if !self.based {
             return Ok(false);
         }
         let manifest = self.committed_manifest()?;
-        let chain_long = self.cfg.compact_max_chain > 0
-            && manifest.generations.len() >= self.cfg.compact_max_chain;
-        let too_dead = dead_fraction(&manifest) >= self.cfg.compact_dead_frac;
-        if !chain_long && !too_dead {
+        let (cfg, len) = (&self.cfg, manifest.generations.len());
+        let chain_long = cfg.compact_max_chain > 0 && len >= cfg.compact_max_chain;
+        let too_dead = dead_fraction(&manifest) >= cfg.compact_dead_frac;
+        let auto = cfg.compact_max_chain > 0 || cfg.compact_dead_frac <= 1.0;
+        let tidy = whole && auto && len > 1;
+        if !(chain_long || too_dead || tidy) {
             return Ok(false);
         }
         let _sp = ppq_obs::Span::with("compact", &live_metrics().compact_ns);
@@ -621,16 +632,20 @@ impl Maintainer {
         Ok(true)
     }
 
-    /// Graceful-shutdown drain: the same fold → auto-compaction pass a
-    /// due tick runs, whatever the cadence says, then a sweep of the
-    /// chain the last commit superseded (no reader outlives a shutdown to
-    /// need it) — so the store a shutdown leaves does not depend on where
-    /// the last tick fell. A failed fold is the caller's error
-    /// (acknowledged slices are still only in the WAL); a failure after it
-    /// is recorded like a tick's — the drain itself lost nothing.
+    /// Graceful-shutdown drain: a fold, whatever the cadence says, then
+    /// — when auto-compaction is on — a compaction of any chain longer
+    /// than one generation, then a sweep of the chain the last commit
+    /// superseded (no reader outlives a shutdown to need it). So the store
+    /// a shutdown leaves is one generation over every acknowledged slice,
+    /// whichever folds and compactions the worker ran before it; the
+    /// policy alone would keep a long last delta on its base or not
+    /// depending on where the worker's last compaction fell. A failed
+    /// fold is the caller's error (acknowledged slices are still only in
+    /// the WAL); a failure after it is recorded like a tick's — the drain
+    /// itself lost nothing.
     pub(crate) fn drain(&mut self, ingest: &mut impl IngestAccess) -> Result<(), LiveError> {
         let folded = self.fold(ingest, 0, || {})?.unwrap_or(0);
-        let tidied = self.maybe_compact().and_then(|compacted| {
+        let tidied = self.compact_if_due(true).and_then(|compacted| {
             RepoWriter::with_page_size(&self.dir, self.cfg.page_size).sweep_superseded()?;
             Ok((folded, compacted))
         });

@@ -15,11 +15,18 @@
 //! slice sequence: every slice with `t < version` is fully applied and
 //! nothing else is visible. Readers therefore can never observe a torn
 //! slice or an uncommitted suffix — the worst case is staleness bounded
-//! by `publish_every`. Because the pipeline is deterministic, the
-//! contract is checkable: replaying the first `version - min_t` slices
-//! into a fresh `ShardedPpqStream` must reproduce the served answers bit
-//! for bit (`tests/concurrent_consistency.rs` does exactly this while
-//! ingest, folding, and compaction run).
+//! by `publish_every`. Building it copies no history: the snapshot
+//! shares every coefficient row, trajectory record and sealed index
+//! period with the stream, so its cost under the lock is a pointer per
+//! row and per trajectory plus a copy of the index's open period. The
+//! stream copies a shared trajectory record when it next extends it —
+//! once per publish, and only for trajectories still active — so a
+//! snapshot, once published, never changes. Because the pipeline is
+//! deterministic, the contract is checkable: replaying the first
+//! `version - min_t` slices into a fresh `ShardedPpqStream` must
+//! reproduce the served answers bit for bit
+//! (`tests/concurrent_consistency.rs` does exactly this while ingest,
+//! folding, and compaction run).
 //!
 //! ## Maintenance ownership
 //!
@@ -410,8 +417,8 @@ impl LiveService {
     /// Final drain for graceful shutdown: fsync the WAL and fold
     /// everything outstanding into the chain (fold = sync → generation
     /// commit → checkpoint → WAL truncate), so recovery starts from a
-    /// checkpoint covering every acknowledged slice — then compact if the
-    /// policy asks, exactly as the tick that would have followed.
+    /// checkpoint covering every acknowledged slice — then, when
+    /// auto-compaction is on, compact the chain to one generation.
     pub(crate) fn final_drain(&self) -> Result<(), LiveError> {
         self.maintain(|m, w| m.drain(w))
     }

@@ -390,3 +390,40 @@ fn graceful_shutdown_leaves_a_chain_the_policy_would_leave_alone() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A graceful shutdown leaves one generation even where the policy would
+/// keep the chain: a long last delta on a young base stays under both
+/// triggers. Which chain the worker's last compaction left behind must not
+/// decide what a shutdown leaves.
+#[test]
+fn graceful_shutdown_leaves_one_generation() {
+    let data = std::sync::Arc::new(dataset());
+    let cfg = live_config(4);
+    let dir = tmp_dir("drain-one-generation");
+    let slices: Vec<_> = data.time_slices().collect();
+    let mut live = LiveRepo::recover(&dir, cfg.clone()).unwrap();
+    for (i, s) in slices.iter().enumerate() {
+        live.push_slice(s.t, s.points).unwrap();
+        if i + 1 == 4 || i + 1 == slices.len() {
+            live.fold().unwrap();
+        }
+    }
+    assert_eq!(live.chain_generations(), 2);
+    assert!(!live.maybe_compact().unwrap(), "fixture trips the policy");
+    drop(live);
+
+    let service = std::sync::Arc::new(
+        LiveService::open(&dir, cfg.clone(), std::sync::Arc::clone(&data), 4).unwrap(),
+    );
+    let worker = service
+        .start_maintenance(MaintenanceConfig::default())
+        .expect("worker attaches");
+    worker.shutdown().expect("drain");
+    assert!(service.status().last_maintenance_error.is_none());
+    drop(service);
+
+    let recovered = LiveRepo::recover(&dir, cfg).unwrap();
+    assert_eq!(recovered.next_t(), Some(slices.last().unwrap().t + 1));
+    assert_eq!(recovered.chain_generations(), 1);
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -309,7 +309,7 @@ impl RepoWriter {
     }
 
     /// Remove the segment files of every generation the committed
-    /// manifest does not reference. [`RepoWriter::commit`] deliberately
+    /// manifest does not reference. `RepoWriter::commit` deliberately
     /// leaves the chain it replaced on disk, for a reader that loaded the
     /// old manifest just before the rename; call this only when no such
     /// reader can exist — a service shutting down — so that a superseded

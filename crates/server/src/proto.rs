@@ -661,11 +661,16 @@ fn finish(d: &Decoder) -> Result<(), ProtocolError> {
 
 // --- Framing ----------------------------------------------------------------
 
-/// Write one `len + payload` frame and flush it.
+/// Write one `len + payload` frame, in one write, and flush it. Two
+/// writes would send the prefix alone first (`TCP_NODELAY`), and a
+/// reader on another core wakes for it, finds no payload yet, and sleeps
+/// again.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
