@@ -90,98 +90,6 @@ impl Table {
     }
 }
 
-/// Merge one top-level section into the `BENCH_ppq.json` report without
-/// disturbing the others.
-///
-/// The file is written by two benches (`ppq_speedup` owns the build-path
-/// sections, `ppq_query_speedup` the `"query_path"` section), so each
-/// rewrites only its own keys and running either bench preserves the
-/// other's results. `rendered` is the fully rendered JSON value (its
-/// continuation lines indented by two spaces). This is a line-oriented
-/// splicer for the fixed layout these benches emit — top-level keys on
-/// lines starting with `  "` — not a general JSON rewriter.
-pub fn merge_bench_section(existing: &str, key: &str, rendered: &str) -> String {
-    // Split the existing document into ordered (key, value-lines) pairs.
-    let mut sections: Vec<(String, String)> = Vec::new();
-    for line in existing.lines() {
-        if let Some(rest) = line.strip_prefix("  \"") {
-            if let Some(q) = rest.find('"') {
-                let k = rest[..q].to_string();
-                let value = line[4 + q..].trim_start_matches(':').trim_start();
-                sections.push((k, value.trim_end_matches(',').to_string()));
-                continue;
-            }
-        }
-        // Continuation line of the current section (or the outer braces).
-        if line == "{" || line == "}" || line.trim().is_empty() {
-            continue;
-        }
-        if let Some((_, v)) = sections.last_mut() {
-            v.push('\n');
-            let cont = line.strip_suffix(',').filter(|l| {
-                // Only strip a section-separating comma on a closing line.
-                matches!(l.trim_end(), "  ]" | "  }")
-            });
-            v.push_str(cont.unwrap_or(line));
-        }
-    }
-    // Replace or append our section.
-    let rendered = rendered.trim_end().to_string();
-    match sections.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = rendered,
-        None => sections.push((key.to_string(), rendered)),
-    }
-    // Re-emit with correct commas.
-    let mut out = String::new();
-    out.push_str("{\n");
-    let n = sections.len();
-    for (i, (k, v)) in sections.iter().enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        let _ = writeln!(out, "  \"{k}\": {v}{comma}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Median-of-`runs` wall-clock seconds for `f` (the last run's result is
-/// returned alongside). The shared timing methodology of the
-/// `BENCH_ppq.json`-writing benches; `runs` is clamped to at least 1.
-pub fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let runs = runs.max(1);
-    let mut times = Vec::with_capacity(runs);
-    let mut last = None;
-    for _ in 0..runs {
-        let t0 = std::time::Instant::now();
-        last = Some(f());
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    (median(&mut times), last.unwrap())
-}
-
-/// Median of a sample, in place. Panics on an empty slice or NaNs — bench
-/// inputs are always finite wall-clock numbers.
-pub fn median(values: &mut [f64]) -> f64 {
-    percentile(values, 50.0)
-}
-
-/// The `q`-th percentile (0–100) of a sample by the nearest-rank method,
-/// in place. The single implementation every bench target shares — the
-/// per-bench copies of `sort + index` this replaces each picked a subtly
-/// different rank convention.
-pub fn percentile(values: &mut [f64], q: f64) -> f64 {
-    assert!(!values.is_empty(), "percentile of an empty sample");
-    assert!((0.0..=100.0).contains(&q), "percentile {q} out of range");
-    values.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    let rank = ((q / 100.0) * (values.len() - 1) as f64).round() as usize;
-    values[rank]
-}
-
-/// The latency-histogram machinery now lives in `ppq-obs` (the live
-/// metrics registry records into the same bucket layout); re-exported
-/// here so every bench keeps its `ppq_bench::report::LatencyHistogram`
-/// imports unchanged.
-pub use ppq_obs::{LatencyHistogram, LatencySummary};
-
 /// Format seconds with adaptive precision.
 pub fn secs(d: std::time::Duration) -> String {
     let s = d.as_secs_f64();
@@ -239,56 +147,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_section_roundtrips_and_replaces() {
-        let v1 = "[\n    {\n      \"name\": \"q1\",\n      \"x\": 1\n    }\n  ]";
-        // Fresh file.
-        let doc = merge_bench_section("", "query_path", v1);
-        assert!(doc.starts_with("{\n  \"query_path\": [\n"));
-        assert!(doc.trim_end().ends_with('}'));
-        // Adding a second section keeps the first byte-for-byte.
-        let doc2 = merge_bench_section(&doc, "build", "{\"runs\": 3}");
-        assert!(doc2.contains("\"query_path\": [\n    {\n      \"name\": \"q1\""));
-        assert!(doc2.contains("\"build\": {\"runs\": 3}"));
-        // Replacing the first leaves the second alone, idempotently.
-        let v2 = "[\n    {\n      \"name\": \"q2\"\n    }\n  ]";
-        let doc3 = merge_bench_section(&doc2, "query_path", v2);
-        assert!(doc3.contains("\"name\": \"q2\""));
-        assert!(!doc3.contains("\"name\": \"q1\""));
-        assert!(doc3.contains("\"build\": {\"runs\": 3}"));
-        assert_eq!(doc3, merge_bench_section(&doc3, "query_path", v2));
-        // Comma discipline: every section line but the last ends with one.
-        let brace_lines: Vec<&str> = doc3.lines().filter(|l| l.starts_with("  \"")).collect();
-        assert_eq!(brace_lines.len(), 2);
-    }
-
-    #[test]
     fn formatting_helpers() {
         assert_eq!(sig(0.0), "0");
         assert_eq!(sig(18.349), "18.3");
         assert_eq!(sig(0.123), "0.123");
         assert_eq!(sig(1752.29), "1752");
         assert_eq!(secs(std::time::Duration::from_millis(1500)), "1.50");
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut v = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(median(&mut v), 3.0);
-        assert_eq!(percentile(&mut v, 0.0), 1.0);
-        assert_eq!(percentile(&mut v, 100.0), 5.0);
-        let mut one = vec![7.0];
-        assert_eq!(median(&mut one), 7.0);
-        let mut two = vec![10.0, 20.0];
-        // Nearest-rank on 2 samples: p50 rounds to the upper one.
-        assert_eq!(median(&mut two), 20.0);
-    }
-
-    #[test]
-    fn histogram_reexport_is_live() {
-        // The full histogram suite lives in `ppq-obs`; this only pins
-        // the re-export path every bench imports through.
-        let mut h = LatencyHistogram::new();
-        h.record(1_000);
-        assert_eq!(h.summary().count, 1);
     }
 }

@@ -231,8 +231,8 @@ impl ShardSet for ShardedSummary {
 /// in-memory [`ShardedQueryEngine`], the disk-resident engine in
 /// `ppq-repo`, the serve-during-ingest `LiveService` in `ppq-live`, or a
 /// remote server reached over TCP (`ppq-server`'s `RemoteClient`). The
-/// load harness (`ppq_load::run_open_loop`), the server's request
-/// handler, and the benches all drive backends through this one trait.
+/// server's request handler and the benchmark of record (`benchmark/`)
+/// drive every backend through this one trait.
 ///
 /// One `Ctx` lives per worker thread, so engines can expose their
 /// reusable workspaces (and network clients their per-thread
@@ -357,9 +357,9 @@ pub fn batch_chunked<W: Default, R: Send>(
 /// Per-shard local search keeps recall 1 — each trajectory lives in
 /// exactly one shard whose CQC bound covers it — so exact answers are
 /// shard-count-invariant; only the approximate answer can differ
-/// (per-shard codebooks reconstruct slightly differently), which
-/// `ppq_shard_scaling` measures. Query methods return `io::Result` over
-/// a fallible source and the bare value otherwise ([`PostingSource::Ret`]).
+/// (per-shard codebooks reconstruct slightly differently). Query
+/// methods return `io::Result` over a fallible source and the bare value
+/// otherwise ([`PostingSource::Ret`]).
 pub struct QueryEngine<'a, B: ShardSet + ?Sized> {
     shards: &'a B,
     dataset: &'a Dataset,

@@ -18,10 +18,8 @@
 //! errors, so the union of the per-shard codebooks is larger than the
 //! single global codebook would be (fragmentation), slightly changing
 //! per-point reconstructions (still within the same ε bounds — every
-//! per-shard guarantee is the paper's guarantee). The `ppq_shard_scaling`
-//! bench records that quality cost next to the throughput gain; the
-//! cross-shard query semantics live in
-//! [`crate::query::ShardedQueryEngine`].
+//! per-shard guarantee is the paper's guarantee). The cross-shard query
+//! semantics live in [`crate::query::ShardedQueryEngine`].
 
 use crate::config::PpqConfig;
 use crate::pipeline::PpqStream;
@@ -313,7 +311,7 @@ impl ShardedSummary {
     /// offset per step. Reconstructions — and therefore STRQ answers at
     /// every level and TPQ payload bits — are unchanged (per-point data is
     /// never duplicated; only the union codebook and coefficient tables
-    /// are, the fragmentation cost `ppq_shard_scaling` already measures).
+    /// are: the fragmentation cost sharding already pays).
     ///
     /// Only global (error-bounded) codebooks are supported; the shard
     /// summaries must agree on `min_t`, timestep count, and the
@@ -457,8 +455,8 @@ impl ShardedSummary {
     }
 
     /// Total codewords across per-shard codebooks. With `S > 1` this
-    /// exceeds the single-shard codebook (fragmentation) — the quality
-    /// cost `ppq_shard_scaling` tracks.
+    /// exceeds the single-shard codebook (fragmentation), the quality
+    /// cost of sharding.
     pub fn codebook_len(&self) -> usize {
         self.shards.iter().map(PpqSummary::codebook_len).sum()
     }

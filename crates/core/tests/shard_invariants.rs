@@ -8,9 +8,10 @@
 //! 3. STRQ **merged candidates equal the union** of the per-shard
 //!    candidate sets — no duplicates, no drops.
 //! 4. Sharded ingest and batched queries are **bit-identical at any
-//!    thread count** (the CI matrix runs this whole file under
-//!    `RAYON_NUM_THREADS=1` and `=4`; the in-process comparisons below
-//!    force both counts regardless of the ambient setting).
+//!    thread count**, at every `S` in `SHARD_COUNTS` (the CI matrix runs
+//!    this whole file under `RAYON_NUM_THREADS=1` and `=4`; the
+//!    in-process comparisons below force both counts regardless of the
+//!    ambient setting).
 
 use ppq_core::query::{QueryEngine, ShardedQueryEngine, StrqOutcome};
 use ppq_core::shard::ShardedSummary;
@@ -213,21 +214,23 @@ fn sharded_local_search_keeps_recall_one() {
 #[test]
 fn sharded_ingest_is_thread_count_invariant() {
     let data = dataset();
-    let serial = rayon::with_thread_count(1, || build_sharded(&data, 4));
-    let parallel = rayon::with_thread_count(4, || build_sharded(&data, 4));
-    assert_eq!(serial.num_points(), parallel.num_points());
-    assert_eq!(serial.codebook_len(), parallel.codebook_len());
-    assert_eq!(serial.breakdown(), parallel.breakdown());
-    for traj in data.trajectories() {
-        for off in 0..traj.len() {
-            let t = traj.start + off as u32;
-            let a = serial.reconstruct(traj.id, t).unwrap();
-            let b = parallel.reconstruct(traj.id, t).unwrap();
-            assert!(
-                points_bit_eq(&a, &b),
-                "thread-count divergence at traj {} t {t}",
-                traj.id
-            );
+    for shards in SHARD_COUNTS {
+        let serial = rayon::with_thread_count(1, || build_sharded(&data, shards));
+        let parallel = rayon::with_thread_count(4, || build_sharded(&data, shards));
+        assert_eq!(serial.num_points(), parallel.num_points());
+        assert_eq!(serial.codebook_len(), parallel.codebook_len());
+        assert_eq!(serial.breakdown(), parallel.breakdown());
+        for traj in data.trajectories() {
+            for off in 0..traj.len() {
+                let t = traj.start + off as u32;
+                let a = serial.reconstruct(traj.id, t).unwrap();
+                let b = parallel.reconstruct(traj.id, t).unwrap();
+                assert!(
+                    points_bit_eq(&a, &b),
+                    "S={shards}: thread-count divergence at traj {} t {t}",
+                    traj.id
+                );
+            }
         }
     }
 }
@@ -236,23 +239,28 @@ fn sharded_ingest_is_thread_count_invariant() {
 fn sharded_batch_queries_are_thread_count_invariant() {
     let data = dataset();
     let gc = config().tpi.pi.gc;
-    let summary = build_sharded(&data, 4);
-    let engine = ShardedQueryEngine::new(&summary, &data, gc);
     let qs = queries(&data);
-    let serial = rayon::with_thread_count(1, || engine.strq_batch(&qs));
-    let parallel = rayon::with_thread_count(4, || engine.strq_batch(&qs));
-    assert_eq!(serial, parallel, "sharded strq_batch thread divergence");
-    let serial_tpq = rayon::with_thread_count(1, || engine.tpq_batch(&qs, 5));
-    let parallel_tpq = rayon::with_thread_count(4, || engine.tpq_batch(&qs, 5));
-    assert_eq!(serial_tpq.len(), parallel_tpq.len());
-    for (a, b) in serial_tpq.iter().zip(&parallel_tpq) {
-        assert_eq!(a.len(), b.len());
-        for ((ida, patha), (idb, pathb)) in a.iter().zip(b) {
-            assert_eq!(ida, idb);
-            assert_eq!(patha.len(), pathb.len());
-            for ((ta, pa), (tb, pb)) in patha.iter().zip(pathb) {
-                assert_eq!(ta, tb);
-                assert!(points_bit_eq(pa, pb), "TPQ payload thread divergence");
+    for shards in SHARD_COUNTS {
+        let summary = build_sharded(&data, shards);
+        let engine = ShardedQueryEngine::new(&summary, &data, gc);
+        let serial = rayon::with_thread_count(1, || engine.strq_batch(&qs));
+        let parallel = rayon::with_thread_count(4, || engine.strq_batch(&qs));
+        assert_eq!(serial, parallel, "S={shards}: strq_batch thread divergence");
+        let serial_tpq = rayon::with_thread_count(1, || engine.tpq_batch(&qs, 5));
+        let parallel_tpq = rayon::with_thread_count(4, || engine.tpq_batch(&qs, 5));
+        assert_eq!(serial_tpq.len(), parallel_tpq.len());
+        for (a, b) in serial_tpq.iter().zip(&parallel_tpq) {
+            assert_eq!(a.len(), b.len());
+            for ((ida, patha), (idb, pathb)) in a.iter().zip(b) {
+                assert_eq!(ida, idb);
+                assert_eq!(patha.len(), pathb.len());
+                for ((ta, pa), (tb, pb)) in patha.iter().zip(pathb) {
+                    assert_eq!(ta, tb);
+                    assert!(
+                        points_bit_eq(pa, pb),
+                        "S={shards}: TPQ payload thread divergence"
+                    );
+                }
             }
         }
     }

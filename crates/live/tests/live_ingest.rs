@@ -8,7 +8,9 @@ use ppq_core::query::ShardedQueryEngine;
 use ppq_core::summary_io;
 use ppq_core::{PpqConfig, ShardedPpqStream, Variant};
 use ppq_geo::Point;
-use ppq_live::{LiveConfig, LiveError, LiveRepo, LiveService, MaintenanceConfig, CKPT_NAME};
+use ppq_live::{
+    LiveConfig, LiveError, LiveRepo, LiveService, MaintenanceConfig, Wal, CKPT_NAME, WAL_NAME,
+};
 use ppq_repo::{DiskQueryEngine, Repo};
 use ppq_traj::synth::{porto_like, PortoConfig};
 use ppq_traj::Dataset;
@@ -62,9 +64,12 @@ fn reopen_resumes_bit_identically_across_folds() {
     let slices: Vec<_> = data.time_slices().collect();
     let mut control = ShardedPpqStream::new(cfg.ppq.clone(), cfg.shards);
 
-    // First incarnation: ingest 60% (several folds happen en route),
-    // then drop the handle without any explicit shutdown step.
-    let cut = slices.len() * 6 / 10;
+    // First incarnation: ingest ~60% (several folds happen en route, and
+    // the cut lands two slices past a fold, so recovery has an unfolded
+    // WAL tail to replay), then drop the handle without any explicit
+    // shutdown step.
+    let every = cfg.fold_every as usize;
+    let cut = slices.len() * 6 / 10 / every * every + 2;
     {
         let mut live = LiveRepo::recover(&dir, cfg.clone()).unwrap();
         assert!(live.next_t().is_none(), "fresh directory starts empty");
@@ -81,6 +86,8 @@ fn reopen_resumes_bit_identically_across_folds() {
     for s in &slices[..cut] {
         control.push_slice(s.t, s.points);
     }
+    let (_, tail) = Wal::open_replay(&dir.join(WAL_NAME), cfg.group_commit).unwrap();
+    assert_eq!(tail.len(), 2, "recovery must replay the unfolded tail");
 
     // Second incarnation: recovery must reproduce the stream state bit
     // for bit, and ingest must continue seamlessly.

@@ -207,8 +207,7 @@ impl LatencyHistogram {
     }
 }
 
-/// The percentile digest of one op class, in microseconds — the shared
-/// latency-summary shape every bench target reports.
+/// The percentile digest of one histogram, in microseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencySummary {
     pub count: u64,
@@ -219,24 +218,6 @@ pub struct LatencySummary {
     pub p99_us: f64,
     pub p999_us: f64,
     pub max_us: f64,
-}
-
-impl LatencySummary {
-    /// Render as a JSON object (single line, for `merge_bench_section`
-    /// payloads).
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"mean_us\": {:.3}, \"min_us\": {:.3}, \"p50_us\": {:.3}, \"p90_us\": {:.3}, \"p99_us\": {:.3}, \"p999_us\": {:.3}, \"max_us\": {:.3}}}",
-            self.count,
-            self.mean_us,
-            self.min_us,
-            self.p50_us,
-            self.p90_us,
-            self.p99_us,
-            self.p999_us,
-            self.max_us
-        )
-    }
 }
 
 #[cfg(test)]
@@ -337,26 +318,6 @@ mod tests {
         assert_eq!(empty.value_at_quantile(0.5), 0);
         assert_eq!(empty.summary().count, 0);
         assert_eq!(empty.min_nanos(), 0);
-    }
-
-    #[test]
-    fn summary_json_shape() {
-        let mut h = LatencyHistogram::new();
-        for v in [1_000u64, 2_000, 3_000] {
-            h.record(v);
-        }
-        let s = h.summary();
-        assert_eq!(s.count, 3);
-        let json = s.json();
-        for key in [
-            "\"count\"",
-            "\"p50_us\"",
-            "\"p99_us\"",
-            "\"p999_us\"",
-            "\"max_us\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 
     #[test]

@@ -7,13 +7,11 @@
 //!   [`counter`] / [`gauge`] / [`histogram`]): a process-wide map from
 //!   static metric names to lock-free instruments. Handles are cached
 //!   `Arc`s; the hot path is one relaxed atomic RMW. A global
-//!   [`set_enabled`] flag reduces every instrument to a branch, which is
-//!   how the `ppq_obs_path` bench proves the instrumentation overhead
-//!   bound.
-//! - **Histograms** ([`LatencyHistogram`] / [`LatencySummary`], hoisted
-//!   from `ppq_bench::report`): fixed-layout log-linear buckets with
-//!   ≤ 1.6% relative quantization error, mergeable across threads. The
-//!   registry's [`Histogram`] is the same layout with atomic cells;
+//!   [`set_enabled`] flag reduces every instrument to a branch.
+//! - **Histograms** ([`LatencyHistogram`] / [`LatencySummary`]):
+//!   fixed-layout log-linear buckets with ≤ 1.6% relative quantization
+//!   error, mergeable across threads. The registry's [`Histogram`] is
+//!   the same layout with atomic cells;
 //!   [`Histogram::snapshot`] materializes a mergeable plain histogram.
 //! - **Spans + slow-query log** ([`span`], [`set_slow_threshold`],
 //!   [`slow_queries`]): RAII timers that feed histograms and capture

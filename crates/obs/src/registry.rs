@@ -6,8 +6,8 @@
 //! [`Histogram`]) whose hot-path operations are single relaxed atomic
 //! RMWs — safe inside the query inner loop. A process-wide enable flag
 //! ([`set_enabled`]) turns every instrument into a branch-and-return, so
-//! the `ppq_obs_path` bench can measure the instrumented hot path
-//! against a registry-disabled build of the *same* binary.
+//! the instrumented hot path can be timed against a registry-disabled
+//! run of the *same* binary.
 //!
 //! ## Naming scheme
 //!

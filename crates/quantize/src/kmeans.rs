@@ -422,9 +422,8 @@ fn lloyd(cfg: &KMeansConfig, ws: &mut KMeansWorkspace) -> (Vec<Point>, Vec<u32>)
                 // iteration separates them). The seed recomputed the
                 // worst fit per empty cluster against partially-updated
                 // centroids, so with ≥2 empty clusters in one iteration
-                // the two schedules can diverge — an accepted difference
-                // (BENCH_ppq.json records reference/current centroid
-                // mismatches).
+                // the two schedules can diverge — an accepted
+                // difference.
                 let wi = *reseed.get_or_insert_with(|| worst_fit(ws));
                 ws.cx[c] = ws.xs[wi];
                 ws.cy[c] = ws.ys[wi];

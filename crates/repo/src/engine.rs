@@ -206,7 +206,7 @@ impl<'a> Deref for DiskQueryEngine<'a> {
     }
 }
 
-/// The disk engine as a [`QueryTarget`] backend (load harness, server).
+/// The disk engine as a [`QueryTarget`] backend (benchmark, server).
 ///
 /// The trait's counting signatures cannot carry `io::Result`, so a page
 /// I/O failure panics here — under synthetic load an I/O error means the

@@ -38,10 +38,9 @@ pub const MANIFEST_NAME: &str = "MANIFEST.ppq";
 pub const MANIFEST_TMP_NAME: &str = "MANIFEST.ppq.tmp";
 
 const MANIFEST_MAGIC: u32 = 0x5050_514D; // "PPQM"
-/// Current manifest version. Version 1 (single-generation stores written
-/// before incremental append existed) is still accepted by
-/// [`Manifest::from_bytes`] and lifted to a one-base-generation chain;
-/// writers always emit the current version.
+/// The manifest version, the only one written or read. Version 1
+/// (single-generation stores written before incremental append existed)
+/// is rejected by [`Manifest::from_bytes`].
 const MANIFEST_VERSION: u32 = 2;
 
 pub fn summary_seg_name(generation: u64, shard: u32) -> String {
@@ -284,20 +283,19 @@ impl Manifest {
     }
 
     /// Checked deserialization — every malformed input is a
-    /// [`RepoError::Corrupt`], never a panic. Accepts version 1 manifests
-    /// (pre-append single-generation stores) and lifts them into a
-    /// one-base-generation chain.
+    /// [`RepoError::Corrupt`], never a panic. Only version 2 is read; any
+    /// other version, the pre-append version 1 included, is rejected.
     pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, RepoError> {
         let corrupt = |what: &str| RepoError::Corrupt(format!("manifest: {what}"));
         let mut d = Decoder::from_slice(bytes);
         if d.try_u32() != Some(MANIFEST_MAGIC) {
             return Err(corrupt("bad magic"));
         }
-        let version = match d.try_u32() {
-            Some(v @ (1 | 2)) => v,
+        match d.try_u32() {
+            Some(MANIFEST_VERSION) => {}
             Some(v) => return Err(corrupt(&format!("unsupported version {v}"))),
             None => return Err(corrupt("truncated header")),
-        };
+        }
         let body_len = d.try_u32().ok_or_else(|| corrupt("truncated header"))? as usize;
         let body_crc = d.try_u32().ok_or_else(|| corrupt("truncated header"))?;
         if d.remaining() != body_len {
@@ -309,7 +307,24 @@ impl Manifest {
         }
         let mut d = Decoder::new(body);
 
-        let read_shards = |d: &mut Decoder, n: usize| -> Result<Vec<ShardManifest>, RepoError> {
+        // Body: page_size u32, generation chain.
+        let page_size = d.try_u32().ok_or_else(|| corrupt("truncated body"))?;
+        let n_gens = d.try_u32().ok_or_else(|| corrupt("truncated body"))? as usize;
+        if n_gens == 0 || n_gens.saturating_mul(16) > d.remaining() {
+            return Err(corrupt("generation count"));
+        }
+        let mut generations = Vec::with_capacity(n_gens);
+        for _ in 0..n_gens {
+            let generation = d.try_u64().ok_or_else(|| corrupt("generation entry"))?;
+            let kind = match d.try_u32() {
+                Some(0) => GenKind::Base,
+                Some(1) => GenKind::Delta,
+                _ => return Err(corrupt("generation kind")),
+            };
+            let n = d.try_u32().ok_or_else(|| corrupt("generation entry"))? as usize;
+            if n.saturating_mul(32) > d.remaining() {
+                return Err(corrupt("shard table length"));
+            }
             let mut shards = Vec::with_capacity(n);
             for _ in 0..n {
                 shards.push(ShardManifest {
@@ -320,57 +335,18 @@ impl Manifest {
                     tpi_pages: d.try_u64().ok_or_else(|| corrupt("shard entry"))?,
                 });
             }
-            Ok(shards)
-        };
-
-        let manifest = if version == 1 {
-            // v1 body: generation u64, page_size u32, shard table.
-            let generation = d.try_u64().ok_or_else(|| corrupt("truncated body"))?;
-            let page_size = d.try_u32().ok_or_else(|| corrupt("truncated body"))?;
-            let n = d.try_u32().ok_or_else(|| corrupt("truncated body"))? as usize;
-            if n == 0 || n.saturating_mul(32) != d.remaining() {
-                return Err(corrupt("shard table length"));
-            }
-            Manifest {
-                page_size,
-                generations: vec![GenManifest {
-                    generation,
-                    kind: GenKind::Base,
-                    shards: read_shards(&mut d, n)?,
-                }],
-            }
-        } else {
-            // v2 body: page_size u32, generation chain.
-            let page_size = d.try_u32().ok_or_else(|| corrupt("truncated body"))?;
-            let n_gens = d.try_u32().ok_or_else(|| corrupt("truncated body"))? as usize;
-            if n_gens == 0 || n_gens.saturating_mul(16) > d.remaining() {
-                return Err(corrupt("generation count"));
-            }
-            let mut generations = Vec::with_capacity(n_gens);
-            for _ in 0..n_gens {
-                let generation = d.try_u64().ok_or_else(|| corrupt("generation entry"))?;
-                let kind = match d.try_u32() {
-                    Some(0) => GenKind::Base,
-                    Some(1) => GenKind::Delta,
-                    _ => return Err(corrupt("generation kind")),
-                };
-                let n = d.try_u32().ok_or_else(|| corrupt("generation entry"))? as usize;
-                if n.saturating_mul(32) > d.remaining() {
-                    return Err(corrupt("shard table length"));
-                }
-                generations.push(GenManifest {
-                    generation,
-                    kind,
-                    shards: read_shards(&mut d, n)?,
-                });
-            }
-            if d.remaining() != 0 {
-                return Err(corrupt("trailing bytes"));
-            }
-            Manifest {
-                page_size,
-                generations,
-            }
+            generations.push(GenManifest {
+                generation,
+                kind,
+                shards,
+            });
+        }
+        if d.remaining() != 0 {
+            return Err(corrupt("trailing bytes"));
+        }
+        let manifest = Manifest {
+            page_size,
+            generations,
         };
         manifest.validate()?;
         Ok(manifest)
@@ -499,9 +475,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifest_still_opens_as_single_base_generation() {
+    fn v1_manifest_is_rejected_as_unsupported() {
         // Hand-build a version-1 manifest byte stream (the pre-append
-        // format) and check it lifts into a one-generation chain.
+        // format, otherwise well-formed) and check it is refused by
+        // version, not misread as a version-2 body.
         let mut body = Encoder::new();
         body.put_u64(5); // generation
         body.put_u32(4096); // page_size
@@ -519,14 +496,13 @@ mod tests {
         e.put_u32(body.len() as u32);
         e.put_u32(crc32(&body));
         e.put_bytes_raw(&body);
-        let m = Manifest::from_bytes(&e.finish()).unwrap();
-        assert_eq!(m.generations.len(), 1);
-        assert_eq!(m.generation(), 5);
-        assert_eq!(m.generations[0].kind, GenKind::Base);
-        assert_eq!(m.generations[0].shards, vec![shard(2)]);
-        // Re-serializing writes the current version.
-        let back = Manifest::from_bytes(&m.to_bytes()).unwrap();
-        assert_eq!(back, m);
+        match Manifest::from_bytes(&e.finish()) {
+            Err(RepoError::Corrupt(msg)) => assert!(
+                msg.contains("unsupported version 1"),
+                "unexpected error: {msg}"
+            ),
+            other => panic!("version 1 must be refused, got {other:?}"),
+        }
     }
 
     #[test]

@@ -45,11 +45,9 @@
 //! The block directory is the structural win over the scan-based
 //! [`ppq_tpi::DiskTpi`]: where `DiskTpi` must read a period's pages until
 //! the wanted block happens to parse past, the directory maps the block
-//! to `(page, offset)` and pages in only the page(s) it spans. The
-//! `ppq_disk_path` bench records both counters side by side;
-//! `ppq_append_path` measures append vs rewrite cost and post-compaction
-//! page-ins. Every byte of the on-disk format is specified in
-//! `docs/FORMAT.md`.
+//! to `(page, offset)` and pages in only the page(s) it spans;
+//! `tests/persistence.rs` checks it pages in strictly fewer. Every byte
+//! of the on-disk format is specified in `docs/FORMAT.md`.
 //!
 //! Build → append → compact → reopen:
 //!

@@ -435,7 +435,7 @@ impl Repo {
     /// Fan a single-cell STRQ probe out over every shard, unioning the
     /// per-shard block answers (sorted, deduplicated). Charges `stats`
     /// one page-in per block page touched — the workload
-    /// `ppq_disk_path` compares against `DiskTpi`'s period-run scan.
+    /// `tests/persistence.rs` compares against `DiskTpi`'s period-run scan.
     /// (Only `stats` is charged; callers roll into [`Repo::io_stats`]
     /// with [`IoStats::absorb`] if they want the cumulative view.)
     pub fn query_cell(&self, t: u32, p: &Point, stats: &IoStats) -> std::io::Result<Vec<u32>> {

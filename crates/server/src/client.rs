@@ -1,5 +1,6 @@
 //! Client side: a blocking connection plus a [`QueryTarget`] adapter so
-//! the open-loop load harness drives a remote server unchanged.
+//! a load driver written against the trait drives a remote server
+//! unchanged.
 
 use crate::proto::{self, Request, Response, StatsBody, TpqMatch, WireError};
 use ppq_core::query::{QueryTarget, StrqOutcome};
@@ -146,10 +147,10 @@ impl RemoteConn {
     }
 }
 
-/// The remote server as a [`QueryTarget`]: hand this to
-/// `ppq_load::run_open_loop` and the open-loop harness measures the
-/// served path with the same schedules, histograms, and
-/// coordinated-omission convention as the in-process targets.
+/// The remote server as a [`QueryTarget`]: a load driver written
+/// against the trait (the benchmark of record's `tcp_read` workload is
+/// one) measures the served path exactly as it measures the in-process
+/// targets.
 pub struct RemoteClient {
     addr: SocketAddr,
 }
@@ -201,8 +202,8 @@ impl QueryTarget for RemoteClient {
 
     /// Remote STRQ under load. `Busy` shed counts as zero answers (the
     /// op completes, the server refused it — the latency histogram
-    /// keeps the sample); any other failure panics, because an
-    /// open-loop run over a dead transport measures nothing.
+    /// keeps the sample); any other failure panics, because a load
+    /// run over a dead transport measures nothing.
     fn strq(&self, t: u32, p: &Point, ctx: &mut Self::Ctx) -> usize {
         match self.with_conn(ctx, |c| c.strq(t, p)) {
             Ok((_version, outcome)) => outcome.exact.len(),

@@ -8,16 +8,14 @@
 //! formats, a **threaded blocking TCP transport** ([`server`]) — no
 //! async runtime, a handful of OS threads — and a **client** ([`client`])
 //! whose [`client::RemoteClient`] implements
-//! [`ppq_core::query::QueryTarget`], so the open-loop load harness and
-//! the bench suite drive a remote server with the exact machinery they
-//! use in-process.
+//! [`ppq_core::query::QueryTarget`], so a load driver drives a remote
+//! server with the exact machinery it uses in-process.
 //!
 //! The serving contract is inherited, not invented: every answer is
 //! computed against an immutable published snapshot and stamped with its
 //! version, so a remote STRQ/TPQ is **bit-identical** to an in-process
-//! query at the same version — the round-trip tests and the
-//! `service_path` bench section check equality on the full answer
-//! structure, not cardinalities.
+//! query at the same version — the round-trip tests check equality on
+//! the full answer structure, not cardinalities.
 //!
 //! Operationally the server owns what a deployment needs and a library
 //! must not hardcode: a background [`ppq_live::MaintenanceWorker`]

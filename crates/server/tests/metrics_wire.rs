@@ -103,6 +103,23 @@ fn metrics_frame_agrees_with_client_accounting() {
         snap.histogram("ppq_server_append_ns").unwrap().count,
         slices.len() as u64
     );
+    for class in ["strq", "tpq", "append"] {
+        let name = format!("ppq_server_{class}_ns");
+        let h = snap.histogram(&name).unwrap();
+        assert!(h.p50_ns > 0 && h.p99_ns > 0, "{name}: empty percentiles");
+    }
+
+    // The engine's spans nest inside the server's: one `ppq_strq_ns` per
+    // STRQ and one more per TPQ (its selection STRQ), one `ppq_tpq_ns`
+    // per TPQ, and no engine TPQ outlasts the request that ran it.
+    let engine_tpq = snap.histogram("ppq_tpq_ns").unwrap();
+    let server_tpq = snap.histogram("ppq_server_tpq_ns").unwrap();
+    assert_eq!(snap.histogram("ppq_strq_ns").unwrap().count, 2 * strq_n);
+    assert_eq!(engine_tpq.count, strq_n);
+    assert!(
+        engine_tpq.p50_ns <= server_tpq.p50_ns && engine_tpq.max_ns <= server_tpq.max_ns,
+        "engine TPQ span longer than its server span: {engine_tpq:?} vs {server_tpq:?}"
+    );
 
     // ---- Transport accounting. ----
     assert_eq!(snap.counter("ppq_server_connections_opened"), Some(1));

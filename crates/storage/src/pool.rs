@@ -36,8 +36,8 @@
 //! how TrajStore and Table 9 count), and every page-in *attempt* is
 //! counted on both the caller's stats and the pool's hit/miss
 //! instruments — which is what makes `pool hits + misses == Σ per-query
-//! attempts` an exact invariant, checked by the test battery and the
-//! `ppq_obs_path` bench. A per-query I/O *budget* ([`IoStats::
+//! attempts` an exact invariant, checked by the test battery. A
+//! per-query I/O *budget* ([`IoStats::
 //! set_budget`]) caps how many page-ins one query may issue; exceeding
 //! it is a typed error before the batch is dispatched, never a silently
 //! truncated answer.
@@ -96,8 +96,8 @@ struct PoolInner {
 /// Registry instruments every pool shares (process-cumulative, like the
 /// `ppq_io_*` counters): the per-call [`IoStats`] charging stays the
 /// Table 9 measurement path, these feed the live metrics surface. The
-/// invariant `hits + misses == page-in attempts` is checked end-to-end
-/// by the `ppq_obs_path` bench and `tests/pool_invariants.rs`.
+/// invariant `hits + misses == page-in attempts` is checked by
+/// `tests/pool_invariants.rs` and `ppq-repo`'s `tests/concurrent_reads.rs`.
 struct PoolMetrics {
     hits: ppq_obs::Counter,
     misses: ppq_obs::Counter,

@@ -179,7 +179,7 @@ fn pool_instruments_reconcile_with_per_query_stats() {
     let misses = ppq_obs::counter("ppq_pool_misses");
     let (hits0, misses0) = (hits.get(), misses.get());
     let mut rng = Rng::new(20_260_808);
-    let mut total_attempts = 0u64;
+    let (mut total_reads, mut total_hits) = (0u64, 0u64);
     for round in 0..120 {
         // Each "query" gets a fresh per-query counter, like the engine.
         let stats = IoStats::default();
@@ -217,13 +217,17 @@ fn pool_instruments_reconcile_with_per_query_stats() {
                 assert!(result.is_err(), "round {round}: armed read succeeded");
             }
         }
-        total_attempts += stats.reads() + stats.buffer_hits();
+        total_reads += stats.reads();
+        total_hits += stats.buffer_hits();
     }
     assert_eq!(
         (hits.get() - hits0) + (misses.get() - misses0),
-        total_attempts,
+        total_reads + total_hits,
         "pool hits+misses diverged from Σ per-query attempts"
     );
+    // Each side on its own: a miss is exactly a read, a hit a buffer hit.
+    assert_eq!(misses.get() - misses0, total_reads, "misses != Σ reads");
+    assert_eq!(hits.get() - hits0, total_hits, "hits != Σ buffer hits");
     assert_eq!(pool.pinned_frames(), 0);
     std::fs::remove_file(path).ok();
 }

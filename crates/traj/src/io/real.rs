@@ -1,7 +1,7 @@
 //! Parsers for the *real* evaluation datasets — the Porto taxi dump
 //! (Kaggle `train.csv`, one quoted-CSV row per trip with a JSON
-//! `POLYLINE`) and GeoLife `.plt` logs — plus the `PPQ_DATA_DIR` env
-//! gate that substitutes them for the synthetic walkers when present.
+//! `POLYLINE`) and GeoLife `.plt` logs — and [`load_real_dataset`], which
+//! turns a directory of such dumps into a [`Dataset`].
 //!
 //! # Normalization
 //!
@@ -34,13 +34,6 @@ use ppq_geo::Point;
 use std::collections::HashSet;
 use std::io::{self, BufRead};
 use std::path::{Path, PathBuf};
-
-/// Environment variable pointing at a directory of real dataset dumps.
-/// When unset, everything falls back to the synthetic generators.
-pub const DATA_DIR_ENV: &str = "PPQ_DATA_DIR";
-/// Optional cap on the number of traces loaded (smoke runs over the full
-/// Porto dump would otherwise take minutes).
-pub const DATA_LIMIT_ENV: &str = "PPQ_DATA_LIMIT";
 
 /// Typed failures of the real-dataset readers.
 #[derive(Debug)]
@@ -514,21 +507,4 @@ pub fn load_real_dataset(
         return Err(RealDataError::Empty);
     }
     Ok(Dataset::new(trajs))
-}
-
-/// The `PPQ_DATA_DIR` gate: `None` when the variable is unset (callers
-/// fall back to synthetic data), otherwise the result of loading `kind`
-/// from that directory with its default normalization and the optional
-/// `PPQ_DATA_LIMIT` trace cap.
-pub fn real_dataset_from_env(kind: RealDataset) -> Option<Result<Dataset, RealDataError>> {
-    let dir = std::env::var_os(DATA_DIR_ENV)?;
-    let limit = std::env::var(DATA_LIMIT_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok());
-    Some(load_real_dataset(
-        kind,
-        Path::new(&dir),
-        &kind.default_resample(),
-        limit,
-    ))
 }

@@ -1,6 +1,6 @@
 //! Error-taxonomy and fixture tests for the real-dataset parsers
 //! (`ppq_traj::io::real`). Everything here runs offline: the fixture
-//! dumps are checked in, so no `PPQ_DATA_DIR` is needed. The contract
+//! dumps are checked in. The contract
 //! under test: malformed rows, out-of-order timestamps, duplicate ids,
 //! empty files, and truncated/invalid UTF-8 all come back as *typed*
 //! errors — the parsers must never panic on outside-world bytes.
@@ -36,8 +36,8 @@ fn porto_fixture_parses_and_normalizes() {
     assert_eq!(trips[0].2.len(), 45);
     assert!(trips.iter().all(|(_, ts, _)| *ts >= 1372636858.0));
 
-    // End-to-end through the env-free loader path: fixture dir acts as
-    // PPQ_DATA_DIR with porto.csv at its root.
+    // End-to-end through the directory loader: a data directory with
+    // porto.csv at its root.
     let dir = std::env::temp_dir().join(format!("ppq-porto-fixture-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::copy(PORTO_FIXTURE, dir.join("porto.csv")).unwrap();

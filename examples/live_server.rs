@@ -9,10 +9,11 @@
 //! # bit-identity check against the in-process service, clean shutdown.
 //! cargo run --release --example live_server
 //!
-//! # Long-running server for external clients / the CI smoke job:
+//! # Long-running server for external clients:
 //! cargo run --release --example live_server -- --serve 127.0.0.1:7878 --secs 30
 //!
-//! # Same, with a plain-HTTP admin listener for metric scrapers:
+//! # Same, with a plain-HTTP admin listener for metric scrapers (the CI
+//! # server smoke job curls it from outside the process):
 //! cargo run --release --example live_server -- --serve 127.0.0.1:7878 --admin 127.0.0.1:9878
 //! curl http://127.0.0.1:9878/metrics
 //! ```
@@ -20,8 +21,7 @@
 //! In `--serve` mode the process builds the same synthetic fleet
 //! (honoring `PPQ_SCALE`), serves on the given address while ingesting
 //! the fleet's time slices in the background, and exits gracefully
-//! after `--secs` seconds — the shape the `ppq_service_path` bench's
-//! external mode (`PPQ_SERVICE_ADDR`) drives.
+//! after `--secs` seconds.
 
 use ppq_trajectory::core::{PpqConfig, Variant};
 use ppq_trajectory::geo::Point;
@@ -39,8 +39,7 @@ fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Same fleet the `ppq_service_path` bench generates, so external-mode
-/// load queries hit the slices this server ingested.
+/// The synthetic fleet both modes ingest.
 fn service_dataset() -> Dataset {
     porto_like(&PortoConfig {
         trajectories: ((600.0 * scale()).round() as usize).max(40),
