@@ -163,8 +163,8 @@ impl ShardStore {
     }
 
     /// Resolve every page the planned `metas` span in **one** pool batch:
-    /// hits are pinned immediately, all misses go to the I/O backend as
-    /// one overlapped submission. Duplicate pages (adjacent blocks on one
+    /// hits are pinned immediately, then each miss is read and
+    /// CRC-verified in plan order. Duplicate pages (adjacent blocks on one
     /// page, multi-page blocks overlapping) are deduplicated by the pool,
     /// so `stats` is charged exactly one attempt per *unique* page. The
     /// returned guard keeps the batch's frames pinned — a concurrent

@@ -169,6 +169,44 @@ fn injected(what: &str) -> io::Error {
     io::Error::other(format!("injected fault: {what}"))
 }
 
+#[cfg(unix)]
+fn pread(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.read_exact_at(buf, offset)
+}
+
+#[cfg(unix)]
+fn pwrite(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.write_all_at(buf, offset)
+}
+
+/// Non-unix fallback: `seek`, then read or write, on the shared handle.
+/// The cursor is shared state there, and a [`crate::PageStore`] reads and
+/// writes one handle, so reads and writes take this one lock.
+#[cfg(not(unix))]
+static CURSOR: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[cfg(not(unix))]
+fn pread(mut file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    use std::io::{Seek, SeekFrom};
+    let _guard = CURSOR
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
+#[cfg(not(unix))]
+fn pwrite(mut file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
+    use std::io::{Seek, SeekFrom};
+    let _guard = CURSOR
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    file.seek(SeekFrom::Start(offset))?;
+    file.write_all(buf)
+}
+
 /// Instrumented `write_all`.
 pub fn write_all(file: &mut File, buf: &[u8]) -> io::Result<()> {
     match decide() {
@@ -197,21 +235,21 @@ pub fn write_all(file: &mut File, buf: &[u8]) -> io::Result<()> {
 /// buffer and reports success.
 pub fn write_all_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
     match decide() {
-        Decision::Pass => crate::io::write_all_at_raw(file, buf, offset),
+        Decision::Pass => pwrite(file, buf, offset),
         Decision::Fail => Err(injected("write")),
         Decision::Torn(keep) => {
             let k = keep.min(buf.len());
-            crate::io::write_all_at_raw(file, &buf[..k], offset)?;
+            pwrite(file, &buf[..k], offset)?;
             Err(injected("torn write"))
         }
         Decision::Flip(bit) => {
             if buf.is_empty() {
-                return crate::io::write_all_at_raw(file, buf, offset);
+                return pwrite(file, buf, offset);
             }
             let mut corrupt = buf.to_vec();
             let b = bit % (corrupt.len() * 8);
             corrupt[b / 8] ^= 1 << (b % 8);
-            crate::io::write_all_at_raw(file, &corrupt, offset)
+            pwrite(file, &corrupt, offset)
         }
     }
 }
@@ -222,10 +260,10 @@ pub fn write_all_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
 /// `BitFlip` reads then corrupts the returned buffer.
 pub fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
     match decide() {
-        Decision::Pass => crate::io::read_exact_at_raw(file, buf, offset),
+        Decision::Pass => pread(file, buf, offset),
         Decision::Fail | Decision::Torn(_) => Err(injected("read")),
         Decision::Flip(bit) => {
-            crate::io::read_exact_at_raw(file, buf, offset)?;
+            pread(file, buf, offset)?;
             if !buf.is_empty() {
                 let b = bit % (buf.len() * 8);
                 buf[b / 8] ^= 1 << (b % 8);

@@ -20,18 +20,22 @@
 //! * [`page_index`] — the lightweight period → page-range index of §5.1.
 //! * [`fault`] — deterministic fault injection under every durable I/O
 //!   path (the crash-anywhere and torn-write test harness).
+//!
+//! A page is read one way: a positional read on the calling thread
+//! through [`fault`], then the CRC check. The store, a segment and a
+//! pool batch all page in through that one function.
+
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod crc32;
 pub mod fault;
-pub mod io;
 pub mod page;
 pub mod page_index;
 pub mod pool;
 pub mod store;
 
 pub use crc32::crc32;
-pub use io::{global_backend, IoBackend, PageRead, SerialBackend, ThreadPoolBackend};
 pub use page::{payload_capacity, Page, PAGE_SIZE, PAGE_TRAILER};
 pub use page_index::PageIndex;
 pub use pool::{PageRequest, PinnedPages, Segment, SharedBufferPool};

@@ -1,6 +1,8 @@
 //! Fixed-size pages with a CRC-32 trailer.
 
 use crate::crc32::crc32;
+use std::fs::File;
+use std::io;
 
 /// Page size used throughout the disk experiments: 1 MiB, "following the
 /// same process in the TrajStore paper, bounding the data on disk and
@@ -120,6 +122,24 @@ impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Page({} bytes)", self.data.len())
     }
+}
+
+/// Page `id` of `file`, a file of `page_size`-byte pages: one positional
+/// read through [`crate::fault`] on the calling thread, then the CRC
+/// check. Every page-in of the crate goes through here. A mismatch is an
+/// `InvalidData` error naming segment `seg` and the page, never a
+/// silently corrupt page.
+pub(crate) fn read_page(file: &File, seg: u64, id: u64, page_size: usize) -> io::Result<Page> {
+    let mut buf = vec![0u8; page_size];
+    crate::fault::read_exact_at(file, &mut buf, id * page_size as u64)?;
+    let page = Page::from_bytes(buf);
+    if !page.verify_crc() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("segment {seg} page {id}: CRC mismatch (corrupt page)"),
+        ));
+    }
+    Ok(page)
 }
 
 /// Number of default-size pages needed to hold `bytes` payload bytes.

@@ -24,12 +24,12 @@
 //!   admitted* (the caller still gets its bytes), keeping the resident
 //!   count ≤ capacity unconditionally.
 //!
-//! Batched misses go to the process-wide [`crate::io::IoBackend`]
-//! (io_uring where the kernel allows it, a positional-read thread pool
-//! otherwise) so one query's page-ins overlap on the device; when the
-//! calling thread is armed for fault injection the batch runs serially
-//! through the instrumented path instead, keeping fault schedules
-//! deterministic.
+//! A miss is one positional read on the calling thread through
+//! [`crate::fault`], then the page's CRC check — the same code whether or
+//! not the thread is armed for fault injection, so fault schedules are
+//! deterministic. A query plans ~1 page (the paper's disk experiment
+//! counts page I/Os; it never overlaps them), so a batch's misses are
+//! read in plan order rather than submitted to a device queue.
 //!
 //! I/O accounting is per *call*, not per pool: reads charge whichever
 //! [`IoStats`] the caller passes (a buffer hit is not an I/O, matching
@@ -39,12 +39,10 @@
 //! attempts` an exact invariant, checked by the test battery. A
 //! per-query I/O *budget* ([`IoStats::
 //! set_budget`]) caps how many page-ins one query may issue; exceeding
-//! it is a typed error before the batch is dispatched, never a silently
+//! it is a typed error before any page is read, never a silently
 //! truncated answer.
 
-use crate::fault;
-use crate::io::{global_backend, IoBackend, PageRead};
-use crate::page::Page;
+use crate::page::{read_page, Page};
 use crate::store::IoStats;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -106,7 +104,6 @@ struct PoolMetrics {
     pinned: ppq_obs::Gauge,
     batch_depth: ppq_obs::Gauge,
     batched_pages: ppq_obs::Counter,
-    backend_queue: ppq_obs::Gauge,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
@@ -119,7 +116,6 @@ fn pool_metrics() -> &'static PoolMetrics {
         pinned: ppq_obs::gauge("ppq_pool_pinned_frames"),
         batch_depth: ppq_obs::gauge("ppq_pool_batch_depth"),
         batched_pages: ppq_obs::counter("ppq_pool_batched_pages"),
-        backend_queue: ppq_obs::gauge("ppq_pool_backend_queue"),
     })
 }
 
@@ -234,13 +230,11 @@ impl PoolInner {
 /// A residency-managed buffer pool shared by any number of [`Segment`]s.
 pub struct SharedBufferPool {
     inner: Mutex<PoolInner>,
-    backend: Arc<dyn IoBackend>,
 }
 
 impl SharedBufferPool {
     /// A pool of `capacity` page frames (0 disables caching: every read
-    /// is a real I/O — the cold-path configuration of the disk benches),
-    /// dispatching batched misses to the process-wide I/O backend.
+    /// is a real I/O — the cold-path configuration of the disk benches).
     pub fn new(capacity: usize) -> Arc<SharedBufferPool> {
         Arc::new(SharedBufferPool {
             inner: Mutex::new(PoolInner {
@@ -249,7 +243,6 @@ impl SharedBufferPool {
                 protected: Vec::new(),
                 frames: HashMap::new(),
             }),
-            backend: global_backend(),
         })
     }
 
@@ -257,9 +250,10 @@ impl SharedBufferPool {
         self.inner.lock().capacity
     }
 
-    /// The batch backend this pool dispatches misses to.
+    /// How misses are read: always `"serial"`, one positional read per
+    /// page on the calling thread. Kept so run reports can record it.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        "serial"
     }
 
     /// Pages currently resident.
@@ -312,20 +306,17 @@ impl SharedBufferPool {
     }
 
     /// Resolve a query plan's page set in one call: pool hits are pinned
-    /// and returned immediately, all misses are dispatched to the I/O
-    /// backend as one overlapped batch, verified (CRC trailer), admitted
-    /// and pinned. Duplicate requests are deduplicated here — each
-    /// *unique* page is exactly one attempt on `stats` and the pool
-    /// instruments (hit or read, never both).
+    /// and returned immediately, then every miss is read in plan order,
+    /// verified (CRC trailer), admitted and pinned. Duplicate requests
+    /// are deduplicated here — each *unique* page is exactly one attempt
+    /// on `stats` and the pool instruments (hit or read, never both).
     ///
     /// On any error the partially built guard unwinds: every pin taken
     /// is released, pages that did arrive stay admitted (they are
     /// valid), and the caller sees the first error. Attempted page-ins
-    /// are charged to `stats` whether or not they succeed.
-    ///
-    /// When the calling thread is armed for fault injection the misses
-    /// are read serially on this thread through the instrumented path,
-    /// so `(op, kind)` schedules stay deterministic.
+    /// are charged to `stats` whether or not they succeed, and a failed
+    /// read does not stop the ones after it, so an armed fault schedule
+    /// counts one operation per miss.
     pub fn fetch_batch<'p>(
         &'p self,
         requests: &[PageRequest<'_>],
@@ -338,7 +329,7 @@ impl SharedBufferPool {
             pages: HashMap::new(),
         };
         // Partition into hits (pin now) and unique misses.
-        let mut misses: Vec<(FrameKey, PageRead)> = Vec::new();
+        let mut misses: Vec<(FrameKey, &Segment)> = Vec::new();
         {
             let mut inner = self.inner.lock();
             for req in requests {
@@ -359,14 +350,14 @@ impl SharedBufferPool {
                     batch.pages.insert(key, page);
                 } else if misses.iter().all(|(k, _)| *k != key) {
                     req.segment.check_page(req.page)?;
-                    misses.push((key, req.segment.page_read(req.page)));
+                    misses.push((key, req.segment));
                 }
             }
         }
         if misses.is_empty() {
             return Ok(batch);
         }
-        // Budget gate before dispatch: a query over budget fails typed,
+        // Budget gate before any read: a query over budget fails typed,
         // before touching the device.
         stats.try_charge_reads(misses.len() as u64)?;
         for _ in &misses {
@@ -374,57 +365,23 @@ impl SharedBufferPool {
         }
         m.batch_depth.set(misses.len() as u64);
         m.batched_pages.add(misses.len() as u64);
-        let results = if fault::armed() {
-            let reads: Vec<PageRead> = misses
-                .iter()
-                .map(|(_, r)| PageRead {
-                    file: Arc::clone(&r.file),
-                    offset: r.offset,
-                    len: r.len,
-                })
-                .collect();
-            crate::io::SerialBackend.read_batch(&reads)
-        } else {
-            let reads: Vec<PageRead> = misses
-                .iter()
-                .map(|(_, r)| PageRead {
-                    file: Arc::clone(&r.file),
-                    offset: r.offset,
-                    len: r.len,
-                })
-                .collect();
-            let results = self.backend.read_batch(&reads);
-            m.backend_queue.set(self.backend.queue_depth() as u64);
-            results
-        };
-        debug_assert_eq!(results.len(), misses.len());
+        let results: Vec<io::Result<Page>> = misses
+            .iter()
+            .map(|&((_, page), segment)| segment.page_in(page))
+            .collect();
         let mut first_err: Option<io::Error> = None;
         let mut inner = self.inner.lock();
         for ((key, _), result) in misses.into_iter().zip(results) {
             match result {
-                Ok(bytes) => {
-                    let page = Arc::new(Page::from_bytes(bytes));
-                    if !page.verify_crc() {
-                        if first_err.is_none() {
-                            first_err = Some(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!(
-                                    "segment {} page {}: CRC mismatch (corrupt page)",
-                                    key.0, key.1
-                                ),
-                            ));
-                        }
-                        continue;
-                    }
+                Ok(page) => {
+                    let page = Arc::new(page);
                     if inner.admit(key, Arc::clone(&page)) && inner.pin(key) {
                         batch.pinned.push(key);
                     }
                     batch.pages.insert(key, page);
                 }
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
         }
@@ -536,7 +493,7 @@ impl Drop for PinnedPages<'_> {
 /// Reads are positional (`read_at`): no lock is held across any syscall,
 /// so concurrent readers overlap on the device.
 pub struct Segment {
-    file: Arc<File>,
+    file: File,
     seg_id: u64,
     num_pages: u64,
     page_size: usize,
@@ -575,7 +532,7 @@ impl Segment {
             ));
         }
         Ok(Segment {
-            file: Arc::new(file),
+            file,
             seg_id,
             num_pages: len / page_size as u64,
             page_size,
@@ -621,13 +578,9 @@ impl Segment {
         Ok(())
     }
 
-    /// The raw positional read resolving `page_id` (backend input).
-    fn page_read(&self, page_id: u64) -> PageRead {
-        PageRead {
-            file: Arc::clone(&self.file),
-            offset: page_id * self.page_size as u64,
-            len: self.page_size,
-        }
+    /// Page `page_id` from disk, CRC-verified; no pool, no accounting.
+    fn page_in(&self, page_id: u64) -> io::Result<Page> {
+        read_page(&self.file, self.seg_id, page_id, self.page_size)
     }
 
     /// Read a page through the shared pool, charging `stats`: a pool hit
@@ -645,18 +598,7 @@ impl Segment {
         }
         stats.try_charge_reads(1)?;
         pool_metrics().misses.inc();
-        let mut buf = vec![0u8; self.page_size];
-        fault::read_exact_at(&self.file, &mut buf, page_id * self.page_size as u64)?;
-        let page = Arc::new(Page::from_bytes(buf));
-        if !page.verify_crc() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "segment {} page {page_id}: CRC mismatch (corrupt page)",
-                    self.seg_id
-                ),
-            ));
-        }
+        let page = Arc::new(self.page_in(page_id)?);
         self.pool.put(key, Arc::clone(&page));
         Ok(page)
     }
@@ -746,16 +688,38 @@ mod tests {
     #[test]
     fn corrupt_segment_page_detected() {
         let p = tmp("segcrc");
-        write_pages(&p, 1);
+        write_pages(&p, 2);
         {
             use std::io::{Seek, SeekFrom, Write};
             let mut f = OpenOptions::new().write(true).open(&p).unwrap();
             f.seek(SeekFrom::Start(10)).unwrap();
             f.write_all(&[0xEE]).unwrap();
         }
-        let seg = Segment::open(&p, 0, PS, SharedBufferPool::new(4)).unwrap();
+        let pool = SharedBufferPool::new(4);
+        let seg = Segment::open(&p, 0, PS, Arc::clone(&pool)).unwrap();
         let err = seg.read(0, &IoStats::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Batched beside an intact page: the batch fails typed, releases
+        // every pin, and keeps the intact page it did read.
+        let err = pool
+            .fetch_batch(
+                &[
+                    PageRequest {
+                        segment: &seg,
+                        page: 0,
+                    },
+                    PageRequest {
+                        segment: &seg,
+                        page: 1,
+                    },
+                ],
+                &IoStats::default(),
+            )
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("segment 0 page 0"), "{err}");
+        assert_eq!(pool.pinned_frames(), 0);
+        assert_eq!(pool.resident_keys(), vec![(0, 1)]);
         std::fs::remove_file(p).ok();
     }
 

@@ -1,14 +1,13 @@
 //! File-backed page store with I/O accounting and an LRU buffer pool.
 
 use crate::fault;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{read_page, Page, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Cumulative I/O counters (what Table 9's "No.I/Os" reports), plus an
 /// optional per-query read *budget*: a ceiling on page-in attempts that,
@@ -184,7 +183,7 @@ impl Lru {
 /// across any syscall, so concurrent readers and the writer overlap on
 /// the device instead of serializing behind a file mutex.
 pub struct PageStore {
-    file: Arc<File>,
+    file: File,
     cache: Mutex<Lru>,
     stats: IoStats,
     num_pages: AtomicU64,
@@ -216,7 +215,7 @@ impl PageStore {
             .truncate(true)
             .open(path)?;
         Ok(PageStore {
-            file: Arc::new(file),
+            file,
             cache: Mutex::new(Lru::new(pool_pages)),
             stats: IoStats::default(),
             num_pages: AtomicU64::new(0),
@@ -272,15 +271,7 @@ impl PageStore {
             return Ok(p);
         }
         self.stats.try_charge_reads(1)?;
-        let mut buf = vec![0u8; self.page_size];
-        fault::read_exact_at(&self.file, &mut buf, id * self.page_size as u64)?;
-        let page = Page::from_bytes(buf);
-        if !page.verify_crc() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("page {id}: CRC mismatch (corrupt page)"),
-            ));
-        }
+        let page = read_page(&self.file, 0, id, self.page_size)?;
         self.cache.lock().put(id, page.clone());
         Ok(page)
     }
