@@ -31,13 +31,15 @@ use ppq_traj::{Dataset, TrajId};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Minimum slice width before a slice's shards run on separate threads.
-/// The rayon shim spawns fresh scoped threads per call (no pool) and the
-/// caller sleeps until they join: on a narrow slice that costs as much as
-/// the shards' own work, and what it costs moves with how the host
-/// schedules the wake-ups. Below this the shards take the slice in turn.
-/// Same idiom and size as `PARALLEL_PREDICT_MIN` in `pipeline.rs`.
-const PARALLEL_SHARD_MIN: usize = 4096;
+/// Minimum slice width before a slice's shards run on the rayon pool.
+/// Handing shards to a parked pool worker costs a wake-up, and the
+/// worker then competes for the cores with every other busy thread: a
+/// narrow slice's shards finish sooner in turn on the calling thread.
+/// Chosen by a sweep of `throughput_per_s` on the benchmark's `build`
+/// workload (slices up to ~3000 points; gains flatten below 512),
+/// recorded in CHANGES.md; live ingest's slices (tens of points) stay
+/// on the calling thread.
+const PARALLEL_SHARD_MIN: usize = 256;
 
 /// Deterministic trajectory-id → shard assignment.
 ///
@@ -183,8 +185,8 @@ impl ShardedPpqStream {
     /// The sharded summary of everything consumed so far, without closing
     /// the stream (the sharded mirror of [`PpqStream::snapshot`]). The
     /// shards take their snapshots in turn: each shares its history
-    /// rather than copying it, which takes less time than spawning a
-    /// thread per shard.
+    /// rather than copying it, which takes less time than handing the
+    /// shards to the pool.
     pub fn snapshot(&self) -> ShardedSummary {
         ShardedSummary {
             router: self.router,
@@ -594,30 +596,65 @@ mod tests {
     }
 
     /// The integration tests' slices are tens of points wide and so never
-    /// leave the calling thread; this fixture is wide enough to.
+    /// leave the calling thread. This fixture's staggered starts and ends
+    /// give it slices on both sides of `PARALLEL_SHARD_MIN`, so one stream
+    /// switches between the pool and the calling thread.
     #[test]
     fn wide_slices_on_threads_match_the_same_slices_in_turn() {
         let data = porto_like(&PortoConfig {
-            trajectories: PARALLEL_SHARD_MIN + 200,
+            trajectories: 2 * PARALLEL_SHARD_MIN,
             mean_len: 8,
             min_len: 6,
-            start_spread: 1,
+            start_spread: 4,
             seed: 34,
         });
-        let widest = data.time_slices().map(|s| s.points.len()).max().unwrap();
-        assert!(widest >= PARALLEL_SHARD_MIN, "fixture stays serial");
+        let widths: Vec<usize> = data.time_slices().map(|s| s.points.len()).collect();
+        assert!(
+            widths.iter().any(|&w| w >= PARALLEL_SHARD_MIN),
+            "no wide slice"
+        );
+        assert!(
+            widths.iter().any(|&w| w < PARALLEL_SHARD_MIN),
+            "no narrow slice"
+        );
         let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
-        let serial = rayon::with_thread_count(1, || ShardedSummary::build(&data, &cfg, 4));
-        let threaded = rayon::with_thread_count(4, || ShardedSummary::build(&data, &cfg, 4));
-        assert_eq!(serial.breakdown(), threaded.breakdown());
-        for (id, t, _) in data.iter_points() {
-            let a = serial.reconstruct(id, t).unwrap();
-            let b = threaded.reconstruct(id, t).unwrap();
+        let build =
+            |threads| rayon::with_thread_count(threads, || ShardedSummary::build(&data, &cfg, 4));
+        let serial = build(1);
+        let bytes = |s: &ShardedSummary| -> Vec<Vec<u8>> {
+            s.shards().iter().map(crate::summary_io::to_bytes).collect()
+        };
+        for threads in [2, 4] {
+            let threaded = build(threads);
+            assert_eq!(serial.breakdown(), threaded.breakdown());
             assert!(
-                a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
-                "thread-count divergence at traj {id} t {t}"
+                bytes(&serial) == bytes(&threaded),
+                "{threads} threads: shard bytes differ"
             );
+            for (id, t, _) in data.iter_points() {
+                let a = serial.reconstruct(id, t).unwrap();
+                let b = threaded.reconstruct(id, t).unwrap();
+                assert!(
+                    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
+                    "{threads} threads: divergence at traj {id} t {t}"
+                );
+            }
         }
+    }
+
+    /// A shard's contract assert reaches the caller with its own message
+    /// when the slice's shards run on the pool.
+    #[test]
+    #[should_panic(expected = "slices must arrive at consecutive timesteps")]
+    fn a_skipped_timestep_in_a_wide_slice_panics_with_its_message() {
+        let wide: Vec<(TrajId, Point)> = (0..PARALLEL_SHARD_MIN as TrajId)
+            .map(|id| (id, Point::new(-8.6 + id as f64 * 1e-5, 41.1)))
+            .collect();
+        let mut stream = ShardedPpqStream::new(PpqConfig::default(), 4);
+        rayon::with_thread_count(2, || {
+            stream.push_slice(0, &[]);
+            stream.push_slice(2, &wide);
+        });
     }
 
     #[test]

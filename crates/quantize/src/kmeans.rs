@@ -81,10 +81,9 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 const CHUNK: usize = 1024;
 
 /// Minimum `points × centroids` work before the sweep fans out over
-/// threads. The rayon shim spawns fresh scoped threads per call (no
-/// pool), costing tens of microseconds per sweep, so the threshold is
-/// sized for a few hundred microseconds of kernel work — re-tune
-/// downward if a pooled rayon is swapped in.
+/// threads. Waking a parked pool worker costs tens of microseconds per
+/// sweep, so the threshold is sized for a few hundred microseconds of
+/// kernel work.
 const PARALLEL_MIN_WORK: usize = 1 << 18;
 
 /// Reusable scratch for k-means runs: the SoA input mirror, centroid

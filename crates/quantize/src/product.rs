@@ -35,8 +35,8 @@ pub struct ProductQuantizer {
 const CHUNK_1D: usize = 2048;
 
 /// Minimum `values × centroids` work before a 1-D sweep fans out. Sized
-/// for the shim's per-call thread-spawn cost (no pool); see
-/// `PARALLEL_MIN_WORK` in `kmeans.rs`.
+/// for a pool worker's wake-up cost; see `PARALLEL_MIN_WORK` in
+/// `kmeans.rs`.
 const PARALLEL_MIN_WORK_1D: usize = 1 << 18;
 
 /// Reusable scratch for one scalar (1-D) k-means axis.
