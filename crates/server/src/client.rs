@@ -3,6 +3,7 @@
 //! unchanged.
 
 use crate::proto::{self, Request, Response, StatsBody, TpqMatch, WireError};
+use crate::wait::FrameWait;
 use ppq_core::query::{QueryTarget, StrqOutcome};
 use ppq_geo::Point;
 use ppq_traj::TrajId;
@@ -60,6 +61,7 @@ impl From<io::Error> for ClientError {
 /// One blocking protocol connection (request → response, in order).
 pub struct RemoteConn {
     stream: TcpStream,
+    wait: FrameWait,
 }
 
 impl RemoteConn {
@@ -67,12 +69,18 @@ impl RemoteConn {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<RemoteConn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(RemoteConn { stream })
+        Ok(RemoteConn {
+            stream,
+            wait: FrameWait::new(),
+        })
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         proto::write_frame(&mut self.stream, &req.encode())?;
-        let payload = proto::read_frame(&mut self.stream)?.ok_or(ClientError::Closed)?;
+        let payload = self
+            .wait
+            .next_frame(&self.stream, None)?
+            .ok_or(ClientError::Closed)?;
         let resp = Response::decode(&payload).map_err(WireError::Protocol)?;
         match resp {
             Response::Busy => Err(ClientError::Busy),

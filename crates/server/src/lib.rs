@@ -6,7 +6,8 @@
 //! layer, deliberately boring: a **versioned length-prefixed binary
 //! protocol** ([`proto`]) in the same codec dialect as the on-disk
 //! formats, a **threaded blocking TCP transport** ([`server`]) — no
-//! async runtime, a handful of OS threads — and a **client** ([`client`])
+//! async runtime, a handful of OS threads, each read spinning briefly
+//! before it blocks while a core is free — and a **client** ([`client`])
 //! whose [`client::RemoteClient`] implements
 //! [`ppq_core::query::QueryTarget`], so a load driver drives a remote
 //! server with the exact machinery it uses in-process.
@@ -27,7 +28,9 @@
 pub mod client;
 pub mod proto;
 pub mod server;
+mod wait;
 
 pub use client::{ClientError, RemoteClient, RemoteConn, RemoteCtx};
 pub use proto::{ProtocolError, Request, Response, StatsBody, WireError, MAX_FRAME_LEN};
 pub use server::{start, ServerConfig, ServerHandle, ServerStats};
+pub use wait::SPIN_BUDGET;

@@ -41,6 +41,7 @@ use ppq_storage::codec::{Decoder, Encoder};
 use ppq_traj::TrajId;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Protocol revision carried in every payload. Bumped on any layout
 /// change; a server rejects frames from a different revision with a
@@ -676,49 +677,85 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Read one frame. `Ok(None)` on a clean EOF at a frame boundary;
 /// EOF mid-frame is [`ProtocolError::Truncated`], a length prefix past
-/// [`MAX_FRAME_LEN`] is [`ProtocolError::Oversize`].
+/// [`MAX_FRAME_LEN`] is [`ProtocolError::Oversize`]. A read timeout is
+/// an error like any other.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+    read_frame_polling(r, None)
+}
+
+/// [`read_frame`], optionally polling a stop flag across read timeouts.
+/// With `stop` set, a timeout before the frame's first byte consults
+/// the flag and returns `Ok(None)` once it is raised, and any other
+/// timeout keeps reading, so a slow peer cannot desynchronize the
+/// framing. Without it, this is exactly [`read_frame`].
+pub(crate) fn read_frame_polling(
+    r: &mut impl Read,
+    stop: Option<&AtomicBool>,
+) -> Result<Option<Vec<u8>>, WireError> {
+    let polling = stop.is_some();
     let mut len_buf = [0u8; 4];
-    match read_exact_or_eof(r, &mut len_buf)? {
-        FillOutcome::Eof => return Ok(None),
-        FillOutcome::Partial => return Err(ProtocolError::Truncated.into()),
-        FillOutcome::Full => {}
+    match fill(r, &mut len_buf, polling, stop)? {
+        Fill::Eof | Fill::Stopped => return Ok(None),
+        Fill::Partial => return Err(ProtocolError::Truncated.into()),
+        Fill::Full => {}
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::Oversize(len).into());
     }
     let mut payload = vec![0u8; len];
-    match read_exact_or_eof(r, &mut payload)? {
-        FillOutcome::Full => Ok(Some(payload)),
-        FillOutcome::Eof | FillOutcome::Partial => Err(ProtocolError::Truncated.into()),
+    // Once the prefix is in, the frame is finished regardless of `stop`.
+    match fill(r, &mut payload, polling, None)? {
+        Fill::Full => Ok(Some(payload)),
+        Fill::Eof | Fill::Partial | Fill::Stopped => Err(ProtocolError::Truncated.into()),
     }
 }
 
-enum FillOutcome {
+enum Fill {
     /// Buffer filled completely.
     Full,
     /// EOF before the first byte.
     Eof,
     /// EOF after some bytes — a torn frame.
     Partial,
+    /// The stop flag was raised before the first byte.
+    Stopped,
 }
 
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<FillOutcome> {
+/// Fill `buf`. With `retry_timeouts`, a read timeout reads again, after
+/// returning [`Fill::Stopped`] if it came before the first byte and
+/// `stop` is raised; without it, a timeout is an error.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    retry_timeouts: bool,
+    stop: Option<&AtomicBool>,
+) -> io::Result<Fill> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Ok(if filled == 0 {
-                    FillOutcome::Eof
+                    Fill::Eof
                 } else {
-                    FillOutcome::Partial
+                    Fill::Partial
                 })
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if retry_timeouts
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                if filled == 0 && stop.is_some_and(|s| s.load(Ordering::Acquire)) {
+                    return Ok(Fill::Stopped);
+                }
+            }
             Err(e) => return Err(e),
         }
     }
-    Ok(FillOutcome::Full)
+    Ok(Fill::Full)
 }

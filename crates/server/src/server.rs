@@ -28,6 +28,19 @@
 //! closed, so admitted connections keep their latency instead of
 //! everyone queueing unboundedly.
 //!
+//! A handler waits for its next request the way the client
+//! ([`crate::RemoteConn`]) waits for a reply: spin, then block. It peeks
+//! at the nonblocking socket, yielding the core between peeks, for at
+//! most [`crate::SPIN_BUDGET`], then restores blocking mode and reads
+//! the frame as before (read timeout and stop-flag polling included).
+//! That skips the wake-up of a parked core on each end of a round trip.
+//! A wait spins only while its connection is hot (the previous wait
+//! ended within the budget) and a core is free: the connections this
+//! process has open, served and dialed, plus an attached maintenance
+//! worker, number no more than `available_parallelism()`. Otherwise a
+//! spinner would take the core a peer or the worker needs. The registry
+//! counts spins as `ppq_wire_spin_hits` and `ppq_wire_spin_misses`.
+//!
 //! ## Shutdown
 //!
 //! [`ServerHandle::shutdown`] is a drain, not an abort: stop the accept
@@ -38,10 +51,11 @@
 //! reproduces exactly the acknowledged state — `tests/shutdown.rs`
 //! proves no acked slice is lost.
 
-use crate::proto::{self, ProtocolError, Request, Response, StatsBody, WireError};
+use crate::proto::{self, Request, Response, StatsBody, WireError};
+use crate::wait::{self, FrameWait};
 use ppq_core::query::ShardedQueryWorkspace;
 use ppq_live::{LiveError, LiveService, MaintenanceConfig, MaintenanceWorker, WorkerStats};
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -161,6 +175,9 @@ pub struct ServerHandle {
     accept: Option<JoinHandle<()>>,
     handlers: Vec<JoinHandle<()>>,
     worker: Option<MaintenanceWorker>,
+    /// The attached maintenance worker's share of the spin gate's open
+    /// count, whoever attached it.
+    _worker_open: Option<wait::Open>,
 }
 
 /// Bind `addr` and serve `service` until shutdown. `addr` may carry
@@ -187,6 +204,8 @@ pub fn start(
         }
         None => None,
     };
+    let worker_open = service.status().worker_attached.then(wait::Open::new);
+    wait::register_metrics();
 
     let stop = Arc::new(AtomicBool::new(false));
     let counters = Arc::new(Counters::default());
@@ -226,6 +245,7 @@ pub fn start(
         accept: Some(accept),
         handlers,
         worker,
+        _worker_open: worker_open,
     })
 }
 
@@ -372,9 +392,10 @@ fn serve_connection(
     if stream.set_read_timeout(Some(poll)).is_err() {
         return;
     }
+    let mut waiter = FrameWait::new();
     loop {
         let m = server_metrics();
-        let payload = match next_frame(&mut stream, stop) {
+        let payload = match waiter.next_frame(&stream, Some(stop)) {
             Ok(Some(payload)) => payload,
             Ok(None) => return,
             Err(WireError::Protocol(e)) => {
@@ -477,66 +498,4 @@ fn dispatch(service: &Arc<LiveService>, req: Request, ws: &mut ShardedQueryWorks
             Response::Metrics(ppq_obs::snapshot())
         }
     }
-}
-
-/// [`proto::read_frame`] with stop-flag polling: read timeouts at a
-/// frame boundary check `stop` (and return `None` to close the
-/// connection on shutdown); timeouts mid-frame keep reading, so a slow
-/// client cannot desynchronize the framing.
-fn next_frame(stream: &mut TcpStream, stop: &AtomicBool) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_buf = [0u8; 4];
-    match fill_polling(stream, &mut len_buf, Some(stop))? {
-        Fill::Eof | Fill::Stopped => return Ok(None),
-        Fill::Full => {}
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > proto::MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversize(len).into());
-    }
-    let mut payload = vec![0u8; len];
-    match fill_polling(stream, &mut payload, None)? {
-        Fill::Full => Ok(Some(payload)),
-        Fill::Eof | Fill::Stopped => Err(ProtocolError::Truncated.into()),
-    }
-}
-
-enum Fill {
-    Full,
-    Eof,
-    Stopped,
-}
-
-/// Fill `buf` across read timeouts. When `stop_at_start` is set, a
-/// timeout before the first byte consults the flag; once any byte has
-/// arrived the frame is finished regardless.
-fn fill_polling(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop_at_start: Option<&AtomicBool>,
-) -> Result<Fill, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(Fill::Eof)
-                } else {
-                    Err(ProtocolError::Truncated.into())
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if filled == 0 {
-                    if let Some(stop) = stop_at_start {
-                        if stop.load(Ordering::Acquire) {
-                            return Ok(Fill::Stopped);
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Fill::Full)
 }
