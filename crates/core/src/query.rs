@@ -278,7 +278,8 @@ pub fn precision_recall(returned: &[TrajId], truth: &[TrajId]) -> (f64, f64) {
 /// of the build path's `KMeansWorkspace`. One workspace per thread: the
 /// steady-state query loop performs no heap allocation beyond the
 /// returned outcome itself. Dereferences to the source's probe state `X`,
-/// where a source keeps its per-thread settings (on disk, the I/O budget).
+/// where a source keeps its per-thread state (on disk, the per-query I/O
+/// counter).
 #[derive(Debug, Default)]
 pub struct Workspace<X> {
     probe: X,

@@ -142,10 +142,6 @@ pub struct ServiceStatus {
     /// `ppq_pool_resident_frames` gauge) — auto-compaction's repository
     /// view and any disk query engine in this process page through them.
     pub pool_resident_frames: u64,
-    /// Frames pinned by in-flight batched reads
-    /// (`ppq_pool_pinned_frames`): nonzero while concurrent disk queries
-    /// hold their working sets.
-    pub pool_pinned_frames: u64,
 }
 
 /// What one background-worker tick did (see
@@ -338,7 +334,6 @@ impl LiveService {
             last_fold_unix_ms: m.last_fold_unix_ms,
             last_compaction_unix_ms: m.last_compaction_unix_ms,
             pool_resident_frames: ppq_obs::gauge("ppq_pool_resident_frames").get(),
-            pool_pinned_frames: ppq_obs::gauge("ppq_pool_pinned_frames").get(),
         }
     }
 

@@ -63,16 +63,6 @@ pub struct DiskProbe {
     io: IoStats,
 }
 
-impl DiskProbe {
-    /// Cap page-in attempts per query served through this workspace
-    /// (`u64::MAX` — the default — is unlimited). An over-budget query
-    /// fails typed (`RepoError::Io` at the repository surface) *before*
-    /// dispatching the refused batch, never silently truncated.
-    pub fn set_io_budget(&self, max_reads: u64) {
-        self.io.set_budget(max_reads);
-    }
-}
-
 /// Reusable per-thread state for disk query evaluation.
 pub type DiskQueryWorkspace = Workspace<DiskProbe>;
 
@@ -96,9 +86,10 @@ impl PostingSource for ShardStore {
     /// candidate regions by bbox intersection, then the sorted-posting
     /// walk over the directory's cell keys — collecting every surviving
     /// block's meta; no page is touched. *Fetch*: resolve the plan's whole
-    /// page set in one pinned pool batch. *Decode*: every block out of
-    /// the pinned pages. Read order does not matter — the bitset union
-    /// and sorted drain fix the output.
+    /// page set in one pool batch. *Decode*: every block out of the
+    /// fetched pages, which the batch owns whether or not their frames
+    /// stay resident. Read order does not matter — the bitset union and
+    /// sorted drain fix the output.
     fn postings(
         &self,
         t: u32,
@@ -167,8 +158,7 @@ impl ShardSet for Repo {
     }
 
     /// Publish the query's page I/O as `last_io`, roll it into
-    /// [`Repo::io_stats`] and zero the counter for the next query (the
-    /// budget, a setting, survives).
+    /// [`Repo::io_stats`] and zero the counter for the next query.
     fn settle_io(&self, ws: &mut DiskQueryWorkspace) {
         ws.last_io = (ws.io.reads(), ws.io.buffer_hits());
         self.io_stats().absorb(&ws.io);

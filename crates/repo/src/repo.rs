@@ -24,7 +24,7 @@ use crate::writer::RepoWriter;
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardRouter, ShardedSummary};
 use ppq_geo::Point;
-use ppq_storage::{crc32, IoStats, PageRequest, PinnedPages, Segment, SharedBufferPool};
+use ppq_storage::{crc32, FetchedPages, IoStats, PageRequest, Segment, SharedBufferPool};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -163,18 +163,18 @@ impl ShardStore {
     }
 
     /// Resolve every page the planned `metas` span in **one** pool batch:
-    /// hits are pinned immediately, then each miss is read and
-    /// CRC-verified in plan order. Duplicate pages (adjacent blocks on one
-    /// page, multi-page blocks overlapping) are deduplicated by the pool,
-    /// so `stats` is charged exactly one attempt per *unique* page. The
-    /// returned guard keeps the batch's frames pinned — a concurrent
-    /// query cannot evict this query's working set mid-decode.
-    pub fn fetch_blocks<'s>(
-        &'s self,
+    /// hits are touched first, then each miss is read and CRC-verified in
+    /// plan order. Duplicate pages (adjacent blocks on one page,
+    /// multi-page blocks overlapping) are deduplicated by the pool, so
+    /// `stats` is charged exactly one attempt per *unique* page. The
+    /// returned map owns its pages, so a concurrent query evicting their
+    /// frames cannot disturb this query's decode.
+    pub fn fetch_blocks(
+        &self,
         metas: &[BlockMeta],
         stats: &IoStats,
-    ) -> std::io::Result<PinnedPages<'s>> {
-        let mut requests: Vec<PageRequest<'s>> = Vec::with_capacity(metas.len());
+    ) -> std::io::Result<FetchedPages> {
+        let mut requests: Vec<PageRequest<'_>> = Vec::with_capacity(metas.len());
         for meta in metas {
             let segment = &self.segments[meta.seg as usize];
             let total = meta.n_ids as u64 * 4;
@@ -183,8 +183,7 @@ impl ShardStore {
                 requests.push(PageRequest { segment, page });
             }
         }
-        let pool: &'s SharedBufferPool = self.segments[0].pool();
-        pool.fetch_batch(&requests, stats)
+        self.segments[0].pool().fetch_batch(&requests, stats)
     }
 
     /// Decode one planned block out of an already-fetched batch — the
@@ -195,7 +194,7 @@ impl ShardStore {
     pub fn decode_block_from(
         &self,
         meta: &BlockMeta,
-        pages: &PinnedPages<'_>,
+        pages: &FetchedPages,
         scratch: &mut Vec<u8>,
         out: &mut Vec<u32>,
     ) -> std::io::Result<()> {
@@ -205,7 +204,7 @@ impl ShardStore {
         let mut page = meta.page;
         let mut offset = meta.offset as usize;
         while scratch.len() < total {
-            let Some(p) = pages.get(seg_id, page) else {
+            let Some(p) = pages.get(&(seg_id, page)) else {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
                     format!("segment {seg_id} page {page} absent from fetched batch"),

@@ -32,6 +32,14 @@
 //! STRQ responses carry the *full* [`StrqOutcome`] (all answer tiers and
 //! the visited counter), so a remote caller can check bit-identity
 //! against an in-process engine, not just cardinalities.
+//!
+//! ## Revisions
+//!
+//! * **2** — the Stats body drops two fields: the inline-maintenance
+//!   flag (always `false` once only a worker folds) and the pool's
+//!   pinned-frame count (the buffer pool no longer pins frames). A
+//!   version-1 frame is refused as [`ProtocolError::BadVersion`]`(1)`.
+//! * **1** — the first layout.
 
 use bytes::Bytes;
 use ppq_core::query::StrqOutcome;
@@ -46,7 +54,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Protocol revision carried in every payload. Bumped on any layout
 /// change; a server rejects frames from a different revision with a
 /// typed error instead of misparsing them.
-pub const PROTO_VERSION: u8 = 1;
+pub const PROTO_VERSION: u8 = 2;
 
 /// Upper bound on a frame payload (16 MiB). Large enough for any slice
 /// or answer the service produces; small enough that a hostile length
@@ -205,11 +213,6 @@ pub struct StatsBody {
     pub published_version: u32,
     pub wal_pending: u64,
     pub maintenance_failures: u32,
-    /// Always `false`. Services no longer maintain inline on the ingest
-    /// path (only an attached worker folds), but the byte stays in the
-    /// frame so the Stats encoding, and every peer decoding it, is
-    /// unchanged.
-    pub inline_maintenance: bool,
     pub worker_attached: bool,
     pub last_maintenance_error: Option<String>,
     pub wal_pending_bytes: u64,
@@ -217,7 +220,6 @@ pub struct StatsBody {
     pub last_fold_unix_ms: Option<u64>,
     pub last_compaction_unix_ms: Option<u64>,
     pub pool_resident_frames: u64,
-    pub pool_pinned_frames: u64,
 }
 
 // --- Encode -----------------------------------------------------------------
@@ -365,7 +367,6 @@ impl Response {
                 e.put_u32(s.published_version);
                 e.put_u64(s.wal_pending);
                 e.put_u32(s.maintenance_failures);
-                put_bool(&mut e, s.inline_maintenance);
                 put_bool(&mut e, s.worker_attached);
                 match &s.last_maintenance_error {
                     Some(msg) => {
@@ -379,7 +380,6 @@ impl Response {
                 put_opt_u64(&mut e, s.last_fold_unix_ms);
                 put_opt_u64(&mut e, s.last_compaction_unix_ms);
                 e.put_u64(s.pool_resident_frames);
-                e.put_u64(s.pool_pinned_frames);
             }
             Response::Published { version } => {
                 header(&mut e, RESP_PUBLISHED);
@@ -479,7 +479,6 @@ impl Response {
                 let published_version = try_u32(&mut d)?;
                 let wal_pending = try_u64(&mut d)?;
                 let maintenance_failures = try_u32(&mut d)?;
-                let inline_maintenance = read_bool(&mut d)?;
                 let worker_attached = read_bool(&mut d)?;
                 let last_maintenance_error = match try_u16(&mut d)? {
                     0 => None,
@@ -491,13 +490,11 @@ impl Response {
                 let last_fold_unix_ms = read_opt_u64(&mut d)?;
                 let last_compaction_unix_ms = read_opt_u64(&mut d)?;
                 let pool_resident_frames = try_u64(&mut d)?;
-                let pool_pinned_frames = try_u64(&mut d)?;
                 Response::Stats(StatsBody {
                     next_t,
                     published_version,
                     wal_pending,
                     maintenance_failures,
-                    inline_maintenance,
                     worker_attached,
                     last_maintenance_error,
                     wal_pending_bytes,
@@ -505,7 +502,6 @@ impl Response {
                     last_fold_unix_ms,
                     last_compaction_unix_ms,
                     pool_resident_frames,
-                    pool_pinned_frames,
                 })
             }
             RESP_PUBLISHED => Response::Published {
@@ -758,4 +754,33 @@ fn fill(
         }
     }
     Ok(Fill::Full)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn version_one_frames_are_refused() {
+        let stats = Response::Stats(StatsBody {
+            next_t: Some(3),
+            published_version: 2,
+            wal_pending: 0,
+            maintenance_failures: 0,
+            worker_attached: true,
+            last_maintenance_error: None,
+            wal_pending_bytes: 0,
+            chain_generations: 1,
+            last_fold_unix_ms: None,
+            last_compaction_unix_ms: None,
+            pool_resident_frames: 4,
+        });
+        for payload in [Request::Stats.encode(), stats.encode()] {
+            let mut v1 = payload.to_vec();
+            assert_eq!(v1[0], PROTO_VERSION);
+            v1[0] = 1;
+            assert_eq!(Request::decode(&v1), Err(ProtocolError::BadVersion(1)));
+            assert_eq!(Response::decode(&v1), Err(ProtocolError::BadVersion(1)));
+        }
+    }
 }

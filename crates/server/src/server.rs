@@ -476,7 +476,6 @@ fn dispatch(service: &Arc<LiveService>, req: Request, ws: &mut ShardedQueryWorks
                 published_version: s.published_version,
                 wal_pending: s.wal_pending as u64,
                 maintenance_failures: s.maintenance_failures,
-                inline_maintenance: false,
                 worker_attached: s.worker_attached,
                 last_maintenance_error: s.last_maintenance_error,
                 wal_pending_bytes: s.wal_pending_bytes,
@@ -484,7 +483,6 @@ fn dispatch(service: &Arc<LiveService>, req: Request, ws: &mut ShardedQueryWorks
                 last_fold_unix_ms: s.last_fold_unix_ms,
                 last_compaction_unix_ms: s.last_compaction_unix_ms,
                 pool_resident_frames: s.pool_resident_frames,
-                pool_pinned_frames: s.pool_pinned_frames,
             })
         }
         Request::Publish => {

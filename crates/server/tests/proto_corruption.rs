@@ -70,7 +70,6 @@ fn sample_responses() -> Vec<Response> {
             published_version: 12,
             wal_pending: 3,
             maintenance_failures: 0,
-            inline_maintenance: false,
             worker_attached: true,
             last_maintenance_error: Some("disk on fire".to_string()),
             wal_pending_bytes: 4096,
@@ -78,7 +77,6 @@ fn sample_responses() -> Vec<Response> {
             last_fold_unix_ms: Some(1_700_000_000_000),
             last_compaction_unix_ms: None,
             pool_resident_frames: 128,
-            pool_pinned_frames: 5,
         }),
         Response::Metrics(MetricsSnapshot {
             counters: vec![

