@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the hot components: quantizer
-//! assignment/growth, CQC encode/decode, grid-index construction,
-//! Huffman ID-list compression, and least-squares predictor fitting.
+//! assignment/growth, CQC encode/decode, Huffman ID-list compression,
+//! and least-squares predictor fitting.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ppq_cqc::CqcTemplate;
-use ppq_geo::{BBox, Point};
+use ppq_geo::Point;
 use ppq_predict::linear::{fit_predictor, TrainingRow};
 use ppq_quantize::IncrementalQuantizer;
-use ppq_sindex::{CompressedIdList, GridIndex};
+use ppq_sindex::CompressedIdList;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -74,15 +74,6 @@ fn bench_cqc(c: &mut Criterion) {
 fn bench_sindex(c: &mut Criterion) {
     let mut g = c.benchmark_group("sindex");
     g.sample_size(10);
-    let pts: Vec<(u32, Point)> = points(5000, 50.0, 3)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (i as u32, p))
-        .collect();
-    let region = BBox::from_extents(-50.0, -50.0, 50.0, 50.0);
-    g.bench_function("grid_index_build_5k", |b| {
-        b.iter(|| black_box(GridIndex::build(region, 1.0, black_box(&pts))))
-    });
     let ids: Vec<u32> = (0..2000u32).map(|i| i * 3 + (i % 7)).collect();
     g.bench_function("idlist_compress_2k", |b| {
         b.iter(|| black_box(CompressedIdList::compress(black_box(&ids))))

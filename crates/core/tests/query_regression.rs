@@ -7,9 +7,9 @@
 //! no posting machinery, no workspaces. Because the TPI indexes exactly
 //! the reconstructed positions, its rectangle query is a superset of the
 //! scan's answer, so after reconstruction filtering the two paths must
-//! agree id-for-id. Any pruning bug (posting intervals, locator grid,
-//! occupied-cell bounds, bitset union) shows up here as a missing or
-//! extra id.
+//! agree id-for-id. Any pruning bug (posting-key walk, locator grid,
+//! sealed key windows, bitset union) shows up here as a missing or extra
+//! id.
 
 use ppq_core::query::{precision_recall, QueryEngine, QueryWorkspace, ReconIndex};
 use ppq_core::{PpqConfig, PpqTrajectory, Variant};

@@ -1,10 +1,10 @@
 //! Canonical Huffman coding over bytes.
 //!
-//! Used to compress the delta-encoded trajectory-ID lists of grid cells
-//! (paper §5.1 cites the delta + Huffman approach of the Torch search
-//! engine): one code is built per sealed group of lists — a TPI period —
-//! from the group's byte histogram, and each list is a bit range of the
-//! group's streams. The implementation is a standard length-limited-free
+//! Used to compress the delta-encoded trajectory-ID list of a
+//! [`crate::CompressedIdList`] (paper §5.1 cites the delta + Huffman
+//! approach of the Torch search engine): the code is built from the
+//! list's byte histogram and travels in front of its bit stream. The
+//! implementation is a standard length-limited-free
 //! canonical Huffman: build the code-length table from frequencies, assign
 //! canonical codes, encode/decode bit streams.
 
@@ -236,12 +236,7 @@ impl Huffman {
     /// Serialized size of the code table: one length byte per used symbol
     /// plus the symbol list.
     pub fn table_bytes(&self) -> usize {
-        Self::table_bytes_for(self.sorted_symbols.len())
-    }
-
-    /// [`Self::table_bytes`] of any code over `symbols` used symbols.
-    pub fn table_bytes_for(symbols: usize) -> usize {
-        symbols * 2 + 2
+        self.sorted_symbols.len() * 2 + 2
     }
 
     /// Append the code table to `out` — exactly [`Self::table_bytes`]

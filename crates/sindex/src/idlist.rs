@@ -1,11 +1,10 @@
 //! The trajectory-ID list codec (paper §5.1).
 //!
 //! Grid cells map to lists of trajectory IDs. A list is sorted, delta
-//! encoded (gaps) and the gaps LEB128-byte-split; those bytes are either
-//! stored as they are or Huffman-packed under a code shared by every list
-//! that is sealed together (after Torch's one shared code). The lists of
-//! an index live in [`crate::PostingDict`] arenas; [`CompressedIdList`]
-//! is the same codec over a single list.
+//! encoded (gaps) and the gaps LEB128-byte-split. An open TPI period's
+//! lists live as those bytes in [`crate::PostingDict`] arenas;
+//! [`CompressedIdList`] is one list whose bytes are also Huffman-packed
+//! when that is smaller, the code table travelling in front.
 
 use crate::huffman::{byte_histogram, Huffman};
 
@@ -114,8 +113,7 @@ impl CompressedIdList {
     /// Decompress, appending the sorted IDs to `out`.
     ///
     /// `scratch` receives the intermediate Huffman-decoded bytes; passing a
-    /// reused buffer (for example [`crate::QueryScratch::bytes`]) makes the
-    /// hot query loop allocation-free after warm-up.
+    /// reused buffer makes a hot loop allocation-free after warm-up.
     pub fn decompress_into(&self, scratch: &mut Vec<u8>, out: &mut Vec<u32>) {
         out.reserve(self.len());
         if self.packed_bits == 0 {

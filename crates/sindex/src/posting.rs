@@ -115,50 +115,119 @@ pub fn union_fold_into<'a>(
     }
 }
 
+/// A forward cursor over ascending, distinct `u32` keys, each reported
+/// with its index in the dictionary it walks. Both forms of a posting
+/// dictionary implement it — the raw per-slice key array
+/// ([`SliceCursor`]) and a window of a sealed period
+/// ([`crate::sealed::Window`]) — so [`walk_cells_in_range`] is one walk
+/// over either.
+pub trait KeyCursor {
+    /// Skip to the first key not below `key`, consume it and return it.
+    /// Cursors only move forward.
+    fn seek(&mut self, key: u32) -> Option<(usize, u32)>;
+    /// Consume and return the next key.
+    fn next(&mut self) -> Option<(usize, u32)>;
+}
+
+/// Anything [`walk_cells_in_range`] can walk: a [`KeyCursor`], or a
+/// sorted key slice.
+pub trait IntoKeyCursor {
+    type Cursor: KeyCursor;
+    fn into_cursor(self) -> Self::Cursor;
+}
+
+impl<C: KeyCursor> IntoKeyCursor for C {
+    type Cursor = C;
+    #[inline]
+    fn into_cursor(self) -> C {
+        self
+    }
+}
+
+impl<'a> IntoKeyCursor for &'a [u32] {
+    type Cursor = SliceCursor<'a>;
+    #[inline]
+    fn into_cursor(self) -> SliceCursor<'a> {
+        SliceCursor { keys: self, at: 0 }
+    }
+}
+
+/// A [`KeyCursor`] over a sorted key slice; seeks gallop forward from the
+/// cursor, so a short hop costs a comparison or two.
+#[derive(Clone, Debug)]
+pub struct SliceCursor<'a> {
+    keys: &'a [u32],
+    /// Index of the next key.
+    at: usize,
+}
+
+impl KeyCursor for SliceCursor<'_> {
+    fn seek(&mut self, key: u32) -> Option<(usize, u32)> {
+        let rest = &self.keys[self.at..];
+        let mut bound = 1;
+        while bound < rest.len() && rest[bound - 1] < key {
+            bound *= 2;
+        }
+        let lo = bound / 2;
+        self.at += lo + rest[lo..bound.min(rest.len())].partition_point(|&k| k < key);
+        self.next()
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u32)> {
+        let key = *self.keys.get(self.at)?;
+        self.at += 1;
+        Some((self.at - 1, key))
+    }
+}
+
 /// Visit every entry of a sorted posting dictionary whose cell lies in
-/// the inclusive cell-coordinate range `(lo_x, lo_y) ..= (hi_x, hi_y)`.
+/// the inclusive cell-coordinate range `(lo_x, lo_y) ..= (hi_x, hi_y)`,
+/// in ascending cell order.
 ///
-/// `keys` holds occupied flat cell indices over `grid`, ascending (keys
-/// are kept separate from their payloads so the binary searches stay
-/// cache-dense). The walk picks whichever strategy touches fewer
-/// entries: per-row binary-searched interval scans when the range is
-/// small, or one linear pass over the dictionary when the range covers
-/// more cells than the dictionary holds. `visit` receives the entry's
-/// index in `keys` plus its cell coordinates; the caller applies any
-/// finer test (e.g. disc distance) and fetches its payload.
+/// `keys` walks occupied flat cell indices over `grid`. The walk seeks to
+/// the range's first cell and then steps key by key, seeking again only
+/// where a key falls left or right of the range's columns — to the range
+/// on its own row, or on the next row. So a narrow range costs a seek
+/// per occupied row and a wide one about a pass over the keys it spans.
+/// `visit` receives the entry's index plus its cell coordinates; the
+/// caller applies any finer test (e.g. disc distance) and fetches its
+/// payload.
 pub fn walk_cells_in_range(
     grid: &ppq_geo::GridSpec,
-    keys: &[u32],
+    keys: impl IntoKeyCursor,
     (lo_x, lo_y, hi_x, hi_y): (u32, u32, u32, u32),
     mut visit: impl FnMut(usize, u32, u32),
 ) {
-    if keys.is_empty() || lo_x > hi_x || lo_y > hi_y {
+    if lo_x > hi_x || lo_y > hi_y {
         return;
     }
-    let range_cells = (hi_x - lo_x + 1) as usize * (hi_y - lo_y + 1) as usize;
-    if range_cells < keys.len() {
-        // Sparse probe: walk each covered row's sorted key interval.
-        for cy in lo_y..=hi_y {
-            let lo = grid.flat(lo_x, cy) as u32;
-            let hi = grid.flat(hi_x, cy) as u32;
-            let start = keys.partition_point(|&c| c < lo);
-            for (i, &cell) in keys.iter().enumerate().skip(start) {
-                if cell > hi {
-                    break;
-                }
-                let (cx, cy) = grid.unflat(cell as usize);
-                debug_assert!(cx >= lo_x && cx <= hi_x);
-                visit(i, cx, cy);
-            }
+    let mut keys = keys.into_cursor();
+    let cols = grid.cols() as usize;
+    let last = grid.flat(hi_x, hi_y);
+    // `row` is the first cell of row `cy`: a key's column is its offset
+    // from there, so only a key on a later row costs a division.
+    let (mut cy, mut row) = (lo_y, grid.flat(0, lo_y));
+    let mut entry = keys.seek(grid.flat(lo_x, lo_y) as u32);
+    while let Some((i, cell)) = entry {
+        let cell = cell as usize;
+        if cell > last {
+            break;
         }
-    } else {
-        // Wide probe: one pass over the (smaller) dictionary.
-        for (i, &cell) in keys.iter().enumerate() {
-            let (cx, cy) = grid.unflat(cell as usize);
-            if cx >= lo_x && cx <= hi_x && cy >= lo_y && cy <= hi_y {
-                visit(i, cx, cy);
-            }
+        if cell >= row + cols {
+            cy = (cell / cols) as u32;
+            row = cy as usize * cols;
         }
+        let cx = (cell - row) as u32;
+        entry = if cx < lo_x {
+            keys.seek((row + lo_x as usize) as u32)
+        } else if cx > hi_x {
+            // `cell ≤ last`, so this is not the range's last row.
+            keys.seek((row + cols + lo_x as usize) as u32)
+        } else {
+            visit(i, cx, cy);
+            keys.next()
+        };
     }
 }
 
@@ -240,16 +309,14 @@ impl IdBitSet {
     }
 }
 
-/// Reusable per-query buffers shared by every index level: the Huffman
-/// byte-decode buffer, a raw-ID staging list, and the union bitset.
+/// Reusable per-query buffers shared by every index level: a raw-ID
+/// staging list, the union bitset and an auxiliary list.
 ///
 /// Mirrors the role `KMeansWorkspace` plays on the build path: create one
 /// (per thread, for batched queries), reuse it across queries, and the
 /// steady-state query path performs no heap allocation.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
-    /// Decoded delta/varint bytes for one compressed list.
-    pub bytes: Vec<u8>,
     /// Raw IDs staged before deduplication.
     pub ids: Vec<u32>,
     /// Union-dedup bitset.

@@ -4,10 +4,11 @@
 //!   bounded spatial partitioning with `ε_s`, minimum bounding rectangles,
 //!   overlap removal into disjoint rectangles, and a `g_c` grid per
 //!   rectangle whose cells hold per-timestep trajectory-ID lists — raw
-//!   while the period is open, packed under one Huffman code per period
-//!   once it seals. Also hosts the trajectory-region-density machinery
-//!   (TRD, Definition 5.1) and the average dropping rate (ADR,
-//!   Eqs. 12–14).
+//!   per-timestep dictionaries while the period is open, one succinct
+//!   dictionary for the whole period (Elias–Fano keys over `(region, t,
+//!   cell)`, a fixed-width ID column) once it seals. Also hosts the
+//!   trajectory-region-density machinery (TRD, Definition 5.1) and the
+//!   average dropping rate (ADR, Eqs. 12–14).
 //! * [`tpi`] — the temporal index **TPI** (Algorithm 4), grown one slice
 //!   at a time: reuse the current PI while `ADR ≤ ε_d` (building small
 //!   "Insertion" PIs for uncovered points), otherwise seal the period and

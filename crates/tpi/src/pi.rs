@@ -1,22 +1,24 @@
 //! The partition index PI (paper Algorithm 3) and the TRD/ADR machinery
 //! (Definition 5.1, Eqs. 12–14).
 //!
-//! Query-path layout: each region keeps one [`PostingDict`] per timestep
-//! — occupied cells sorted by flat index over one arena of ID lists, plus
-//! the occupied cell-coordinate bounds — and the PI keeps a coarse
-//! locator grid over its region rectangles. A rectangle query therefore
-//! touches only the regions whose boxes the locator proposes and, within
-//! each, only the sorted posting intervals of the covered rows, instead
-//! of the seed's scan over every region and every covered cell.
+//! Query-path layout: the PI keeps a coarse locator grid over its region
+//! rectangles, so a rectangle query touches only the regions whose boxes
+//! the locator proposes and, within each, only the posting keys of the
+//! covered rows (one [`walk_cells_in_range`] per region), instead of the
+//! seed's scan over every region and every covered cell.
 //!
-//! Lifecycle: while its period is open a PI takes insertions and its
-//! arenas hold raw delta-varint bytes; [`Pi::seal`] packs every arena
-//! once under one Huffman code for the whole period (kept raw when that
-//! is not smaller), after which the PI is immutable.
+//! Lifecycle: while its period is open, each region keeps one raw
+//! [`PostingDict`] per timestep, so insertions merge cheaply.
+//! [`Pi::seal`] rewrites every region's dictionaries in one pass into a
+//! single [`SealedDict`] for the whole period, keyed by `(region,
+//! timestep, cell)`; after that the PI is immutable. A query reaches a
+//! `(region, timestep)` slice of either form through one `SliceRef`, and
+//! the same walk runs over both.
 
 use ppq_geo::{BBox, GridSpec, Point};
 use ppq_quantize::{bounded_kmeans, KMeansConfig};
-use ppq_sindex::{remove_overlap, Huffman, PostingDict, QueryScratch};
+use ppq_sindex::posting::walk_cells_in_range;
+use ppq_sindex::{remove_overlap, PostingDict, QueryScratch, SealedDict};
 
 /// Parameters of PI construction.
 #[derive(Clone, Debug)]
@@ -44,22 +46,22 @@ impl Default for PiConfig {
 /// regions.
 pub type CoverageSplit = (Vec<(u32, Point)>, Vec<(u32, Point)>);
 
-/// One timestep's occupied cells: the posting dictionary keyed by flat
-/// cell index, with the occupied cell-coordinate bounds for pruning.
+/// One timestep's occupied cells in an open period: the raw posting
+/// dictionary keyed by flat cell index.
 #[derive(Clone, Debug)]
 struct SlicePostings {
     t: u32,
     dict: PostingDict,
-    /// Inclusive occupied cell-coordinate bounds `(min_cx, min_cy,
-    /// max_cx, max_cy)`.
-    min_cx: u32,
-    min_cy: u32,
-    max_cx: u32,
-    max_cy: u32,
 }
 
-/// Encoded size of a slice header: timestep, list count, cell bounds.
-const SLICE_HEADER_BYTES: usize = 4 + 4 + 4 * 4;
+/// Encoded size of a raw slice header: timestep and list count.
+const SLICE_HEADER_BYTES: usize = 4 + 4;
+
+/// Encoded size of a region header: bounding box, grid and bookkeeping.
+const REGION_HEADER_BYTES: usize = 4 * 8 + 4 * 8 + 8;
+
+/// Encoded size of a PI header.
+const PI_HEADER_BYTES: usize = 16;
 
 /// One non-overlapping rectangle with its grid and per-timestep ID lists.
 #[derive(Clone, Debug)]
@@ -69,7 +71,8 @@ pub struct Region {
     /// Density `d(R, t_build)` measured when the region was created — the
     /// reference value of Eq. 13.
     built_density: f64,
-    /// One posting dictionary per populated timestep, ascending.
+    /// One raw posting dictionary per populated timestep, ascending;
+    /// empty once the PI is sealed.
     slices: Vec<SlicePostings>,
     points_indexed: usize,
 }
@@ -128,121 +131,100 @@ impl Region {
         self.points_indexed
     }
 
-    fn slice_at(&self, t: u32) -> Option<&SlicePostings> {
-        let i = self.slices.partition_point(|s| s.t < t);
-        self.slices.get(i).filter(|s| s.t == t)
-    }
-
     /// Index `(cell, id)` postings at `t` (sorted and deduplicated in
     /// place).
     fn insert_slice(&mut self, t: u32, pairs: &mut Vec<(u32, u32)>) {
         self.points_indexed += pairs.len();
         let incoming = PostingDict::from_pairs(pairs);
         let i = self.slices.partition_point(|s| s.t < t);
-        if self.slices.get(i).is_none_or(|s| s.t != t) {
-            self.slices.insert(
-                i,
-                SlicePostings {
-                    t,
-                    dict: PostingDict::default(),
-                    min_cx: u32::MAX,
-                    min_cy: u32::MAX,
-                    max_cx: 0,
-                    max_cy: 0,
-                },
-            );
-        }
-        let slice = &mut self.slices[i];
-        for &cell in incoming.keys() {
-            let (cx, cy) = self.grid.unflat(cell as usize);
-            slice.min_cx = slice.min_cx.min(cx);
-            slice.min_cy = slice.min_cy.min(cy);
-            slice.max_cx = slice.max_cx.max(cx);
-            slice.max_cy = slice.max_cy.max(cy);
-        }
         // First population of a timestep is the common case; a second
         // insertion round into the same timestep merges the dictionaries.
-        slice.dict = if slice.dict.is_empty() {
-            incoming
-        } else {
-            slice.dict.merge(&incoming)
-        };
-    }
-
-    /// IDs of the single cell containing `p` at `t`, appended to `out`
-    /// (already sorted + deduplicated — one list).
-    fn query_cell_into(
-        &self,
-        t: u32,
-        p: &Point,
-        code: Option<&Huffman>,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<u32>,
-    ) {
-        let Some(slice) = self.slice_at(t) else {
-            return;
-        };
-        let (cx, cy) = self.grid.locate_clamped(p);
-        if cx < slice.min_cx || cx > slice.max_cx || cy < slice.min_cy || cy > slice.max_cy {
-            return;
+        match self.slices.get_mut(i).filter(|s| s.t == t) {
+            Some(slice) => slice.dict = slice.dict.merge(&incoming),
+            None => self.slices.insert(i, SlicePostings { t, dict: incoming }),
         }
-        let flat = self.grid.flat(cx, cy) as u32;
-        slice.dict.get_into(flat, code, &mut scratch.bytes, out);
     }
 
-    /// Walk the sorted posting intervals of every row the `probe`
-    /// rectangle covers at `t`; postings whose cell passes `keep` are
-    /// decoded into `scratch.set` (deduplicating across cells and
-    /// regions). Falls back to one linear pass over the dictionary when
-    /// the probe covers more cells than the dictionary holds.
-    fn covered_postings(
-        &self,
-        t: u32,
-        probe: &BBox,
-        code: Option<&Huffman>,
-        scratch: &mut QueryScratch,
-        keep: impl Fn(u32, u32) -> bool,
-    ) {
-        let Some(slice) = self.slice_at(t) else {
-            return;
-        };
-        let Some((lo_x, lo_y, hi_x, hi_y)) = self.grid.cell_range_in_rect(probe) else {
-            return;
-        };
-        // Clip against the occupied cell bounds (candidate pruning).
-        let lo_x = lo_x.max(slice.min_cx);
-        let lo_y = lo_y.max(slice.min_cy);
-        let hi_x = hi_x.min(slice.max_cx);
-        let hi_y = hi_y.min(slice.max_cy);
-        if lo_x > hi_x || lo_y > hi_y {
-            return;
-        }
-        ppq_sindex::posting::walk_cells_in_range(
-            &self.grid,
-            slice.dict.keys(),
-            (lo_x, lo_y, hi_x, hi_y),
-            |i, cx, cy| {
-                if keep(cx, cy) {
-                    scratch.ids.clear();
-                    slice
-                        .dict
-                        .list_into(i, code, &mut scratch.bytes, &mut scratch.ids);
-                    scratch.set.insert_all(&scratch.ids);
-                }
-            },
-        );
-    }
-
-    /// Encoded size: region + grid header, then every slice's header,
-    /// keys, offsets and payload.
+    /// Encoded size: region + grid header, then every raw slice's header,
+    /// keys, offsets and payload (none once sealed).
     pub fn size_bytes(&self) -> usize {
-        let header = 4 * 8 + 4 * 8 + 8;
-        header
+        REGION_HEADER_BYTES
             + self
                 .slices
                 .iter()
                 .map(|s| SLICE_HEADER_BYTES + s.dict.size_bytes())
                 .sum::<usize>()
+    }
+}
+
+/// A sealed period's postings: one [`SealedDict`] over the composite key
+/// `base[r] + (t − t_start)·cells_r + cell`, so ascending key order is
+/// region, then timestep, then cell — [`Pi::for_each_block`]'s order.
+#[derive(Clone, Debug)]
+struct SealedPostings {
+    /// Region `r`'s keys lie in `base[r]..base[r + 1]`.
+    base: Box<[u64]>,
+    /// Timesteps `t_start..t_start + span` are keyed.
+    t_start: u32,
+    span: u32,
+    dict: SealedDict,
+}
+
+impl SealedPostings {
+    /// First key of region `ri`'s slice at `t`, whose grid has `cells`
+    /// cells; `None` when `t` lies outside the period's span.
+    #[inline]
+    fn slice_start(&self, ri: usize, t: u32, cells: u64) -> Option<u64> {
+        let dt = t.checked_sub(self.t_start).filter(|&dt| dt < self.span)?;
+        Some(self.base[ri] + u64::from(dt) * cells)
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.base.len() * size_of::<u64>() + self.dict.size_bytes()
+    }
+}
+
+/// One `(region, timestep)` slice's postings, in either form.
+#[derive(Clone, Copy)]
+enum SliceRef<'a> {
+    Raw(&'a PostingDict),
+    /// The keys `lo..hi` of a sealed period's dictionary.
+    Sealed(&'a SealedDict, u64, u64),
+}
+
+impl SliceRef<'_> {
+    /// [`walk_cells_in_range`] over this slice; `visit` receives list
+    /// indices for [`SliceRef::list_into`].
+    #[inline]
+    fn walk(
+        self,
+        grid: &GridSpec,
+        range: (u32, u32, u32, u32),
+        visit: impl FnMut(usize, u32, u32),
+    ) {
+        match self {
+            SliceRef::Raw(dict) => walk_cells_in_range(grid, dict.keys(), range, visit),
+            SliceRef::Sealed(dict, lo, hi) => {
+                walk_cells_in_range(grid, dict.window(lo, hi), range, visit)
+            }
+        }
+    }
+
+    /// The list index of `cell`, if occupied.
+    #[inline]
+    fn find(self, cell: u32) -> Option<usize> {
+        match self {
+            SliceRef::Raw(dict) => dict.keys().binary_search(&cell).ok(),
+            SliceRef::Sealed(dict, lo, _) => dict.find(lo + u64::from(cell)),
+        }
+    }
+
+    #[inline]
+    fn list_into(self, i: usize, out: &mut Vec<u32>) {
+        match self {
+            SliceRef::Raw(dict) => dict.list_into(i, out),
+            SliceRef::Sealed(dict, _, _) => dict.list_into(i, out),
+        }
     }
 }
 
@@ -342,11 +324,9 @@ pub struct Pi {
     /// Timestep the PI was (re)built at (`t_s`).
     built_at: u32,
     locator: Option<RegionLocator>,
-    /// Set by [`Pi::seal`]; a sealed PI takes no further insertions.
-    sealed: bool,
-    /// The one code every arena of a sealed PI is packed under (`None`
-    /// while open, and for a sealed PI whose arenas stayed raw).
-    code: Option<Box<Huffman>>,
+    /// Set by [`Pi::seal`]: every region's postings, in one succinct
+    /// dictionary. A sealed PI takes no further insertions.
+    sealed: Option<SealedPostings>,
 }
 
 impl Pi {
@@ -359,8 +339,7 @@ impl Pi {
             cfg: cfg.clone(),
             built_at: t,
             locator: None,
-            sealed: false,
-            code: None,
+            sealed: None,
         };
         if !points.is_empty() {
             pi.add_regions_for(t, points);
@@ -371,7 +350,7 @@ impl Pi {
     /// Create regions covering `points` that avoid every existing region,
     /// then index the points. Shared by the initial build and "Insertion".
     fn add_regions_for(&mut self, t: u32, points: &[(u32, Point)]) {
-        assert!(!self.sealed, "insertion into a sealed PI");
+        assert!(!self.is_sealed(), "insertion into a sealed PI");
         let positions: Vec<Point> = points.iter().map(|(_, p)| *p).collect();
         let res = bounded_kmeans(&positions, self.cfg.eps_s, &self.cfg.kmeans);
         // Group member points per partition, take MBRs.
@@ -470,7 +449,7 @@ impl Pi {
 
     /// Insert a timestep's covered points into the existing regions.
     pub fn insert_covered(&mut self, t: u32, covered: &[(u32, Point)]) {
-        assert!(!self.sealed, "insertion into a sealed PI");
+        assert!(!self.is_sealed(), "insertion into a sealed PI");
         self.index_points(t, covered, Pi::locate_region);
     }
 
@@ -539,15 +518,68 @@ impl Pi {
     /// STRQ primitive: IDs in the `g_c` cell containing `p` at time `t`.
     pub fn query(&self, t: u32, p: &Point) -> Vec<u32> {
         let mut out = Vec::new();
-        self.query_into(t, p, &mut QueryScratch::new(), &mut out);
+        self.query_into(t, p, &mut out);
         out
     }
 
-    /// [`Pi::query`] appending into `out` through a reusable scratch.
-    pub fn query_into(&self, t: u32, p: &Point, scratch: &mut QueryScratch, out: &mut Vec<u32>) {
-        if let Some(ri) = self.locate_region(p) {
-            self.regions[ri].query_cell_into(t, p, self.code.as_deref(), scratch, out);
+    /// [`Pi::query`] appending into `out`.
+    pub fn query_into(&self, t: u32, p: &Point, out: &mut Vec<u32>) {
+        let Some(ri) = self.locate_region(p) else {
+            return;
+        };
+        let Some(slice) = self.slice(ri, t) else {
+            return;
+        };
+        let grid = &self.regions[ri].grid;
+        let (cx, cy) = grid.locate_clamped(p);
+        if let Some(i) = slice.find(grid.flat(cx, cy) as u32) {
+            slice.list_into(i, out);
         }
+    }
+
+    /// Region `ri`'s postings at `t`, if the PI holds any.
+    #[inline]
+    fn slice(&self, ri: usize, t: u32) -> Option<SliceRef<'_>> {
+        let region = &self.regions[ri];
+        match &self.sealed {
+            Some(sealed) => {
+                let cells = region.grid.len() as u64;
+                let lo = sealed.slice_start(ri, t, cells)?;
+                Some(SliceRef::Sealed(&sealed.dict, lo, lo + cells))
+            }
+            None => {
+                let i = region.slices.partition_point(|s| s.t < t);
+                let slice = region.slices.get(i).filter(|s| s.t == t)?;
+                Some(SliceRef::Raw(&slice.dict))
+            }
+        }
+    }
+
+    /// Walk the posting keys of every row the `probe` rectangle covers in
+    /// region `ri` at `t`; postings whose cell passes `keep` are decoded
+    /// into `scratch.set` (deduplicating across cells and regions).
+    fn covered_postings(
+        &self,
+        ri: usize,
+        t: u32,
+        probe: &BBox,
+        scratch: &mut QueryScratch,
+        keep: impl Fn(u32, u32) -> bool,
+    ) {
+        let Some(slice) = self.slice(ri, t) else {
+            return;
+        };
+        let grid = &self.regions[ri].grid;
+        let Some(range) = grid.cell_range_in_rect(probe) else {
+            return;
+        };
+        slice.walk(grid, range, |i, cx, cy| {
+            if keep(cx, cy) {
+                scratch.ids.clear();
+                slice.list_into(i, &mut scratch.ids);
+                scratch.set.insert_all(&scratch.ids);
+            }
+        });
     }
 
     /// Stage the ascending indices of regions whose bbox intersects
@@ -610,13 +642,7 @@ impl Pi {
         self.candidate_regions(rect, scratch);
         let aux = std::mem::take(&mut scratch.aux);
         for &ri in &aux {
-            self.regions[ri as usize].covered_postings(
-                t,
-                rect,
-                self.code.as_deref(),
-                scratch,
-                |_, _| true,
-            );
+            self.covered_postings(ri as usize, t, rect, scratch, |_, _| true);
         }
         scratch.aux = aux;
         scratch.set.drain_sorted_into(out);
@@ -645,43 +671,71 @@ impl Pi {
         let aux = std::mem::take(&mut scratch.aux);
         let r2 = r * r;
         for &ri in &aux {
-            let region = &self.regions[ri as usize];
-            region.covered_postings(t, &probe, self.code.as_deref(), scratch, |cx, cy| {
-                region.grid.cell_dist2(cx, cy, p) <= r2
+            let grid = &self.regions[ri as usize].grid;
+            self.covered_postings(ri as usize, t, &probe, scratch, |cx, cy| {
+                grid.cell_dist2(cx, cy, p) <= r2
             });
         }
         scratch.aux = aux;
         scratch.set.drain_sorted_into(out);
     }
 
-    /// Close the PI: Huffman-pack every posting arena under one code
-    /// built from the whole period's byte histogram — or keep them raw
-    /// when packing plus the code table would not be smaller. Idempotent;
-    /// a sealed PI rejects insertions.
+    /// Close the PI: rewrite every region's raw dictionaries, in one pass,
+    /// into one [`SealedDict`] for the whole period and drop them.
+    /// Idempotent; a sealed PI rejects insertions.
     pub fn seal(&mut self) {
-        if self.sealed {
+        if self.is_sealed() {
             return;
         }
-        let mut dicts: Vec<&mut PostingDict> = self
+        let t_start = self.built_at;
+        let span = self
             .regions
-            .iter_mut()
-            .flat_map(|r| r.slices.iter_mut().map(|s| &mut s.dict))
-            .collect();
-        self.code = ppq_sindex::dict::seal(&mut dicts).map(Box::new);
-        self.sealed = true;
+            .iter()
+            .filter_map(|r| r.slices.last())
+            .map(|s| s.t - t_start + 1)
+            .max()
+            .unwrap_or(0);
+        let mut base = Vec::with_capacity(self.regions.len() + 1);
+        let mut postings: Vec<(u64, u32)> = Vec::with_capacity(self.points_indexed());
+        let mut ids = Vec::new();
+        let mut next = 0u64;
+        for region in &mut self.regions {
+            base.push(next);
+            let cells = region.grid.len() as u64;
+            for slice in std::mem::take(&mut region.slices) {
+                let start = next + u64::from(slice.t - t_start) * cells;
+                for (i, &cell) in slice.dict.keys().iter().enumerate() {
+                    ids.clear();
+                    slice.dict.list_into(i, &mut ids);
+                    let key = start + u64::from(cell);
+                    postings.extend(ids.iter().map(|&id| (key, id)));
+                }
+            }
+            next = u64::from(span)
+                .checked_mul(cells)
+                .and_then(|keys| next.checked_add(keys))
+                .expect("period key space exceeds u64");
+        }
+        base.push(next);
+        self.sealed = Some(SealedPostings {
+            base: base.into(),
+            t_start,
+            span,
+            dict: SealedDict::from_postings(&postings),
+        });
     }
 
     #[inline]
     pub fn is_sealed(&self) -> bool {
-        self.sealed
+        self.sealed.is_some()
     }
 
-    /// Encoded size: every region (headers, slice headers, keys, offsets,
-    /// payload) plus the period's code table when packed.
+    /// Encoded size: every region (header, raw slices while open), the
+    /// sealed dictionary with its region key bases, and the PI header.
     pub fn size_bytes(&self) -> usize {
         self.regions.iter().map(Region::size_bytes).sum::<usize>()
-            + self.code.as_ref().map_or(0, |c| c.table_bytes())
-            + 16
+            + self.sealed.as_ref().map_or(0, SealedPostings::size_bytes)
+            + PI_HEADER_BYTES
     }
 
     pub fn points_indexed(&self) -> usize {
@@ -706,18 +760,36 @@ impl Pi {
         min_exclusive_t: Option<u32>,
         mut visit: impl FnMut(u32, u32, u32, &[u32]),
     ) {
-        let (mut bytes, mut ids) = (Vec::new(), Vec::new());
+        let mut ids = Vec::new();
         for (ri, region) in self.regions.iter().enumerate() {
-            let first =
-                min_exclusive_t.map_or(0, |t_hi| region.slices.partition_point(|s| s.t <= t_hi));
-            for slice in &region.slices[first..] {
-                for (i, &cell) in slice.dict.keys().iter().enumerate() {
-                    ids.clear();
-                    slice
-                        .dict
-                        .list_into(i, self.code.as_deref(), &mut bytes, &mut ids);
-                    visit(ri as u32, slice.t, cell, &ids);
+            let Some(sealed) = &self.sealed else {
+                let first = min_exclusive_t
+                    .map_or(0, |t_hi| region.slices.partition_point(|s| s.t <= t_hi));
+                for slice in &region.slices[first..] {
+                    for (i, &cell) in slice.dict.keys().iter().enumerate() {
+                        ids.clear();
+                        slice.dict.list_into(i, &mut ids);
+                        visit(ri as u32, slice.t, cell, &ids);
+                    }
                 }
+                continue;
+            };
+            let cells = region.grid.len() as u64;
+            let (start, end) = (sealed.base[ri], sealed.base[ri + 1]);
+            let skipped = min_exclusive_t.map_or(0, |t_hi| {
+                (u64::from(t_hi) + 1)
+                    .saturating_sub(u64::from(sealed.t_start))
+                    .min(u64::from(sealed.span))
+            });
+            let mut cursor = sealed.dict.cursor();
+            let mut entry = cursor.seek(start + skipped * cells);
+            while let Some((i, key)) = entry.filter(|&(_, key)| key < end) {
+                let offset = key - start;
+                let t = sealed.t_start + (offset / cells) as u32;
+                ids.clear();
+                sealed.dict.list_into(i, &mut ids);
+                visit(ri as u32, t, (offset % cells) as u32, &ids);
+                entry = cursor.next();
             }
         }
     }
@@ -916,6 +988,19 @@ pub(crate) mod tests {
             out
         }
 
+        pub(crate) fn query(&self, t: u32, p: &Point) -> Vec<u32> {
+            let Some(ri) = self.regions.iter().position(|(bbox, _)| bbox.contains(p)) else {
+                return Vec::new();
+            };
+            let grid = &self.regions[ri].1;
+            let (cx, cy) = grid.locate_clamped(p);
+            let cell = grid.flat(cx, cy) as u32;
+            self.cells
+                .get(&(ri as u32, cell, t))
+                .cloned()
+                .unwrap_or_default()
+        }
+
         pub(crate) fn query_disc(&self, t: u32, p: &Point, r: f64) -> Vec<u32> {
             let probe = BBox::from_extents(p.x - r, p.y - r, p.x + r, p.y + r);
             let mut out = Vec::new();
@@ -949,23 +1034,84 @@ pub(crate) mod tests {
         pi.insert_covered(1, &later);
         pi.append_insertion(1, &cluster(Point::new(-20.0, -20.0), 40, 1.0));
         let seed = SeedIndex::of(&pi);
+        let blocks = pi.export_blocks();
 
+        // The same answers from the raw slices and from the sealed period.
+        let open = pi.clone();
+        pi.seal();
+        assert!(pi.is_sealed() && !open.is_sealed());
+        assert_eq!(pi.export_blocks(), blocks);
         let mut scratch = QueryScratch::new();
-        for t in 0..3u32 {
-            for i in 0..40 {
-                let p = Point::new((i as f64 * 1.3) - 22.0, (i as f64 * 0.9) - 21.0);
-                let r = 0.3 + (i % 7) as f64;
-                let rect = BBox::from_extents(p.x - r, p.y - r, p.x + r * 1.5, p.y + r * 0.5);
+        for pi in [&open, &pi] {
+            for t in 0..3u32 {
+                for i in 0..40 {
+                    let p = Point::new((i as f64 * 1.3) - 22.0, (i as f64 * 0.9) - 21.0);
+                    let r = 0.3 + (i % 7) as f64;
+                    let rect = BBox::from_extents(p.x - r, p.y - r, p.x + r * 1.5, p.y + r * 0.5);
 
-                assert_eq!(pi.query_rect(t, &rect), seed.query_rect(t, &rect));
-                assert_eq!(pi.query_disc(t, &p, r), seed.query_disc(t, &p, r));
+                    assert_eq!(pi.query_rect(t, &rect), seed.query_rect(t, &rect));
+                    assert_eq!(pi.query_disc(t, &p, r), seed.query_disc(t, &p, r));
+                    assert_eq!(pi.query(t, &p), seed.query(t, &p), "t {t} p {p:?}");
 
-                // The scratch-based form must agree with the fresh form.
-                let mut out = Vec::new();
-                pi.query_rect_into(t, &rect, &mut scratch, &mut out);
-                assert_eq!(out, pi.query_rect(t, &rect));
+                    // The scratch-based form must agree with the fresh form.
+                    let mut out = Vec::new();
+                    pi.query_rect_into(t, &rect, &mut scratch, &mut out);
+                    assert_eq!(out, pi.query_rect(t, &rect));
+                }
             }
         }
+        // Blocks past a timestep, as a delta generation reads them.
+        for t_hi in [0, 1, 5] {
+            let mut past = Vec::new();
+            pi.for_each_block(Some(t_hi), |r, t, cell, ids| {
+                past.push((r, t, cell, ids.to_vec()))
+            });
+            let mut want = blocks.clone();
+            want.retain(|b| b.1 > t_hi);
+            assert_eq!(past, want, "past {t_hi}");
+        }
+    }
+
+    /// A sealed PI's size is its region headers, the region key bases,
+    /// the one dictionary over `(region, t, cell)` keys and its header.
+    #[test]
+    fn sealed_size_counts_headers_bases_and_the_dictionary() {
+        let mut pts = cluster(Point::new(0.0, 0.0), 120, 1.5);
+        pts.extend(
+            cluster(Point::new(15.0, 3.0), 120, 1.5)
+                .into_iter()
+                .map(|(i, p)| (i + 200, p)),
+        );
+        let mut pi = Pi::build(3, &pts, &cfg());
+        pi.insert_covered(5, &pts);
+        let regions = pi.regions().len();
+        let slices: usize = pi.regions().iter().map(|r| r.slices.len()).sum();
+        let raw: usize = pi
+            .regions()
+            .iter()
+            .flat_map(|r| &r.slices)
+            .map(|s| s.dict.size_bytes())
+            .sum();
+        assert_eq!(pi.size_bytes(), 72 * regions + 8 * slices + raw + 16);
+
+        // Keys by hand: span 3 (t = 3, 4, 5), region after region.
+        let mut base = 0u64;
+        let mut postings = Vec::new();
+        let blocks = pi.export_blocks();
+        for (ri, region) in pi.regions().iter().enumerate() {
+            let cells = region.grid().len() as u64;
+            for (_, t, cell, ids) in blocks.iter().filter(|b| b.0 == ri as u32) {
+                let key = base + u64::from(t - 3) * cells + u64::from(*cell);
+                postings.extend(ids.iter().map(|&id| (key, id)));
+            }
+            base += 3 * cells;
+        }
+        pi.seal();
+        let dict = SealedDict::from_postings(&postings);
+        assert_eq!(
+            pi.size_bytes(),
+            72 * regions + 8 * (regions + 1) + dict.size_bytes() + 16
+        );
     }
 
     #[test]

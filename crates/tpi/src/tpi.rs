@@ -164,16 +164,10 @@ impl Tpi {
             .unwrap_or_default()
     }
 
-    /// [`Tpi::query`] appending into `out` through a reusable scratch.
-    pub fn query_into(
-        &self,
-        t: u32,
-        p: &Point,
-        scratch: &mut ppq_sindex::QueryScratch,
-        out: &mut Vec<u32>,
-    ) {
+    /// [`Tpi::query`] appending into `out`.
+    pub fn query_into(&self, t: u32, p: &Point, out: &mut Vec<u32>) {
         if let Some(period) = self.period_of(t) {
-            period.pi.query_into(t, p, scratch, out);
+            period.pi.query_into(t, p, out);
         }
     }
 
