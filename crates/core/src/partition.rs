@@ -253,32 +253,20 @@ impl Partitioner {
     /// canonical), the fresh-key counter, and the step counter the
     /// per-step k-means seeds are derived from. Constructor parameters
     /// are *not* included — they are a pure function of the pipeline
-    /// config and are re-supplied on [`Partitioner::restore`].
+    /// config.
     pub(crate) fn state(&self) -> (Vec<(TrajId, u64)>, u64, u64) {
         let mut assign: Vec<(TrajId, u64)> = self.assign.iter().map(|(&id, &k)| (id, k)).collect();
         assign.sort_unstable();
         (assign, self.next_key, self.step)
     }
 
-    /// Rebuild a partitioner mid-stream from [`Partitioner::state`] plus
-    /// the constructor parameters. The result behaves bit-identically to
-    /// the original from the next `step` call on.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore(
-        eps_p: f64,
-        d: usize,
-        grow_step: usize,
-        iters: usize,
-        seed: u64,
-        assign: Vec<(TrajId, u64)>,
-        next_key: u64,
-        step: u64,
-    ) -> Partitioner {
-        let mut p = Partitioner::new(eps_p, d, grow_step, iters, seed);
-        p.assign = assign.into_iter().collect();
-        p.next_key = next_key;
-        p.step = step;
-        p
+    /// Resume a freshly constructed partitioner from
+    /// [`Partitioner::state`]. It then behaves bit-identically to the
+    /// original from the next `step` call on.
+    pub(crate) fn restore(&mut self, assign: Vec<(TrajId, u64)>, next_key: u64, step: u64) {
+        self.assign = assign.into_iter().collect();
+        self.next_key = next_key;
+        self.step = step;
     }
 }
 

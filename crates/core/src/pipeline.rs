@@ -8,7 +8,9 @@
 use crate::config::{BuildBudget, PartitionMode, PpqConfig};
 use crate::ndkmeans::Features;
 use crate::partition::Partitioner;
-use crate::summary::{predict_with_scratch, BuildStats, CodebookStore, PpqSummary, TrajRecord};
+use crate::summary::{
+    predict_with_scratch, recon_slices, BuildStats, CodebookStore, PpqSummary, TrajRecord,
+};
 use ppq_cqc::CqcTemplate;
 use ppq_geo::Point;
 use ppq_predict::linear::{fit_predictor, TrainingRow};
@@ -53,8 +55,8 @@ const PARALLEL_PREDICT_MIN: usize = 4096;
 #[derive(Clone, Debug)]
 pub struct PpqStream {
     // Fields are `pub(crate)` so [`crate::state`] can checkpoint and
-    // restore a stream mid-flight without going through the summary
-    // (which deliberately drops stream-only state).
+    // restore a stream mid-flight: the summary it embeds carries the
+    // outputs, the checkpoint the stream-only state beside them.
     pub(crate) config: PpqConfig,
     pub(crate) template: Option<CqcTemplate>,
     pub(crate) incremental: Option<IncrementalQuantizer>,
@@ -71,15 +73,12 @@ pub struct PpqStream {
     pub(crate) next_t: Option<u32>,
     pub(crate) out: Outputs,
     /// The index over the reconstructed stream (kept when
-    /// `config.build_index`), grown one slice at a time. A stream restored
-    /// from a checkpoint starts with the cell empty — restoring does not
-    /// pay for an index nobody has asked for yet — and the first
-    /// `snapshot`/`finish` replays `tpi_slices` into it, once.
+    /// `config.build_index`), grown one slice at a time. A checkpoint
+    /// does not store it: a stream restored from one starts with the cell
+    /// empty, and the first `snapshot`/`finish` rebuilds it, once, from
+    /// the trajectory records (which hold every reconstructed point), so
+    /// restoring does not pay for an index nobody has asked for yet.
     pub(crate) tpi: OnceLock<Tpi>,
-    /// Every reconstructed slice handed to the index: what a checkpoint
-    /// stores of it. Each slice is fixed once written, so a copy of the
-    /// stream shares them.
-    pub(crate) tpi_slices: Vec<(u32, SlicePoints)>,
     pub(crate) active_prev: HashSet<TrajId>,
     pub(crate) feature_buf: Vec<f64>,
     // Reusable per-step scratch (allocation-free steady state).
@@ -87,9 +86,6 @@ pub struct PpqStream {
     pub(crate) errors_buf: Vec<Point>,
     pub(crate) kbuf: Vec<Vec<Point>>,
 }
-
-/// One timestep's reconstructed points, as the index took them.
-pub(crate) type SlicePoints = Arc<[(TrajId, Point)]>;
 
 /// The stream state a summary is made of, apart from the config, the CQC
 /// template, the global codebook and the index. Append-only: coefficient
@@ -147,7 +143,6 @@ impl PpqStream {
             next_t: None,
             out: Outputs::default(),
             tpi: OnceLock::from(Tpi::new(config.tpi.clone())),
-            tpi_slices: Vec::new(),
             active_prev: HashSet::new(),
             feature_buf: Vec::new(),
             preds_buf: Vec::new(),
@@ -174,7 +169,7 @@ impl PpqStream {
     }
 
     /// Grow per-trajectory state to cover `id`.
-    fn ensure_traj(&mut self, id: TrajId) {
+    pub(crate) fn ensure_traj(&mut self, id: TrajId) {
         let idx = id as usize;
         while self.histories.len() <= idx {
             let k = self.config.k;
@@ -208,8 +203,8 @@ impl PpqStream {
             self.out.stats.codewords_per_step.push((t, 0));
             self.index_slice(t, Vec::new());
             // Every previously-active trajectory has now ended.
-            for id in self.active_prev.drain() {
-                self.ended[id as usize] = true;
+            for id in std::mem::take(&mut self.active_prev) {
+                self.retire(id);
             }
             return;
         }
@@ -422,7 +417,7 @@ impl PpqStream {
         let active_now: HashSet<TrajId> = ids.iter().copied().collect();
         let retired: Vec<TrajId> = self.active_prev.difference(&active_now).copied().collect();
         for &id in &retired {
-            self.ended[id as usize] = true;
+            self.retire(id);
         }
         if let Some(partitioner) = &mut self.partitioner {
             partitioner.retire(&retired);
@@ -432,27 +427,48 @@ impl PpqStream {
         self.out.coeffs.push(step_coeffs.into());
     }
 
-    /// Feed one reconstructed slice to the index (Algorithm 4's step) and
-    /// keep it for checkpoints.
-    fn index_slice(&mut self, t: u32, recon: Vec<(TrajId, Point)>) {
+    /// Mark trajectory `id` ended, so a reappearance is caught, and empty
+    /// its windows: nothing reads them again, and a checkpoint stores
+    /// none.
+    fn retire(&mut self, id: TrajId) {
+        let idx = id as usize;
+        self.ended[idx] = true;
+        self.histories[idx].clear();
+        self.raw_windows[idx].clear();
+    }
+
+    /// Feed one reconstructed slice to the index (Algorithm 4's step), by
+    /// ascending id: the order in which [`recon_slices`] lists a slice
+    /// when a restored stream rebuilds its index from the records.
+    /// `bounded_kmeans` is order-sensitive, so the two indexes are equal
+    /// because both take a slice by id. A `Dataset` slice is id-ordered
+    /// already.
+    fn index_slice(&mut self, t: u32, mut recon: Vec<(TrajId, Point)>) {
         if !self.config.build_index {
             return;
         }
         if let Some(tpi) = self.tpi.get_mut() {
             let t_index = Instant::now();
+            recon.sort_unstable_by_key(|&(id, _)| id);
             tpi.push_slice(t, &recon);
             self.out.stats.indexing += t_index.elapsed();
         }
-        self.tpi_slices.push((t, recon.into()));
     }
 
-    /// The index over every slice consumed so far, replaying
-    /// `tpi_slices` first if a restore left it unbuilt.
+    /// The index over every slice consumed so far, rebuilt from the
+    /// trajectory records first if a restore left it unbuilt.
     fn index(&self) -> &Tpi {
         self.tpi.get_or_init(|| {
             let mut tpi = Tpi::new(self.config.tpi.clone());
-            for (t, points) in &self.tpi_slices {
-                tpi.push_slice(*t, points);
+            let out = &self.out;
+            let slices = recon_slices(
+                out.min_t.unwrap_or(0),
+                out.coeffs.len(),
+                &out.starts,
+                &out.trajs,
+            );
+            for (t, points) in slices {
+                tpi.push_slice(t, &points);
             }
             tpi
         })
@@ -471,12 +487,18 @@ impl PpqStream {
     /// snapshot is an exact prefix of any later snapshot — the invariant
     /// [`crate::summary_io::delta_to_bytes`] verifies and exploits.
     pub fn snapshot(&self) -> PpqSummary {
+        self.snapshot_with(self.config.build_index.then(|| self.index().clone()))
+    }
+
+    /// [`PpqStream::snapshot`] with `tpi` as its index. With `None` it is
+    /// the summary a checkpoint embeds, made without touching the index.
+    pub(crate) fn snapshot_with(&self, tpi: Option<Tpi>) -> PpqSummary {
         assemble(
             self.config.clone(),
             self.template.clone(),
             self.incremental.as_ref().map(|q| q.codebook().clone()),
             self.out.clone(),
-            self.config.build_index.then(|| self.index().clone()),
+            tpi,
             self.started,
         )
     }

@@ -2,22 +2,31 @@
 //! and restore it so that the restored stream's every future output is
 //! bit-identical to the original's.
 //!
-//! This is deliberately *not* [`crate::summary_io`]: a summary is the
-//! queryable product and drops everything the stream only needs to keep
-//! ingesting — the reconstruction histories and raw windows, the
-//! partitioner's trajectory→partition map and step counter, the
-//! quantizer's grid index and assignment counter, the full (not
-//! decode-relevant) config, the per-trajectory end flags. A live-ingest
-//! layer that folds its WAL into a delta generation writes one of these
+//! A checkpoint holds each shard's summary in [`crate::summary_io`] form,
+//! and beside it only the state a resumed stream needs and a summary
+//! cannot hold. The summary carries the outputs: codeword indices,
+//! partition labels, CQC codes, coefficients, codebooks, trajectory
+//! starts, `min_t`, the step count (so `next_t`) and, by replay on
+//! decode, the reconstructions. A restored stream rebuilds its index
+//! from those reconstructions when one is first asked for. Beside the
+//! summaries go the full (not only decode-relevant) config and, per
+//! shard, the reconstruction histories and raw windows of the active
+//! trajectories, the partitioner's trajectory→partition map and
+//! counters, the quantizer's assignment counter and the build counters
+//! a summary drops. A trajectory's age is its point count, and a
+//! trajectory with points that is not active has ended, so neither is
+//! stored. So no per-point term sits outside the summaries: the rest
+//! grows with the active trajectories and the steps. A live-ingest layer
+//! that folds its WAL into a delta generation writes one of these
 //! checkpoints alongside, so recovery can resume the pipeline exactly
 //! where the fold left it and replay only the WAL tail.
 //!
-//! Format (all little-endian, via [`ppq_storage::codec`]):
+//! Format (all little-endian, via [`ppq_storage::codec`];
+//! `docs/FORMAT.md` §11.2):
 //!
 //! ```text
 //! magic "PPQK" | version u32 | full PpqConfig | shard count u32 |
-//! per shard: stream state (per-trajectory arrays, per-step outputs,
-//!            partitioner / quantizer state, build counters)
+//! per shard: summary_len u32 | summary (summary_io) | resumable state
 //! ```
 //!
 //! The encoding is canonical (maps are sorted before writing), so equal
@@ -27,23 +36,20 @@
 //! mismatches as [`DecodeError::Corrupt`].
 
 use crate::config::{BuildBudget, ColdStart, PartitionMode, PpqConfig};
-use crate::partition::Partitioner;
-use crate::pipeline::{PpqStream, SlicePoints};
+use crate::pipeline::PpqStream;
 use crate::shard::{ShardRouter, ShardedPpqStream};
-use crate::summary::TrajRecord;
-use crate::summary_io::DecodeError;
-use ppq_cqc::CqcCode;
-use ppq_geo::Point;
-use ppq_predict::{History, Predictor};
+use crate::summary::CodebookStore;
+use crate::summary_io::{self, DecodeError};
+use ppq_predict::History;
 use ppq_quantize::kmeans::KMeansConfig;
 use ppq_quantize::IncrementalQuantizer;
 use ppq_storage::codec::{Decoder, Encoder};
 use ppq_tpi::{PiConfig, TpiConfig};
 use ppq_traj::TrajId;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"PPQK");
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Serialize a live sharded stream. The inverse of
 /// [`sharded_from_bytes`].
@@ -90,27 +96,6 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedPpqStream, DecodeError>
         shards,
         buckets: vec![Vec::new(); n],
     })
-}
-
-/// Serialize a single unsharded stream (test and tooling convenience —
-/// the on-disk checkpoint always goes through [`sharded_to_bytes`]).
-pub fn stream_to_bytes(stream: &PpqStream) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u32(MAGIC);
-    e.put_u32(VERSION);
-    put_config(&mut e, stream.config());
-    e.put_u32(1);
-    put_stream(&mut e, stream);
-    e.finish().to_vec()
-}
-
-/// Restore a single stream from [`stream_to_bytes`] output.
-pub fn stream_from_bytes(bytes: &[u8]) -> Result<PpqStream, DecodeError> {
-    let mut sharded = sharded_from_bytes(bytes)?;
-    if sharded.shards.len() != 1 {
-        return Err(DecodeError::Corrupt("expected a single-shard checkpoint"));
-    }
-    Ok(sharded.shards.pop().expect("checked above"))
 }
 
 // ---- config ---------------------------------------------------------
@@ -244,344 +229,142 @@ fn get_config(d: &mut Decoder) -> Result<PpqConfig, DecodeError> {
 
 // ---- per-stream state -----------------------------------------------
 
-fn put_points(e: &mut Encoder, pts: &[Point]) {
-    e.put_u32(pts.len() as u32);
-    for p in pts {
-        e.put_point(p);
+fn put_points(e: &mut Encoder, window: &History) {
+    e.put_u32(window.len() as u32);
+    for p in window.iter() {
+        e.put_point(&p);
     }
 }
 
-fn get_points(d: &mut Decoder) -> Result<Vec<Point>, DecodeError> {
+/// Push a [`put_points`] list onto `window`, oldest first.
+fn get_points(d: &mut Decoder, window: &mut History) -> Result<(), DecodeError> {
     let err = DecodeError::Corrupt("truncated point list");
     let n = d.try_u32().ok_or(err)? as usize;
-    if n * 16 > d.remaining() {
+    if n.saturating_mul(16) > d.remaining() {
         return Err(err);
     }
-    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(d.try_point().ok_or(err)?);
+        window.push(d.point());
     }
-    Ok(out)
-}
-
-fn put_u32s(e: &mut Encoder, xs: &[u32]) {
-    e.put_u32(xs.len() as u32);
-    for &x in xs {
-        e.put_u32(x);
-    }
-}
-
-fn get_u32s(d: &mut Decoder) -> Result<Vec<u32>, DecodeError> {
-    let err = DecodeError::Corrupt("truncated u32 list");
-    let n = d.try_u32().ok_or(err)? as usize;
-    if n * 4 > d.remaining() {
-        return Err(err);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(d.try_u32().ok_or(err)?);
-    }
-    Ok(out)
-}
-
-fn put_opt_u32(e: &mut Encoder, v: Option<u32>) {
-    match v {
-        Some(x) => {
-            e.put_u32(1);
-            e.put_u32(x);
-        }
-        None => e.put_u32(0),
-    }
-}
-
-fn get_opt_u32(d: &mut Decoder) -> Result<Option<u32>, DecodeError> {
-    let err = DecodeError::Corrupt("truncated option");
-    match d.try_u32().ok_or(err)? {
-        0 => Ok(None),
-        1 => Ok(Some(d.try_u32().ok_or(err)?)),
-        _ => Err(DecodeError::Corrupt("invalid option tag")),
-    }
+    Ok(())
 }
 
 fn put_stream(e: &mut Encoder, s: &PpqStream) {
-    let out = &s.out;
-    put_opt_u32(e, out.min_t);
-    put_opt_u32(e, s.next_t);
-
-    let n = s.histories.len();
-    e.put_u32(n as u32);
-    for i in 0..n {
-        let hist: Vec<Point> = s.histories[i].iter().collect();
-        put_points(e, &hist);
-        let raw: Vec<Point> = s.raw_windows[i].iter().collect();
-        put_points(e, &raw);
-        e.put_u64(s.ages[i] as u64);
-        e.put_u32(out.starts[i]);
-        e.put_u32(s.ended[i] as u32);
-        let traj = &out.trajs[i];
-        put_u32s(e, &traj.codes);
-        put_u32s(e, &traj.labels);
-        e.put_u32(traj.cqc_codes.len() as u32);
-        for code in &traj.cqc_codes {
-            e.put_u64(code.raw_bits());
-            e.put_u32(code.depth() as u32);
-        }
-        put_points(e, &traj.recon);
-    }
-
-    e.put_u32(out.coeffs.len() as u32);
-    for step in &out.coeffs {
-        e.put_u32(step.len() as u32);
-        for p in step.iter() {
-            e.put_u32(p.coeffs().len() as u32);
-            for &c in p.coeffs() {
-                e.put_f64(c);
-            }
-        }
-    }
-
-    e.put_u32(out.per_step_books.len() as u32);
-    for book in &out.per_step_books {
-        put_points(e, book);
-    }
-
-    match &s.partitioner {
-        None => e.put_u32(0),
-        Some(p) => {
-            e.put_u32(1);
-            let (assign, next_key, step) = p.state();
-            e.put_u32(assign.len() as u32);
-            for (id, key) in assign {
-                e.put_u32(id);
-                e.put_u64(key);
-            }
-            e.put_u64(next_key);
-            e.put_u64(step);
-        }
-    }
-
-    match &s.incremental {
-        None => e.put_u32(0),
-        Some(q) => {
-            e.put_u32(1);
-            put_points(e, q.codebook().words());
-            e.put_u64(q.assigned());
-        }
-    }
-
-    e.put_u32(s.tpi_slices.len() as u32);
-    for (t, pts) in &s.tpi_slices {
-        e.put_u32(*t);
-        e.put_u32(pts.len() as u32);
-        for (id, p) in pts.iter() {
-            e.put_u32(*id);
-            e.put_point(p);
-        }
-    }
+    e.put_bytes(&summary_io::to_bytes(&s.snapshot_with(None)));
 
     let mut active: Vec<TrajId> = s.active_prev.iter().copied().collect();
     active.sort_unstable();
-    put_u32s(e, &active);
-
-    e.put_u64(out.stats.merges as u64);
-    e.put_u64(out.stats.repartitions as u64);
-    e.put_u32(out.stats.partitions_per_step.len() as u32);
-    for &(t, q) in &out.stats.partitions_per_step {
-        e.put_u32(t);
-        e.put_u32(q);
+    e.put_u32(active.len() as u32);
+    for id in active {
+        e.put_u32(id);
+        put_points(e, &s.histories[id as usize]);
+        put_points(e, &s.raw_windows[id as usize]);
     }
-    e.put_u32(out.stats.codewords_per_step.len() as u32);
-    for &(t, c) in &out.stats.codewords_per_step {
-        e.put_u32(t);
+
+    // Which of these a stream has follows from its config.
+    if let Some(p) = &s.partitioner {
+        let (assign, next_key, step) = p.state();
+        e.put_u32(assign.len() as u32);
+        for (id, key) in assign {
+            e.put_u32(id);
+            e.put_u64(key);
+        }
+        e.put_u64(next_key);
+        e.put_u64(step);
+    }
+    if let Some(q) = &s.incremental {
+        e.put_u64(q.assigned());
+    }
+
+    let stats = &s.out.stats;
+    e.put_u64(stats.merges as u64);
+    e.put_u64(stats.repartitions as u64);
+    e.put_u32(stats.codewords_per_step.len() as u32);
+    for &(_, c) in &stats.codewords_per_step {
         e.put_u32(c);
     }
 }
 
 fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeError> {
     let err = DecodeError::Corrupt("truncated stream state");
-    // `new` derives everything config-determined (template, shard
-    // dimensionality, scratch buffers); the decode below overwrites the
-    // evolving state.
+    let summary = summary_io::from_bytes(&d.try_bytes().ok_or(err)?, false)?;
+    if !summary_io::same_decode_config(&summary.config, config) {
+        return Err(DecodeError::Corrupt(
+            "summary config disagrees with the checkpoint's",
+        ));
+    }
+    // `new` derives everything config-determined (template, partitioner
+    // and quantizer shells, scratch buffers); the decode below fills in
+    // the evolving state.
     let mut s = PpqStream::new(config.clone());
-    // The index is rebuilt from the decoded slices when first needed.
-    s.tpi = std::sync::OnceLock::new();
-    s.out.min_t = get_opt_u32(d)?;
-    s.next_t = get_opt_u32(d)?;
+    // The index is rebuilt from the records when first needed.
+    s.tpi = OnceLock::new();
+    let (min_t, steps) = (summary.min_t, summary.coeffs.len());
+    // `summary_io` has checked that `min_t + steps` fits a `u32`.
+    s.next_t = (steps > 0).then(|| min_t + steps as u32);
+    if let Some(last) = summary.trajs.len().checked_sub(1) {
+        s.ensure_traj(last as TrajId);
+    }
+    for (idx, record) in summary.trajs.iter().enumerate() {
+        s.ages[idx] = record.codes.len();
+        s.ended[idx] = !record.codes.is_empty();
+    }
 
-    let n = d.try_u32().ok_or(err)? as usize;
-    let hist_cap = config.k.max(1);
-    let raw_cap = config.ar_window.max(config.k + 1);
-    for _ in 0..n {
-        let mut hist = History::new(hist_cap);
-        for p in get_points(d)? {
-            hist.push(p);
+    let n_active = d.try_u32().ok_or(err)? as usize;
+    let mut prev: Option<TrajId> = None;
+    for _ in 0..n_active {
+        let id = d.try_u32().ok_or(err)?;
+        let idx = id as usize;
+        // Strictly ascending ids of trajectories that have points.
+        if s.ages.get(idx).is_none_or(|&age| age == 0) || prev.is_some_and(|p| p >= id) {
+            return Err(DecodeError::Corrupt("active trajectory"));
         }
-        s.histories.push(hist);
-        let mut raw = History::new(raw_cap);
-        for p in get_points(d)? {
-            raw.push(p);
-        }
-        s.raw_windows.push(raw);
-        s.ages.push(d.try_u64().ok_or(err)? as usize);
-        s.out.starts.push(d.try_u32().ok_or(err)?);
-        s.ended.push(d.try_u32().ok_or(err)? != 0);
-        let codes = get_u32s(d)?;
-        let labels = get_u32s(d)?;
-        let n_cqc = d.try_u32().ok_or(err)? as usize;
-        if n_cqc * 12 > d.remaining() {
+        prev = Some(id);
+        s.active_prev.insert(id);
+        s.ended[idx] = false;
+        get_points(d, &mut s.histories[idx])?;
+        get_points(d, &mut s.raw_windows[idx])?;
+    }
+
+    if let Some(p) = &mut s.partitioner {
+        let n_assign = d.try_u32().ok_or(err)? as usize;
+        if n_assign.saturating_mul(12) > d.remaining() {
             return Err(err);
         }
-        let mut cqc = Vec::with_capacity(n_cqc);
-        for _ in 0..n_cqc {
-            let bits = d.try_u64().ok_or(err)?;
-            let depth = d.try_u32().ok_or(err)?;
-            if depth > u8::MAX as u32 {
-                return Err(DecodeError::Corrupt("CQC depth out of range"));
-            }
-            cqc.push(CqcCode::from_raw(bits, depth as u8));
-        }
-        let recon = get_points(d)?;
-        if codes.len() != recon.len() || codes.len() != labels.len() {
-            return Err(DecodeError::Corrupt("per-trajectory arrays disagree"));
-        }
-        s.out.trajs.push(Arc::new(TrajRecord {
-            codes,
-            labels,
-            cqc_codes: cqc,
-            recon,
-        }));
+        let assign = (0..n_assign).map(|_| (d.u32(), d.u64())).collect();
+        let next_key = d.try_u64().ok_or(err)?;
+        let step = d.try_u64().ok_or(err)?;
+        p.restore(assign, next_key, step);
     }
-
-    let steps = d.try_u32().ok_or(err)? as usize;
-    for _ in 0..steps {
-        let q = d.try_u32().ok_or(err)? as usize;
-        if q * 4 > d.remaining() {
-            return Err(err);
-        }
-        let mut step = Vec::with_capacity(q);
-        for _ in 0..q {
-            let order = d.try_u32().ok_or(err)? as usize;
-            if order * 8 > d.remaining() {
-                return Err(err);
-            }
-            let mut coeffs = Vec::with_capacity(order);
-            for _ in 0..order {
-                coeffs.push(d.try_f64().ok_or(err)?);
-            }
-            step.push(Predictor::from_coeffs(coeffs));
-        }
-        s.out.coeffs.push(step.into());
-    }
-
-    let books = d.try_u32().ok_or(err)? as usize;
-    for _ in 0..books {
-        s.out.per_step_books.push(get_points(d)?);
-    }
-
-    match d.try_u32().ok_or(err)? {
-        0 => {
-            if s.partitioner.is_some() {
-                return Err(DecodeError::Corrupt("missing partitioner state"));
-            }
-        }
-        1 => {
-            if s.partitioner.is_none() {
-                return Err(DecodeError::Corrupt("unexpected partitioner state"));
-            }
-            let n_assign = d.try_u32().ok_or(err)? as usize;
-            if n_assign * 12 > d.remaining() {
-                return Err(err);
-            }
-            let mut assign = Vec::with_capacity(n_assign);
-            for _ in 0..n_assign {
-                let id = d.try_u32().ok_or(err)?;
-                let key = d.try_u64().ok_or(err)?;
-                assign.push((id, key));
-            }
-            let next_key = d.try_u64().ok_or(err)?;
-            let step = d.try_u64().ok_or(err)?;
-            let d_feat = match config.partition_mode {
-                PartitionMode::Spatial => 2,
-                PartitionMode::Autocorrelation => config.k,
-                PartitionMode::Single => unreachable!("partitioner checked above"),
-            };
-            s.partitioner = Some(Partitioner::restore(
-                config.effective_eps_p(),
-                d_feat,
-                config.kmeans.grow_step,
-                config.kmeans.max_iters,
-                config.kmeans.seed,
-                assign,
-                next_key,
-                step,
-            ));
-        }
-        _ => return Err(DecodeError::Corrupt("invalid partitioner tag")),
-    }
-
-    match d.try_u32().ok_or(err)? {
-        0 => {
-            if s.incremental.is_some() {
-                return Err(DecodeError::Corrupt("missing quantizer state"));
-            }
-        }
-        1 => {
-            if s.incremental.is_none() {
-                return Err(DecodeError::Corrupt("unexpected quantizer state"));
-            }
-            let words = get_points(d)?;
+    match (&mut s.incremental, summary.codebook) {
+        (Some(q), CodebookStore::Global(cb)) => {
             let assigned = d.try_u64().ok_or(err)?;
-            s.incremental = Some(IncrementalQuantizer::restore(
-                config.eps1,
-                config.kmeans.clone(),
-                words,
-                assigned,
-            ));
+            let words = cb.words().to_vec();
+            *q = IncrementalQuantizer::restore(config.eps1, config.kmeans.clone(), words, assigned);
         }
-        _ => return Err(DecodeError::Corrupt("invalid quantizer tag")),
-    }
-
-    let n_slices = d.try_u32().ok_or(err)? as usize;
-    for _ in 0..n_slices {
-        let t = d.try_u32().ok_or(err)?;
-        let n_pts = d.try_u32().ok_or(err)? as usize;
-        if n_pts * 20 > d.remaining() {
-            return Err(err);
+        (None, CodebookStore::PerStep(books)) => s.out.per_step_books = books,
+        _ => {
+            return Err(DecodeError::Corrupt(
+                "codebook kind disagrees with the config",
+            ))
         }
-        // The bytes are there (checked above): decoded straight into the
-        // shared slice, with no intermediate `Vec` to copy from.
-        let pts: SlicePoints = (0..n_pts).map(|_| (d.u32(), d.point())).collect();
-        // The index replays these through `Tpi::push_slice`, which takes
-        // strictly ascending timesteps.
-        if s.tpi_slices.last().is_some_and(|(prev, _)| *prev >= t) {
-            return Err(DecodeError::Corrupt("index slices out of order"));
-        }
-        s.tpi_slices.push((t, pts));
     }
 
-    s.active_prev = get_u32s(d)?.into_iter().collect();
+    let stats = &mut s.out.stats;
+    stats.merges = d.try_u64().ok_or(err)? as usize;
+    stats.repartitions = d.try_u64().ok_or(err)? as usize;
+    if d.try_u32().ok_or(err)? as usize != steps || steps.saturating_mul(4) > d.remaining() {
+        return Err(DecodeError::Corrupt("codewords per step"));
+    }
+    stats.codewords_per_step = (min_t..).take(steps).map(|t| (t, d.u32())).collect();
+    stats.partitions_per_step = (summary.coeffs.iter().zip(min_t..))
+        .map(|(row, t)| (t, row.len() as u32))
+        .collect();
 
-    s.out.stats.merges = d.try_u64().ok_or(err)? as usize;
-    s.out.stats.repartitions = d.try_u64().ok_or(err)? as usize;
-    let n_pps = d.try_u32().ok_or(err)? as usize;
-    if n_pps * 8 > d.remaining() {
-        return Err(err);
-    }
-    for _ in 0..n_pps {
-        let t = d.try_u32().ok_or(err)?;
-        let q = d.try_u32().ok_or(err)?;
-        s.out.stats.partitions_per_step.push((t, q));
-    }
-    let n_cps = d.try_u32().ok_or(err)? as usize;
-    if n_cps * 8 > d.remaining() {
-        return Err(err);
-    }
-    for _ in 0..n_cps {
-        let t = d.try_u32().ok_or(err)?;
-        let c = d.try_u32().ok_or(err)?;
-        s.out.stats.codewords_per_step.push((t, c));
-    }
-
+    s.out.min_t = s.next_t.map(|_| min_t);
+    s.out.starts = summary.starts;
+    s.out.trajs = summary.trajs;
+    s.out.coeffs = summary.coeffs;
     Ok(s)
 }
 
@@ -589,7 +372,6 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
 mod tests {
     use super::*;
     use crate::config::Variant;
-    use crate::summary_io;
     use ppq_traj::synth::{porto_like, PortoConfig};
     use ppq_traj::Dataset;
 
@@ -656,18 +438,73 @@ mod tests {
         assert_eq!(once, twice);
     }
 
-    /// A restore does not build the index; the first snapshot replays the
-    /// checkpointed slices into the restored stream itself — once — so
-    /// the next snapshot shares its sealed periods instead of replaying.
+    /// The index of a stream that took one slice in descending id order,
+    /// was checkpointed, restored and went on, equals the index of the
+    /// stream that never stopped: the streamed index takes each slice by
+    /// ascending id, which is the order the rebuild from the records
+    /// gives it.
     #[test]
-    fn restored_stream_replays_its_index_once() {
+    fn restored_index_equals_the_uncrashed_one_after_an_unsorted_slice() {
         let data = dataset();
+        let slices: Vec<_> = data.time_slices().collect();
+        // Checkpoint right after the widest slice, which goes in reversed.
+        let widest = (0..slices.len())
+            .max_by_key(|&i| slices[i].points.len())
+            .unwrap();
+        let cut = widest + 1;
+        assert!(cut < slices.len() && slices[widest].points.len() > 2);
+        let mut cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+        // Regions small enough that a slice spans several, so the order
+        // `bounded_kmeans` sees a slice in decides them.
+        cfg.tpi.pi.eps_s = 0.01;
+        let mut golden = ShardedPpqStream::new(cfg.clone(), 2);
+        let mut live = ShardedPpqStream::new(cfg, 2);
+        for (i, s) in slices[..cut].iter().enumerate() {
+            let mut points = s.points.to_vec();
+            if i == widest {
+                points.reverse();
+            }
+            golden.push_slice(s.t, &points);
+            live.push_slice(s.t, &points);
+        }
+        let mut restored = sharded_from_bytes(&sharded_to_bytes(&live)).unwrap();
+        for s in &slices[cut..] {
+            golden.push_slice(s.t, s.points);
+            restored.push_slice(s.t, s.points);
+        }
+        let (want, got) = (golden.snapshot(), restored.snapshot());
+        for (w, g) in want.shards().iter().zip(got.shards()) {
+            assert_eq!(summary_io::to_bytes(w), summary_io::to_bytes(g));
+            let (w, g) = (w.tpi().unwrap(), g.tpi().unwrap());
+            assert_eq!(w.stats(), g.stats());
+            assert_eq!(w.periods().len(), g.periods().len());
+            for (pw, pg) in w.periods().iter().zip(g.periods()) {
+                assert_eq!((pw.t_start, pw.t_end), (pg.t_start, pg.t_end));
+                assert_eq!(pw.pi.export_blocks(), pg.pi.export_blocks());
+            }
+        }
+    }
+
+    /// A restore does not build the index; the first snapshot rebuilds it
+    /// from the trajectory records into the restored stream itself — once
+    /// — so the next snapshot shares its sealed periods instead of
+    /// rebuilding. Slices pushed after the restore reach it through the
+    /// records too.
+    #[test]
+    fn restored_stream_rebuilds_its_index_once() {
+        let data = dataset();
+        let slices: Vec<_> = data.time_slices().collect();
+        let cut = slices.len() / 2;
         let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
         let mut golden = ShardedPpqStream::new(cfg, 2);
-        for s in data.time_slices() {
+        for s in &slices[..cut] {
             golden.push_slice(s.t, s.points);
         }
-        let restored = sharded_from_bytes(&sharded_to_bytes(&golden)).unwrap();
+        let mut restored = sharded_from_bytes(&sharded_to_bytes(&golden)).unwrap();
+        for s in &slices[cut..] {
+            golden.push_slice(s.t, s.points);
+            restored.push_slice(s.t, s.points);
+        }
         assert!(restored.shards.iter().all(|s| s.tpi.get().is_none()));
         let (first, second, want) = (restored.snapshot(), restored.snapshot(), golden.snapshot());
         for ((a, b), w) in first
@@ -684,7 +521,7 @@ mod tests {
             for (pa, pb) in a.periods()[..sealed].iter().zip(b.periods()) {
                 assert!(
                     std::sync::Arc::ptr_eq(pa, pb),
-                    "second snapshot replayed again"
+                    "second snapshot rebuilt again"
                 );
             }
             for (pa, pw) in a.periods().iter().zip(w.periods()) {
@@ -701,43 +538,117 @@ mod tests {
         assert_eq!(restored.next_t(), None);
     }
 
+    fn config_bytes(cfg: &PpqConfig) -> Vec<u8> {
+        let mut e = Encoder::new();
+        put_config(&mut e, cfg);
+        e.finish().to_vec()
+    }
+
+    /// Truncations anywhere — in the header, inside an embedded summary,
+    /// inside a resumable section — a summary blob that is itself cut
+    /// short, and a summary whose config disagrees with the checkpoint's
+    /// all give a typed error, never a panic.
     #[test]
-    fn truncation_is_typed_error() {
+    fn damage_is_a_typed_error() {
         let data = dataset();
-        let mut stream = ShardedPpqStream::new(PpqConfig::default(), 1);
-        for s in data.time_slices().take(10) {
+        let cfg = PpqConfig::variant(Variant::PpqA, 0.1);
+        let mut stream = ShardedPpqStream::new(cfg.clone(), 1);
+        for s in data.time_slices().take(30) {
             stream.push_slice(s.t, s.points);
         }
         let bytes = sharded_to_bytes(&stream);
-        for cut in [0, 4, 8, bytes.len() / 2, bytes.len() - 1] {
+        assert!(sharded_from_bytes(&[]).is_err());
+
+        // The one shard's summary blob, then its resumable section.
+        let head = 8 + config_bytes(&cfg).len() + 4;
+        let summary_len = u32::from_le_bytes(bytes[head..head + 4].try_into().unwrap()) as usize;
+        let summary = head + 4..head + 4 + summary_len;
+        let resumable = summary.end..bytes.len();
+        assert!(
+            summary.len() > 100 && resumable.len() > 100,
+            "fixture too small"
+        );
+        let cuts = (0..head)
+            .chain(summary.clone().step_by(7))
+            .chain(resumable.clone());
+        for cut in cuts {
             assert!(
-                sharded_from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} must fail"
+                matches!(
+                    sharded_from_bytes(&bytes[..cut]),
+                    Err(DecodeError::Corrupt(_) | DecodeError::BadMagic)
+                ),
+                "truncation at {cut} must be a typed error"
             );
         }
-        assert!(sharded_from_bytes(&[]).is_err());
+
+        // The summary blob itself cut short, its length prefix adjusted.
+        for keep in (0..summary.len()).step_by(5) {
+            let mut e = Encoder::new();
+            e.put_bytes(&bytes[summary.start..summary.start + keep]);
+            let framed = [&bytes[..head], &e.finish()[..], &bytes[summary.end..]].concat();
+            assert!(
+                sharded_from_bytes(&framed).is_err(),
+                "summary cut to {keep} bytes must be a typed error"
+            );
+        }
+
+        // A checkpoint config that disagrees with the embedded summaries.
+        let other = PpqConfig {
+            eps1: cfg.eps1 * 2.0,
+            ..cfg.clone()
+        };
+        let spliced = [&bytes[..8], &config_bytes(&other)[..], &bytes[head - 4..]].concat();
+        assert_eq!(
+            sharded_from_bytes(&spliced).err(),
+            Some(DecodeError::Corrupt(
+                "summary config disagrees with the checkpoint's"
+            ))
+        );
     }
 
+    /// No per-point term sits outside the embedded summaries: beyond them
+    /// a checkpoint grows with the active trajectories (their windows),
+    /// the steps (one codeword count each) and, through the partitioner
+    /// map, at most the trajectories.
     #[test]
-    fn single_stream_roundtrip() {
+    fn checkpoint_is_its_summaries_plus_the_resumable_state() {
         let data = dataset();
-        let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
         let slices: Vec<_> = data.time_slices().collect();
-        let cut = slices.len() / 3;
-        let mut golden = PpqStream::new(cfg.clone());
-        let mut live = PpqStream::new(cfg);
-        for s in &slices[..cut] {
-            golden.push_slice(s.t, s.points);
-            live.push_slice(s.t, s.points);
+        let widest = (0..slices.len())
+            .max_by_key(|&i| slices[i].points.len())
+            .unwrap();
+        for v in [Variant::PpqA, Variant::PpqS, Variant::QTrajectory] {
+            let cfg = PpqConfig::variant(v, 0.1);
+            let shards = 3;
+            let mut stream = ShardedPpqStream::new(cfg.clone(), shards);
+            for (i, s) in slices.iter().enumerate() {
+                stream.push_slice(s.t, s.points);
+                if i != widest && i + 1 != slices.len() {
+                    continue;
+                }
+                let summaries: usize = stream
+                    .shards
+                    .iter()
+                    .map(|s| 4 + summary_io::to_bytes(&s.snapshot_with(None)).len())
+                    .sum();
+                let active: usize = stream.shards.iter().map(|s| s.active_prev.len()).sum();
+                let window = 16 * (cfg.k + cfg.ar_window) + 4 + 4 + 4;
+                let bound = 8
+                    + config_bytes(&cfg).len()
+                    + 4
+                    + summaries
+                    + 64 * shards
+                    + 12 * data.trajectories().len()
+                    + window * active
+                    + 4 * stream.timesteps() * shards;
+                let got = sharded_to_bytes(&stream).len();
+                assert!(
+                    got <= bound,
+                    "{} after {} slices: {got} B > {bound} B",
+                    v.name(),
+                    i + 1
+                );
+            }
         }
-        let mut restored = stream_from_bytes(&stream_to_bytes(&live)).unwrap();
-        for s in &slices[cut..] {
-            golden.push_slice(s.t, s.points);
-            restored.push_slice(s.t, s.points);
-        }
-        assert_eq!(
-            summary_io::to_bytes(&golden.finish()),
-            summary_io::to_bytes(&restored.finish())
-        );
     }
 }

@@ -238,26 +238,7 @@ impl PpqSummary {
     /// decoded without an index (or assembled by re-sharding) needs to be
     /// written back out as a repository generation.
     pub fn rebuild_index(&mut self) {
-        let trajs = self.trajs.iter().zip(&self.starts);
-        let max_t = trajs
-            .clone()
-            .map(|(traj, &start)| start + traj.codes.len() as u32)
-            .max()
-            .unwrap_or(self.min_t);
-        // One pass over the trajectories in id order, so each slice lists
-        // its points by ascending id.
-        let mut slices = vec![Vec::new(); max_t.saturating_sub(self.min_t) as usize];
-        for (id, (traj, &start)) in trajs.enumerate() {
-            if traj.recon.is_empty() {
-                continue; // an id with no points: its start is a placeholder
-            }
-            let first = (start - self.min_t) as usize;
-            for (slice, p) in slices[first..].iter_mut().zip(&traj.recon) {
-                slice.push((id as u32, *p));
-            }
-        }
-        let min_t = self.min_t;
-        let slices = slices.into_iter().zip(min_t..).map(|(pts, t)| (t, pts));
+        let slices = recon_slices(self.min_t, self.coeffs.len(), &self.starts, &self.trajs);
         self.tpi = Some(Tpi::build_from_slices(slices, &self.config.tpi));
     }
 
@@ -449,6 +430,33 @@ impl PpqSummary {
     }
 }
 
+/// The reconstructed stream as Algorithm 4 consumes it: one `(t, points)`
+/// slice for every step `t` in `[min_t, min_t + steps)`, each listing its
+/// points by ascending id. Empty steps are included, because an empty
+/// slice is a step of the index too: it opens a period. This is the one
+/// transposition of the trajectory records into slices, for
+/// [`PpqSummary::rebuild_index`] and for a restored stream's index alike.
+pub(crate) fn recon_slices(
+    min_t: u32,
+    steps: usize,
+    starts: &[u32],
+    trajs: &[Arc<TrajRecord>],
+) -> Vec<(u32, Vec<(TrajId, Point)>)> {
+    let mut slices: Vec<_> = (min_t..).take(steps).map(|t| (t, Vec::new())).collect();
+    // One pass over the trajectories in id order gives each slice its
+    // points by ascending id.
+    for (id, (traj, &start)) in trajs.iter().zip(starts).enumerate() {
+        if traj.recon.is_empty() {
+            continue; // an id with no points: its start is a placeholder
+        }
+        let first = (start - min_t) as usize;
+        for ((_, slice), p) in slices[first..].iter_mut().zip(&traj.recon) {
+            slice.push((id as TrajId, *p));
+        }
+    }
+    slices
+}
+
 /// Shared prediction rule used by both the builder and [`PpqSummary::replay`]:
 /// the predictor applies only when `age ≥ k`; younger points follow the
 /// cold-start rule ("for the time t ≤ k, P_j[t] is set to zero").
@@ -487,7 +495,7 @@ pub(crate) fn predict_with_scratch(
 mod tests {
     use super::*;
     use crate::config::Variant;
-    use crate::pipeline::PpqTrajectory;
+    use crate::pipeline::{PpqStream, PpqTrajectory};
     use ppq_traj::synth::{porto_like, PortoConfig};
 
     fn build() -> (Dataset, PpqSummary) {
@@ -517,18 +525,40 @@ mod tests {
         assert_eq!(sub.len(), 5);
     }
 
+    /// Also over a stream that ends on empty slices: they are steps of
+    /// the index too, so the rebuild must not stop at the last point.
     #[test]
     fn rebuilt_index_equals_the_streamed_one() {
-        let (_, s) = build();
-        let mut rebuilt = s.clone();
-        rebuilt.rebuild_index();
-        let periods = |s: &PpqSummary| -> Vec<_> {
-            let periods = s.tpi().expect("built with an index").periods().iter();
-            periods
-                .map(|p| (p.t_start, p.t_end, p.pi.export_blocks()))
-                .collect()
-        };
-        assert_eq!(periods(&s), periods(&rebuilt));
+        let data = porto_like(&PortoConfig {
+            trajectories: 30,
+            mean_len: 40,
+            min_len: 20,
+            start_spread: 8,
+            seed: 99,
+        });
+        let mut stream = PpqStream::new(PpqConfig::variant(Variant::PpqS, 0.1));
+        for slice in data.time_slices() {
+            stream.push_slice(slice.t, slice.points);
+        }
+        let next = stream.next_t().expect("fixture has slices");
+        stream.push_slice(next, &[]);
+        stream.push_slice(next + 1, &[]);
+        for s in [build().1, stream.finish()] {
+            let mut rebuilt = s.clone();
+            rebuilt.rebuild_index();
+            let (streamed, rebuilt) = (
+                s.tpi().expect("built with an index"),
+                rebuilt.tpi().unwrap(),
+            );
+            let periods = |tpi: &Tpi| -> Vec<_> {
+                let periods = tpi.periods().iter();
+                periods
+                    .map(|p| (p.t_start, p.t_end, p.pi.export_blocks()))
+                    .collect()
+            };
+            assert_eq!(streamed.stats(), rebuilt.stats());
+            assert_eq!(periods(streamed), periods(rebuilt));
+        }
     }
 
     #[test]

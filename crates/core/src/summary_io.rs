@@ -381,7 +381,10 @@ pub fn from_bytes(bytes: &[u8], rebuild_index: bool) -> Result<PpqSummary, Decod
 
     // --- Coefficients. ----------------------------------------------------
     let steps_n = need!(d.try_u32(), "coeff steps") as usize;
-    if steps_n.saturating_mul(4) > d.remaining() {
+    // A stream's next timestep, `min_t + steps`, must fit a `u32`.
+    if steps_n.saturating_mul(4) > d.remaining()
+        || (min_t as usize).saturating_add(steps_n) > u32::MAX as usize
+    {
         return Err(DecodeError::Corrupt("coeff steps"));
     }
     let mut coeffs: Vec<Arc<[Predictor]>> = Vec::with_capacity(steps_n);
@@ -546,22 +549,26 @@ fn points_bit_eq(a: &Point, b: &Point) -> bool {
     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
+/// Whether two configs agree, bitwise, on every field a summary records
+/// (the decode-relevant subset [`to_bytes`] writes).
+pub(crate) fn same_decode_config(a: &PpqConfig, b: &PpqConfig) -> bool {
+    a.eps1.to_bits() == b.eps1.to_bits()
+        && a.gs.to_bits() == b.gs.to_bits()
+        && a.use_cqc == b.use_cqc
+        && a.predict == b.predict
+        && a.partition_mode == b.partition_mode
+        && a.cold_start == b.cold_start
+        && a.k == b.k
+        && a.budget == b.budget
+}
+
 /// Verify that `full` extends `base`: identical decode-relevant config,
 /// identical `min_t`, and every shared structure bitwise equal on the
 /// base's prefix. Exactness matters — [`apply_delta`]'s end-to-end CRC
 /// check compares canonical serializations, so "close" is corrupt.
 fn verify_extension(base: &PpqSummary, full: &PpqSummary) -> Result<(), DeltaError> {
     let err = DeltaError::NotAnExtension;
-    let (bc, fc) = (&base.config, &full.config);
-    if bc.eps1.to_bits() != fc.eps1.to_bits()
-        || bc.gs.to_bits() != fc.gs.to_bits()
-        || bc.use_cqc != fc.use_cqc
-        || bc.predict != fc.predict
-        || bc.partition_mode != fc.partition_mode
-        || bc.cold_start != fc.cold_start
-        || bc.k != fc.k
-        || bc.budget != fc.budget
-    {
+    if !same_decode_config(&base.config, &full.config) {
         return Err(err("config"));
     }
     if base.min_t != full.min_t {
@@ -794,7 +801,8 @@ pub fn apply_delta(base: &mut PpqSummary, bytes: &[u8]) -> Result<u32, DecodeErr
     // --- Coefficient-step extension. -------------------------------------
     let k = base.config.k;
     let new_steps = need!(d.try_u32(), "delta coeff steps") as usize;
-    if new_steps.saturating_mul(4) > d.remaining() {
+    let next_t = (base.min_t as usize).saturating_add(base.coeffs.len() + new_steps);
+    if new_steps.saturating_mul(4) > d.remaining() || next_t > u32::MAX as usize {
         return Err(DecodeError::Corrupt("delta coeff steps"));
     }
     let mut total_partitions: usize = base.coeffs.iter().map(|s| s.len()).sum();
@@ -1140,6 +1148,35 @@ mod tests {
             "a quarter-window delta ({}) should be much smaller than the full summary ({})",
             delta.len(),
             full_bytes.len()
+        );
+    }
+
+    /// A stream's steps end at `u32::MAX` at the latest; a header or a
+    /// delta that puts them past it is corrupt, not an index rebuild
+    /// that overflows the timestep.
+    #[test]
+    fn steps_past_u32_max_are_corrupt() {
+        let mut stream = crate::pipeline::PpqStream::new(PpqConfig::default());
+        stream.push_slice(u32::MAX - 2, &[]);
+        let base = stream.snapshot();
+        stream.push_slice(u32::MAX - 1, &[]);
+        let full = stream.finish();
+        let delta = delta_to_bytes(&base, &full).unwrap();
+        // min_t follows magic, version, eps1, gs, flags and k.
+        let with_min_t = |s: &PpqSummary, min_t: u32| {
+            let mut bytes = to_bytes(s);
+            bytes[32..36].copy_from_slice(&min_t.to_le_bytes());
+            bytes
+        };
+        assert!(from_bytes(&with_min_t(&full, u32::MAX - 2), true).is_ok());
+        assert_eq!(
+            from_bytes(&with_min_t(&full, u32::MAX - 1), true).err(),
+            Some(DecodeError::Corrupt("coeff steps"))
+        );
+        let mut late_base = from_bytes(&with_min_t(&base, u32::MAX - 1), false).unwrap();
+        assert_eq!(
+            apply_delta(&mut late_base, &delta).err(),
+            Some(DecodeError::Corrupt("delta coeff steps"))
         );
     }
 

@@ -13,8 +13,9 @@
 //!   tail, trimming a torn final record and refusing (typed, never a
 //!   panic) mid-log corruption that a crash cannot produce.
 //! * **Checkpointed recovery** ([`LiveRepo::recover`]) — folding
-//!   persists the full pipeline state ([`ppq_core::state`]) alongside
-//!   the generation chain, so recovery = checkpoint + WAL tail. Because
+//!   persists the pipeline state ([`ppq_core::state`]: each shard's
+//!   summary plus the state only a resumed stream needs) alongside the
+//!   generation chain, so recovery = checkpoint + WAL tail. Because
 //!   the pipeline is deterministic, the recovered stream is *bit
 //!   identical* to an uncrashed run over the same acknowledged slices —
 //!   same summary bytes, same STRQ/TPQ answers (property-tested by the

@@ -150,7 +150,6 @@ pub(crate) struct TickOutcome {
     pub maintenance: MaintenanceOutcome,
     pub synced: bool,
     pub sync_error: Option<LiveError>,
-    pub published: Option<u32>,
 }
 
 /// Concurrent ingest-and-serve front end for a [`LiveRepo`].
@@ -390,7 +389,7 @@ impl LiveService {
     /// slice arrived). The writer lock is taken only for the fold's
     /// freeze and commit and for the sync, never across a write phase,
     /// a compaction or the publish `RwLock` swap's readers.
-    pub(crate) fn worker_tick(&self, sync_wal: bool, publish: bool) -> TickOutcome {
+    pub(crate) fn worker_tick(&self, sync_wal: bool) -> TickOutcome {
         let maintenance = self.maintain(|m, w| m.maintain_if_due(w));
         let sync = sync_wal
             .then(|| WriterLock(&self.writer).with(|i| (i.wal_pending() > 0).then(|| i.sync())))
@@ -400,12 +399,11 @@ impl LiveService {
             Some(Err(e)) => (false, Some(e)),
             None => (false, None),
         };
-        let published = if publish { Some(self.publish()) } else { None };
+        self.publish();
         TickOutcome {
             maintenance,
             synced,
             sync_error,
-            published,
         }
     }
 

@@ -64,9 +64,6 @@ pub struct MaintenanceConfig {
     /// durability window is bounded by `tick` even under `group_commit`
     /// batching.
     pub sync_wal: bool,
-    /// Publish a fresh snapshot every tick (no-op when no slice
-    /// arrived, so an idle service does not churn `Arc` swaps).
-    pub publish: bool,
 }
 
 impl Default for MaintenanceConfig {
@@ -74,7 +71,6 @@ impl Default for MaintenanceConfig {
         MaintenanceConfig {
             tick: Duration::from_millis(20),
             sync_wal: true,
-            publish: true,
         }
     }
 }
@@ -94,7 +90,8 @@ pub struct WorkerStats {
     pub wal_syncs: u64,
     /// WAL syncs that failed.
     pub sync_failures: u64,
-    /// Publishes that actually swapped in a new snapshot.
+    /// Publish ticks, each a no-op unless a slice arrived since the
+    /// last publish.
     pub publishes: u64,
     /// The most recent WAL-sync failure, rendered. Unlike maintenance
     /// errors (kept by the repo and shown in the service status), sync
@@ -177,7 +174,7 @@ fn run(service: Arc<LiveService>, shared: Arc<Shared>, cfg: MaintenanceConfig) {
                 return;
             }
         }
-        let out = service.worker_tick(cfg.sync_wal, cfg.publish);
+        let out = service.worker_tick(cfg.sync_wal);
         let c = &shared.counters;
         c.ticks.fetch_add(1, Ordering::Relaxed);
         if out.maintenance.folded {
@@ -196,9 +193,7 @@ fn run(service: Arc<LiveService>, shared: Arc<Shared>, cfg: MaintenanceConfig) {
             c.sync_failures.fetch_add(1, Ordering::Relaxed);
             *c.last_sync_error.lock().expect("sync error lock poisoned") = Some(e.to_string());
         }
-        if out.published.is_some() {
-            c.publishes.fetch_add(1, Ordering::Relaxed);
-        }
+        c.publishes.fetch_add(1, Ordering::Relaxed);
     }
 }
 

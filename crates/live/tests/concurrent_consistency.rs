@@ -90,7 +90,6 @@ fn answers_during_ingest_match_quiescent_replay() {
         .start_maintenance(MaintenanceConfig {
             tick: std::time::Duration::from_millis(1),
             sync_wal: true,
-            publish: true,
         })
         .expect("worker attaches");
 

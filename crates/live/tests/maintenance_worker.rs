@@ -101,7 +101,6 @@ fn worker_owns_maintenance_and_drains_on_shutdown() {
         .start_maintenance(MaintenanceConfig {
             tick: Duration::from_millis(1),
             sync_wal: true,
-            publish: true,
         })
         .expect("first worker attaches");
     // Only one worker may own maintenance.

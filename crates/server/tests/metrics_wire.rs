@@ -55,7 +55,6 @@ fn metrics_frame_agrees_with_client_accounting() {
             maintenance: Some(MaintenanceConfig {
                 tick: Duration::from_millis(2),
                 sync_wal: true,
-                publish: true,
             }),
         },
     )

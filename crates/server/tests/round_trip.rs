@@ -77,7 +77,6 @@ fn start_server(dir: &std::path::Path, publish_every: u64) -> (Arc<Dataset>, Ser
             maintenance: Some(MaintenanceConfig {
                 tick: Duration::from_millis(2),
                 sync_wal: true,
-                publish: true,
             }),
         },
     )

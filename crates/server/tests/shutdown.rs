@@ -49,7 +49,6 @@ fn drain_preserves_every_acknowledged_slice() {
                 // Leave WAL flushing to group commit: the drain must
                 // sync whatever is still pending.
                 sync_wal: false,
-                publish: true,
             }),
         },
     )

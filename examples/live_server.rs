@@ -71,7 +71,6 @@ fn start_server(
             maintenance: Some(MaintenanceConfig {
                 tick: Duration::from_millis(5),
                 sync_wal: true,
-                publish: true,
             }),
         },
     )?;
