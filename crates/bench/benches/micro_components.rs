@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot components: quantizer
 //! assignment/growth, CQC encode/decode, Huffman ID-list compression,
-//! and least-squares predictor fitting.
+//! least-squares predictor fitting, and the CRC-32 every page-in
+//! verifies.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ppq_cqc::CqcTemplate;
@@ -8,6 +9,7 @@ use ppq_geo::Point;
 use ppq_predict::linear::{fit_predictor, TrainingRow};
 use ppq_quantize::IncrementalQuantizer;
 use ppq_sindex::CompressedIdList;
+use ppq_storage::{crc32, payload_capacity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -111,11 +113,29 @@ fn bench_predict(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_crc32(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crc32");
+    g.sample_size(20);
+    let mut rng = StdRng::seed_from_u64(5);
+    let mib: Vec<u8> = (0..1 << 20)
+        .map(|_| rng.gen_range(0u32..256) as u8)
+        .collect();
+    // A 4 KiB page's payload (4,092 B): what `page::read_page` checks on
+    // every pool miss of a repository written with that page size.
+    let page = &mib[..payload_capacity(4096)];
+    g.bench_function("page_payload_4092", |b| {
+        b.iter(|| black_box(crc32(black_box(page))))
+    });
+    g.bench_function("1mib", |b| b.iter(|| black_box(crc32(black_box(&mib)))));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_quantizer,
     bench_cqc,
     bench_sindex,
-    bench_predict
+    bench_predict,
+    bench_crc32
 );
 criterion_main!(benches);

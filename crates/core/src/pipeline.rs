@@ -19,7 +19,6 @@ use ppq_quantize::{kmeans, Codebook, IncrementalQuantizer};
 use ppq_tpi::Tpi;
 use ppq_traj::{Dataset, TrajId};
 use rayon::prelude::*;
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -66,9 +65,17 @@ pub struct PpqStream {
 
     // Per-trajectory state, indexed by TrajId (grown on demand).
     pub(crate) histories: Vec<History>,
+    /// Raw points for the AR features; fed in
+    /// [`PartitionMode::Autocorrelation`] only, the one mode that reads
+    /// them, and empty in every other.
     pub(crate) raw_windows: Vec<History>,
     pub(crate) ages: Vec<usize>,
     pub(crate) ended: Vec<bool>,
+    /// The last timestep each trajectory appeared at (plus one; 0 =
+    /// never), which finds the retirements of a slice without a set.
+    /// Not checkpointed: a restored stream starts with none, and its
+    /// first slice retires every active id it does not stamp.
+    pub(crate) last_seen: Vec<u64>,
 
     pub(crate) next_t: Option<u32>,
     pub(crate) out: Outputs,
@@ -79,12 +86,14 @@ pub struct PpqStream {
     /// the trajectory records (which hold every reconstructed point), so
     /// restoring does not pay for an index nobody has asked for yet.
     pub(crate) tpi: OnceLock<Tpi>,
-    pub(crate) active_prev: HashSet<TrajId>,
+    /// The ids of the previous slice, once each, in slice order.
+    pub(crate) active_prev: Vec<TrajId>,
     pub(crate) feature_buf: Vec<f64>,
     // Reusable per-step scratch (allocation-free steady state).
     pub(crate) preds_buf: Vec<Point>,
     pub(crate) errors_buf: Vec<Point>,
     pub(crate) kbuf: Vec<Vec<Point>>,
+    pub(crate) codes_buf: Vec<u32>,
 }
 
 /// The stream state a summary is made of, apart from the config, the CQC
@@ -140,14 +149,16 @@ impl PpqStream {
             raw_windows: Vec::new(),
             ages: Vec::new(),
             ended: Vec::new(),
+            last_seen: Vec::new(),
             next_t: None,
             out: Outputs::default(),
             tpi: OnceLock::from(Tpi::new(config.tpi.clone())),
-            active_prev: HashSet::new(),
+            active_prev: Vec::new(),
             feature_buf: Vec::new(),
             preds_buf: Vec::new(),
             errors_buf: Vec::new(),
             kbuf: Vec::new(),
+            codes_buf: Vec::new(),
             config,
         }
     }
@@ -171,13 +182,17 @@ impl PpqStream {
     /// Grow per-trajectory state to cover `id`.
     pub(crate) fn ensure_traj(&mut self, id: TrajId) {
         let idx = id as usize;
+        let k = self.config.k;
+        let raw_cap = match self.config.partition_mode {
+            PartitionMode::Autocorrelation => self.config.ar_window.max(k + 1),
+            PartitionMode::Spatial | PartitionMode::Single => 1,
+        };
         while self.histories.len() <= idx {
-            let k = self.config.k;
             self.histories.push(History::new(k.max(1)));
-            self.raw_windows
-                .push(History::new(self.config.ar_window.max(k + 1)));
+            self.raw_windows.push(History::new(raw_cap));
             self.ages.push(0);
             self.ended.push(false);
+            self.last_seen.push(0);
             self.out.starts.push(0);
             self.out.trajs.push(Arc::default());
         }
@@ -210,6 +225,7 @@ impl PpqStream {
         }
 
         let ids: Vec<TrajId> = points.iter().map(|(id, _)| *id).collect();
+        let autocorrelation = self.config.partition_mode == PartitionMode::Autocorrelation;
         for &(id, p) in points {
             self.ensure_traj(id);
             let idx = id as usize;
@@ -223,7 +239,9 @@ impl PpqStream {
             }
             // Feed raw windows first so AR features can see the current
             // point (the feature for partitioning time t uses data ≤ t).
-            self.raw_windows[idx].push(p);
+            if autocorrelation {
+                self.raw_windows[idx].push(p);
+            }
         }
 
         // ---- 1. Partition (timed: Figures 7–8). -----------------------
@@ -372,11 +390,14 @@ impl PpqStream {
             }
             (None, BuildBudget::ErrorBounded) => unreachable!(),
         };
-        let distinct: HashSet<u32> = step_codes.iter().copied().collect();
+        self.codes_buf.clear();
+        self.codes_buf.extend_from_slice(&step_codes);
+        self.codes_buf.sort_unstable();
+        self.codes_buf.dedup();
         self.out
             .stats
             .codewords_per_step
-            .push((t, distinct.len() as u32));
+            .push((t, self.codes_buf.len() as u32));
         self.out.stats.quantizing += t_quant.elapsed();
 
         // ---- 4. Reconstruct, CQC, advance state. ----------------------
@@ -413,16 +434,25 @@ impl PpqStream {
         self.index_slice(t, slice_recon);
 
         // Retire trajectories that ended at t (keeps partitioner maps
-        // small on long streams) and mark them so reappearance is caught.
-        let active_now: HashSet<TrajId> = ids.iter().copied().collect();
-        let retired: Vec<TrajId> = self.active_prev.difference(&active_now).copied().collect();
+        // small on long streams) and mark them so reappearance is caught:
+        // the previous slice's ids this slice did not stamp.
+        let stamp = t as u64 + 1;
+        let mut active_now = Vec::with_capacity(ids.len());
+        for &id in &ids {
+            let seen = &mut self.last_seen[id as usize];
+            if *seen != stamp {
+                *seen = stamp;
+                active_now.push(id);
+            }
+        }
+        let mut retired = std::mem::replace(&mut self.active_prev, active_now);
+        retired.retain(|&id| self.last_seen[id as usize] != stamp);
         for &id in &retired {
             self.retire(id);
         }
         if let Some(partitioner) = &mut self.partitioner {
             partitioner.retire(&retired);
         }
-        self.active_prev = active_now;
 
         self.out.coeffs.push(step_coeffs.into());
     }
@@ -764,6 +794,36 @@ mod tests {
         assert!(!stats.partitions_per_step.is_empty());
         assert!(stats.total.as_nanos() > 0);
         assert!(built.summary().tpi().is_some());
+    }
+
+    #[test]
+    fn slices_retire_the_ids_they_drop_and_feed_raw_windows_only_for_ar() {
+        for mode in [PartitionMode::Spatial, PartitionMode::Autocorrelation] {
+            let mut cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+            cfg.partition_mode = mode;
+            let mut s = PpqStream::new(cfg);
+            let p = |id: u32, t: u32| {
+                let step = id as f64 * 1e-3 + t as f64 * 1e-4;
+                (id, Point::new(-8.6 + step, 41.1 + step))
+            };
+            // Unsorted slices: 1 runs t 0..=1, 3 t 0..=2, 2 t 1..=2.
+            s.push_slice(0, &[p(3, 0), p(1, 0)]);
+            s.push_slice(1, &[p(2, 1), p(3, 1), p(1, 1)]);
+            let raw = s.raw_windows[3].len();
+            match mode {
+                PartitionMode::Autocorrelation => assert_eq!(raw, 2),
+                _ => assert!(s.raw_windows.iter().all(History::is_empty)),
+            }
+            s.push_slice(2, &[p(3, 2), p(2, 2)]);
+            assert_eq!(s.ended, [false, true, false, false]);
+            assert_eq!(s.active_prev, [3, 2]);
+            assert!(s.histories[1].is_empty() && s.raw_windows[1].is_empty());
+            let (assign, _, _) = s.partitioner.as_ref().unwrap().state();
+            assert!(assign.iter().all(|&(id, _)| id != 1), "{mode:?}");
+            s.push_slice(3, &[]);
+            assert_eq!(s.ended, [false, true, true, true]);
+            assert!(s.active_prev.is_empty());
+        }
     }
 
     #[test]

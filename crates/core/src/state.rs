@@ -252,7 +252,7 @@ fn get_points(d: &mut Decoder, window: &mut History) -> Result<(), DecodeError> 
 fn put_stream(e: &mut Encoder, s: &PpqStream) {
     e.put_bytes(&summary_io::to_bytes(&s.snapshot_with(None)));
 
-    let mut active: Vec<TrajId> = s.active_prev.iter().copied().collect();
+    let mut active = s.active_prev.clone();
     active.sort_unstable();
     e.put_u32(active.len() as u32);
     for id in active {
@@ -320,10 +320,14 @@ fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeEr
             return Err(DecodeError::Corrupt("active trajectory"));
         }
         prev = Some(id);
-        s.active_prev.insert(id);
+        s.active_prev.push(id);
         s.ended[idx] = false;
         get_points(d, &mut s.histories[idx])?;
         get_points(d, &mut s.raw_windows[idx])?;
+        // Only AR features read raw windows; other modes keep them empty.
+        if config.partition_mode != PartitionMode::Autocorrelation {
+            s.raw_windows[idx].clear();
+        }
     }
 
     if let Some(p) = &mut s.partitioner {
