@@ -248,7 +248,7 @@ impl Partitioner {
         self.eps_p
     }
 
-    /// The persistent state a checkpoint must carry: the live
+    /// The persistent state a resumed stream needs: the live
     /// trajectory → partition-key map (sorted by id so the encoding is
     /// canonical), the fresh-key counter, and the step counter the
     /// per-step k-means seeds are derived from. Constructor parameters

@@ -53,9 +53,9 @@ const PARALLEL_PREDICT_MIN: usize = 4096;
 /// ```
 #[derive(Clone, Debug)]
 pub struct PpqStream {
-    // Fields are `pub(crate)` so [`crate::state`] can checkpoint and
-    // restore a stream mid-flight: the summary it embeds carries the
-    // outputs, the checkpoint the stream-only state beside them.
+    // Fields are `pub(crate)` so [`crate::state`] can save and restore a
+    // stream mid-flight: its summaries carry the outputs, the state the
+    // stream-only part beside them.
     pub(crate) config: PpqConfig,
     pub(crate) template: Option<CqcTemplate>,
     pub(crate) incremental: Option<IncrementalQuantizer>,
@@ -73,15 +73,15 @@ pub struct PpqStream {
     pub(crate) ended: Vec<bool>,
     /// The last timestep each trajectory appeared at (plus one; 0 =
     /// never), which finds the retirements of a slice without a set.
-    /// Not checkpointed: a restored stream starts with none, and its
+    /// Not saved: a restored stream starts with none, and its
     /// first slice retires every active id it does not stamp.
     pub(crate) last_seen: Vec<u64>,
 
     pub(crate) next_t: Option<u32>,
     pub(crate) out: Outputs,
     /// The index over the reconstructed stream (kept when
-    /// `config.build_index`), grown one slice at a time. A checkpoint
-    /// does not store it: a stream restored from one starts with the cell
+    /// `config.build_index`), grown one slice at a time. The saved state
+    /// does not hold it: a stream restored from it starts with the cell
     /// empty, and the first `snapshot`/`finish` rebuilds it, once, from
     /// the trajectory records (which hold every reconstructed point), so
     /// restoring does not pay for an index nobody has asked for yet.
@@ -218,8 +218,12 @@ impl PpqStream {
             self.out.stats.codewords_per_step.push((t, 0));
             self.index_slice(t, Vec::new());
             // Every previously-active trajectory has now ended.
-            for id in std::mem::take(&mut self.active_prev) {
+            let retired = std::mem::take(&mut self.active_prev);
+            for &id in &retired {
                 self.retire(id);
+            }
+            if let Some(partitioner) = &mut self.partitioner {
+                partitioner.retire(&retired);
             }
             return;
         }
@@ -458,7 +462,7 @@ impl PpqStream {
     }
 
     /// Mark trajectory `id` ended, so a reappearance is caught, and empty
-    /// its windows: nothing reads them again, and a checkpoint stores
+    /// its windows: nothing reads them again, and the saved state holds
     /// none.
     fn retire(&mut self, id: TrajId) {
         let idx = id as usize;
@@ -517,18 +521,12 @@ impl PpqStream {
     /// snapshot is an exact prefix of any later snapshot — the invariant
     /// [`crate::summary_io::delta_to_bytes`] verifies and exploits.
     pub fn snapshot(&self) -> PpqSummary {
-        self.snapshot_with(self.config.build_index.then(|| self.index().clone()))
-    }
-
-    /// [`PpqStream::snapshot`] with `tpi` as its index. With `None` it is
-    /// the summary a checkpoint embeds, made without touching the index.
-    pub(crate) fn snapshot_with(&self, tpi: Option<Tpi>) -> PpqSummary {
         assemble(
             self.config.clone(),
             self.template.clone(),
             self.incremental.as_ref().map(|q| q.codebook().clone()),
             self.out.clone(),
-            tpi,
+            self.config.build_index.then(|| self.index().clone()),
             self.started,
         )
     }
@@ -823,6 +821,8 @@ mod tests {
             s.push_slice(3, &[]);
             assert_eq!(s.ended, [false, true, true, true]);
             assert!(s.active_prev.is_empty());
+            let (assign, _, _) = s.partitioner.as_ref().unwrap().state();
+            assert!(assign.is_empty(), "{mode:?} still maps {assign:?}");
         }
     }
 

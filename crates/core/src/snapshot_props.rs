@@ -4,7 +4,7 @@
 //! would give, must never change afterwards and must equal a batch build
 //! over its prefix, and must share — not copy — every coefficient row and
 //! every ended trajectory with the next snapshot. Taking snapshots must
-//! not change the stream's checkpoint bytes.
+//! change neither the stream's resumable-state bytes nor its summaries.
 
 use crate::config::{BuildBudget, PpqConfig, Variant};
 use crate::shard::{ShardedPpqStream, ShardedSummary};
@@ -129,7 +129,12 @@ proptest! {
             prop_assert!(at_cut == &fingerprint(&batch.finish()), "(b) prefix {}", cut);
         }
 
-        // (d) Publishing left no trace in the stream's state.
+        // (d) Publishing left no trace in the stream's state: neither in
+        // its resumable part nor in the summaries it resumes from.
         prop_assert!(state::sharded_to_bytes(&stream) == state::sharded_to_bytes(&quiet));
+        let summaries = |s: ShardedPpqStream| -> Vec<Vec<u8>> {
+            s.finish().shards().iter().map(summary_io::to_bytes).collect()
+        };
+        prop_assert!(summaries(stream) == summaries(quiet), "(d) summary bytes");
     }
 }

@@ -1,44 +1,44 @@
-//! Mid-flight pipeline checkpoints: serialize a live [`ShardedPpqStream`]
-//! and restore it so that the restored stream's every future output is
-//! bit-identical to the original's.
+//! Mid-flight pipeline state: serialize what a live
+//! [`ShardedPpqStream`] knows beyond its summaries, and restore the
+//! stream from those bytes plus the summaries, so that the restored
+//! stream's every future output is bit-identical to the original's.
 //!
-//! A checkpoint holds each shard's summary in [`crate::summary_io`] form,
-//! and beside it only the state a resumed stream needs and a summary
-//! cannot hold. The summary carries the outputs: codeword indices,
-//! partition labels, CQC codes, coefficients, codebooks, trajectory
-//! starts, `min_t`, the step count (so `next_t`) and, by replay on
-//! decode, the reconstructions. A restored stream rebuilds its index
-//! from those reconstructions when one is first asked for. Beside the
-//! summaries go the full (not only decode-relevant) config and, per
-//! shard, the reconstruction histories and raw windows of the active
-//! trajectories, the partitioner's trajectory→partition map and
-//! counters, the quantizer's assignment counter and the build counters
-//! a summary drops. A trajectory's age is its point count, and a
-//! trajectory with points that is not active has ended, so neither is
-//! stored. So no per-point term sits outside the summaries: the rest
-//! grows with the active trajectories and the steps. A live-ingest layer
-//! that folds its WAL into a delta generation writes one of these
-//! checkpoints alongside, so recovery can resume the pipeline exactly
-//! where the fold left it and replay only the WAL tail.
+//! The summaries carry the outputs: codeword indices, partition labels,
+//! CQC codes, coefficients, codebooks, trajectory starts, `min_t`, the
+//! step count (so `next_t`) and, by replay on decode, the
+//! reconstructions. A restored stream rebuilds its index from those
+//! reconstructions when one is first asked for. The state holds the
+//! rest: the full (not only decode-relevant) config and, per shard, the
+//! reconstruction histories and raw windows of the active trajectories,
+//! the partitioner's trajectory→partition map and counters, the
+//! quantizer's assignment counter and the build counters a summary
+//! drops. A trajectory's age is its point count, and a trajectory with
+//! points that is not active has ended, so neither is stored. So the
+//! state has no per-point term: it grows with the active trajectories
+//! and the steps. A live-ingest layer commits these bytes with each
+//! generation of its chain, so recovery reads the summaries from the
+//! chain, resumes the pipeline exactly where the fold left it and
+//! replays only the WAL tail.
 //!
 //! Format (all little-endian, via [`ppq_storage::codec`];
 //! `docs/FORMAT.md` §11.2):
 //!
 //! ```text
 //! magic "PPQK" | version u32 | full PpqConfig | shard count u32 |
-//! per shard: summary_len u32 | summary (summary_io) | resumable state
+//! per shard: resumable state
 //! ```
 //!
 //! The encoding is canonical (maps are sorted before writing), so equal
 //! states produce equal bytes. Integrity is the *caller's* job: the
-//! checkpoint file format (`docs/FORMAT.md` §11) seals these bytes under
-//! a CRC-32; this module assumes untampered input and reports structural
-//! mismatches as [`DecodeError::Corrupt`].
+//! repository manifest records these bytes' length and CRC-32; this
+//! module assumes untampered input and reports structural mismatches —
+//! with the bytes or with the summaries handed in — as
+//! [`DecodeError::Corrupt`].
 
 use crate::config::{BuildBudget, ColdStart, PartitionMode, PpqConfig};
 use crate::pipeline::PpqStream;
 use crate::shard::{ShardRouter, ShardedPpqStream};
-use crate::summary::CodebookStore;
+use crate::summary::{CodebookStore, PpqSummary};
 use crate::summary_io::{self, DecodeError};
 use ppq_predict::History;
 use ppq_quantize::kmeans::KMeansConfig;
@@ -49,9 +49,9 @@ use ppq_traj::TrajId;
 use std::sync::OnceLock;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"PPQK");
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
-/// Serialize a live sharded stream. The inverse of
+/// Serialize a live sharded stream's resumable state. The inverse of
 /// [`sharded_from_bytes`].
 pub fn sharded_to_bytes(stream: &ShardedPpqStream) -> Vec<u8> {
     let mut e = Encoder::new();
@@ -65,10 +65,14 @@ pub fn sharded_to_bytes(stream: &ShardedPpqStream) -> Vec<u8> {
     e.finish().to_vec()
 }
 
-/// Restore a sharded stream from [`sharded_to_bytes`] output. The
-/// restored stream consumes future slices bit-identically to the
-/// original.
-pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedPpqStream, DecodeError> {
+/// Restore a sharded stream from [`sharded_to_bytes`] output and the
+/// stream's per-shard summaries at the same point (as decoded from a
+/// repository chain, without an index). The restored stream consumes
+/// future slices bit-identically to the original.
+pub fn sharded_from_bytes(
+    bytes: &[u8],
+    summaries: Vec<PpqSummary>,
+) -> Result<ShardedPpqStream, DecodeError> {
     let mut d = Decoder::from_slice(bytes);
     if d.try_u32().ok_or(DecodeError::BadMagic)? != MAGIC {
         return Err(DecodeError::BadMagic);
@@ -81,15 +85,17 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedPpqStream, DecodeError>
     }
     let config = get_config(&mut d)?;
     let n = d.try_u32().ok_or(DecodeError::Corrupt("shard count"))? as usize;
-    if n == 0 || n > u32::MAX as usize {
-        return Err(DecodeError::Corrupt("invalid shard count"));
+    if n == 0 || n != summaries.len() {
+        return Err(DecodeError::Corrupt(
+            "shard count disagrees with the summaries",
+        ));
     }
     let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        shards.push(get_stream(&mut d, &config)?);
+    for summary in summaries {
+        shards.push(get_stream(&mut d, &config, summary)?);
     }
     if d.remaining() != 0 {
-        return Err(DecodeError::Corrupt("trailing bytes after checkpoint"));
+        return Err(DecodeError::Corrupt("trailing bytes after the state"));
     }
     Ok(ShardedPpqStream {
         router: ShardRouter::new(n),
@@ -250,8 +256,6 @@ fn get_points(d: &mut Decoder, window: &mut History) -> Result<(), DecodeError> 
 }
 
 fn put_stream(e: &mut Encoder, s: &PpqStream) {
-    e.put_bytes(&summary_io::to_bytes(&s.snapshot_with(None)));
-
     let mut active = s.active_prev.clone();
     active.sort_unstable();
     e.put_u32(active.len() as u32);
@@ -285,12 +289,15 @@ fn put_stream(e: &mut Encoder, s: &PpqStream) {
     }
 }
 
-fn get_stream(d: &mut Decoder, config: &PpqConfig) -> Result<PpqStream, DecodeError> {
+fn get_stream(
+    d: &mut Decoder,
+    config: &PpqConfig,
+    summary: PpqSummary,
+) -> Result<PpqStream, DecodeError> {
     let err = DecodeError::Corrupt("truncated stream state");
-    let summary = summary_io::from_bytes(&d.try_bytes().ok_or(err)?, false)?;
     if !summary_io::same_decode_config(&summary.config, config) {
         return Err(DecodeError::Corrupt(
-            "summary config disagrees with the checkpoint's",
+            "summary config disagrees with the state's",
         ));
     }
     // `new` derives everything config-determined (template, partitioner
@@ -389,9 +396,22 @@ mod tests {
         })
     }
 
-    /// Core invariant: checkpoint mid-stream, restore, keep pushing — the
-    /// summary bytes equal an uninterrupted run's, for every variant and
-    /// both sharded and unsharded.
+    /// Each shard's summary as a repository chain hands it back: through
+    /// its bytes, decoded without an index.
+    fn summaries(stream: &ShardedPpqStream) -> Vec<PpqSummary> {
+        let decode = |s: &PpqStream| {
+            summary_io::from_bytes(&summary_io::to_bytes(&s.snapshot()), false).unwrap()
+        };
+        stream.shards.iter().map(decode).collect()
+    }
+
+    fn restore(stream: &ShardedPpqStream) -> ShardedPpqStream {
+        sharded_from_bytes(&sharded_to_bytes(stream), summaries(stream)).unwrap()
+    }
+
+    /// Core invariant: save the state mid-stream, restore, keep pushing —
+    /// the summary bytes equal an uninterrupted run's, for every variant
+    /// and both sharded and unsharded.
     #[test]
     fn checkpoint_resume_is_bit_identical() {
         let data = dataset();
@@ -406,9 +426,8 @@ mod tests {
                     golden.push_slice(s.t, s.points);
                     live.push_slice(s.t, s.points);
                 }
-                let bytes = sharded_to_bytes(&live);
+                let mut restored = restore(&live);
                 drop(live);
-                let mut restored = sharded_from_bytes(&bytes).unwrap();
                 for s in &slices[cut..] {
                     golden.push_slice(s.t, s.points);
                     restored.push_slice(s.t, s.points);
@@ -427,7 +446,6 @@ mod tests {
         }
     }
 
-    /// A checkpoint of a closed prefix also equals a fresh roundtrip:
     /// encode → decode → encode is stable (canonical form).
     #[test]
     fn roundtrip_is_canonical() {
@@ -437,21 +455,22 @@ mod tests {
         for s in data.time_slices() {
             stream.push_slice(s.t, s.points);
         }
-        let once = sharded_to_bytes(&stream);
-        let twice = sharded_to_bytes(&sharded_from_bytes(&once).unwrap());
-        assert_eq!(once, twice);
+        assert_eq!(
+            sharded_to_bytes(&stream),
+            sharded_to_bytes(&restore(&stream))
+        );
     }
 
     /// The index of a stream that took one slice in descending id order,
-    /// was checkpointed, restored and went on, equals the index of the
-    /// stream that never stopped: the streamed index takes each slice by
+    /// was saved, restored and went on, equals the index of the stream
+    /// that never stopped: the streamed index takes each slice by
     /// ascending id, which is the order the rebuild from the records
     /// gives it.
     #[test]
     fn restored_index_equals_the_uncrashed_one_after_an_unsorted_slice() {
         let data = dataset();
         let slices: Vec<_> = data.time_slices().collect();
-        // Checkpoint right after the widest slice, which goes in reversed.
+        // Save right after the widest slice, which goes in reversed.
         let widest = (0..slices.len())
             .max_by_key(|&i| slices[i].points.len())
             .unwrap();
@@ -471,7 +490,7 @@ mod tests {
             golden.push_slice(s.t, &points);
             live.push_slice(s.t, &points);
         }
-        let mut restored = sharded_from_bytes(&sharded_to_bytes(&live)).unwrap();
+        let mut restored = restore(&live);
         for s in &slices[cut..] {
             golden.push_slice(s.t, s.points);
             restored.push_slice(s.t, s.points);
@@ -504,7 +523,7 @@ mod tests {
         for s in &slices[..cut] {
             golden.push_slice(s.t, s.points);
         }
-        let mut restored = sharded_from_bytes(&sharded_to_bytes(&golden)).unwrap();
+        let mut restored = restore(&golden);
         for s in &slices[cut..] {
             golden.push_slice(s.t, s.points);
             restored.push_slice(s.t, s.points);
@@ -537,7 +556,7 @@ mod tests {
     #[test]
     fn empty_stream_roundtrips() {
         let stream = ShardedPpqStream::new(PpqConfig::default(), 2);
-        let restored = sharded_from_bytes(&sharded_to_bytes(&stream)).unwrap();
+        let restored = restore(&stream);
         assert_eq!(restored.num_shards(), 2);
         assert_eq!(restored.next_t(), None);
     }
@@ -548,74 +567,73 @@ mod tests {
         e.finish().to_vec()
     }
 
-    /// Truncations anywhere — in the header, inside an embedded summary,
-    /// inside a resumable section — a summary blob that is itself cut
-    /// short, and a summary whose config disagrees with the checkpoint's
-    /// all give a typed error, never a panic.
+    /// Truncations anywhere, and state that disagrees with the summaries
+    /// handed in — their config, their count, their trajectories — all
+    /// give a typed error, never a panic.
     #[test]
     fn damage_is_a_typed_error() {
         let data = dataset();
+        let slices: Vec<_> = data.time_slices().collect();
         let cfg = PpqConfig::variant(Variant::PpqA, 0.1);
-        let mut stream = ShardedPpqStream::new(cfg.clone(), 1);
-        for s in data.time_slices().take(30) {
+        let mut early = ShardedPpqStream::new(cfg.clone(), 1);
+        for s in &slices[..5] {
+            early.push_slice(s.t, s.points);
+        }
+        let mut stream = early.clone();
+        for s in &slices[5..30] {
             stream.push_slice(s.t, s.points);
         }
         let bytes = sharded_to_bytes(&stream);
-        assert!(sharded_from_bytes(&[]).is_err());
+        assert!(sharded_from_bytes(&[], summaries(&stream)).is_err());
 
-        // The one shard's summary blob, then its resumable section.
         let head = 8 + config_bytes(&cfg).len() + 4;
-        let summary_len = u32::from_le_bytes(bytes[head..head + 4].try_into().unwrap()) as usize;
-        let summary = head + 4..head + 4 + summary_len;
-        let resumable = summary.end..bytes.len();
-        assert!(
-            summary.len() > 100 && resumable.len() > 100,
-            "fixture too small"
-        );
-        let cuts = (0..head)
-            .chain(summary.clone().step_by(7))
-            .chain(resumable.clone());
-        for cut in cuts {
+        assert!(bytes.len() > head + 100, "fixture too small");
+        for cut in 0..bytes.len() {
             assert!(
                 matches!(
-                    sharded_from_bytes(&bytes[..cut]),
+                    sharded_from_bytes(&bytes[..cut], summaries(&stream)),
                     Err(DecodeError::Corrupt(_) | DecodeError::BadMagic)
                 ),
                 "truncation at {cut} must be a typed error"
             );
         }
 
-        // The summary blob itself cut short, its length prefix adjusted.
-        for keep in (0..summary.len()).step_by(5) {
-            let mut e = Encoder::new();
-            e.put_bytes(&bytes[summary.start..summary.start + keep]);
-            let framed = [&bytes[..head], &e.finish()[..], &bytes[summary.end..]].concat();
-            assert!(
-                sharded_from_bytes(&framed).is_err(),
-                "summary cut to {keep} bytes must be a typed error"
-            );
-        }
-
-        // A checkpoint config that disagrees with the embedded summaries.
+        // A state config that disagrees with the summaries.
         let other = PpqConfig {
             eps1: cfg.eps1 * 2.0,
             ..cfg.clone()
         };
         let spliced = [&bytes[..8], &config_bytes(&other)[..], &bytes[head - 4..]].concat();
         assert_eq!(
-            sharded_from_bytes(&spliced).err(),
+            sharded_from_bytes(&spliced, summaries(&stream)).err(),
             Some(DecodeError::Corrupt(
-                "summary config disagrees with the checkpoint's"
+                "summary config disagrees with the state's"
             ))
+        );
+
+        // One summary too many, or none.
+        let two = [summaries(&stream), summaries(&stream)].concat();
+        assert!(sharded_from_bytes(&bytes, two).is_err());
+        assert!(sharded_from_bytes(&bytes, Vec::new()).is_err());
+
+        // Summaries from an earlier point, whose records lack trajectories
+        // the state holds active.
+        assert!(sharded_from_bytes(&bytes, summaries(&early)).is_err());
+
+        // Another version.
+        let mut old = bytes.clone();
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            sharded_from_bytes(&old, summaries(&stream)).err(),
+            Some(DecodeError::UnsupportedVersion(2))
         );
     }
 
-    /// No per-point term sits outside the embedded summaries: beyond them
-    /// a checkpoint grows with the active trajectories (their windows),
-    /// the steps (one codeword count each) and, through the partitioner
-    /// map, at most the trajectories.
+    /// The state has no per-point term: it grows with the active
+    /// trajectories (their windows), the steps (one codeword count each)
+    /// and, through the partitioner map, at most the trajectories.
     #[test]
-    fn checkpoint_is_its_summaries_plus_the_resumable_state() {
+    fn state_is_only_the_resumable_part() {
         let data = dataset();
         let slices: Vec<_> = data.time_slices().collect();
         let widest = (0..slices.len())
@@ -630,17 +648,11 @@ mod tests {
                 if i != widest && i + 1 != slices.len() {
                     continue;
                 }
-                let summaries: usize = stream
-                    .shards
-                    .iter()
-                    .map(|s| 4 + summary_io::to_bytes(&s.snapshot_with(None)).len())
-                    .sum();
                 let active: usize = stream.shards.iter().map(|s| s.active_prev.len()).sum();
                 let window = 16 * (cfg.k + cfg.ar_window) + 4 + 4 + 4;
                 let bound = 8
                     + config_bytes(&cfg).len()
                     + 4
-                    + summaries
                     + 64 * shards
                     + 12 * data.trajectories().len()
                     + window * active

@@ -12,10 +12,11 @@
 //!   *before* it enters the in-memory pipeline. Recovery replays the
 //!   tail, trimming a torn final record and refusing (typed, never a
 //!   panic) mid-log corruption that a crash cannot produce.
-//! * **Checkpointed recovery** ([`LiveRepo::recover`]) — folding
-//!   persists the pipeline state ([`ppq_core::state`]: each shard's
-//!   summary plus the state only a resumed stream needs) alongside the
-//!   generation chain, so recovery = checkpoint + WAL tail. Because
+//! * **Recovery from the chain** ([`LiveRepo::recover`]) — each fold
+//!   commits the pipeline state only a resumed stream needs
+//!   ([`ppq_core::state`]) with its generation, under the same manifest
+//!   rename, so recovery = the chain's summaries + that state + the WAL
+//!   tail. Because
 //!   the pipeline is deterministic, the recovered stream is *bit
 //!   identical* to an uncrashed run over the same acknowledged slices —
 //!   same summary bytes, same STRQ/TPQ answers (property-tested by the
@@ -23,9 +24,8 @@
 //! * **Folding and auto-compaction** ([`LiveRepo::fold`],
 //!   [`LiveRepo::maybe_compact`], [`LiveRepo::maintain_if_due`]) — on a
 //!   configurable cadence the WAL is
-//!   drained into a delta generation through a cached
-//!   [`ppq_repo::Appender`], the checkpoint is committed, the log is
-//!   truncated, and the chain is compacted when it grows past a length
+//!   drained into a delta generation, pipeline state included, through a
+//!   cached [`ppq_repo::Appender`], the log is truncated, and the chain is compacted when it grows past a length
 //!   or dead-byte threshold. Maintenance failures back off and retry;
 //!   they never take down ingest — the WAL simply keeps absorbing
 //!   slices until a fold succeeds.
@@ -48,7 +48,7 @@ pub mod service;
 pub mod wal;
 pub mod worker;
 
-pub use live::{LiveConfig, LiveError, LiveRepo, MaintenanceOutcome, CKPT_NAME};
+pub use live::{LiveConfig, LiveError, LiveRepo, MaintenanceOutcome};
 pub use service::{LiveService, Published, ServiceStatus};
 pub use wal::{Wal, WalError, WalRecord, WAL_NAME};
 pub use worker::{MaintenanceConfig, MaintenanceWorker, WorkerStats};

@@ -1,6 +1,6 @@
 //! The live repository: WAL-guarded ingest in front of the
-//! generation-chain store, with checkpointed recovery, periodic WAL
-//! folding, and threshold-driven auto-compaction.
+//! generation-chain store, with recovery from the chain plus the WAL
+//! tail, periodic WAL folding, and threshold-driven auto-compaction.
 //!
 //! See the crate docs for the lifecycle; `docs/ARCHITECTURE.md` has the
 //! full diagram and the crash-window argument.
@@ -9,10 +9,9 @@ use crate::wal::{Wal, WalError, WAL_NAME};
 use ppq_core::summary_io::DecodeError;
 use ppq_core::{state, PpqConfig, ShardedPpqStream, ShardedSummary};
 use ppq_geo::Point;
-use ppq_repo::{Appender, Manifest, Repo, RepoError, RepoWriter};
-use ppq_storage::{crc32, fault, PAGE_SIZE};
+use ppq_repo::{Appender, ChainState, Manifest, Repo, RepoError, RepoWriter};
+use ppq_storage::PAGE_SIZE;
 use ppq_traj::TrajId;
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -44,15 +43,6 @@ fn live_metrics() -> &'static LiveMetrics {
     })
 }
 
-/// File name of the pipeline-state checkpoint inside a live directory.
-pub const CKPT_NAME: &str = "ckpt.ppq";
-/// Temp name a checkpoint is staged under before its rename.
-pub const CKPT_TMP_NAME: &str = "ckpt.ppq.tmp";
-
-const CKPT_MAGIC: [u8; 4] = *b"PPQC";
-const CKPT_VERSION: u32 = 1;
-const CKPT_HEADER_LEN: usize = 12;
-
 /// Buffer-pool pages used when auto-compaction opens the chain.
 const COMPACT_POOL_PAGES: usize = 64;
 
@@ -61,8 +51,8 @@ const COMPACT_POOL_PAGES: usize = 64;
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
     /// Pipeline configuration — must stay fixed for the life of the
-    /// directory (the checkpoint embeds it; recovery trusts the
-    /// checkpoint's copy for replay determinism).
+    /// directory (the state committed with each generation embeds it;
+    /// recovery trusts that copy for replay determinism).
     pub ppq: PpqConfig,
     /// Pipeline shards (fixed for the life of the directory).
     pub shards: usize,
@@ -79,7 +69,8 @@ pub struct LiveConfig {
     pub compact_max_chain: usize,
     /// Auto-compact when the superseded fraction of the store's bytes
     /// (older generations' block directories, re-recorded in full by
-    /// every delta) reaches this; > 1.0 disables the byte trigger.
+    /// every delta, and their pipeline states) reaches this; > 1.0
+    /// disables the byte trigger.
     pub compact_dead_frac: f64,
     /// Cap on the fold-backoff exponent: after `f` consecutive
     /// maintenance failures the next fold is attempted
@@ -108,12 +99,9 @@ pub enum LiveError {
     Io(io::Error),
     Wal(WalError),
     Repo(RepoError),
-    /// The checkpoint file exists but fails its seal — magic, version,
-    /// or CRC. Not producible by a crash (checkpoints commit by rename),
-    /// so it is never silently ignored.
-    CorruptCheckpoint(String),
-    /// The checkpoint decoded but its pipeline state is unusable, or
-    /// the WAL and checkpoint disagree about the timeline.
+    /// The chain holds no usable pipeline state (none committed, or one
+    /// that disagrees with the chain's summaries or the config), or the
+    /// WAL and the chain disagree about the timeline.
     Replay(String),
     /// A slice arrived at a timestep the stream does not expect next.
     /// Nothing was logged or ingested; the caller resumes from
@@ -130,7 +118,6 @@ impl std::fmt::Display for LiveError {
             LiveError::Io(e) => write!(f, "live-ingest I/O error: {e}"),
             LiveError::Wal(e) => write!(f, "{e}"),
             LiveError::Repo(e) => write!(f, "{e}"),
-            LiveError::CorruptCheckpoint(what) => write!(f, "corrupt checkpoint: {what}"),
             LiveError::Replay(what) => write!(f, "recovery replay failed: {what}"),
             LiveError::OutOfOrder { expected, got } => {
                 write!(f, "out-of-order slice: expected t={expected}, got t={got}")
@@ -158,7 +145,7 @@ impl From<RepoError> for LiveError {
 }
 impl From<DecodeError> for LiveError {
     fn from(e: DecodeError) -> LiveError {
-        LiveError::Replay(format!("checkpoint state: {e}"))
+        LiveError::Replay(format!("pipeline state: {e}"))
     }
 }
 
@@ -168,9 +155,9 @@ impl From<DecodeError> for LiveError {
 /// half* (WAL, in-memory [`ShardedPpqStream`], unfolded-slice count) is
 /// all [`LiveRepo::push_slice`] touches: it logs the slice and feeds the
 /// pipeline, nothing more. The *maintenance half* (chain appender,
-/// checkpoint, failure backoff, chain stats) drains the WAL into a delta
-/// generation, checkpoints the pipeline state, truncates the log, and
-/// compacts the chain when it crosses the configured thresholds. A fold
+/// failure backoff, chain stats) drains the WAL into a delta generation
+/// that carries the pipeline state, truncates the log, and compacts the
+/// chain when it crosses the configured thresholds. A fold
 /// touches the ingest half only to freeze and to commit (see
 /// [`LiveRepo::fold`]), which is what lets [`crate::LiveService`] write
 /// generations and compact without holding its writer lock. A
@@ -183,10 +170,11 @@ impl From<DecodeError> for LiveError {
 ///
 /// [`LiveRepo::recover`] is the only constructor: opening a directory
 /// *is* recovery (a clean shutdown is just a crash with an empty WAL
-/// tail). It loads the last committed checkpoint, replays the WAL tail
-/// onto it — skipping records the checkpoint already covers, trimming a
-/// torn final record — and converges to the same pipeline state, bit for
-/// bit, as an uncrashed run that consumed the same acknowledged slices.
+/// tail). It resumes the stream from the committed chain — its summaries
+/// and the state its newest generation carries — replays the WAL tail
+/// onto it — skipping records the chain already covers, trimming a torn
+/// final record — and converges to the same pipeline state, bit for bit,
+/// as an uncrashed run that consumed the same acknowledged slices.
 pub struct LiveRepo {
     pub(crate) ingest: Ingest,
     pub(crate) maint: Maintainer,
@@ -208,14 +196,12 @@ pub(crate) struct Maintainer {
     dir: PathBuf,
     cfg: LiveConfig,
     appender: Appender,
-    /// Whether a base generation has been committed (first fold writes
-    /// the base, later folds append deltas).
-    based: bool,
     /// Consecutive maintenance failures (fold or compaction).
     failures: u32,
     last_error: Option<LiveError>,
     /// Committed generations (cached from the manifest after every fold
-    /// or compaction so status queries never touch the disk).
+    /// or compaction so status queries never touch the disk). 0 until a
+    /// base exists: the first fold writes it, later folds append deltas.
     chain_generations: u32,
     /// Wall-clock milliseconds of the last successful fold / compaction
     /// (`None` until one happens in this incarnation).
@@ -242,7 +228,7 @@ impl IngestAccess for Ingest {
 
 /// A fold between its freeze and its commit.
 struct Frozen {
-    /// The stream's `next_t` at the freeze: the checkpoint covers every
+    /// The stream's `next_t` at the freeze: the generation covers every
     /// slice before it, and the commit cuts the log there.
     horizon: u32,
     /// Unfolded slices at the freeze — the ones this fold covers.
@@ -279,24 +265,33 @@ pub struct MaintenanceOutcome {
 
 impl LiveRepo {
     /// Open `dir`, recovering whatever a previous incarnation left:
-    /// committed checkpoint + WAL tail → the exact pipeline state at the
-    /// last acknowledged slice. A fresh directory recovers to the empty
+    /// committed chain + WAL tail → the exact pipeline state at the last
+    /// acknowledged slice. A fresh directory recovers to the empty
     /// stream.
     pub fn recover(dir: &Path, cfg: LiveConfig) -> Result<LiveRepo, LiveError> {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.group_commit > 0, "group_commit must be at least 1");
         std::fs::create_dir_all(dir)?;
 
-        let mut stream = match read_checkpoint(&dir.join(CKPT_NAME))? {
-            Some(s) => {
-                if s.num_shards() != cfg.shards {
+        let chain = ChainState::read(dir)?;
+        let chain_generations = chain
+            .as_ref()
+            .map_or(0, |c| c.manifest.generations.len() as u32);
+        let mut stream = match chain {
+            Some(chain) => {
+                if chain.summaries.len() != cfg.shards {
                     return Err(LiveError::Replay(format!(
-                        "checkpoint has {} shards, config asks for {}",
-                        s.num_shards(),
+                        "chain has {} shards, config asks for {}",
+                        chain.summaries.len(),
                         cfg.shards
                     )));
                 }
-                s
+                let state = chain.state.ok_or_else(|| {
+                    LiveError::Replay(
+                        "the chain's newest generation carries no pipeline state".into(),
+                    )
+                })?;
+                state::sharded_from_bytes(&state, chain.summaries)?
             }
             None => ShardedPpqStream::new(cfg.ppq.clone(), cfg.shards),
         };
@@ -305,8 +300,8 @@ impl LiveRepo {
         let mut replayed = 0u64;
         for rec in &records {
             match stream.next_t() {
-                // Already covered by the checkpoint (the crash hit the
-                // fold between the checkpoint commit and the truncation).
+                // Already covered by the chain (the crash hit the fold
+                // between the generation commit and the truncation).
                 Some(next) if rec.t < next => continue,
                 Some(next) if rec.t > next => {
                     return Err(LiveError::Replay(format!(
@@ -320,22 +315,17 @@ impl LiveRepo {
             replayed += 1;
         }
 
-        let based = dir.join(ppq_repo::layout::MANIFEST_NAME).exists();
-        let mut maint = Maintainer {
+        let maint = Maintainer {
             dir: dir.to_path_buf(),
             appender: Appender::with_page_size(dir, cfg.page_size),
             cfg,
-            based,
             failures: 0,
             last_error: None,
-            chain_generations: 0,
+            chain_generations,
             last_fold_unix_ms: None,
             last_compaction_unix_ms: None,
             view: Arc::default(),
         };
-        if based {
-            maint.chain_generations = maint.committed_manifest()?.generations.len() as u32;
-        }
         maint.refresh_view();
         Ok(LiveRepo {
             ingest: Ingest {
@@ -363,15 +353,15 @@ impl LiveRepo {
     ///
     /// 1. **freeze** (touches the ingest half): fsync the log, copy the
     ///    stream, note its horizon `H = next_t`;
-    /// 2. **write** (does not): persist the copy's snapshot as a
-    ///    generation (base on first fold, delta after), then checkpoint
-    ///    the copy;
+    /// 2. **write** (does not): commit the copy's snapshot and its
+    ///    pipeline state as one generation (base on first fold, delta
+    ///    after) — one manifest rename;
     /// 3. **commit** (touches the ingest half): truncate the log before
     ///    `H`, keeping any slice appended since the freeze.
     ///
     /// Ordering is the crash contract: each step only widens what
-    /// recovery can see, and the log is only cut once the checkpoint
-    /// durably covers it. This is the one fold implementation;
+    /// recovery can see, and the log is only cut once the chain durably
+    /// covers it. This is the one fold implementation;
     /// [`LiveRepo::maintain_if_due`] and the service's worker run it too.
     pub fn fold(&mut self) -> Result<(), LiveError> {
         self.maint.fold(&mut self.ingest, 0, || {}).map(drop)
@@ -381,7 +371,7 @@ impl LiveRepo {
     /// crosses either compaction threshold. Called automatically after
     /// each successful fold of [`LiveRepo::maintain_if_due`].
     pub fn maybe_compact(&mut self) -> Result<bool, LiveError> {
-        self.maint.maybe_compact()
+        self.maint.compact_if_due(false)
     }
 
     /// Run fold + auto-compaction if the cadence (with failure backoff)
@@ -496,8 +486,8 @@ impl Ingest {
         self.wal.len_bytes()
     }
 
-    /// Phase 3 of a fold: the checkpoint now covers every slice before
-    /// the horizon, so the log drops them. Records appended since the
+    /// Phase 3 of a fold: the chain now covers every slice before the
+    /// horizon, so the log drops them. Records appended since the
     /// freeze have `t ≥ horizon` and survive the rewrite.
     fn commit(&mut self, frozen: Frozen) -> Result<u64, LiveError> {
         self.wal.truncate_before(frozen.horizon)?;
@@ -518,7 +508,9 @@ impl Maintainer {
         // `due` ≥ 1, so a due fold always has work: `None` = not due.
         let result = match self.fold(ingest, due, || {}) {
             Ok(None) => return MaintenanceOutcome::default(),
-            Ok(Some(folded)) => self.maybe_compact().map(|compacted| (folded, compacted)),
+            Ok(Some(folded)) => self
+                .compact_if_due(false)
+                .map(|compacted| (folded, compacted)),
             Err(e) => Err(e),
         };
         self.settle(result)
@@ -559,7 +551,7 @@ impl Maintainer {
         let Some(horizon) = ingest.stream.next_t() else {
             return Ok(None); // nothing ingested yet
         };
-        if folded < min_steps || (self.based && folded == 0) {
+        if folded < min_steps || (self.chain_generations > 0 && folded == 0) {
             return Ok(None); // not due, or nothing new since the last fold
         }
         let span = ppq_obs::Span::with("fold", &live_metrics().fold_ns);
@@ -573,49 +565,46 @@ impl Maintainer {
     }
 
     /// Phase 2 of a fold, touching nothing ingest uses: the frozen
-    /// stream's summary becomes a generation, then its state the
-    /// checkpoint.
+    /// stream's summary and pipeline state become one generation.
     fn write(&mut self, stream: ShardedPpqStream) -> Result<(), LiveError> {
-        // Encoded before `finish` consumes the copy; committed after the
-        // generation, as the crash contract orders them.
+        // Encoded before `finish` consumes the copy.
         let state_bytes = state::sharded_to_bytes(&stream);
         let snapshot = stream.finish();
-        if self.based {
-            match self.appender.append_sharded(&snapshot) {
-                Ok(_) => {}
+        let rewrite = || {
+            RepoWriter::with_page_size(&self.dir, self.cfg.page_size)
+                .write_sharded_with_state(&snapshot, &state_bytes)
+        };
+        let manifest = if self.chain_generations > 0 {
+            match self
+                .appender
+                .append_sharded_with_state(&snapshot, &state_bytes)
+            {
+                Ok(manifest) => manifest,
                 // A chain this process did not grow (e.g. an operator
                 // compacted to a different shape) can make the delta path
                 // unusable; a full rewrite restores the invariant.
-                Err(RepoError::NotAnExtension(_)) => {
-                    RepoWriter::with_page_size(&self.dir, self.cfg.page_size)
-                        .write_sharded(&snapshot)?;
-                }
+                Err(RepoError::NotAnExtension(_)) => rewrite()?,
                 Err(e) => return Err(e.into()),
             }
         } else {
-            RepoWriter::with_page_size(&self.dir, self.cfg.page_size).write_sharded(&snapshot)?;
-            self.based = true;
-        }
-        write_checkpoint(&self.dir, &state_bytes)?;
-        self.chain_generations = self.committed_manifest()?.generations.len() as u32;
+            rewrite()?
+        };
+        self.chain_generations = manifest.generations.len() as u32;
         self.refresh_view();
         Ok(())
     }
 
-    /// [`LiveRepo::maybe_compact`]. Reads and rewrites only the committed
-    /// chain, which nothing but this maintainer writes — so it needs no
-    /// part of the ingest half.
-    pub(crate) fn maybe_compact(&mut self) -> Result<bool, LiveError> {
-        self.compact_if_due(false)
-    }
-
-    /// Compact if the policy asks — or, with `whole`, whenever the chain
-    /// holds more than one generation and auto-compaction is on at all.
+    /// Compact if the policy asks ([`LiveRepo::maybe_compact`]) — or,
+    /// with `whole`, whenever the chain holds more than one generation
+    /// and auto-compaction is on at all. Reads and rewrites only the
+    /// committed chain, which nothing but this maintainer writes — so it
+    /// needs no part of the ingest half.
     fn compact_if_due(&mut self, whole: bool) -> Result<bool, LiveError> {
-        if !self.based {
+        if self.chain_generations == 0 {
             return Ok(false);
         }
-        let manifest = self.committed_manifest()?;
+        let bytes = std::fs::read(self.dir.join(ppq_repo::layout::MANIFEST_NAME))?;
+        let manifest = Manifest::from_bytes(&bytes)?;
         let (cfg, len) = (&self.cfg, manifest.generations.len());
         let chain_long = cfg.compact_max_chain > 0 && len >= cfg.compact_max_chain;
         let too_dead = dead_fraction(&manifest) >= cfg.compact_dead_frac;
@@ -713,81 +702,29 @@ impl Maintainer {
         self.refresh_view();
         out
     }
-
-    fn committed_manifest(&self) -> Result<Manifest, LiveError> {
-        let bytes = std::fs::read(self.dir.join(ppq_repo::layout::MANIFEST_NAME))?;
-        Ok(Manifest::from_bytes(&bytes)?)
-    }
-}
-
-/// Persist sealed pipeline state as the checkpoint, CRC-sealed, temp +
-/// rename + directory fsync — the same commit discipline as the manifest.
-fn write_checkpoint(dir: &Path, state_bytes: &[u8]) -> Result<(), LiveError> {
-    let mut out = Vec::with_capacity(CKPT_HEADER_LEN + state_bytes.len());
-    out.extend_from_slice(&CKPT_MAGIC);
-    out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-    out.extend_from_slice(&crc32(state_bytes).to_le_bytes());
-    out.extend_from_slice(state_bytes);
-
-    let tmp = dir.join(CKPT_TMP_NAME);
-    {
-        let mut f = File::create(&tmp)?;
-        fault::write_all(&mut f, &out)?;
-        fault::sync_all(&f)?;
-    }
-    fault::rename(&tmp, &dir.join(CKPT_NAME))?;
-    fault::sync_all(&File::open(dir)?)?;
-    Ok(())
 }
 
 /// Superseded fraction of the committed store's bytes: every delta
-/// generation re-records the full period table in its directory segment,
-/// and the stitched reader takes structure only from the newest one —
-/// older directories are pure overhead the next compaction reclaims.
+/// generation re-records the full period table in its directory segment
+/// and carries the whole pipeline state, and the stitched reader and
+/// recovery take both only from the newest one — older directories and
+/// states are pure overhead the next compaction reclaims.
 fn dead_fraction(manifest: &Manifest) -> f64 {
     let mut total = 0u64;
     let mut dead = 0u64;
     let n = manifest.generations.len();
     for (gi, g) in manifest.generations.iter().enumerate() {
+        let superseded = gi + 1 < n;
+        total += g.state_len;
+        if superseded {
+            dead += g.state_len;
+        }
         for s in &g.shards {
             total += s.summary_len + s.dir_len + s.tpi_pages * manifest.page_size as u64;
-            if gi + 1 < n {
+            if superseded {
                 dead += s.dir_len;
             }
         }
     }
     dead as f64 / total.max(1) as f64
-}
-
-/// Read and unseal the checkpoint; `None` if the file does not exist.
-fn read_checkpoint(path: &Path) -> Result<Option<ShardedPpqStream>, LiveError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    if bytes.len() < CKPT_HEADER_LEN {
-        return Err(LiveError::CorruptCheckpoint(format!(
-            "{} bytes is shorter than the header",
-            bytes.len()
-        )));
-    }
-    if bytes[..4] != CKPT_MAGIC {
-        return Err(LiveError::CorruptCheckpoint("bad magic".into()));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != CKPT_VERSION {
-        return Err(LiveError::CorruptCheckpoint(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let expect_crc = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let state_bytes = &bytes[CKPT_HEADER_LEN..];
-    let actual = crc32(state_bytes);
-    if actual != expect_crc {
-        return Err(LiveError::CorruptCheckpoint(format!(
-            "CRC mismatch (sealed {expect_crc:#010x}, computed {actual:#010x})"
-        )));
-    }
-    Ok(Some(state::sharded_from_bytes(state_bytes)?))
 }

@@ -32,15 +32,15 @@
 //!
 //! The service holds the two halves of a [`LiveRepo`] apart: the ingest
 //! half (WAL, pipeline) behind the writer lock, the maintenance half
-//! (chain appender, checkpoint, backoff) behind its own lock, which only
+//! (chain appender, backoff) behind its own lock, which only
 //! the maintainer takes. The maintainer is the attached
 //! [`crate::worker::MaintenanceWorker`] ([`LiveService::start_maintenance`]):
 //! **exactly one** agent drives fold/sync/compaction. A service with no
 //! worker never folds — the server attaches one by default, and a
 //! worker-less service is meant for `fold_every = 0` deployments. A fold
 //! takes the writer lock twice, briefly: to freeze (WAL fsync, a copy of
-//! the stream) and to commit (WAL truncation). Writing the generation and
-//! the checkpoint, and compacting, happen with it free, so appends,
+//! the stream) and to commit (WAL truncation). Writing the generation
+//! with its pipeline state, and compacting, happen with it free, so appends,
 //! publishes and [`LiveService::status`] never wait on them. The lock
 //! order is maintainer, then writer. The direct maintenance methods
 //! (`fold`, `fold_with`, `sync`) are not part of the public serving
@@ -409,8 +409,8 @@ impl LiveService {
 
     /// Final drain for graceful shutdown: fsync the WAL and fold
     /// everything outstanding into the chain (fold = sync → generation
-    /// commit → checkpoint → WAL truncate), so recovery starts from a
-    /// checkpoint covering every acknowledged slice — then, when
+    /// commit, state included → WAL truncate), so recovery starts from a
+    /// chain covering every acknowledged slice — then, when
     /// auto-compaction is on, compact the chain to one generation.
     pub(crate) fn final_drain(&self) -> Result<(), LiveError> {
         self.maintain(|m, w| m.drain(w))
@@ -440,7 +440,7 @@ impl LiveService {
     }
 
     /// [`LiveService::fold`], running `in_write_phase` after the
-    /// generation and checkpoint are written and before the commit: the
+    /// generation is written and before the commit: the
     /// maintainer holds its half, the writer lock is free, and the WAL
     /// still holds the folded records. Test-only.
     #[cfg(any(test, feature = "test-internals"))]

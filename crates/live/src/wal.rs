@@ -236,7 +236,7 @@ impl Wal {
     }
 
     /// Drop every record with `t < min_t` — the fold path's "the
-    /// checkpoint now covers these" truncation. Rewrites the retained
+    /// chain now covers these" truncation. Rewrites the retained
     /// suffix to a temp file and renames it over the log, so a crash at
     /// any point leaves either the old or the new log, both valid.
     pub fn truncate_before(&mut self, min_t: u32) -> Result<(), WalError> {

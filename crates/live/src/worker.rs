@@ -16,7 +16,7 @@
 //!      │                            │  └── sleep(tick) ◀┘
 //!      │        shutdown() / drop   ▼
 //!      └──────────────────────── Draining
-//!               (stop → join → final fold/checkpoint → detach)
+//!               (stop → join → final fold → detach)
 //! ```
 //!
 //! ## One tick
@@ -26,22 +26,22 @@
 //!                  WAL fsync,                             WAL truncate
 //!                  stream copy, H                         before H
 //!  maintainer:    ├─────────── write ──────────────────┤          ├ compact ┤
-//!                  snapshot → generation → checkpoint
+//!                  snapshot + state → one generation
 //!  appends:       ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶ ──▶
 //! ```
 //!
 //! [`crate::LiveRepo::maintain_if_due`]'s fold (with the repo's
 //! exponential backoff after failures — a failing disk does not get
 //! hammered every tick) takes the writer lock only to freeze and to
-//! commit; the generation, the checkpoint and any compaction are written
+//! commit; the generation (with the pipeline state) and any compaction are written
 //! while appends, publishes and status reads go on. Slices acknowledged
 //! during the write have `t ≥ H`, so the commit's truncation keeps them.
 //! Then a WAL `sync` if records are pending, then — outside the lock — a
 //! publish that is a no-op unless a slice arrived since the last one.
 //!
 //! Shutdown is a drain, not an abort: the in-flight tick finishes, then
-//! a final fold pushes every acknowledged slice into a checkpointed
-//! generation chain, so `LiveRepo::recover` restarts from exactly the
+//! a final fold pushes every acknowledged slice into the generation
+//! chain, state included, so `LiveRepo::recover` restarts from exactly the
 //! acknowledged state. Dropping the worker without calling
 //! [`MaintenanceWorker::shutdown`] performs the same drain best-effort
 //! (errors are recorded in the service status instead of returned).
@@ -218,7 +218,7 @@ impl MaintenanceWorker {
     }
 
     /// Graceful drain: stop the tick loop, join the thread, fold every
-    /// outstanding slice into a checkpointed generation chain, and
+    /// outstanding slice into the generation chain, and
     /// detach from the service. After `Ok(())`,
     /// `LiveRepo::recover` on the directory restores exactly the
     /// acknowledged state.

@@ -8,10 +8,8 @@ use ppq_core::query::ShardedQueryEngine;
 use ppq_core::summary_io;
 use ppq_core::{PpqConfig, ShardedPpqStream, Variant};
 use ppq_geo::Point;
-use ppq_live::{
-    LiveConfig, LiveError, LiveRepo, LiveService, MaintenanceConfig, Wal, CKPT_NAME, WAL_NAME,
-};
-use ppq_repo::{DiskQueryEngine, Repo};
+use ppq_live::{LiveConfig, LiveError, LiveRepo, LiveService, MaintenanceConfig, Wal, WAL_NAME};
+use ppq_repo::{DiskQueryEngine, Manifest, Repo, RepoError, RepoWriter};
 use ppq_traj::synth::{porto_like, PortoConfig};
 use ppq_traj::Dataset;
 use std::path::PathBuf;
@@ -186,11 +184,15 @@ fn chain_length_threshold_triggers_auto_compaction() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The pipeline state recovery resumes from is a segment of the chain's
+/// newest generation, sealed by the manifest's CRC: a flipped byte is
+/// the chain's typed corruption error, never a silently different
+/// stream.
 #[test]
-fn corrupt_checkpoint_is_a_typed_error_not_silent_data_loss() {
+fn corrupt_state_segment_is_a_typed_error_not_silent_data_loss() {
     let data = dataset();
     let cfg = live_config(4);
-    let dir = tmp_dir("badckpt");
+    let dir = tmp_dir("badstate");
     let slices: Vec<_> = data.time_slices().collect();
     {
         let mut live = LiveRepo::recover(&dir, cfg.clone()).unwrap();
@@ -200,18 +202,163 @@ fn corrupt_checkpoint_is_a_typed_error_not_silent_data_loss() {
         }
         live.fold().unwrap();
     }
-    let ckpt = dir.join(CKPT_NAME);
-    let mut bytes = std::fs::read(&ckpt).unwrap();
+    let newest = Manifest::read(&dir).unwrap().unwrap().generation();
+    let state = dir.join(ppq_repo::layout::state_seg_name(newest));
+    let mut bytes = std::fs::read(&state).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x08;
-    std::fs::write(&ckpt, &bytes).unwrap();
+    std::fs::write(&state, &bytes).unwrap();
     match LiveRepo::recover(&dir, cfg) {
-        Err(LiveError::CorruptCheckpoint(_)) => {}
+        Err(LiveError::Repo(RepoError::CorruptSegment { generation, .. })) => {
+            assert_eq!(generation, newest)
+        }
         other => panic!(
-            "expected CorruptCheckpoint, got {:?}",
+            "expected CorruptSegment, got {:?}",
             other.err().map(|e| e.to_string())
         ),
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Push `slices` into a fresh live directory, folding after each of the
+/// first three quarters, and leave a WAL tail behind the last fold.
+fn folded_three_times(name: &str, cfg: &LiveConfig, slices: &[ppq_traj::TimeSlice<'_>]) -> PathBuf {
+    let dir = tmp_dir(name);
+    let mut live = LiveRepo::recover(&dir, cfg.clone()).unwrap();
+    let quarter = slices.len() / 4;
+    for (i, s) in slices[..3 * quarter + 2].iter().enumerate() {
+        live.push_slice(s.t, s.points).unwrap();
+        if (i + 1) % quarter == 0 {
+            live.fold().unwrap();
+        }
+    }
+    live.sync().unwrap();
+    assert_eq!(live.chain_generations(), 3);
+    dir
+}
+
+/// Compaction copies the newest generation's state into the new base:
+/// a recovery after it resumes the same stream as a recovery before it —
+/// the same summary bytes now and after every later push.
+#[test]
+fn compaction_keeps_the_state_recovery_resumes_from() {
+    let data = dataset();
+    let cfg = live_config(0);
+    let slices: Vec<_> = data.time_slices().collect();
+    let plain = folded_three_times("state-plain", &cfg, &slices);
+    let compacted = folded_three_times("state-compacted", &cfg, &slices);
+    let manifest = Repo::open(&compacted, 16).unwrap().compact(None).unwrap();
+    assert_eq!(manifest.generations.len(), 1);
+    assert!(
+        manifest.newest().state_len > 0,
+        "compaction dropped the state"
+    );
+
+    let mut a = LiveRepo::recover(&plain, cfg.clone()).unwrap();
+    let mut b = LiveRepo::recover(&compacted, cfg.clone()).unwrap();
+    assert_eq!(b.chain_generations(), 1);
+    let bytes = |live: &LiveRepo| -> Vec<Vec<u8>> {
+        live.snapshot()
+            .shards()
+            .iter()
+            .map(summary_io::to_bytes)
+            .collect()
+    };
+    assert_eq!(a.next_t(), b.next_t());
+    assert!(bytes(&a) == bytes(&b), "recovered summaries differ");
+    let resume = slices.iter().position(|s| Some(s.t) == a.next_t()).unwrap();
+    for s in &slices[resume..] {
+        a.push_slice(s.t, s.points).unwrap();
+        b.push_slice(s.t, s.points).unwrap();
+        assert!(bytes(&a) == bytes(&b), "diverged after t={}", s.t);
+    }
+    // The state is the resumable part only: a later fold still appends
+    // to the compacted base.
+    b.fold().unwrap();
+    assert_eq!(b.chain_generations(), 2);
+    for dir in [plain, compacted] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// The state is per shard, so a state-carrying chain cannot be
+/// re-sharded; the refusal is typed and writes nothing.
+#[test]
+fn resharding_a_state_carrying_chain_is_unsupported() {
+    let data = dataset();
+    let cfg = live_config(0);
+    let slices: Vec<_> = data.time_slices().collect();
+    let dir = folded_three_times("state-reshard", &cfg, &slices);
+    let before = Manifest::read(&dir).unwrap();
+    match Repo::open(&dir, 16).unwrap().compact(Some(3)) {
+        Err(RepoError::Unsupported(_)) => {}
+        other => panic!("expected Unsupported, got {other:?}"),
+    }
+    assert_eq!(Manifest::read(&dir).unwrap(), before);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A store a batch writer wrote carries no pipeline state: recovering
+/// it as a live directory is a typed error, not a panic or an empty
+/// stream over a full chain.
+#[test]
+fn recovering_a_batch_written_store_is_a_typed_error() {
+    let data = dataset();
+    let cfg = live_config(0);
+    let dir = tmp_dir("batch-store");
+    let mut stream = ShardedPpqStream::new(cfg.ppq.clone(), cfg.shards);
+    for s in data.time_slices() {
+        stream.push_slice(s.t, s.points);
+    }
+    RepoWriter::with_page_size(&dir, PAGE)
+        .write_sharded(&stream.finish())
+        .unwrap();
+    match LiveRepo::recover(&dir, cfg) {
+        Err(LiveError::Replay(what)) => assert!(what.contains("no pipeline state"), "{what}"),
+        other => panic!(
+            "expected a typed replay error, got {:?}",
+            other.err().map(|e| e.to_string())
+        ),
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Each fold commits its state with its generation, and the commit after
+/// next sweeps the state segments of the generations it no longer needs.
+#[test]
+fn superseded_state_segments_are_swept() {
+    let data = dataset();
+    let cfg = live_config(0);
+    let slices: Vec<_> = data.time_slices().collect();
+    let dir = folded_three_times("state-sweep", &cfg, &slices);
+    let states = || -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("state-g"))
+            .collect();
+        names.sort();
+        names
+    };
+    // One per generation of the chain.
+    assert_eq!(states(), ["state-g1.seg", "state-g2.seg", "state-g3.seg"]);
+    Repo::open(&dir, 16).unwrap().compact(None).unwrap();
+    // The compacted base carries its own; the replaced chain's stay for
+    // a reader that loaded the old manifest ...
+    assert_eq!(states().len(), 4);
+    // ... until the next commit, which keeps only its chain and the one
+    // it replaced.
+    let mut live = LiveRepo::recover(&dir, cfg).unwrap();
+    let resume = slices
+        .iter()
+        .position(|s| Some(s.t) == live.next_t())
+        .unwrap();
+    for s in &slices[resume..] {
+        live.push_slice(s.t, s.points).unwrap();
+    }
+    live.fold().unwrap();
+    assert_eq!(states(), ["state-g4.seg", "state-g5.seg"]);
+    drop(live);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -391,7 +538,7 @@ fn graceful_shutdown_leaves_a_chain_the_policy_would_leave_alone() {
     for entry in std::fs::read_dir(&dir).unwrap() {
         let name = entry.unwrap().file_name().into_string().unwrap();
         if let Some((_, rest)) = name.split_once("-g") {
-            let generation: u64 = rest.split('-').next().unwrap().parse().unwrap();
+            let generation: u64 = rest.split(['-', '.']).next().unwrap().parse().unwrap();
             assert_eq!(generation, live_generation, "superseded segment {name}");
         }
     }

@@ -1,7 +1,7 @@
 //! The background maintenance worker: folds/compactions really move off
 //! the ingest path onto the worker thread, no-op publishes don't churn
 //! snapshot `Arc`s, and worker shutdown drains every acknowledged slice
-//! into a recoverable checkpoint.
+//! into the recoverable chain.
 
 use ppq_core::{PpqConfig, Variant};
 use ppq_geo::Point;

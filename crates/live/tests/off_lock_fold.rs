@@ -1,6 +1,6 @@
 //! A fold holds the writer lock only to freeze and to commit. Between
-//! the two — the write phase, where the generation and the checkpoint
-//! are written — appends, publishes and status reads go straight
+//! the two — the write phase, where the generation and its pipeline
+//! state are written — appends, publishes and status reads go straight
 //! through, and the slices acknowledged then survive both a crash before
 //! the commit and the commit's log truncation.
 //!

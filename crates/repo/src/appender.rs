@@ -1,11 +1,9 @@
-//! A warm append handle over [`RepoWriter`].
-//!
-//! [`RepoWriter::append_sharded`] is stateless: every call re-reads the
-//! committed chain — base segment plus every delta, each CRC-verified —
-//! just to reconstruct the summary it diffs the new snapshot against.
-//! That cost grows with chain length, which is exactly wrong for the one
-//! caller that appends in a loop (live ingest folding its WAL every few
-//! hundred timesteps).
+//! The one append implementation. An append diffs the next snapshot
+//! against the committed chain's stitched summary, so a cold one first
+//! re-reads the chain — base segment plus every delta, each
+//! CRC-verified — at a cost that grows with chain length: right for
+//! [`RepoWriter::append`], which runs a cold [`Appender`] once, wrong
+//! for live ingest, which appends in a loop and keeps one warm.
 //!
 //! [`Appender`] keeps the post-commit view in memory between calls: the
 //! committed [`Manifest`], each shard's stitched summary, and each
@@ -15,19 +13,21 @@
 //! committed manifest (a tiny file) is re-read and compared to the
 //! cached one — if another writer has advanced the chain, the cache is
 //! rebuilt from disk, so a warm append writes byte-identical segments to
-//! a cold [`RepoWriter::append_sharded`] in all cases (asserted
-//! file-for-file in `tests/persistence.rs`). Any append error drops the
-//! cache; the next call re-warms from the committed state.
+//! a cold one in all cases (asserted file-for-file in
+//! `tests/persistence.rs`). Any append error drops the cache; the next
+//! call re-warms from the committed state.
+//!
+//! [`Appender::append_sharded_with_state`] commits a live stream's
+//! resumable pipeline state (`core::state`) with the delta generation,
+//! under the same manifest rename; [`Appender::append_sharded`] is that
+//! path with no state.
 
 use crate::dir::{decode_dir_segment, DiskPeriod};
-use crate::layout::{
-    dir_seg_name, read_verified, sdelta_seg_name, GenKind, GenManifest, Manifest, RepoError,
-};
+use crate::layout::{dir_seg_name, read_verified, sdelta_seg_name, GenKind, Manifest, RepoError};
 use crate::repo::load_shard_summary;
 use crate::writer::{check_period_extension, tpi_blocks, tpi_periods, RepoWriter};
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardedSummary};
-use ppq_storage::PAGE_SIZE;
 use std::path::Path;
 
 /// One shard's slice of the committed view: the stitched summary the next
@@ -55,24 +55,15 @@ pub struct Appender {
 }
 
 impl Appender {
-    /// Append handle with the paper's default 1 MiB pages. The cache
-    /// starts cold; the first append warms it from the committed chain.
-    pub fn new(dir: &Path) -> Appender {
-        Self::with_page_size(dir, PAGE_SIZE)
-    }
-
-    /// Explicit page size — must match the committed store's, as with
-    /// [`RepoWriter::with_page_size`].
+    /// Append handle with an explicit page size — it must match the
+    /// committed store's, as with [`RepoWriter::with_page_size`]. The
+    /// cache starts cold; the first append warms it from the committed
+    /// chain.
     pub fn with_page_size(dir: &Path, page_size: usize) -> Appender {
         Appender {
             writer: RepoWriter::with_page_size(dir, page_size),
             cache: None,
         }
-    }
-
-    #[inline]
-    pub fn page_size(&self) -> usize {
-        self.writer.page_size()
     }
 
     /// Whether the next append can skip the chain re-read. Only a hint —
@@ -82,21 +73,32 @@ impl Appender {
         self.cache.is_some()
     }
 
-    /// Unsharded form of [`Appender::append_sharded`].
-    pub fn append(&mut self, full: &PpqSummary) -> Result<Manifest, RepoError> {
-        self.append_shards(std::slice::from_ref(full))
-    }
-
-    /// [`RepoWriter::append_sharded`] with the committed view served from
-    /// the cache when it is still current. Output is byte-identical to
-    /// the cold path; on any error the cache is dropped so the next call
+    /// Append everything `full` adds over the committed chain as one new
+    /// delta generation (see [`RepoWriter::append`] for the contract),
+    /// with the committed view served from the cache when it is still
+    /// current. On any error the cache is dropped so the next call
     /// re-warms from the committed state.
     pub fn append_sharded(&mut self, full: &ShardedSummary) -> Result<Manifest, RepoError> {
-        self.append_shards(full.shards())
+        self.append_shards(full.shards(), None)
     }
 
-    fn append_shards(&mut self, fulls: &[PpqSummary]) -> Result<Manifest, RepoError> {
-        let result = self.try_append(fulls);
+    /// [`Appender::append_sharded`], committing `state` — the resumable
+    /// pipeline state of the stream `full` was taken from — with the
+    /// generation.
+    pub fn append_sharded_with_state(
+        &mut self,
+        full: &ShardedSummary,
+        state: &[u8],
+    ) -> Result<Manifest, RepoError> {
+        self.append_shards(full.shards(), Some(state))
+    }
+
+    pub(crate) fn append_shards(
+        &mut self,
+        fulls: &[PpqSummary],
+        state: Option<&[u8]>,
+    ) -> Result<Manifest, RepoError> {
+        let result = self.try_append(fulls, state);
         if result.is_err() {
             // A failed append may have left the cache half-updated or the
             // directory in a state we did not predict; rebuild from the
@@ -106,11 +108,13 @@ impl Appender {
         result
     }
 
-    fn try_append(&mut self, fulls: &[PpqSummary]) -> Result<Manifest, RepoError> {
+    fn try_append(
+        &mut self,
+        fulls: &[PpqSummary],
+        state: Option<&[u8]>,
+    ) -> Result<Manifest, RepoError> {
         let not_ext = |what: &str| RepoError::NotAnExtension(what.to_string());
-        let prev = self
-            .writer
-            .committed_manifest()?
+        let prev = Manifest::read(self.writer.dir())?
             .ok_or_else(|| not_ext("no committed store to append to (write a base first)"))?;
         if prev.num_shards() != fulls.len() {
             return Err(not_ext(&format!(
@@ -157,11 +161,12 @@ impl Appender {
             new_periods.push(periods);
         }
         let mut manifest = prev.clone();
-        manifest.generations.push(GenManifest {
+        manifest.generations.push(self.writer.seal_generation(
             generation,
-            kind: GenKind::Delta,
-            shards: shard_manifests,
-        });
+            GenKind::Delta,
+            shard_manifests,
+            state,
+        )?);
         self.writer.commit(&manifest, Some(&prev))?;
 
         // The committed chain now stitches to exactly `fulls` (that is
@@ -176,9 +181,8 @@ impl Appender {
         Ok(manifest)
     }
 
-    /// Load the committed view the cold append path reconstructs on every
-    /// call: each shard's stitched summary and the newest generation's
-    /// period table.
+    /// Load the committed view: each shard's stitched summary and the
+    /// newest generation's period table.
     fn warm(dir: &Path, manifest: &Manifest) -> Result<AppendCache, RepoError> {
         let newest = manifest.newest();
         let mut shards = Vec::with_capacity(manifest.num_shards());

@@ -9,6 +9,8 @@
 //! sdelta-g<g>-<s>.seg       ← delta generation: shard s's summary delta
 //! tpi-g<g>-<s>.pages        ← shard s's TPI blocks on CRC-sealed pages
 //! dir-g<g>-<s>.seg          ← shard s's period structure + block directory
+//! state-g<g>.seg            ← optional: the pipeline state a live stream
+//!                             resumes from (`core::state`), one per generation
 //! ```
 //!
 //! The first live generation is a **base** (a complete summary snapshot);
@@ -38,10 +40,11 @@ pub const MANIFEST_NAME: &str = "MANIFEST.ppq";
 pub const MANIFEST_TMP_NAME: &str = "MANIFEST.ppq.tmp";
 
 const MANIFEST_MAGIC: u32 = 0x5050_514D; // "PPQM"
-/// The manifest version, the only one written or read. Version 1
+/// The manifest version, the only one written or read. Versions 1
 /// (single-generation stores written before incremental append existed)
-/// is rejected by [`Manifest::from_bytes`].
-const MANIFEST_VERSION: u32 = 2;
+/// and 2 (generations without a state segment) are rejected by
+/// [`Manifest::from_bytes`].
+const MANIFEST_VERSION: u32 = 3;
 
 pub fn summary_seg_name(generation: u64, shard: u32) -> String {
     format!("summary-g{generation}-{shard}.seg")
@@ -57,6 +60,10 @@ pub fn tpi_seg_name(generation: u64, shard: u32) -> String {
 
 pub fn dir_seg_name(generation: u64, shard: u32) -> String {
     format!("dir-g{generation}-{shard}.seg")
+}
+
+pub fn state_seg_name(generation: u64) -> String {
+    format!("state-g{generation}.seg")
 }
 
 /// Everything that can go wrong opening or writing a repository.
@@ -178,11 +185,17 @@ pub struct ShardManifest {
     pub tpi_pages: u64,
 }
 
-/// One live generation: its number, kind, and per-shard segment metadata.
+/// One live generation: its number, kind, state segment and per-shard
+/// segment metadata.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GenManifest {
     pub generation: u64,
     pub kind: GenKind,
+    /// Byte length of `state-g<g>.seg`, the resumable pipeline state
+    /// committed with this generation; 0 = the generation carries none.
+    pub state_len: u64,
+    /// CRC-32 of the state segment (0 when there is none).
+    pub state_crc: u32,
     pub shards: Vec<ShardManifest>,
 }
 
@@ -243,18 +256,27 @@ impl Manifest {
             if i > 0 && g.generation <= self.generations[i - 1].generation {
                 return Err(corrupt("generations out of order"));
             }
+            if g.state_len == 0 && g.state_crc != 0 {
+                return Err(corrupt("state CRC without a state segment"));
+            }
         }
         Ok(())
     }
 
+    /// The committed manifest of the store at `dir`; `None` when there is
+    /// none. A *corrupt* one is an error — overwriting it would destroy
+    /// the evidence an operator needs.
+    pub fn read(dir: &std::path::Path) -> Result<Option<Manifest>, RepoError> {
+        match std::fs::read(dir.join(MANIFEST_NAME)) {
+            Ok(bytes) => Manifest::from_bytes(&bytes).map(Some),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
     /// Serialize: magic, version, body length, body CRC, body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let per_gen: usize = self
-            .generations
-            .iter()
-            .map(|g| 16 + g.shards.len() * 32)
-            .sum();
-        let mut body = Encoder::with_capacity(16 + per_gen);
+        let mut body = Encoder::new();
         body.put_u32(self.page_size);
         body.put_u32(self.generations.len() as u32);
         for g in &self.generations {
@@ -263,6 +285,8 @@ impl Manifest {
                 GenKind::Base => 0,
                 GenKind::Delta => 1,
             });
+            body.put_u64(g.state_len);
+            body.put_u32(g.state_crc);
             body.put_u32(g.shards.len() as u32);
             for s in &g.shards {
                 body.put_u64(s.summary_len);
@@ -283,8 +307,9 @@ impl Manifest {
     }
 
     /// Checked deserialization — every malformed input is a
-    /// [`RepoError::Corrupt`], never a panic. Only version 2 is read; any
-    /// other version, the pre-append version 1 included, is rejected.
+    /// [`RepoError::Corrupt`], never a panic. Only version 3 is read; any
+    /// other version, the stateless version 2 and the pre-append version 1
+    /// included, is rejected.
     pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, RepoError> {
         let corrupt = |what: &str| RepoError::Corrupt(format!("manifest: {what}"));
         let mut d = Decoder::from_slice(bytes);
@@ -310,7 +335,7 @@ impl Manifest {
         // Body: page_size u32, generation chain.
         let page_size = d.try_u32().ok_or_else(|| corrupt("truncated body"))?;
         let n_gens = d.try_u32().ok_or_else(|| corrupt("truncated body"))? as usize;
-        if n_gens == 0 || n_gens.saturating_mul(16) > d.remaining() {
+        if n_gens == 0 || n_gens.saturating_mul(28) > d.remaining() {
             return Err(corrupt("generation count"));
         }
         let mut generations = Vec::with_capacity(n_gens);
@@ -321,6 +346,8 @@ impl Manifest {
                 Some(1) => GenKind::Delta,
                 _ => return Err(corrupt("generation kind")),
             };
+            let state_len = d.try_u64().ok_or_else(|| corrupt("generation entry"))?;
+            let state_crc = d.try_u32().ok_or_else(|| corrupt("generation entry"))?;
             let n = d.try_u32().ok_or_else(|| corrupt("generation entry"))? as usize;
             if n.saturating_mul(32) > d.remaining() {
                 return Err(corrupt("shard table length"));
@@ -338,6 +365,8 @@ impl Manifest {
             generations.push(GenManifest {
                 generation,
                 kind,
+                state_len,
+                state_crc,
                 shards,
             });
         }
@@ -406,16 +435,22 @@ mod tests {
                 GenManifest {
                     generation: 3,
                     kind: GenKind::Base,
+                    state_len: 0,
+                    state_crc: 0,
                     shards: vec![shard(0), shard(7)],
                 },
                 GenManifest {
                     generation: 4,
                     kind: GenKind::Delta,
+                    state_len: 1234,
+                    state_crc: 0xdead_beef,
                     shards: vec![shard(3), shard(12)],
                 },
                 GenManifest {
                     generation: 6,
                     kind: GenKind::Delta,
+                    state_len: 99,
+                    state_crc: 7,
                     shards: vec![shard(5), shard(1)],
                 },
             ],
@@ -472,36 +507,36 @@ mod tests {
         let mut m = manifest();
         m.generations[1].shards.pop();
         assert!(Manifest::from_bytes(&m.to_bytes()).is_err());
+        // A state CRC with no state segment.
+        let mut m = manifest();
+        m.generations[0].state_crc = 1;
+        assert!(Manifest::from_bytes(&m.to_bytes()).is_err());
     }
 
+    /// Older versions are refused by version, before their body is read:
+    /// version 2 (a version-3 body without the state fields) is not
+    /// misread as version 3, nor version 1 as either.
     #[test]
-    fn v1_manifest_is_rejected_as_unsupported() {
-        // Hand-build a version-1 manifest byte stream (the pre-append
-        // format, otherwise well-formed) and check it is refused by
-        // version, not misread as a version-2 body.
-        let mut body = Encoder::new();
-        body.put_u64(5); // generation
-        body.put_u32(4096); // page_size
-        body.put_u32(1); // one shard
-        let s = shard(2);
-        body.put_u64(s.summary_len);
-        body.put_u32(s.summary_crc);
-        body.put_u64(s.dir_len);
-        body.put_u32(s.dir_crc);
-        body.put_u64(s.tpi_pages);
-        let body = body.finish();
-        let mut e = Encoder::new();
-        e.put_u32(MANIFEST_MAGIC);
-        e.put_u32(1); // version 1
-        e.put_u32(body.len() as u32);
-        e.put_u32(crc32(&body));
-        e.put_bytes_raw(&body);
-        match Manifest::from_bytes(&e.finish()) {
-            Err(RepoError::Corrupt(msg)) => assert!(
-                msg.contains("unsupported version 1"),
-                "unexpected error: {msg}"
-            ),
-            other => panic!("version 1 must be refused, got {other:?}"),
+    fn older_manifest_versions_are_rejected_as_unsupported() {
+        let mut m = manifest();
+        m.generations.truncate(1);
+        let v3 = m.to_bytes();
+        // page_size, n_generations, generation, kind | state_len, state_crc
+        let v2 = [&v3[16..36], &v3[48..]].concat();
+        for (version, body) in [(1u32, v3[16..].to_vec()), (2, v2)] {
+            let mut e = Encoder::new();
+            e.put_u32(MANIFEST_MAGIC);
+            e.put_u32(version);
+            e.put_u32(body.len() as u32);
+            e.put_u32(crc32(&body));
+            e.put_bytes_raw(&body);
+            match Manifest::from_bytes(&e.finish()) {
+                Err(RepoError::Corrupt(msg)) => assert!(
+                    msg.contains(&format!("unsupported version {version}")),
+                    "unexpected error: {msg}"
+                ),
+                other => panic!("version {version} must be refused, got {other:?}"),
+            }
         }
     }
 
@@ -511,5 +546,6 @@ mod tests {
         assert_eq!(sdelta_seg_name(4, 2), "sdelta-g4-2.seg");
         assert_eq!(tpi_seg_name(2, 3), "tpi-g2-3.pages");
         assert_eq!(dir_seg_name(10, 1), "dir-g10-1.seg");
+        assert_eq!(state_seg_name(7), "state-g7.seg");
     }
 }

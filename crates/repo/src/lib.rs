@@ -99,5 +99,5 @@ pub mod writer;
 pub use appender::Appender;
 pub use engine::{DiskProbe, DiskQueryEngine, DiskQueryWorkspace};
 pub use layout::{GenKind, GenManifest, Manifest, RepoError, ShardManifest};
-pub use repo::{Repo, ShardStore};
+pub use repo::{ChainState, Repo, ShardStore};
 pub use writer::RepoWriter;

@@ -17,14 +17,14 @@ use crate::dir::{
     DiskPeriod,
 };
 use crate::layout::{
-    dir_seg_name, read_verified, sdelta_seg_name, summary_seg_name, tpi_seg_name, GenKind,
-    GenManifest, Manifest, RepoError, MANIFEST_NAME,
+    dir_seg_name, read_verified, sdelta_seg_name, state_seg_name, summary_seg_name, tpi_seg_name,
+    GenKind, Manifest, RepoError, MANIFEST_NAME,
 };
 use crate::writer::RepoWriter;
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardRouter, ShardedSummary};
 use ppq_geo::Point;
-use ppq_storage::{crc32, FetchedPages, IoStats, PageRequest, Segment, SharedBufferPool};
+use ppq_storage::{crc32, FetchedPages, IoStats, Page, PageRequest, Segment, SharedBufferPool};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -42,32 +42,17 @@ pub(crate) fn load_shard_summary(
     let mut summary: Option<PpqSummary> = None;
     let mut final_crc: Option<u32> = None;
     for gen in &manifest.generations {
-        let sm = &gen.shards[shard];
-        let g = gen.generation;
-        match gen.kind {
-            GenKind::Base => {
-                let bytes = read_verified(
-                    &dir.join(summary_seg_name(g, shard as u32)),
-                    g,
-                    shard as u32,
-                    sm.summary_len,
-                    sm.summary_crc,
-                )?;
-                // The disk TPI replaces the in-memory index: decode
-                // without rebuilding it.
-                summary = Some(summary_io::from_bytes(&bytes, false)?);
-            }
-            GenKind::Delta => {
-                let bytes = read_verified(
-                    &dir.join(sdelta_seg_name(g, shard as u32)),
-                    g,
-                    shard as u32,
-                    sm.summary_len,
-                    sm.summary_crc,
-                )?;
-                let s = summary.as_mut().expect("manifest validated: base first");
-                final_crc = Some(summary_io::apply_delta(s, &bytes)?);
-            }
+        let (sm, g, s) = (&gen.shards[shard], gen.generation, shard as u32);
+        let name = match gen.kind {
+            GenKind::Base => summary_seg_name(g, s),
+            GenKind::Delta => sdelta_seg_name(g, s),
+        };
+        let bytes = read_verified(&dir.join(name), g, s, sm.summary_len, sm.summary_crc)?;
+        match summary.as_mut() {
+            // The disk TPI replaces the in-memory index: decode without
+            // rebuilding it.
+            None => summary = Some(summary_io::from_bytes(&bytes, false)?),
+            Some(chain) => final_crc = Some(summary_io::apply_delta(chain, &bytes)?),
         }
     }
     let summary = summary.expect("manifest validated: at least one generation");
@@ -84,6 +69,76 @@ pub(crate) fn load_shard_summary(
         }
     }
     Ok(summary)
+}
+
+/// The newest generation's state segment, verified against the
+/// manifest's recorded length and CRC (a mismatch reports shard 0);
+/// `None` when that generation carries no state.
+fn read_state(dir: &Path, manifest: &Manifest) -> Result<Option<Vec<u8>>, RepoError> {
+    let newest = manifest.newest();
+    if newest.state_len == 0 {
+        return Ok(None);
+    }
+    let g = newest.generation;
+    let path = dir.join(state_seg_name(g));
+    read_verified(&path, g, 0, newest.state_len, newest.state_crc).map(Some)
+}
+
+/// What resuming a live stream needs of a committed chain: the manifest,
+/// each shard's stitched summary and the newest generation's verified
+/// state bytes. Read without opening any block directory or page
+/// segment.
+pub struct ChainState {
+    pub manifest: Manifest,
+    pub summaries: Vec<PpqSummary>,
+    /// `None` when the newest generation carries no state (a store a
+    /// batch writer wrote).
+    pub state: Option<Vec<u8>>,
+}
+
+impl ChainState {
+    /// Read the chain at `dir`; `None` when it has no committed manifest.
+    pub fn read(dir: &Path) -> Result<Option<ChainState>, RepoError> {
+        let Some(manifest) = Manifest::read(dir)? else {
+            return Ok(None);
+        };
+        let summaries = (0..manifest.num_shards())
+            .map(|s| load_shard_summary(dir, &manifest, s))
+            .collect::<Result<_, _>>()?;
+        let state = read_state(dir, &manifest)?;
+        Ok(Some(ChainState {
+            manifest,
+            summaries,
+            state,
+        }))
+    }
+}
+
+/// Append one block's trajectory IDs to `out`, staging its bytes in
+/// `scratch` and taking each page it spans from `page`.
+fn collect_block<P: AsRef<Page>>(
+    meta: &BlockMeta,
+    scratch: &mut Vec<u8>,
+    out: &mut Vec<u32>,
+    mut page: impl FnMut(u64) -> std::io::Result<P>,
+) -> std::io::Result<()> {
+    let total = meta.n_ids as usize * 4;
+    scratch.clear();
+    let (mut at, mut offset) = (meta.page, meta.offset as usize);
+    while scratch.len() < total {
+        let p = page(at)?;
+        let payload = p.as_ref().payload();
+        let take = (total - scratch.len()).min(payload.len() - offset);
+        scratch.extend_from_slice(&payload[offset..offset + take]);
+        at += 1;
+        offset = 0;
+    }
+    out.extend(
+        scratch
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
+    );
+    Ok(())
 }
 
 /// One shard of an open repository: the stitched (in-memory) summary, the
@@ -142,24 +197,7 @@ impl ShardStore {
         out: &mut Vec<u32>,
     ) -> std::io::Result<()> {
         let segment = &self.segments[meta.seg as usize];
-        let total = meta.n_ids as usize * 4;
-        scratch.clear();
-        let mut page = meta.page;
-        let mut offset = meta.offset as usize;
-        while scratch.len() < total {
-            let p = segment.read(page, stats)?;
-            let payload = p.payload();
-            let take = (total - scratch.len()).min(payload.len() - offset);
-            scratch.extend_from_slice(&payload[offset..offset + take]);
-            page += 1;
-            offset = 0;
-        }
-        out.extend(
-            scratch
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        );
-        Ok(())
+        collect_block(meta, scratch, out, |page| segment.read(page, stats))
     }
 
     /// Resolve every page the planned `metas` span in **one** pool batch:
@@ -199,29 +237,14 @@ impl ShardStore {
         out: &mut Vec<u32>,
     ) -> std::io::Result<()> {
         let seg_id = self.segments[meta.seg as usize].seg_id();
-        let total = meta.n_ids as usize * 4;
-        scratch.clear();
-        let mut page = meta.page;
-        let mut offset = meta.offset as usize;
-        while scratch.len() < total {
-            let Some(p) = pages.get(&(seg_id, page)) else {
-                return Err(std::io::Error::new(
+        collect_block(meta, scratch, out, |page| {
+            pages.get(&(seg_id, page)).ok_or_else(|| {
+                std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
                     format!("segment {seg_id} page {page} absent from fetched batch"),
-                ));
-            };
-            let payload = p.payload();
-            let take = (total - scratch.len()).min(payload.len() - offset);
-            scratch.extend_from_slice(&payload[offset..offset + take]);
-            page += 1;
-            offset = 0;
-        }
-        out.extend(
-            scratch
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        );
-        Ok(())
+                )
+            })
+        })
     }
 
     /// Single-cell STRQ probe against this shard: locate the period and
@@ -458,7 +481,9 @@ impl Repo {
     /// packed page segment, in directory order — no quantization, no
     /// index rebuild, answers bit-identical to the pre-compaction view
     /// (the stitched store *is* the single-shot layout already; this
-    /// merely materializes it).
+    /// merely materializes it). The newest generation's pipeline state,
+    /// if it carries one, is copied into the new base unchanged: the
+    /// summaries it resumes from are unchanged too.
     ///
     /// Re-sharding (`target_shards = Some(S′)`, `S′ ≠ S`): trajectories
     /// are redistributed by `ShardRouter::new(S′)` with their encodings
@@ -468,7 +493,9 @@ impl Repo {
     /// answers — STRQ at every level and TPQ payload bits — are invariant
     /// (reconstructions are unchanged and the local-search protocol is
     /// index-shape-independent); only global codebooks support this, per
-    /// [`ppq_core::ReshardError`].
+    /// [`ppq_core::ReshardError`]. A chain that carries pipeline state
+    /// cannot be re-sharded — the state is per shard — and returns
+    /// [`RepoError::Unsupported`].
     ///
     /// Crash-safe like every write: the new generation is written under
     /// fresh names and committed with the temp + rename + fsync manifest
@@ -488,8 +515,7 @@ impl Repo {
         // drop the newer generations (and the fresh generation number
         // could collide with committed segment names). Require the
         // committed chain to still be the one this view was opened from.
-        let committed = writer
-            .committed_manifest()?
+        let committed = Manifest::read(&self.dir)?
             .ok_or_else(|| RepoError::Stale("manifest disappeared since open".to_string()))?;
         if committed != self.manifest {
             return Err(RepoError::Stale(format!(
@@ -499,67 +525,56 @@ impl Repo {
                 self.manifest.generation()
             )));
         }
-        let prev = self.manifest.clone();
-        let generation = prev.generation() + 1;
-        let mut shard_manifests = Vec::new();
-        match target_shards.filter(|&s| s != self.num_shards()) {
-            None => {
-                for (i, shard) in self.shards.iter().enumerate() {
-                    let summary_bytes = summary_io::to_bytes(shard.summary());
-                    let stats = IoStats::default();
-                    let (mut scratch, mut ids) = (Vec::new(), Vec::new());
-                    shard_manifests.push(writer.write_segments(
-                        generation,
-                        i as u32,
-                        &summary_seg_name(generation, i as u32),
-                        &summary_bytes,
-                        &shard.periods,
-                        &mut |sink| {
-                            for (p, r, t, c, meta) in shard.directory.entries() {
-                                ids.clear();
-                                shard.read_block_into(&meta, &stats, &mut scratch, &mut ids)?;
-                                sink(p, r, t, c, &ids);
-                            }
-                            Ok(())
-                        },
-                    )?);
-                    self.stats.absorb(&stats);
-                }
+        if let Some(s2) = target_shards.filter(|&s| s != self.num_shards()) {
+            if self.manifest.newest().state_len > 0 {
+                return Err(RepoError::Unsupported(
+                    "re-sharding a store that carries per-shard pipeline state".to_string(),
+                ));
             }
-            Some(s2) => {
-                let merged = ShardedSummary::from_shards(
-                    self.shards.iter().map(|s| s.summary.clone()).collect(),
-                );
-                let resharded = merged
-                    .reshard(s2)
-                    .map_err(|e| RepoError::Unsupported(e.to_string()))?;
-                for (i, mut summary) in resharded.into_shards().into_iter().enumerate() {
-                    summary.rebuild_index();
-                    let tpi = summary.tpi().expect("just rebuilt");
-                    let summary_bytes = summary_io::to_bytes(&summary);
-                    shard_manifests.push(writer.write_segments(
-                        generation,
-                        i as u32,
-                        &summary_seg_name(generation, i as u32),
-                        &summary_bytes,
-                        &crate::writer::tpi_periods(tpi),
-                        &mut |sink| {
-                            crate::writer::tpi_blocks(tpi, None, sink);
-                            Ok(())
-                        },
-                    )?);
-                }
-            }
+            let merged = ShardedSummary::from_shards(
+                self.shards.iter().map(|s| s.summary.clone()).collect(),
+            );
+            let mut resharded = merged
+                .reshard(s2)
+                .map_err(|e| RepoError::Unsupported(e.to_string()))?
+                .into_shards();
+            resharded.iter_mut().for_each(PpqSummary::rebuild_index);
+            return writer.write_shards(&resharded, None);
+        }
+        let state = read_state(&self.dir, &self.manifest)?;
+        let generation = self.manifest.generation() + 1;
+        let mut shard_manifests = Vec::with_capacity(self.shards.len());
+        for (i, shard) in self.shards.iter().enumerate() {
+            let summary_bytes = summary_io::to_bytes(shard.summary());
+            let stats = IoStats::default();
+            let (mut scratch, mut ids) = (Vec::new(), Vec::new());
+            shard_manifests.push(writer.write_segments(
+                generation,
+                i as u32,
+                &summary_seg_name(generation, i as u32),
+                &summary_bytes,
+                &shard.periods,
+                &mut |sink| {
+                    for (p, r, t, c, meta) in shard.directory.entries() {
+                        ids.clear();
+                        shard.read_block_into(&meta, &stats, &mut scratch, &mut ids)?;
+                        sink(p, r, t, c, &ids);
+                    }
+                    Ok(())
+                },
+            )?);
+            self.stats.absorb(&stats);
         }
         let manifest = Manifest {
             page_size: self.page_size() as u32,
-            generations: vec![GenManifest {
+            generations: vec![writer.seal_generation(
                 generation,
-                kind: GenKind::Base,
-                shards: shard_manifests,
-            }],
+                GenKind::Base,
+                shard_manifests,
+                state.as_deref(),
+            )?],
         };
-        writer.commit(&manifest, Some(&prev))?;
+        writer.commit(&manifest, Some(&self.manifest))?;
         Ok(manifest)
     }
 }

@@ -14,19 +14,27 @@
 //!   only the difference is persisted — a summary-delta segment
 //!   (`core::summary_io::delta_to_bytes` against the committed chain), the
 //!   TPI blocks of the new timestep window, and a delta block directory —
-//!   as one new *delta* generation appended to the chain.
+//!   as one new *delta* generation appended to the chain. These run a
+//!   cold [`Appender`], the one append implementation.
 //!
-//! Both commit the same way: segments are written and fsynced under
-//! generation-scoped names that can never collide with the committed
-//! chain, then the manifest is rewritten temp + rename + directory fsync.
-//! A crash at any point leaves the previous chain fully intact.
+//! A generation may also carry a live stream's resumable pipeline state
+//! (`core::state`) as its state segment
+//! ([`RepoWriter::write_sharded_with_state`],
+//! [`Appender::append_sharded_with_state`]); the stateless methods are
+//! the same path with no state.
+//!
+//! Every write commits the same way: segments are written and fsynced
+//! under generation-scoped names that can never collide with the
+//! committed chain, then the manifest is rewritten temp + rename +
+//! directory fsync. A crash at any point leaves the previous chain fully
+//! intact.
 
+use crate::appender::Appender;
 use crate::dir::{encode_dir_segment, BlockMeta, DirEntry, DiskPeriod, DiskRegion};
 use crate::layout::{
-    dir_seg_name, sdelta_seg_name, summary_seg_name, tpi_seg_name, GenKind, GenManifest, Manifest,
+    dir_seg_name, state_seg_name, summary_seg_name, tpi_seg_name, GenKind, GenManifest, Manifest,
     RepoError, ShardManifest, MANIFEST_NAME, MANIFEST_TMP_NAME,
 };
-use crate::repo::load_shard_summary;
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardedSummary};
 use ppq_storage::{crc32, payload_capacity, Page, PageStore, PAGE_SIZE};
@@ -78,22 +86,37 @@ impl RepoWriter {
     /// Persist an unsharded summary as a 1-shard repository (full
     /// rewrite — the committed chain, if any, is replaced).
     pub fn write(&self, summary: &PpqSummary) -> Result<Manifest, RepoError> {
-        self.write_shards(std::slice::from_ref(summary))
+        self.write_shards(std::slice::from_ref(summary), None)
     }
 
     /// Persist a sharded summary, one segment triple per shard. The shard
     /// count is recorded in the manifest; `Repo::open` rebuilds the same
     /// pure `ShardRouter` from it.
     pub fn write_sharded(&self, sharded: &ShardedSummary) -> Result<Manifest, RepoError> {
-        self.write_shards(sharded.shards())
+        self.write_shards(sharded.shards(), None)
     }
 
-    fn write_shards(&self, shards: &[PpqSummary]) -> Result<Manifest, RepoError> {
+    /// [`RepoWriter::write_sharded`], committing `state` — the resumable
+    /// pipeline state of the stream `sharded` was taken from — with the
+    /// generation.
+    pub fn write_sharded_with_state(
+        &self,
+        sharded: &ShardedSummary,
+        state: &[u8],
+    ) -> Result<Manifest, RepoError> {
+        self.write_shards(sharded.shards(), Some(state))
+    }
+
+    pub(crate) fn write_shards(
+        &self,
+        shards: &[PpqSummary],
+        state: Option<&[u8]>,
+    ) -> Result<Manifest, RepoError> {
         assert!(!shards.is_empty(), "repository needs at least one shard");
         std::fs::create_dir_all(&self.dir)?;
         // Each generation gets fresh file names, so writing never clobbers
         // the committed chain's segments.
-        let prev = self.committed_manifest()?;
+        let prev = Manifest::read(&self.dir)?;
         let generation = prev.as_ref().map(|m| m.generation() + 1).unwrap_or(1);
         let mut shard_manifests = Vec::with_capacity(shards.len());
         for (i, summary) in shards.iter().enumerate() {
@@ -113,11 +136,12 @@ impl RepoWriter {
         }
         let manifest = Manifest {
             page_size: self.page_size as u32,
-            generations: vec![GenManifest {
+            generations: vec![self.seal_generation(
                 generation,
-                kind: GenKind::Base,
-                shards: shard_manifests,
-            }],
+                GenKind::Base,
+                shard_manifests,
+                state,
+            )?],
         };
         self.commit(&manifest, prev.as_ref())?;
         Ok(manifest)
@@ -134,89 +158,19 @@ impl RepoWriter {
     /// returns [`RepoError::NotAnExtension`] otherwise, in which case the
     /// caller should fall back to a full [`RepoWriter::write`].
     pub fn append(&self, full: &PpqSummary) -> Result<Manifest, RepoError> {
-        self.append_shards(std::slice::from_ref(full))
+        self.cold_appender()
+            .append_shards(std::slice::from_ref(full), None)
     }
 
     /// Sharded form of [`RepoWriter::append`]; the shard count must match
     /// the committed store's.
     pub fn append_sharded(&self, full: &ShardedSummary) -> Result<Manifest, RepoError> {
-        self.append_shards(full.shards())
+        self.cold_appender().append_shards(full.shards(), None)
     }
 
-    fn append_shards(&self, fulls: &[PpqSummary]) -> Result<Manifest, RepoError> {
-        let not_ext = |what: &str| RepoError::NotAnExtension(what.to_string());
-        let prev = self
-            .committed_manifest()?
-            .ok_or_else(|| not_ext("no committed store to append to (write a base first)"))?;
-        if prev.num_shards() != fulls.len() {
-            return Err(not_ext(&format!(
-                "store has {} shards, summary has {}",
-                prev.num_shards(),
-                fulls.len()
-            )));
-        }
-        if prev.page_size as usize != self.page_size {
-            return Err(not_ext(&format!(
-                "store uses {}-byte pages, writer configured for {}",
-                prev.page_size, self.page_size
-            )));
-        }
-        let generation = prev.generation() + 1;
-        let mut shard_manifests = Vec::with_capacity(fulls.len());
-        for (i, full) in fulls.iter().enumerate() {
-            let tpi = full.tpi().ok_or(RepoError::MissingIndex)?;
-            // Reassemble the committed chain's summary for this shard and
-            // verify `full` extends it, bit for bit.
-            let base = load_shard_summary(&self.dir, &prev, i)?;
-            let delta_bytes = summary_io::delta_to_bytes(&base, full)?;
-            // The committed period table must be a structural prefix of
-            // the full TPI's (sealed periods untouched, the open period
-            // only extended, new periods only appended) — the property
-            // that makes delta block keys disjoint from committed ones.
-            let newest = prev.newest();
-            let sm = &newest.shards[i];
-            let dir_bytes = crate::layout::read_verified(
-                &self.dir.join(dir_seg_name(newest.generation, i as u32)),
-                newest.generation,
-                i as u32,
-                sm.dir_len,
-                sm.dir_crc,
-            )?;
-            let (stored_periods, _) = crate::dir::decode_dir_segment(&dir_bytes)?;
-            check_period_extension(&stored_periods, tpi)?;
-            // Blocks strictly past the committed horizon.
-            let t_hi = stored_periods.last().map(|p| p.t_end);
-            shard_manifests.push(self.write_segments(
-                generation,
-                i as u32,
-                &sdelta_seg_name(generation, i as u32),
-                &delta_bytes,
-                &tpi_periods(tpi),
-                &mut |sink| {
-                    tpi_blocks(tpi, t_hi, sink);
-                    Ok(())
-                },
-            )?);
-        }
-        let mut manifest = prev.clone();
-        manifest.generations.push(GenManifest {
-            generation,
-            kind: GenKind::Delta,
-            shards: shard_manifests,
-        });
-        self.commit(&manifest, Some(&prev))?;
-        Ok(manifest)
-    }
-
-    /// The committed manifest, if a valid one exists. A *corrupt*
-    /// committed manifest is an error — overwriting it would destroy the
-    /// evidence an operator needs.
-    pub(crate) fn committed_manifest(&self) -> Result<Option<Manifest>, RepoError> {
-        match std::fs::read(self.dir.join(MANIFEST_NAME)) {
-            Ok(bytes) => Manifest::from_bytes(&bytes).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+    /// An [`Appender`] that re-reads the committed chain on its one call.
+    fn cold_appender(&self) -> Appender {
+        Appender::with_page_size(&self.dir, self.page_size)
     }
 
     /// Write one shard's three segments for generation `generation`: the
@@ -282,6 +236,29 @@ impl RepoWriter {
         })
     }
 
+    /// Close generation `generation` of `kind` over its shards' segments:
+    /// write `state`, if any, as its state segment, fsynced before a
+    /// manifest can reference it, and record its length and CRC.
+    pub(crate) fn seal_generation(
+        &self,
+        generation: u64,
+        kind: GenKind,
+        shards: Vec<ShardManifest>,
+        state: Option<&[u8]>,
+    ) -> Result<GenManifest, RepoError> {
+        let state = state.unwrap_or_default();
+        if !state.is_empty() {
+            write_durable(&self.dir.join(state_seg_name(generation)), state)?;
+        }
+        Ok(GenManifest {
+            generation,
+            kind,
+            state_len: state.len() as u64,
+            state_crc: if state.is_empty() { 0 } else { crc32(state) },
+            shards,
+        })
+    }
+
     /// Commit `manifest`: temp + rename, each step fsynced. Segment files
     /// were synced as they were written, the temp manifest is synced
     /// before the rename, and the directory is synced after it so the
@@ -316,7 +293,7 @@ impl RepoWriter {
     /// chain (after a compaction, larger than the live one) does not
     /// outlive the process.
     pub fn sweep_superseded(&self) -> Result<(), RepoError> {
-        if let Some(manifest) = self.committed_manifest()? {
+        if let Some(manifest) = Manifest::read(&self.dir)? {
             let live = manifest.generations.iter().map(|g| g.generation);
             self.sweep_unreferenced(&live.collect());
         }
@@ -343,13 +320,14 @@ impl RepoWriter {
 }
 
 /// The generation number a repository segment file belongs to, parsed
-/// from its `<prefix>-g<generation>-<shard>.<ext>` name; `None` for
-/// non-segment files (the manifest, foreign files).
+/// from its `<prefix>-g<generation>-<shard>.<ext>` (or, for the state
+/// segment, `state-g<generation>.seg`) name; `None` for non-segment
+/// files (the manifest, foreign files).
 fn segment_generation(name: &str) -> Option<u64> {
-    let rest = ["summary-g", "sdelta-g", "tpi-g", "dir-g"]
+    let rest = ["summary-g", "sdelta-g", "tpi-g", "dir-g", "state-g"]
         .iter()
         .find_map(|p| name.strip_prefix(p))?;
-    rest.split('-').next()?.parse().ok()
+    rest.split(['-', '.']).next()?.parse().ok()
 }
 
 /// The full period/region table of a TPI in the disk shape. A delta
@@ -467,6 +445,8 @@ mod tests {
         assert_eq!(segment_generation("sdelta-g12-3.seg"), Some(12));
         assert_eq!(segment_generation("tpi-g1-0.pages"), Some(1));
         assert_eq!(segment_generation("dir-g400-11.seg"), Some(400));
+        assert_eq!(segment_generation("state-g9.seg"), Some(9));
+        assert_eq!(segment_generation("state-g.seg"), None);
         assert_eq!(segment_generation("MANIFEST.ppq"), None);
         assert_eq!(segment_generation("MANIFEST.ppq.tmp"), None);
         assert_eq!(segment_generation("summary-gX-0.seg"), None);

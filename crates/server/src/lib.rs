@@ -22,8 +22,8 @@
 //! must not hardcode: a background [`ppq_live::MaintenanceWorker`]
 //! keeping fold/compaction/WAL-sync off the ingest path, overload
 //! shedding at the accept edge ([`proto::Response::Busy`]), and graceful
-//! shutdown that drains in-flight requests and checkpoints every
-//! acknowledged slice before exit.
+//! shutdown that drains in-flight requests and folds every
+//! acknowledged slice into the chain before exit.
 
 pub mod client;
 pub mod proto;

@@ -46,8 +46,8 @@
 //! [`ServerHandle::shutdown`] is a drain, not an abort: stop the accept
 //! loop, let every handler finish its in-flight request and close its
 //! connection at the next frame boundary, then (if this server owns the
-//! maintenance worker) fold all acknowledged slices into a checkpointed
-//! generation chain. After `Ok(())`, recovering the live directory
+//! maintenance worker) fold all acknowledged slices into the generation
+//! chain. After `Ok(())`, recovering the live directory
 //! reproduces exactly the acknowledged state — `tests/shutdown.rs`
 //! proves no acked slice is lost.
 
@@ -277,7 +277,7 @@ impl ServerHandle {
 
     /// Graceful drain: stop accepting, finish in-flight requests, close
     /// connections at their next frame boundary, then fold every
-    /// acknowledged slice to a checkpoint (when this server owns the
+    /// acknowledged slice into the chain (when this server owns the
     /// maintenance worker).
     pub fn shutdown(mut self) -> Result<(), LiveError> {
         self.stop_transport();

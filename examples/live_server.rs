@@ -2,7 +2,7 @@
 //! on a crash-safe [`LiveService`], ingest a synthetic fleet through the
 //! wire protocol while the background worker folds/compacts off the
 //! ingest path, answer STRQ/TPQ remotely, and shut down gracefully
-//! (drain → fold → checkpoint).
+//! (drain → fold into the chain).
 //!
 //! ```bash
 //! # Self-contained demo (default): loopback server, remote client,
@@ -240,7 +240,7 @@ fn demo() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {line}");
     }
 
-    // --- Graceful shutdown: drain, fold, checkpoint. ---------------------
+    // --- Graceful shutdown: drain, fold into the chain. ------------------
     drop(conn);
     server.shutdown()?;
     println!("drained and checkpointed; bye");

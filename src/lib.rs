@@ -21,7 +21,7 @@
 //! * [`repo`] — the persistent, reopenable repository: segmented on-disk
 //!   format, block directory, shared buffer pool, disk query engine.
 //! * [`live`] — crash-safe live ingest over the repository: write-ahead
-//!   log, checkpointed bit-identical recovery, folding + auto-compaction.
+//!   log, bit-identical recovery from the chain, folding + auto-compaction.
 //! * [`server`] — the live service shell: versioned binary wire
 //!   protocol, threaded TCP transport, background maintenance worker,
 //!   and a remote query-target client.
