@@ -277,6 +277,12 @@ impl LiveRepo {
         let chain_generations = chain
             .as_ref()
             .map_or(0, |c| c.manifest.generations.len() as u32);
+        // The first fold appends to the chain just read: hand it over
+        // rather than have the appender read and verify it again.
+        let appender = match &chain {
+            Some(chain) => Appender::from_chain(dir, cfg.page_size, chain),
+            None => Appender::with_page_size(dir, cfg.page_size),
+        };
         let mut stream = match chain {
             Some(chain) => {
                 if chain.summaries.len() != cfg.shards {
@@ -317,7 +323,7 @@ impl LiveRepo {
 
         let maint = Maintainer {
             dir: dir.to_path_buf(),
-            appender: Appender::with_page_size(dir, cfg.page_size),
+            appender,
             cfg,
             failures: 0,
             last_error: None,
@@ -704,27 +710,70 @@ impl Maintainer {
     }
 }
 
-/// Superseded fraction of the committed store's bytes: every delta
-/// generation re-records the full period table in its directory segment
-/// and carries the whole pipeline state, and the stitched reader and
-/// recovery take both only from the newest one — older directories and
-/// states are pure overhead the next compaction reclaims.
+/// Superseded fraction of the committed store's bytes: every generation
+/// may carry the whole pipeline state, and recovery takes it only from
+/// the newest one — older states are pure overhead the next compaction
+/// reclaims. Nothing else is: summary deltas stack, and each directory
+/// segment and page segment covers only its own generation's timesteps.
 fn dead_fraction(manifest: &Manifest) -> f64 {
     let mut total = 0u64;
     let mut dead = 0u64;
     let n = manifest.generations.len();
     for (gi, g) in manifest.generations.iter().enumerate() {
-        let superseded = gi + 1 < n;
         total += g.state_len;
-        if superseded {
+        if gi + 1 < n {
             dead += g.state_len;
         }
         for s in &g.shards {
             total += s.summary_len + s.dir_len + s.tpi_pages * manifest.page_size as u64;
-            if superseded {
-                dead += s.dir_len;
-            }
         }
     }
     dead as f64 / total.max(1) as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppq_repo::{GenKind, GenManifest, ShardManifest};
+
+    /// Three generations of two shards on 100-byte pages: 1,000 summary,
+    /// 100 directory and 500 page bytes per shard and generation.
+    fn manifest(state_len: u64) -> Manifest {
+        let shard = ShardManifest {
+            summary_len: 1_000,
+            summary_crc: 1,
+            dir_len: 100,
+            dir_crc: 2,
+            tpi_pages: 5,
+        };
+        let generations = (1..=3)
+            .map(|g| GenManifest {
+                generation: g,
+                kind: if g == 1 {
+                    GenKind::Base
+                } else {
+                    GenKind::Delta
+                },
+                state_len,
+                state_crc: u32::from(state_len > 0),
+                shards: vec![shard.clone(), shard.clone()],
+            })
+            .collect();
+        Manifest {
+            page_size: 100,
+            generations,
+        }
+    }
+
+    /// Only the states of the two older generations are dead: no
+    /// directory byte is superseded, so a chain without state has none.
+    #[test]
+    fn dead_fraction_counts_superseded_states_only() {
+        assert_eq!(dead_fraction(&manifest(0)), 0.0);
+        let live = 3 * 2 * 1_600;
+        assert_eq!(
+            dead_fraction(&manifest(400)),
+            800.0 / (live + 3 * 400) as f64
+        );
+    }
 }

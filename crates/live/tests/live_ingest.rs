@@ -9,7 +9,8 @@ use ppq_core::summary_io;
 use ppq_core::{PpqConfig, ShardedPpqStream, Variant};
 use ppq_geo::Point;
 use ppq_live::{LiveConfig, LiveError, LiveRepo, LiveService, MaintenanceConfig, Wal, WAL_NAME};
-use ppq_repo::{DiskQueryEngine, Manifest, Repo, RepoError, RepoWriter};
+use ppq_repo::{layout, DiskQueryEngine, GenKind, Manifest, Repo, RepoError, RepoWriter};
+use ppq_storage::fault;
 use ppq_traj::synth::{porto_like, PortoConfig};
 use ppq_traj::Dataset;
 use std::path::PathBuf;
@@ -279,6 +280,47 @@ fn compaction_keeps_the_state_recovery_resumes_from() {
     for dir in [plain, compacted] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// Recovery reads and verifies the chain once and hands it to the
+/// appender: across a recovery and the fold after it, every summary,
+/// summary-delta, directory and state segment is read at most once, and
+/// every summary segment of the chain is read.
+#[test]
+fn recovery_and_the_next_fold_read_each_segment_once() {
+    let data = dataset();
+    let cfg = live_config(0);
+    let slices: Vec<_> = data.time_slices().collect();
+    let dir = folded_three_times("read-once", &cfg, &slices);
+    let before = Manifest::read(&dir).unwrap().unwrap();
+
+    fault::arm_counting();
+    let mut live = LiveRepo::recover(&dir, cfg.clone()).unwrap();
+    live.fold().unwrap();
+    let reads = fault::disarm().files_read;
+    assert_eq!(live.chain_generations(), 4, "the fold appended a delta");
+
+    let mut counts = std::collections::HashMap::new();
+    for path in &reads {
+        *counts.entry(path.clone()).or_insert(0usize) += 1;
+    }
+    assert!(
+        counts.values().all(|&n| n == 1),
+        "a segment was read twice: {counts:?}"
+    );
+    for g in &before.generations {
+        for s in 0..cfg.shards as u32 {
+            let name = match g.kind {
+                GenKind::Base => layout::summary_seg_name(g.generation, s),
+                GenKind::Delta => layout::sdelta_seg_name(g.generation, s),
+            };
+            assert!(counts.contains_key(&dir.join(&name)), "{name} never read");
+        }
+    }
+    let newest = before.generation();
+    assert!(counts.contains_key(&dir.join(layout::dir_seg_name(newest, 0))));
+    drop(live);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The state is per shard, so a state-carrying chain cannot be

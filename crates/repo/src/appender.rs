@@ -7,9 +7,11 @@
 //!
 //! [`Appender`] keeps the post-commit view in memory between calls: the
 //! committed [`Manifest`], each shard's stitched summary, and each
-//! shard's stored period table. A warm append skips the chain re-read
-//! entirely and goes straight to `delta_to_bytes` against the cached
-//! base. The cache is *verified, not trusted*: before every append the
+//! shard's newest directory fragment — its horizon and the geometry of
+//! the period a later snapshot may extend. Recovery, which reads the
+//! same view, hands it over ([`Appender::from_chain`]). A warm append
+//! skips the chain re-read entirely and goes straight to
+//! `delta_to_bytes` against the cached base. The cache is *verified, not trusted*: before every append the
 //! committed manifest (a tiny file) is re-read and compared to the
 //! cached one — if another writer has advanced the chain, the cache is
 //! rebuilt from disk, so a warm append writes byte-identical segments to
@@ -22,20 +24,20 @@
 //! under the same manifest rename; [`Appender::append_sharded`] is that
 //! path with no state.
 
-use crate::dir::{decode_dir_segment, DiskPeriod};
-use crate::layout::{dir_seg_name, read_verified, sdelta_seg_name, GenKind, Manifest, RepoError};
-use crate::repo::load_shard_summary;
-use crate::writer::{check_period_extension, tpi_blocks, tpi_periods, RepoWriter};
+use crate::dir::{DirEncoder, OpenPeriod};
+use crate::layout::{sdelta_seg_name, GenKind, Manifest, RepoError};
+use crate::repo::{load_shard_summary, read_open_period, ChainState};
+use crate::writer::{check_period_extension, open_period, tpi_blocks, tpi_periods, RepoWriter};
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardedSummary};
 use std::path::Path;
 
 /// One shard's slice of the committed view: the stitched summary the next
-/// delta is diffed against, and the period table the next delta's block
-/// horizon is taken from.
+/// delta is diffed against, and the newest fragment's period, whose end
+/// is the next delta's block horizon.
 struct ShardState {
     base: PpqSummary,
-    periods: Vec<DiskPeriod>,
+    open: Option<OpenPeriod>,
 }
 
 /// The committed view the last append left behind (or the last warm-up
@@ -63,6 +65,25 @@ impl Appender {
         Appender {
             writer: RepoWriter::with_page_size(dir, page_size),
             cache: None,
+        }
+    }
+
+    /// Append handle warmed from a chain recovery already read: its
+    /// manifest, summaries and newest fragments are the cache, so the
+    /// first append reads no segment again.
+    pub fn from_chain(dir: &Path, page_size: usize, chain: &ChainState) -> Appender {
+        let shards = chain.summaries.iter().zip(&chain.open_periods);
+        Appender {
+            writer: RepoWriter::with_page_size(dir, page_size),
+            cache: Some(AppendCache {
+                manifest: chain.manifest.clone(),
+                shards: shards
+                    .map(|(base, open)| ShardState {
+                        base: base.clone(),
+                        open: open.clone(),
+                    })
+                    .collect(),
+            }),
         }
     }
 
@@ -139,26 +160,24 @@ impl Appender {
 
         let generation = prev.generation() + 1;
         let mut shard_manifests = Vec::with_capacity(fulls.len());
-        let mut new_periods = Vec::with_capacity(fulls.len());
         for (i, full) in fulls.iter().enumerate() {
             let tpi = full.tpi().ok_or(RepoError::MissingIndex)?;
             let state = &cache.shards[i];
             let delta_bytes = summary_io::delta_to_bytes(&state.base, full)?;
-            check_period_extension(&state.periods, tpi)?;
-            let t_hi = state.periods.last().map(|p| p.t_end);
-            let periods = tpi_periods(tpi);
+            check_period_extension(state.open.as_ref(), tpi)?;
+            let t_hi = state.open.as_ref().map(|o| o.period.t_end);
+            let (first, periods) = tpi_periods(tpi, t_hi);
             shard_manifests.push(self.writer.write_segments(
                 generation,
                 i as u32,
                 &sdelta_seg_name(generation, i as u32),
                 &delta_bytes,
-                &periods,
+                DirEncoder::new(first, &periods, t_hi),
                 &mut |sink| {
                     tpi_blocks(tpi, t_hi, sink);
                     Ok(())
                 },
             )?);
-            new_periods.push(periods);
         }
         let mut manifest = prev.clone();
         manifest.generations.push(self.writer.seal_generation(
@@ -170,35 +189,28 @@ impl Appender {
         self.writer.commit(&manifest, Some(&prev))?;
 
         // The committed chain now stitches to exactly `fulls` (that is
-        // what `delta_to_bytes` proved and the commit persisted), and the
-        // newest dir segments hold exactly `new_periods`.
+        // what `delta_to_bytes` proved and the commit persisted), and its
+        // newest fragment records each index's last period.
         let cache = self.cache.as_mut().expect("cache warmed above");
         cache.manifest = manifest.clone();
-        for (state, (full, periods)) in cache.shards.iter_mut().zip(fulls.iter().zip(new_periods)) {
+        for (state, full) in cache.shards.iter_mut().zip(fulls) {
             state.base = full.clone();
-            state.periods = periods;
+            state.open = full.tpi().and_then(open_period);
         }
         Ok(manifest)
     }
 
-    /// Load the committed view: each shard's stitched summary and the
-    /// newest generation's period table.
+    /// Load the committed view: each shard's stitched summary and newest
+    /// fragment.
     fn warm(dir: &Path, manifest: &Manifest) -> Result<AppendCache, RepoError> {
-        let newest = manifest.newest();
-        let mut shards = Vec::with_capacity(manifest.num_shards());
-        for i in 0..manifest.num_shards() {
-            let base = load_shard_summary(dir, manifest, i)?;
-            let sm = &newest.shards[i];
-            let dir_bytes = read_verified(
-                &dir.join(dir_seg_name(newest.generation, i as u32)),
-                newest.generation,
-                i as u32,
-                sm.dir_len,
-                sm.dir_crc,
-            )?;
-            let (periods, _) = decode_dir_segment(&dir_bytes)?;
-            shards.push(ShardState { base, periods });
-        }
+        let shards = (0..manifest.num_shards())
+            .map(|i| {
+                Ok(ShardState {
+                    base: load_shard_summary(dir, manifest, i)?,
+                    open: read_open_period(dir, manifest, i)?,
+                })
+            })
+            .collect::<Result<_, RepoError>>()?;
         Ok(AppendCache {
             manifest: manifest.clone(),
             shards,

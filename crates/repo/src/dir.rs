@@ -1,30 +1,46 @@
-//! The per-shard *directory segment*: period/region structure plus the
-//! sorted block directory.
+//! The per-shard *directory segment*, and the resident [`Directory`] a
+//! chain of them opens into.
 //!
-//! The in-memory TPI keeps ID payloads inside each region; on disk the
-//! payloads live in the page segment and this segment holds everything a
-//! query needs to find them *without touching data pages*:
+//! A generation's page segment holds its TPI blocks' IDs back to back in
+//! `(period, region, t, cell)` order. Its directory segment holds what a
+//! query needs to find them without touching data pages: one *fragment*
+//! per period that overlaps the generation's timestep window, made of
 //!
-//! * the period table (`[t_start, t_end]` per period) and, per period,
-//!   every region's rectangle and grid — enough to run the exact same
-//!   region/cell selection as the in-memory `Pi` query path;
-//! * the block directory: one entry per `(period, region, t, cell)`
-//!   block, sorted by that key, mapping to `(page, offset, n_ids)` in the
-//!   page segment — one directed page-in per block, replacing
-//!   `DiskTpi`'s scan-until-found over the period's page run.
+//! * the period's extent and region table (rectangle and grid per
+//!   region) as they stood at that generation — enough to run the same
+//!   region/cell selection as the in-memory `Pi`;
+//! * the window's block keys as a [`SealedPostings`] without its ID
+//!   column, keyed like a sealed in-memory period from the fragment's
+//!   first timestep `t_lo`. That key order is the page stream's order, so
+//!   list `i` is a block whose IDs start `(id_base + list_range(i).start)
+//!   · 4` bytes into the stream, `id_base` counting the IDs of the
+//!   segment's earlier fragments.
 //!
-//! The directory is stored struct-of-arrays: the sorted cell keys of one
-//! `(period, region, t)` group form a contiguous `&[u32]` slice, which is
-//! exactly the posting-dictionary shape `sindex::posting::
-//! walk_cells_in_range` consumes — the disk query path reuses the
-//! in-memory walk verbatim, guaranteeing identical candidate sets.
+//! Generations partition time: a delta's fragments start just past the
+//! horizon of the chain before it, so no directory byte is ever
+//! superseded. [`Directory::stitch`] turns a chain's fragments into one
+//! [`Directory`], checking each generation once against its page segment;
+//! the disk query path walks a fragment's keys with the same sealed slice
+//! walk as the in-memory index, which is what keeps the answers
+//! identical.
 
 use crate::layout::RepoError;
-use ppq_geo::{BBox, GridSpec, Point};
+use ppq_geo::{BBox, GridSpec};
+use ppq_sindex::posting::KeyCursor;
+use ppq_sindex::sealed::Window;
+use ppq_sindex::SealedDict;
 use ppq_storage::codec::{Decoder, Encoder};
+use ppq_tpi::{SealedPostings, SealedSlice};
 
 const DIR_MAGIC: u32 = 0x5050_5144; // "PPQD"
-const DIR_VERSION: u32 = 1;
+const DIR_VERSION: u32 = 2;
+
+/// Encoded size of one region: rectangle, grid origin, cell side, shape.
+const REGION_BYTES: usize = 16 * 3 + 8 + 4 + 4;
+
+/// Encoded size of the smallest fragment: its header and an empty key
+/// section.
+const MIN_FRAGMENT_BYTES: usize = 4 * 5 + 16;
 
 /// A region's query-relevant geometry (the in-memory `Region` minus its
 /// payload).
@@ -42,14 +58,47 @@ pub struct DiskPeriod {
     pub regions: Vec<DiskRegion>,
 }
 
+impl DiskPeriod {
+    /// Whether this period is `earlier` grown in place: the same start, an
+    /// end not before its end, and its regions, bit for bit, as a prefix.
+    pub fn extends(&self, earlier: &DiskPeriod) -> bool {
+        let bits = |r: &DiskRegion| {
+            let (min, max, origin) = (r.bbox.min, r.bbox.max, r.grid.origin());
+            let at = [
+                min.x,
+                min.y,
+                max.x,
+                max.y,
+                origin.x,
+                origin.y,
+                r.grid.cell_size(),
+            ];
+            (at.map(f64::to_bits), r.grid.cols(), r.grid.rows())
+        };
+        self.t_start == earlier.t_start
+            && self.t_end >= earlier.t_end
+            && earlier.regions.len() <= self.regions.len()
+            && earlier
+                .regions
+                .iter()
+                .zip(&self.regions)
+                .all(|(a, b)| bits(a) == bits(b))
+    }
+}
+
+/// The period of a chain's newest fragment, with its index: the one
+/// period a later snapshot of the stream may still extend.
+#[derive(Clone, Debug)]
+pub struct OpenPeriod {
+    pub index: u32,
+    pub period: DiskPeriod,
+}
+
 /// Where one block's IDs live on disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Which attached page segment holds the block — the index of the
-    /// owning *generation* in the shard's open-segment list. Not
-    /// serialized: a directory segment's entries implicitly address their
-    /// own generation's page segment; the overlay merge at open stamps
-    /// this field.
+    /// owning *generation* in the shard's open-segment list.
     pub seg: u32,
     /// Page holding the block's first byte.
     pub page: u64,
@@ -59,20 +108,8 @@ pub struct BlockMeta {
     pub n_ids: u32,
 }
 
-/// One directory entry, as produced by the writer (sorted by
-/// `(period, region, t, cell)` before serialization).
-#[derive(Clone, Copy, Debug)]
-pub struct DirEntry {
-    pub period: u32,
-    pub region: u32,
-    pub t: u32,
-    pub cell: u32,
-    pub meta: BlockMeta,
-}
-
 /// Inclusive occupied cell-coordinate bounds of one `(period, region, t)`
-/// group — the same pruning rectangle the in-memory `SlicePostings`
-/// tracks, recomputed from the group's cells at open.
+/// group, as [`Directory::group`] computes them.
 #[derive(Clone, Copy, Debug)]
 pub struct GroupBounds {
     pub min_cx: u32,
@@ -81,461 +118,452 @@ pub struct GroupBounds {
     pub max_cy: u32,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct GroupKey {
-    period: u32,
-    region: u32,
-    t: u32,
-}
-
-/// The sorted block directory of one shard, struct-of-arrays.
+/// One group's block addresses, indexed by the list indices its key
+/// window reports.
 #[derive(Clone, Debug, Default)]
-pub struct BlockDirectory {
-    /// Flat cell index per entry; within a group, ascending.
-    cells: Vec<u32>,
-    /// Parallel to `cells`.
+pub struct GroupMetas {
+    first: usize,
     metas: Vec<BlockMeta>,
-    /// One row per `(period, region, t)` group: key, entry range, bounds.
-    groups: Vec<(GroupKey, u32, u32, GroupBounds)>,
 }
 
-impl BlockDirectory {
-    /// The sorted cells, metas, and occupied bounds of one group, if any
-    /// block exists for `(period, region, t)`.
-    pub fn group(
-        &self,
-        period: u32,
-        region: u32,
-        t: u32,
-    ) -> Option<(&[u32], &[BlockMeta], GroupBounds)> {
-        let key = GroupKey { period, region, t };
-        let idx = self.groups.binary_search_by_key(&key, |g| g.0).ok()?;
-        let (_, start, end, bounds) = self.groups[idx];
-        Some((
-            &self.cells[start as usize..end as usize],
-            &self.metas[start as usize..end as usize],
-            bounds,
-        ))
-    }
+impl std::ops::Index<usize> for GroupMetas {
+    type Output = BlockMeta;
 
-    /// Binary-search one cell's block within a group — the single-cell
-    /// STRQ probe.
-    pub fn block(&self, period: u32, region: u32, t: u32, cell: u32) -> Option<BlockMeta> {
-        let (cells, metas, _) = self.group(period, region, t)?;
-        let i = cells.binary_search(&cell).ok()?;
-        Some(metas[i])
-    }
-
-    pub fn num_blocks(&self) -> usize {
-        self.cells.len()
-    }
-
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Every entry in directory order: `(period, region, t, cell, meta)`,
-    /// sorted by that key — the stream a compaction rewrite consumes.
-    pub fn entries(&self) -> impl Iterator<Item = (u32, u32, u32, u32, BlockMeta)> + '_ {
-        self.groups.iter().flat_map(move |&(key, start, end, _)| {
-            (start as usize..end as usize)
-                .map(move |i| (key.period, key.region, key.t, self.cells[i], self.metas[i]))
-        })
-    }
-
-    /// In-memory footprint of the directory (the "lightweight index" the
-    /// disk experiments keep resident, reported next to page I/Os).
-    pub fn size_bytes(&self) -> usize {
-        self.cells.len() * (4 + std::mem::size_of::<BlockMeta>())
-            + self.groups.len() * std::mem::size_of::<(GroupKey, u32, u32, GroupBounds)>()
-    }
-
-    /// Check every block address against the page segment's geometry:
-    /// offsets must fall inside a page's payload area and a block's byte
-    /// span must end before the segment does. `decode_dir_segment` cannot
-    /// do this (it never sees the page size), so the repository runs it
-    /// at open — a version-skewed or buggy writer surfaces as a typed
-    /// corruption error instead of an arithmetic panic on first read.
-    pub fn validate_geometry(&self, payload_capacity: usize, num_pages: u64) -> Result<(), String> {
-        for (cell, meta) in self.cells.iter().zip(&self.metas) {
-            if meta.offset as usize >= payload_capacity {
-                return Err(format!(
-                    "block for cell {cell}: offset {} >= page payload capacity {payload_capacity}",
-                    meta.offset
-                ));
-            }
-            if meta.n_ids == 0 {
-                return Err(format!("block for cell {cell}: empty id list"));
-            }
-            let last_byte = meta.offset as u64 + meta.n_ids as u64 * 4 - 1;
-            let last_page = meta
-                .page
-                .saturating_add(last_byte / payload_capacity as u64);
-            if meta.page >= num_pages || last_page >= num_pages {
-                return Err(format!(
-                    "block for cell {cell}: pages {}..={last_page} exceed segment ({num_pages} pages)",
-                    meta.page
-                ));
-            }
-        }
-        Ok(())
+    fn index(&self, i: usize) -> &BlockMeta {
+        &self.metas[i - self.first]
     }
 }
 
-/// Serialize a shard's structure + directory entries (already sorted by
-/// `(period, region, t, cell)`).
-pub fn encode_dir_segment(periods: &[DiskPeriod], entries: &[DirEntry]) -> Vec<u8> {
-    let mut e = Encoder::with_capacity(64 + periods.len() * 64 + entries.len() * 32);
-    e.put_u32(DIR_MAGIC);
-    e.put_u32(DIR_VERSION);
-    e.put_u32(periods.len() as u32);
-    for p in periods {
-        e.put_u32(p.t_start);
-        e.put_u32(p.t_end);
-        e.put_u32(p.regions.len() as u32);
-        for r in &p.regions {
-            e.put_point(&r.bbox.min);
-            e.put_point(&r.bbox.max);
-            e.put_point(&r.grid.origin());
-            e.put_f64(r.grid.cell_size());
-            e.put_u32(r.grid.cols());
-            e.put_u32(r.grid.rows());
+/// Builds one generation's directory segment from its blocks, fed in the
+/// order the page stream holds them.
+pub struct DirEncoder<'a> {
+    /// The periods the generation records: the shard's table from index
+    /// `first` on.
+    periods: &'a [DiskPeriod],
+    first: usize,
+    fragments: Vec<PendingFragment>,
+    n_ids: u64,
+}
+
+struct PendingFragment {
+    t_lo: u32,
+    span: u32,
+    base: Box<[u64]>,
+    lists: Vec<(u64, u32)>,
+}
+
+impl<'a> DirEncoder<'a> {
+    /// The directory of a generation whose blocks all lie past `t_hi`
+    /// (none for a base): one fragment for each of `periods`, the shard's
+    /// period table from index `first` on, every one of which ends past
+    /// `t_hi`.
+    pub fn new(first: usize, periods: &'a [DiskPeriod], t_hi: Option<u32>) -> DirEncoder<'a> {
+        let fragments = periods
+            .iter()
+            .map(|p| {
+                let t_lo = t_hi.map_or(p.t_start, |h| p.t_start.max(h + 1));
+                assert!(t_lo <= p.t_end, "period ends inside the committed horizon");
+                let span = p.t_end - t_lo + 1;
+                let cells = p.regions.iter().map(|r| r.grid.len() as u64);
+                PendingFragment {
+                    t_lo,
+                    span,
+                    base: SealedPostings::key_bases(cells, span)
+                        .expect("period key space exceeds u64"),
+                    lists: Vec::new(),
+                }
+            })
+            .collect();
+        DirEncoder {
+            periods,
+            first,
+            fragments,
+            n_ids: 0,
         }
     }
-    e.put_u64(entries.len() as u64);
-    for en in entries {
-        e.put_u32(en.period);
-        e.put_u32(en.region);
-        e.put_u32(en.t);
-        e.put_u32(en.cell);
-        e.put_u64(en.meta.page);
-        e.put_u32(en.meta.offset);
-        e.put_u32(en.meta.n_ids);
+
+    /// Record the next block of the page stream.
+    pub fn push(&mut self, period: u32, region: u32, t: u32, cell: u32, n_ids: u32) {
+        let at = period as usize - self.first;
+        let f = &mut self.fragments[at];
+        let cells = self.periods[at].regions[region as usize].grid.len() as u64;
+        let dt = t.checked_sub(f.t_lo).filter(|&dt| dt < f.span);
+        let dt = dt.expect("block outside its generation's window");
+        f.lists.push((
+            f.base[region as usize] + u64::from(dt) * cells + u64::from(cell),
+            n_ids,
+        ));
+        self.n_ids += u64::from(n_ids);
     }
-    e.finish().to_vec()
+
+    /// The segment's bytes.
+    pub fn finish(self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u32(DIR_MAGIC);
+        e.put_u32(DIR_VERSION);
+        e.put_u32(self.fragments.len() as u32);
+        e.put_u64(self.n_ids);
+        let mut keys = Vec::new();
+        for (i, (f, p)) in self.fragments.iter().zip(self.periods).enumerate() {
+            e.put_u32((self.first + i) as u32);
+            e.put_u32(p.t_start);
+            e.put_u32(p.t_end);
+            e.put_u32(f.t_lo);
+            e.put_u32(p.regions.len() as u32);
+            for r in &p.regions {
+                e.put_point(&r.bbox.min);
+                e.put_point(&r.bbox.max);
+                e.put_point(&r.grid.origin());
+                e.put_f64(r.grid.cell_size());
+                e.put_u32(r.grid.cols());
+                e.put_u32(r.grid.rows());
+            }
+            keys.clear();
+            SealedDict::from_lists(&f.lists).write_keys(&mut keys);
+            e.put_bytes_raw(&keys);
+        }
+        e.finish().to_vec()
+    }
 }
 
-/// Checked decode of a directory segment (the bytes were already CRC- and
-/// length-verified against the manifest; the structural checks here guard
-/// against a buggy or version-skewed writer, not bit rot).
-pub fn decode_dir_segment(bytes: &[u8]) -> Result<(Vec<DiskPeriod>, BlockDirectory), RepoError> {
+/// One fragment of a directory segment, as decoded.
+pub struct SegmentFragment {
+    /// Index of the fragment's period in the shard's table.
+    pub period: u32,
+    /// The period's extent and regions at the fragment's generation.
+    pub extent: DiskPeriod,
+    /// First timestep keyed.
+    pub t_lo: u32,
+    pub keys: SealedPostings,
+}
+
+/// A decoded directory segment: its fragments in page-stream order and
+/// the number of IDs their lists hold.
+pub struct DirSegment {
+    pub fragments: Vec<SegmentFragment>,
+    pub n_ids: u64,
+}
+
+/// Checked decode of a directory segment. The bytes were already CRC-
+/// and length-verified against the manifest; the structural checks here
+/// guard against a buggy or version-skewed writer, so every malformed
+/// input is a typed [`RepoError::Corrupt`], never a panic.
+pub fn decode_dir_segment(bytes: &[u8]) -> Result<DirSegment, RepoError> {
+    decode(bytes, false)
+}
+
+/// The last fragment of a directory segment — the newest period it
+/// records — with every check [`decode_dir_segment`] makes of it; the
+/// fragments before it are stepped over, not decoded. `None` when the
+/// segment has no fragment.
+pub fn decode_last_fragment(bytes: &[u8]) -> Result<Option<SegmentFragment>, RepoError> {
+    Ok(decode(bytes, true)?.fragments.pop())
+}
+
+fn decode(bytes: &[u8], last_only: bool) -> Result<DirSegment, RepoError> {
     let corrupt = |what: &str| RepoError::Corrupt(format!("dir segment: {what}"));
     let mut d = Decoder::from_slice(bytes);
     if d.try_u32() != Some(DIR_MAGIC) {
         return Err(corrupt("bad magic"));
     }
-    if d.try_u32() != Some(DIR_VERSION) {
-        return Err(corrupt("unsupported version"));
+    match d.try_u32() {
+        Some(DIR_VERSION) => {}
+        Some(v) => return Err(corrupt(&format!("unsupported version {v}"))),
+        None => return Err(corrupt("truncated")),
     }
-    let n_periods = d.try_u32().ok_or_else(|| corrupt("truncated"))? as usize;
-    if n_periods.saturating_mul(12) > d.remaining() {
-        return Err(corrupt("period count"));
+    let n_fragments = d.try_u32().ok_or_else(|| corrupt("truncated"))? as usize;
+    let n_ids = d.try_u64().ok_or_else(|| corrupt("truncated"))?;
+    if n_fragments.saturating_mul(MIN_FRAGMENT_BYTES) > d.remaining() {
+        return Err(corrupt("fragment count"));
     }
-    let mut periods = Vec::with_capacity(n_periods);
-    for _ in 0..n_periods {
-        let t_start = d.try_u32().ok_or_else(|| corrupt("period"))?;
-        let t_end = d.try_u32().ok_or_else(|| corrupt("period"))?;
-        if t_start > t_end {
-            return Err(corrupt("inverted period"));
+    let mut fragments: Vec<SegmentFragment> = Vec::with_capacity(n_fragments);
+    let mut listed = 0u64;
+    for k in 0..n_fragments {
+        let mut field = || d.try_u32().ok_or_else(|| corrupt("truncated fragment"));
+        let (period, t_start, t_end, t_lo) = (field()?, field()?, field()?, field()?);
+        let n_regions = field()? as usize;
+        if last_only && k + 1 < n_fragments {
+            let regions = d.try_skip(n_regions.saturating_mul(REGION_BYTES));
+            let keys = regions.and_then(|()| SealedDict::key_section_len(d.remaining_slice()).ok());
+            keys.and_then(|n| d.try_skip(n))
+                .ok_or_else(|| corrupt("truncated fragment"))?;
+            continue;
         }
-        if let Some(prev) = periods.last().map(|p: &DiskPeriod| p.t_end) {
-            if t_start <= prev {
-                return Err(corrupt("periods out of order"));
+        if let Some(prev) = fragments.last() {
+            if prev.period.checked_add(1) != Some(period) {
+                return Err(corrupt("fragments not in consecutive period order"));
+            }
+            if t_start <= prev.extent.t_end {
+                return Err(corrupt("periods overlap"));
             }
         }
-        let n_regions = d.try_u32().ok_or_else(|| corrupt("period"))? as usize;
-        if n_regions.saturating_mul(56) > d.remaining() {
+        if !(t_start <= t_lo && t_lo <= t_end) {
+            return Err(corrupt("fragment window outside its period"));
+        }
+        if n_regions.saturating_mul(REGION_BYTES) > d.remaining() {
             return Err(corrupt("region count"));
         }
         let mut regions = Vec::with_capacity(n_regions);
         for _ in 0..n_regions {
-            let min = d.try_point().ok_or_else(|| corrupt("region"))?;
-            let max = d.try_point().ok_or_else(|| corrupt("region"))?;
-            let origin = d.try_point().ok_or_else(|| corrupt("region"))?;
-            let cell = d.try_f64().ok_or_else(|| corrupt("region"))?;
-            let cols = d.try_u32().ok_or_else(|| corrupt("region"))?;
-            let rows = d.try_u32().ok_or_else(|| corrupt("region"))?;
+            let region = (|| {
+                let (min, max, origin) = (d.try_point()?, d.try_point()?, d.try_point()?);
+                Some((min, max, origin, d.try_f64()?, d.try_u32()?, d.try_u32()?))
+            })();
+            let (min, max, origin, cell, cols, rows) = region.ok_or_else(|| corrupt("region"))?;
             if !(cell.is_finite() && cell > 0.0) || cols == 0 || rows == 0 {
                 return Err(corrupt("degenerate region grid"));
+            }
+            if u64::from(cols) * u64::from(rows) > u64::from(u32::MAX) {
+                return Err(corrupt("region grid exceeds the u32 cell domain"));
             }
             regions.push(DiskRegion {
                 bbox: BBox::new(min, max),
                 grid: GridSpec::with_shape(origin, cell, cols, rows),
             });
         }
-        periods.push(DiskPeriod {
-            t_start,
-            t_end,
-            regions,
+        let (dict, used) = SealedDict::read_keys(d.remaining_slice()).map_err(corrupt)?;
+        d.try_skip(used).expect("read_keys stays inside the slice");
+        let span = t_end - t_lo + 1;
+        let base = SealedPostings::key_bases(regions.iter().map(|r| r.grid.len() as u64), span)
+            .ok_or_else(|| corrupt("key space exceeds u64"))?;
+        if dict.last_key().is_some_and(|k| k >= base[base.len() - 1]) {
+            return Err(corrupt("key outside the fragment's key space"));
+        }
+        listed += dict.num_ids() as u64;
+        fragments.push(SegmentFragment {
+            period,
+            extent: DiskPeriod {
+                t_start,
+                t_end,
+                regions,
+            },
+            t_lo,
+            keys: SealedPostings::new(base, t_lo, span, dict),
         });
     }
-    let n_entries = d.try_u64().ok_or_else(|| corrupt("truncated"))? as usize;
-    if n_entries.saturating_mul(32) != d.remaining() {
-        return Err(corrupt("entry table length"));
+    if d.remaining() != 0 {
+        return Err(corrupt("trailing bytes"));
     }
-    let mut builder = DirBuilder::new(n_entries);
-    for _ in 0..n_entries {
-        let key = GroupKey {
-            period: d.try_u32().ok_or_else(|| corrupt("entry"))?,
-            region: d.try_u32().ok_or_else(|| corrupt("entry"))?,
-            t: d.try_u32().ok_or_else(|| corrupt("entry"))?,
-        };
-        let cell = d.try_u32().ok_or_else(|| corrupt("entry"))?;
-        let meta = BlockMeta {
-            seg: 0,
-            page: d.try_u64().ok_or_else(|| corrupt("entry"))?,
-            offset: d.try_u32().ok_or_else(|| corrupt("entry"))?,
-            n_ids: d.try_u32().ok_or_else(|| corrupt("entry"))?,
-        };
-        builder.push(&periods, key, cell, meta)?;
+    if !last_only && listed != n_ids {
+        return Err(corrupt(&format!(
+            "fragments list {listed} ids, the header {n_ids}"
+        )));
     }
-    let dir = builder.finish();
-    Ok((periods, dir))
+    Ok(DirSegment { fragments, n_ids })
 }
 
-/// Incremental constructor of a [`BlockDirectory`] from entries in
-/// strictly ascending `(period, region, t, cell)` order, validating every
-/// entry against a period/region table. Shared by the segment decoder and
-/// the cross-generation overlay merge, so both enforce the same
-/// invariants.
-struct DirBuilder {
-    dir: BlockDirectory,
-    prev: Option<(GroupKey, u32)>,
+/// One generation's keys for part of one period, with the page geometry
+/// its blocks are addressed in.
+#[derive(Clone, Debug)]
+pub struct Fragment {
+    /// First timestep keyed.
+    t_lo: u32,
+    /// The generation's index in the chain, which is its page segment's.
+    seg: u32,
+    /// IDs before the fragment's first in its generation's page stream.
+    id_base: u64,
+    payload_capacity: u64,
+    keys: SealedPostings,
 }
 
-impl DirBuilder {
-    fn new(capacity: usize) -> DirBuilder {
-        DirBuilder {
-            dir: BlockDirectory {
-                cells: Vec::with_capacity(capacity),
-                metas: Vec::with_capacity(capacity),
-                groups: Vec::new(),
-            },
-            prev: None,
-        }
+impl Fragment {
+    /// Region `ri`'s slice at `t`, `grid` being the region's grid; `None`
+    /// when the fragment keys no such region or timestep.
+    #[inline]
+    pub fn slice(&self, ri: usize, t: u32, grid: &GridSpec) -> Option<SealedSlice<'_>> {
+        self.keys.slice(ri, t, grid.len() as u64)
     }
 
-    fn push(
-        &mut self,
-        periods: &[DiskPeriod],
-        key: GroupKey,
-        cell: u32,
-        meta: BlockMeta,
-    ) -> Result<(), RepoError> {
-        let corrupt = |what: &str| RepoError::Corrupt(format!("dir segment: {what}"));
-        if (key.period as usize) >= periods.len()
-            || (key.region as usize) >= periods[key.period as usize].regions.len()
-        {
-            return Err(corrupt("entry references unknown period/region"));
+    /// Where list `i`'s block lives: its IDs' byte span in the page
+    /// stream, split into page and in-page offset.
+    #[inline]
+    pub fn meta(&self, i: usize) -> BlockMeta {
+        let ids = self.keys.dict().list_range(i);
+        let byte = (self.id_base + ids.start as u64) * 4;
+        BlockMeta {
+            seg: self.seg,
+            page: byte / self.payload_capacity,
+            offset: (byte % self.payload_capacity) as u32,
+            n_ids: ids.len() as u32,
         }
-        if let Some((pk, pc)) = self.prev {
-            if (pk, pc) >= (key, cell) {
-                return Err(corrupt("entries not sorted"));
+    }
+}
+
+/// The resident directory of one shard: the stitched period table and,
+/// per period, the fragments every generation wrote of it, oldest first.
+#[derive(Clone, Debug, Default)]
+pub struct Directory {
+    periods: Vec<DiskPeriod>,
+    fragments: Vec<Vec<Fragment>>,
+}
+
+impl Directory {
+    /// Stitch a chain's directory segments, oldest first, each with its
+    /// page segment's page count, on pages of `payload_capacity` payload
+    /// bytes. The generations must partition time: in chain order a
+    /// fragment starts just past the horizon so far and either extends
+    /// the last period (same start, its committed regions a bit-identical
+    /// prefix) or adds the next one; and each generation's lists must
+    /// fill its page segment exactly. A violation is reported with the
+    /// index of the generation that failed.
+    pub fn stitch(
+        payload_capacity: usize,
+        generations: impl IntoIterator<Item = (DirSegment, u64)>,
+    ) -> Result<Directory, (usize, String)> {
+        let capacity = payload_capacity as u64;
+        let mut dir = Directory::default();
+        let mut horizon: Option<u32> = None;
+        for (seg, (segment, num_pages)) in generations.into_iter().enumerate() {
+            let fail = |what: String| Err((seg, what));
+            let bytes = segment.n_ids * 4;
+            if bytes.div_ceil(capacity) != num_pages {
+                return fail(format!(
+                    "directory lists {} ids ({bytes} B), the page segment has {num_pages} pages",
+                    segment.n_ids
+                ));
+            }
+            let mut id_base = 0u64;
+            for f in segment.fragments {
+                let p = f.period as usize;
+                let lo = match horizon {
+                    None => Some(f.extent.t_start),
+                    Some(h) => h.checked_add(1).map(|next| next.max(f.extent.t_start)),
+                };
+                if lo != Some(f.t_lo) {
+                    return fail(format!(
+                        "period {p}: fragment starts at t {}, after horizon {horizon:?}",
+                        f.t_lo
+                    ));
+                }
+                if p == dir.periods.len() && horizon.is_none_or(|h| f.extent.t_start > h) {
+                    dir.fragments.push(Vec::new());
+                } else if p + 1 == dir.periods.len() {
+                    if !f.extent.extends(&dir.periods[p]) {
+                        return fail(format!("period {p}: fragment does not extend the period"));
+                    }
+                    dir.periods.pop();
+                } else {
+                    return fail(format!("period {p}: fragment out of sequence"));
+                }
+                horizon = Some(f.extent.t_end);
+                dir.periods.push(f.extent);
+                let n_ids = f.keys.dict().num_ids() as u64;
+                dir.fragments[p].push(Fragment {
+                    t_lo: f.t_lo,
+                    seg: seg as u32,
+                    id_base,
+                    payload_capacity: capacity,
+                    keys: f.keys,
+                });
+                id_base += n_ids;
             }
         }
-        // Open a new group row on every key change; extend the current
-        // row's bounds with this entry's cell otherwise.
-        let grid = &periods[key.period as usize].regions[key.region as usize].grid;
-        if (cell as usize) >= grid.len() {
-            return Err(corrupt("entry cell outside region grid"));
-        }
-        let (cx, cy) = grid.unflat(cell as usize);
-        let i = self.dir.cells.len() as u32;
-        match self.dir.groups.last_mut() {
-            Some((k, _, end, bounds)) if *k == key => {
-                *end = i + 1;
-                bounds.min_cx = bounds.min_cx.min(cx);
-                bounds.min_cy = bounds.min_cy.min(cy);
-                bounds.max_cx = bounds.max_cx.max(cx);
-                bounds.max_cy = bounds.max_cy.max(cy);
+        Ok(dir)
+    }
+
+    #[inline]
+    pub fn periods(&self) -> &[DiskPeriod] {
+        &self.periods
+    }
+
+    /// The period covering `t`, with its index (binary search; mirrors
+    /// `Tpi::period_of`).
+    pub fn period_of(&self, t: u32) -> Option<(usize, &DiskPeriod)> {
+        let idx = self.periods.partition_point(|p| p.t_end < t);
+        self.periods
+            .get(idx)
+            .filter(|p| p.t_start <= t && t <= p.t_end)
+            .map(|p| (idx, p))
+    }
+
+    /// The fragment of period `period` that keys timestep `t`.
+    #[inline]
+    pub fn fragment(&self, period: usize, t: u32) -> Option<&Fragment> {
+        let fragments = self.fragments.get(period)?;
+        let at = fragments.partition_point(|f| f.t_lo <= t).checked_sub(1)?;
+        Some(&fragments[at])
+    }
+
+    /// One `(period, region, t)` group: its key window (for
+    /// `sindex::posting::walk_cells_in_range`), an owned table of its
+    /// block addresses indexed by the window's list indices, and its
+    /// occupied cell bounds; `None` when the group holds no block. Both
+    /// the table and the bounds are computed per call: the query path
+    /// walks [`Fragment::slice`] and addresses only the blocks it visits.
+    pub fn group(
+        &self,
+        period: u32,
+        region: u32,
+        t: u32,
+    ) -> Option<(Window<'_>, GroupMetas, GroupBounds)> {
+        let grid = &self
+            .periods
+            .get(period as usize)?
+            .regions
+            .get(region as usize)?
+            .grid;
+        let fragment = self.fragment(period as usize, t)?;
+        let slice = fragment.slice(region as usize, t, grid)?;
+        let mut metas = GroupMetas::default();
+        let mut bounds: Option<GroupBounds> = None;
+        let mut keys = slice.keys();
+        while let Some((i, cell)) = keys.next() {
+            if metas.metas.is_empty() {
+                metas.first = i;
             }
-            _ => self.dir.groups.push((
-                key,
-                i,
-                i + 1,
-                GroupBounds {
-                    min_cx: cx,
-                    min_cy: cy,
-                    max_cx: cx,
-                    max_cy: cy,
-                },
-            )),
+            metas.metas.push(fragment.meta(i));
+            let (cx, cy) = grid.unflat(cell as usize);
+            let b = bounds.get_or_insert(GroupBounds {
+                min_cx: cx,
+                min_cy: cy,
+                max_cx: cx,
+                max_cy: cy,
+            });
+            b.min_cx = b.min_cx.min(cx);
+            b.min_cy = b.min_cy.min(cy);
+            b.max_cx = b.max_cx.max(cx);
+            b.max_cy = b.max_cy.max(cy);
         }
-        self.dir.cells.push(cell);
-        self.dir.metas.push(meta);
-        self.prev = Some((key, cell));
+        Some((slice.keys(), metas, bounds?))
+    }
+
+    /// Visit every block in `(period, region, t, cell)` order — the
+    /// order a compaction writes them in — stopping at the first error.
+    pub fn try_for_each_block<E>(
+        &self,
+        mut visit: impl FnMut(u32, u32, u32, u32, BlockMeta) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for (p, (period, fragments)) in self.periods.iter().zip(&self.fragments).enumerate() {
+            for (ri, region) in period.regions.iter().enumerate() {
+                let cells = region.grid.len() as u64;
+                for fragment in fragments.iter().filter(|f| ri < f.keys.regions()) {
+                    for (i, t, cell) in fragment.keys.region_keys(ri, cells, 0) {
+                        visit(p as u32, ri as u32, t, cell, fragment.meta(i))?;
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
-    fn finish(self) -> BlockDirectory {
-        self.dir
-    }
-}
-
-/// Stitch the per-generation directories of one shard into the logical
-/// view: the union of every generation's blocks keyed by
-/// `(period, region, t, cell)`, with the **newest generation winning** on
-/// key collisions and each surviving entry's [`BlockMeta::seg`] stamped
-/// with the index of the generation whose page segment holds it.
-///
-/// `gens` is ordered oldest → newest (the manifest's chain order);
-/// `periods` is the newest generation's period/region table, which every
-/// older generation's table is a structural prefix of — entries from any
-/// generation must validate against it, and a violation (a store whose
-/// chain was not built by `append` over this base) surfaces as a typed
-/// corruption error.
-///
-/// In an append-only chain the keys are actually disjoint — a delta only
-/// carries blocks for timesteps past the base's horizon — so newest-wins
-/// is a safety property rather than a merge policy; it is what makes a
-/// future in-place block rewrite (or an interrupted compaction retried
-/// over the same chain) well-defined.
-pub fn merge_overlay(
-    periods: &[DiskPeriod],
-    mut gens: Vec<BlockDirectory>,
-) -> Result<BlockDirectory, RepoError> {
-    if gens.len() == 1 {
-        return Ok(gens.pop().expect("one generation"));
-    }
-    let total: usize = gens.iter().map(BlockDirectory::num_blocks).sum();
-    let mut all: Vec<(GroupKey, u32, BlockMeta)> = Vec::with_capacity(total);
-    for (gi, dir) in gens.iter().enumerate() {
-        for (period, region, t, cell, mut meta) in dir.entries() {
-            meta.seg = gi as u32;
-            all.push((GroupKey { period, region, t }, cell, meta));
-        }
-    }
-    // Sort by key ascending, generation descending, so the first entry of
-    // every key run is the newest generation's.
-    all.sort_unstable_by(|a, b| {
-        (a.0, a.1)
-            .cmp(&(b.0, b.1))
-            .then_with(|| b.2.seg.cmp(&a.2.seg))
-    });
-    all.dedup_by(|cur, kept| (kept.0, kept.1) == (cur.0, cur.1));
-    let mut builder = DirBuilder::new(all.len());
-    for (key, cell, meta) in all {
-        builder.push(periods, key, cell, meta)?;
-    }
-    Ok(builder.finish())
-}
-
-/// Locate the period covering `t` (binary search; mirrors
-/// `Tpi::period_of`).
-pub fn period_of(periods: &[DiskPeriod], t: u32) -> Option<(usize, &DiskPeriod)> {
-    let idx = periods.partition_point(|p| p.t_end < t);
-    periods
-        .get(idx)
-        .filter(|p| p.t_start <= t && t <= p.t_end)
-        .map(|p| (idx, p))
-}
-
-/// Lowest-index region of `period` whose rectangle contains `p` —
-/// identical to the in-memory `Pi::locate_region` result.
-pub fn locate_region(period: &DiskPeriod, p: &Point) -> Option<usize> {
-    period.regions.iter().position(|r| r.bbox.contains(p))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fixture() -> (Vec<DiskPeriod>, Vec<DirEntry>) {
-        let grid = GridSpec::with_shape(Point::new(0.0, 0.0), 1.0, 4, 4);
-        let periods = vec![DiskPeriod {
-            t_start: 0,
-            t_end: 2,
-            regions: vec![DiskRegion {
-                bbox: BBox::from_extents(0.0, 0.0, 4.0, 4.0),
-                grid,
-            }],
-        }];
-        let entries = vec![
-            DirEntry {
-                period: 0,
-                region: 0,
-                t: 1,
-                cell: 2,
-                meta: BlockMeta {
-                    seg: 0,
-                    page: 0,
-                    offset: 0,
-                    n_ids: 3,
-                },
-            },
-            DirEntry {
-                period: 0,
-                region: 0,
-                t: 1,
-                cell: 9,
-                meta: BlockMeta {
-                    seg: 0,
-                    page: 0,
-                    offset: 12,
-                    n_ids: 1,
-                },
-            },
-            DirEntry {
-                period: 0,
-                region: 0,
-                t: 2,
-                cell: 5,
-                meta: BlockMeta {
-                    seg: 0,
-                    page: 0,
-                    offset: 16,
-                    n_ids: 2,
-                },
-            },
-        ];
-        (periods, entries)
+    /// Number of blocks addressed.
+    pub fn num_blocks(&self) -> usize {
+        self.fragments
+            .iter()
+            .flatten()
+            .map(|f| f.keys.dict().len())
+            .sum()
     }
 
-    #[test]
-    fn roundtrip_and_group_lookup() {
-        let (periods, entries) = fixture();
-        let bytes = encode_dir_segment(&periods, &entries);
-        let (back, dir) = decode_dir_segment(&bytes).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].regions.len(), 1);
-        assert_eq!(dir.num_blocks(), 3);
-        assert_eq!(dir.num_groups(), 2);
-        let (cells, metas, bounds) = dir.group(0, 0, 1).unwrap();
-        assert_eq!(cells, &[2, 9]);
-        assert_eq!(metas[1].offset, 12);
-        // Cells 2 and 9 on a 4-wide grid are (2,0) and (1,2).
-        assert_eq!(
-            (bounds.min_cx, bounds.min_cy, bounds.max_cx, bounds.max_cy),
-            (1, 0, 2, 2)
-        );
-        assert_eq!(dir.block(0, 0, 2, 5).unwrap().n_ids, 2);
-        assert!(dir.block(0, 0, 2, 6).is_none());
-        assert!(dir.group(0, 0, 0).is_none());
-    }
-
-    #[test]
-    fn period_and_region_location() {
-        let (periods, _) = fixture();
-        assert_eq!(period_of(&periods, 1).unwrap().0, 0);
-        assert!(period_of(&periods, 3).is_none());
-        assert_eq!(locate_region(&periods[0], &Point::new(1.0, 1.0)), Some(0));
-        assert_eq!(locate_region(&periods[0], &Point::new(9.0, 9.0)), None);
-    }
-
-    #[test]
-    fn decode_rejects_malformed() {
-        let (periods, entries) = fixture();
-        let good = encode_dir_segment(&periods, &entries);
-        for cut in 0..good.len() {
-            assert!(decode_dir_segment(&good[..cut]).is_err(), "cut {cut}");
-        }
-        // Unsorted entries rejected.
-        let mut rev = entries.clone();
-        rev.reverse();
-        assert!(decode_dir_segment(&encode_dir_segment(&periods, &rev)).is_err());
-        // Dangling region reference rejected.
-        let mut bad = entries.clone();
-        bad[0].region = 5;
-        assert!(decode_dir_segment(&encode_dir_segment(&periods, &bad)).is_err());
+    /// Resident bytes: the period and region tables, the fragment lists
+    /// and every fragment's key bases and dictionary.
+    pub fn size_bytes(&self) -> usize {
+        let regions: usize = self.periods.iter().map(|p| p.regions.len()).sum();
+        let fragments = self.fragments.iter().flatten();
+        let keys: usize = fragments.clone().map(|f| f.keys.size_bytes()).sum();
+        self.periods.len() * (size_of::<DiskPeriod>() + size_of::<Vec<Fragment>>())
+            + regions * size_of::<DiskRegion>()
+            + fragments.count() * size_of::<Fragment>()
+            + keys
     }
 }

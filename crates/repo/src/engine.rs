@@ -2,11 +2,11 @@
 //!
 //! There is no disk query algorithm: [`DiskQueryEngine`] is
 //! `ppq_core::query::QueryEngine` over the posting source defined here. A
-//! [`ShardStore`] answers a rectangle probe from the block directory,
-//! which stores exactly the posting dictionary cells the in-memory `Pi`
-//! holds, under the same sorted keys
-//! `sindex::posting::walk_cells_in_range` walks — identical postings in,
-//! identical answers out.
+//! [`ShardStore`] answers a rectangle probe from its directory, whose
+//! fragments key exactly the posting dictionary cells the in-memory `Pi`
+//! holds and which it walks with the in-memory index's own sealed slice
+//! walk (`ppq_tpi::SealedSlice::walk`) — identical postings in, identical
+//! answers out.
 //!
 //! I/O accounting follows Table 9: a buffer-pool hit is not an I/O. Every
 //! query runs against its workspace's own [`IoStats`] counter (exposed as
@@ -82,14 +82,14 @@ impl PostingSource for ShardStore {
         result
     }
 
-    /// Plan-then-fetch. *Plan*: the block directory walk alone —
-    /// candidate regions by bbox intersection, then the sorted-posting
-    /// walk over the directory's cell keys — collecting every surviving
-    /// block's meta; no page is touched. *Fetch*: resolve the plan's whole
-    /// page set in one pool batch. *Decode*: every block out of the
-    /// fetched pages, which the batch owns whether or not their frames
-    /// stay resident. Read order does not matter — the bitset union and
-    /// sorted drain fix the output.
+    /// Plan-then-fetch. *Plan*: the directory walk alone — candidate
+    /// regions by bbox intersection, then the sealed slice walk over the
+    /// keys of the fragment covering `t`, addressing every surviving block
+    /// from its list boundaries; no page is touched. *Fetch*: resolve the
+    /// plan's whole page set in one pool batch. *Decode*: every block out
+    /// of the fetched pages, which the batch owns whether or not their
+    /// frames stay resident. Read order does not matter — the bitset
+    /// union and sorted drain fix the output.
     fn postings(
         &self,
         t: u32,
@@ -101,28 +101,22 @@ impl PostingSource for ShardStore {
         let Some((pidx, period)) = self.period_of(t) else {
             return Ok(());
         };
+        let Some(fragment) = self.directory().fragment(pidx, t) else {
+            return Ok(());
+        };
         probe.plan.clear();
         for (ri, region) in period.regions.iter().enumerate() {
             if !region.bbox.intersects(rect) {
                 continue;
             }
-            let Some((cells, metas, bounds)) = self.directory().group(pidx as u32, ri as u32, t)
-            else {
+            let Some(slice) = fragment.slice(ri, t, &region.grid) else {
                 continue;
             };
-            let Some((lo_x, lo_y, hi_x, hi_y)) = region.grid.cell_range_in_rect(rect) else {
+            let Some(range) = region.grid.cell_range_in_rect(rect) else {
                 continue;
             };
-            // Clip to the occupied cell bounds (pruning only — the walk
-            // visits stored cells exclusively either way).
-            let range = (
-                lo_x.max(bounds.min_cx),
-                lo_y.max(bounds.min_cy),
-                hi_x.min(bounds.max_cx),
-                hi_y.min(bounds.max_cy),
-            );
-            posting::walk_cells_in_range(&region.grid, cells, range, |i, _cx, _cy| {
-                probe.plan.push(metas[i])
+            slice.walk(&region.grid, range, |i, _, _| {
+                probe.plan.push(fragment.meta(i))
             });
         }
         if probe.plan.is_empty() {

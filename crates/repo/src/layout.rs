@@ -8,7 +8,7 @@
 //! summary-g<g>-<s>.seg      ← base generation: shard s's full PpqSummary
 //! sdelta-g<g>-<s>.seg       ← delta generation: shard s's summary delta
 //! tpi-g<g>-<s>.pages        ← shard s's TPI blocks on CRC-sealed pages
-//! dir-g<g>-<s>.seg          ← shard s's period structure + block directory
+//! dir-g<g>-<s>.seg          ← shard s's directory: the window's periods and keys
 //! state-g<g>.seg            ← optional: the pipeline state a live stream
 //!                             resumes from (`core::state`), one per generation
 //! ```
@@ -394,7 +394,7 @@ pub fn read_verified(
     expect_len: u64,
     expect_crc: u32,
 ) -> Result<Vec<u8>, RepoError> {
-    let bytes = std::fs::read(path)?;
+    let bytes = ppq_storage::fault::read_file(path)?;
     let corrupt = |actual_crc: Option<u32>| RepoError::CorruptSegment {
         path: path.to_path_buf(),
         generation,

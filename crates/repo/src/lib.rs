@@ -9,13 +9,15 @@
 //!   single-directory store — a checksummed [`layout::Manifest`] (written
 //!   temp + rename, so a crash mid-write leaves the previous state
 //!   intact), one summary segment per shard, and TPI page segments whose
-//!   `(period, region, t, cell)` ID blocks are addressed by a sorted
-//!   [`dir::BlockDirectory`].
+//!   `(period, region, t, cell)` ID blocks are addressed by a directory
+//!   segment of Elias–Fano keys ([`dir`]): a block's place in the page
+//!   stream is `select1` over its list boundary bits, so no per-block
+//!   entry is stored.
 //! * [`RepoWriter::append`] persists only what a *later snapshot of the
 //!   same stream* adds: a summary-delta segment
 //!   ([`ppq_core::summary_io::delta_to_bytes`]), the TPI blocks of the
-//!   new timestep window, and a delta block directory — one new *delta
-//!   generation* stacked on the committed chain, instead of a full
+//!   new timestep window, and the directory fragments of that window —
+//!   one new *delta generation* stacked on the committed chain, instead of a full
 //!   rewrite. The pipeline's state is append-only, so the writer can
 //!   *verify* (not assume) that the committed store is an exact prefix of
 //!   the new snapshot, and refuses with [`RepoError::NotAnExtension`]
@@ -23,8 +25,10 @@
 //! * [`Repo::open`] validates every segment of every live generation
 //!   against the manifest's recorded lengths and CRCs, reassembles the
 //!   summary chain (proving it equals the writer's summary via the
-//!   recorded end-to-end CRC), merges the per-generation block
-//!   directories newest-wins into one sorted directory, and attaches all
+//!   recorded end-to-end CRC), stitches the generations' directory
+//!   fragments, which partition time, into one [`dir::Directory`] —
+//!   checking each generation once against its page segment — and
+//!   attaches all
 //!   page segments to one shared segmented-LRU buffer pool
 //!   ([`ppq_storage::SharedBufferPool`], frames keyed per generation) —
 //!   data pages are only touched when a query needs them.
@@ -42,7 +46,7 @@
 //!   page I/Os counted the way Table 9 counts them (a buffer hit is not
 //!   an I/O), per query and cumulatively.
 //!
-//! The block directory is the structural win over the scan-based
+//! The directory is the structural win over the scan-based
 //! [`ppq_tpi::DiskTpi`]: where `DiskTpi` must read a period's pages until
 //! the wanted block happens to parse past, the directory maps the block
 //! to `(page, offset)` and pages in only the page(s) it spans;

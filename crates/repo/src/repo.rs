@@ -5,16 +5,17 @@
 //! A store may hold several live *generations* (one base + appended
 //! deltas); [`Repo::open`] stitches them into one logical view — the
 //! summary chain is reassembled (`core::summary_io::apply_delta`) and
-//! verified against the writer's recorded CRC, the newest generation's
-//! period/region table becomes *the* table, and the per-generation block
-//! directories are merged newest-wins into one sorted directory whose
-//! entries carry the index of the page segment that holds them. The query
-//! engine is oblivious to generations: it sees one summary, one period
-//! table, one directory.
+//! verified against the writer's recorded CRC, and the generations'
+//! directory fragments, which partition time, are stitched into one
+//! [`Directory`]: the period table as the newest fragment of each period
+//! records it, and per period the fragments that key its timesteps, each
+//! addressing its own generation's page segment. The query engine is
+//! oblivious to generations: it sees one summary, one period table, one
+//! directory.
 
 use crate::dir::{
-    decode_dir_segment, locate_region, merge_overlay, period_of, BlockDirectory, BlockMeta,
-    DiskPeriod,
+    decode_dir_segment, decode_last_fragment, BlockMeta, DirEncoder, Directory, DiskPeriod,
+    OpenPeriod,
 };
 use crate::layout::{
     dir_seg_name, read_verified, sdelta_seg_name, state_seg_name, summary_seg_name, tpi_seg_name,
@@ -23,7 +24,6 @@ use crate::layout::{
 use crate::writer::RepoWriter;
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardRouter, ShardedSummary};
-use ppq_geo::Point;
 use ppq_storage::{crc32, FetchedPages, IoStats, Page, PageRequest, Segment, SharedBufferPool};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -84,13 +84,37 @@ fn read_state(dir: &Path, manifest: &Manifest) -> Result<Option<Vec<u8>>, RepoEr
     read_verified(&path, g, 0, newest.state_len, newest.state_crc).map(Some)
 }
 
+/// The newest fragment of shard `shard`'s chain — the period a later
+/// snapshot may still extend — read from the newest generation whose
+/// directory segment records any; `None` for a chain without periods.
+pub(crate) fn read_open_period(
+    dir: &Path,
+    manifest: &Manifest,
+    shard: usize,
+) -> Result<Option<OpenPeriod>, RepoError> {
+    for gen in manifest.generations.iter().rev() {
+        let (sm, g, s) = (&gen.shards[shard], gen.generation, shard as u32);
+        let bytes = read_verified(&dir.join(dir_seg_name(g, s)), g, s, sm.dir_len, sm.dir_crc)?;
+        if let Some(f) = decode_last_fragment(&bytes)? {
+            return Ok(Some(OpenPeriod {
+                index: f.period,
+                period: f.extent,
+            }));
+        }
+    }
+    Ok(None)
+}
+
 /// What resuming a live stream needs of a committed chain: the manifest,
-/// each shard's stitched summary and the newest generation's verified
-/// state bytes. Read without opening any block directory or page
-/// segment.
+/// each shard's stitched summary and newest fragment, and the newest
+/// generation's verified state bytes — everything an [`crate::Appender`]
+/// caches, too ([`crate::Appender::from_chain`]). Read without opening
+/// any page segment.
 pub struct ChainState {
     pub manifest: Manifest,
     pub summaries: Vec<PpqSummary>,
+    /// Per shard, the period the chain's newest fragment records.
+    pub open_periods: Vec<Option<OpenPeriod>>,
     /// `None` when the newest generation carries no state (a store a
     /// batch writer wrote).
     pub state: Option<Vec<u8>>,
@@ -102,13 +126,19 @@ impl ChainState {
         let Some(manifest) = Manifest::read(dir)? else {
             return Ok(None);
         };
-        let summaries = (0..manifest.num_shards())
+        let shards = 0..manifest.num_shards();
+        let summaries = shards
+            .clone()
             .map(|s| load_shard_summary(dir, &manifest, s))
+            .collect::<Result<_, _>>()?;
+        let open_periods = shards
+            .map(|s| read_open_period(dir, &manifest, s))
             .collect::<Result<_, _>>()?;
         let state = read_state(dir, &manifest)?;
         Ok(Some(ChainState {
             manifest,
             summaries,
+            open_periods,
             state,
         }))
     }
@@ -142,13 +172,11 @@ fn collect_block<P: AsRef<Page>>(
 }
 
 /// One shard of an open repository: the stitched (in-memory) summary, the
-/// newest period/region structure, the merged block directory, and the
-/// page segments — one per live generation — the blocks are paged in
-/// from.
+/// stitched directory, and the page segments — one per live generation —
+/// the blocks are paged in from.
 pub struct ShardStore {
     summary: PpqSummary,
-    periods: Vec<DiskPeriod>,
-    directory: BlockDirectory,
+    directory: Directory,
     /// Page segments in generation-chain order; a [`BlockMeta::seg`]
     /// indexes this list.
     segments: Vec<Segment>,
@@ -163,11 +191,11 @@ impl ShardStore {
 
     #[inline]
     pub fn periods(&self) -> &[DiskPeriod] {
-        &self.periods
+        self.directory.periods()
     }
 
     #[inline]
-    pub fn directory(&self) -> &BlockDirectory {
+    pub fn directory(&self) -> &Directory {
         &self.directory
     }
 
@@ -181,7 +209,7 @@ impl ShardStore {
     /// key), if any.
     #[inline]
     pub fn period_of(&self, t: u32) -> Option<(usize, &DiskPeriod)> {
-        period_of(&self.periods, t)
+        self.directory.period_of(t)
     }
 
     /// Read one block's trajectory IDs, appending to `out`. Pages in only
@@ -247,33 +275,6 @@ impl ShardStore {
         })
     }
 
-    /// Single-cell STRQ probe against this shard: locate the period and
-    /// region in memory, binary-search the block directory, and page in
-    /// exactly that block — the disk mirror of `Pi::query`, and the
-    /// directed counterpart of `DiskTpi::query`'s page-run scan.
-    pub fn query_cell(
-        &self,
-        t: u32,
-        p: &Point,
-        stats: &IoStats,
-        scratch: &mut Vec<u8>,
-        out: &mut Vec<u32>,
-    ) -> std::io::Result<()> {
-        let Some((pidx, period)) = self.period_of(t) else {
-            return Ok(());
-        };
-        let Some(ri) = locate_region(period, p) else {
-            return Ok(());
-        };
-        let grid = &period.regions[ri].grid;
-        let (cx, cy) = grid.locate_clamped(p);
-        let cell = grid.flat(cx, cy) as u32;
-        if let Some(meta) = self.directory.block(pidx as u32, ri as u32, t, cell) {
-            self.read_block_into(&meta, stats, scratch, out)?;
-        }
-        Ok(())
-    }
-
     #[inline]
     pub fn payload_capacity(&self) -> usize {
         self.payload_capacity
@@ -301,12 +302,13 @@ impl Repo {
     /// summary/summary-delta and directory segments — of every live
     /// generation — must match their manifest-recorded length and CRC;
     /// every TPI page segment must hold exactly the recorded number of
-    /// pages, and every generation's block addresses must fall inside its
-    /// segment. Chains with deltas are additionally verified end to end:
-    /// the reassembled summary must re-serialize to the CRC the last
-    /// append recorded. Data pages themselves are verified lazily (CRC
-    /// trailer on page-in). A stale `MANIFEST.ppq.tmp` from a crashed
-    /// write is ignored.
+    /// pages, and exactly as many as its generation's directory lists IDs
+    /// for; the generations' directory fragments must partition time.
+    /// Chains with deltas are additionally verified end to end: the
+    /// reassembled summary must re-serialize to the CRC the last append
+    /// recorded. Data pages themselves are verified lazily (CRC trailer on
+    /// page-in). A stale `MANIFEST.ppq.tmp` from a crashed write is
+    /// ignored.
     pub fn open(dir: &Path, pool_pages: usize) -> Result<Repo, RepoError> {
         let manifest_bytes = std::fs::read(dir.join(MANIFEST_NAME))?;
         let manifest = Manifest::from_bytes(&manifest_bytes)?;
@@ -317,8 +319,7 @@ impl Repo {
         for s in 0..manifest.num_shards() {
             let summary = load_shard_summary(dir, &manifest, s)?;
             let mut segments: Vec<Segment> = Vec::with_capacity(manifest.generations.len());
-            let mut dirs: Vec<BlockDirectory> = Vec::with_capacity(manifest.generations.len());
-            let mut periods: Vec<DiskPeriod> = Vec::new();
+            let mut generations = Vec::with_capacity(manifest.generations.len());
             for (gi, gen) in manifest.generations.iter().enumerate() {
                 let sm = &gen.shards[s];
                 let g = gen.generation;
@@ -329,7 +330,7 @@ impl Repo {
                     sm.dir_len,
                     sm.dir_crc,
                 )?;
-                let (gen_periods, gen_dir) = decode_dir_segment(&dir_bytes)?;
+                let fragments = decode_dir_segment(&dir_bytes)?;
                 // Frames are keyed per (generation, shard): two
                 // generations' page 0 must never collide in the pool.
                 let segment = Segment::open(
@@ -345,21 +346,15 @@ impl Repo {
                         sm.tpi_pages
                     )));
                 }
-                gen_dir
-                    .validate_geometry(capacity, segment.num_pages())
-                    .map_err(|what| {
-                        RepoError::Corrupt(format!("shard {s} generation {g}: {what}"))
-                    })?;
-                // The newest generation's period table is the logical one
-                // (older tables are structural prefixes of it).
-                periods = gen_periods;
+                generations.push((fragments, segment.num_pages()));
                 segments.push(segment);
-                dirs.push(gen_dir);
             }
-            let directory = merge_overlay(&periods, dirs)?;
+            let directory = Directory::stitch(capacity, generations).map_err(|(gi, what)| {
+                let g = manifest.generations[gi].generation;
+                RepoError::Corrupt(format!("shard {s} generation {g}: {what}"))
+            })?;
             shards.push(ShardStore {
                 summary,
-                periods,
                 directory,
                 segments,
                 payload_capacity: capacity,
@@ -454,31 +449,15 @@ impl Repo {
             .sum()
     }
 
-    /// Fan a single-cell STRQ probe out over every shard, unioning the
-    /// per-shard block answers (sorted, deduplicated). Charges `stats`
-    /// one page-in per block page touched — the workload
-    /// `tests/persistence.rs` compares against `DiskTpi`'s period-run scan.
-    /// (Only `stats` is charged; callers roll into [`Repo::io_stats`]
-    /// with [`IoStats::absorb`] if they want the cumulative view.)
-    pub fn query_cell(&self, t: u32, p: &Point, stats: &IoStats) -> std::io::Result<Vec<u32>> {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        for shard in &self.shards {
-            shard.query_cell(t, p, stats, &mut scratch, &mut out)?;
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-
     /// Collapse the live generation chain into one fresh *base*
     /// generation — and, with `target_shards`, re-shard the store from
     /// `S` to `S′` in the same pass.
     ///
     /// Same shard count (the common maintenance compaction): each shard's
     /// stitched summary is re-serialized as a full snapshot and every
-    /// live block is copied out of the merged directory into one densely
-    /// packed page segment, in directory order — no quantization, no
+    /// block is copied into one densely packed page segment in
+    /// `(period, region, t, cell)` order, each period's fragments merged
+    /// into one — no quantization, no
     /// index rebuild, answers bit-identical to the pre-compaction view
     /// (the stitched store *is* the single-shot layout already; this
     /// merely materializes it). The newest generation's pipeline state,
@@ -553,14 +532,14 @@ impl Repo {
                 i as u32,
                 &summary_seg_name(generation, i as u32),
                 &summary_bytes,
-                &shard.periods,
+                DirEncoder::new(0, shard.periods(), None),
                 &mut |sink| {
-                    for (p, r, t, c, meta) in shard.directory.entries() {
+                    shard.directory.try_for_each_block(|p, r, t, c, meta| {
                         ids.clear();
                         shard.read_block_into(&meta, &stats, &mut scratch, &mut ids)?;
                         sink(p, r, t, c, &ids);
-                    }
-                    Ok(())
+                        Ok(())
+                    })
                 },
             )?);
             self.stats.absorb(&stats);

@@ -13,9 +13,9 @@
 //!   (a later snapshot of the same stream the store was written from) and
 //!   only the difference is persisted — a summary-delta segment
 //!   (`core::summary_io::delta_to_bytes` against the committed chain), the
-//!   TPI blocks of the new timestep window, and a delta block directory —
-//!   as one new *delta* generation appended to the chain. These run a
-//!   cold [`Appender`], the one append implementation.
+//!   TPI blocks of the new timestep window, and the directory fragments
+//!   of that window — as one new *delta* generation appended to the
+//!   chain. These run a cold [`Appender`], the one append implementation.
 //!
 //! A generation may also carry a live stream's resumable pipeline state
 //! (`core::state`) as its state segment
@@ -30,7 +30,7 @@
 //! intact.
 
 use crate::appender::Appender;
-use crate::dir::{encode_dir_segment, BlockMeta, DirEntry, DiskPeriod, DiskRegion};
+use crate::dir::{DirEncoder, DiskPeriod, DiskRegion, OpenPeriod};
 use crate::layout::{
     dir_seg_name, state_seg_name, summary_seg_name, tpi_seg_name, GenKind, GenManifest, Manifest,
     RepoError, ShardManifest, MANIFEST_NAME, MANIFEST_TMP_NAME,
@@ -122,12 +122,13 @@ impl RepoWriter {
         for (i, summary) in shards.iter().enumerate() {
             let tpi = summary.tpi().ok_or(RepoError::MissingIndex)?;
             let summary_bytes = summary_io::to_bytes(summary);
+            let (first, periods) = tpi_periods(tpi, None);
             shard_manifests.push(self.write_segments(
                 generation,
                 i as u32,
                 &summary_seg_name(generation, i as u32),
                 &summary_bytes,
-                &tpi_periods(tpi),
+                DirEncoder::new(first, &periods, None),
                 &mut |sink| {
                     tpi_blocks(tpi, None, sink);
                     Ok(())
@@ -149,14 +150,16 @@ impl RepoWriter {
 
     /// Append everything `full` adds over the committed chain as one new
     /// delta generation: a summary-delta segment, the TPI blocks of the
-    /// new timestep window, and a delta block directory, per shard.
+    /// new timestep window, and that window's directory fragments, per
+    /// shard.
     ///
     /// `full` must be a *later snapshot of the same stream* the store was
     /// written from — the method verifies this structurally (the committed
     /// chain must be an exact prefix: same config, same codebook prefix,
-    /// same per-trajectory history, period table extended in place) and
-    /// returns [`RepoError::NotAnExtension`] otherwise, in which case the
-    /// caller should fall back to a full [`RepoWriter::write`].
+    /// same per-trajectory history, last committed period extended in
+    /// place) and returns [`RepoError::NotAnExtension`] otherwise, in
+    /// which case the caller should fall back to a full
+    /// [`RepoWriter::write`].
     pub fn append(&self, full: &PpqSummary) -> Result<Manifest, RepoError> {
         self.cold_appender()
             .append_shards(std::slice::from_ref(full), None)
@@ -176,43 +179,31 @@ impl RepoWriter {
     /// Write one shard's three segments for generation `generation`: the
     /// summary (or summary-delta) bytes under `summary_name`, the blocks
     /// `blocks` feeds its sink packed back to back onto CRC-sealed pages,
-    /// and the directory segment mapping every block to `(page, offset)`.
+    /// and the directory `dir` records of them.
     pub(crate) fn write_segments(
         &self,
         generation: u64,
         shard: u32,
         summary_name: &str,
         summary_bytes: &[u8],
-        periods: &[DiskPeriod],
+        mut dir: DirEncoder<'_>,
         blocks: &mut dyn FnMut(&mut BlockSink<'_>) -> Result<(), RepoError>,
     ) -> Result<ShardManifest, RepoError> {
         std::fs::create_dir_all(&self.dir)?;
         write_durable(&self.dir.join(summary_name), summary_bytes)?;
 
-        // --- TPI page segment + block directory. ------------------------
+        // --- TPI page segment. ------------------------------------------
         // Blocks are packed back to back into page payload areas (a block
-        // may span pages); every block's address goes into the directory.
+        // may span pages); the directory keys them in the same order.
         let capacity = payload_capacity(self.page_size);
         let store = PageStore::create_with_page_size(
             &self.dir.join(tpi_seg_name(generation, shard)),
             0,
             self.page_size,
         )?;
-        let mut entries: Vec<DirEntry> = Vec::new();
         let mut stream: Vec<u8> = Vec::new();
         blocks(&mut |period, region, t, cell, ids| {
-            entries.push(DirEntry {
-                period,
-                region,
-                t,
-                cell,
-                meta: BlockMeta {
-                    seg: 0,
-                    page: (stream.len() / capacity) as u64,
-                    offset: (stream.len() % capacity) as u32,
-                    n_ids: ids.len() as u32,
-                },
-            });
+            dir.push(period, region, t, cell, ids.len() as u32);
             for id in ids {
                 stream.extend_from_slice(&id.to_le_bytes());
             }
@@ -224,7 +215,7 @@ impl RepoWriter {
         let tpi_pages = store.num_pages();
 
         // --- Directory segment. -----------------------------------------
-        let dir_bytes = encode_dir_segment(periods, &entries);
+        let dir_bytes = dir.finish();
         write_durable(&self.dir.join(dir_seg_name(generation, shard)), &dir_bytes)?;
 
         Ok(ShardManifest {
@@ -330,26 +321,44 @@ fn segment_generation(name: &str) -> Option<u64> {
     rest.split(['-', '.']).next()?.parse().ok()
 }
 
-/// The full period/region table of a TPI in the disk shape. A delta
-/// generation records the whole current table too, since the stitched
-/// reader takes its structure from the newest generation.
-pub(crate) fn tpi_periods(tpi: &Tpi) -> Vec<DiskPeriod> {
-    tpi.periods()
-        .iter()
-        .map(|period| DiskPeriod {
-            t_start: period.t_start,
-            t_end: period.t_end,
-            regions: period
-                .pi
-                .regions()
-                .iter()
-                .map(|r| DiskRegion {
-                    bbox: *r.bbox(),
-                    grid: r.grid().clone(),
-                })
-                .collect(),
-        })
-        .collect()
+/// A TPI period in the disk shape.
+fn disk_period(period: &ppq_tpi::tpi::Period) -> DiskPeriod {
+    DiskPeriod {
+        t_start: period.t_start,
+        t_end: period.t_end,
+        regions: period
+            .pi
+            .regions()
+            .iter()
+            .map(|r| DiskRegion {
+                bbox: *r.bbox(),
+                grid: r.grid().clone(),
+            })
+            .collect(),
+    }
+}
+
+/// The periods of a TPI that end past `t_hi` (all of them without), in
+/// the disk shape, with the index of the first: the periods a generation
+/// holding the blocks past `t_hi` records.
+pub(crate) fn tpi_periods(tpi: &Tpi, t_hi: Option<u32>) -> (usize, Vec<DiskPeriod>) {
+    let first = t_hi.map_or(0, |h| tpi.periods().partition_point(|p| p.t_end <= h));
+    (
+        first,
+        tpi.periods()[first..]
+            .iter()
+            .map(|p| disk_period(p))
+            .collect(),
+    )
+}
+
+/// The last period of a TPI, which its next snapshot may still extend.
+pub(crate) fn open_period(tpi: &Tpi) -> Option<OpenPeriod> {
+    let index = tpi.periods().len().checked_sub(1)?;
+    Some(OpenPeriod {
+        index: index as u32,
+        period: disk_period(&tpi.periods()[index]),
+    })
 }
 
 /// Feed every block of a TPI to `sink` as `(period, region, t, cell,
@@ -369,55 +378,28 @@ pub(crate) fn tpi_blocks(tpi: &Tpi, min_exclusive_t: Option<u32>, sink: &mut Blo
     }
 }
 
-/// Verify the committed period table is a structural prefix of the
-/// current TPI's: sealed periods bitwise identical, the last committed
-/// period extended in place (same start, same region prefix), new periods
-/// only appended. This is the index-side mirror of
-/// `summary_io::delta_to_bytes`'s prefix verification.
-pub(crate) fn check_period_extension(stored: &[DiskPeriod], tpi: &Tpi) -> Result<(), RepoError> {
-    let not_ext = |what: &str| RepoError::NotAnExtension(format!("TPI periods: {what}"));
-    let now = tpi.periods();
-    if stored.len() > now.len() {
-        return Err(not_ext("period count shrank"));
+/// Verify the current TPI extends the committed chain's last period in
+/// place: the period is still there, same start, end not moved backwards,
+/// every committed region unchanged — regions only appended. The chain
+/// keeps no other period resident; the sealed ones before it are covered
+/// by the summary's prefix check (`summary_io::delta_to_bytes`), which
+/// the index is a function of. This is the index-side mirror of that
+/// check.
+pub(crate) fn check_period_extension(
+    stored: Option<&OpenPeriod>,
+    tpi: &Tpi,
+) -> Result<(), RepoError> {
+    let extended = stored.is_none_or(|open| {
+        let now = tpi.periods().get(open.index as usize);
+        now.is_some_and(|p| disk_period(p).extends(&open.period))
+    });
+    if extended {
+        Ok(())
+    } else {
+        Err(RepoError::NotAnExtension(
+            "TPI periods: the last committed period is not extended in place".to_string(),
+        ))
     }
-    let bbox_eq = |a: &ppq_geo::BBox, b: &ppq_geo::BBox| {
-        a.min.x.to_bits() == b.min.x.to_bits()
-            && a.min.y.to_bits() == b.min.y.to_bits()
-            && a.max.x.to_bits() == b.max.x.to_bits()
-            && a.max.y.to_bits() == b.max.y.to_bits()
-    };
-    for (i, sp) in stored.iter().enumerate() {
-        let np = &now[i];
-        let regions_now = np.pi.regions();
-        if sp.t_start != np.t_start {
-            return Err(not_ext("period start moved"));
-        }
-        let sealed = i + 1 < stored.len();
-        if sealed && sp.t_end != np.t_end {
-            return Err(not_ext("sealed period end moved"));
-        }
-        if !sealed && sp.t_end > np.t_end {
-            return Err(not_ext("open period end moved backwards"));
-        }
-        if sp.regions.len() > regions_now.len() || (sealed && sp.regions.len() != regions_now.len())
-        {
-            return Err(not_ext("region list shrank"));
-        }
-        for (sr, nr) in sp.regions.iter().zip(regions_now) {
-            let g = nr.grid();
-            let sg = &sr.grid;
-            if !bbox_eq(&sr.bbox, nr.bbox())
-                || sg.origin().x.to_bits() != g.origin().x.to_bits()
-                || sg.origin().y.to_bits() != g.origin().y.to_bits()
-                || sg.cell_size().to_bits() != g.cell_size().to_bits()
-                || sg.cols() != g.cols()
-                || sg.rows() != g.rows()
-            {
-                return Err(not_ext("region geometry changed"));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Write `bytes` to `path` and fsync before returning, so the data is on

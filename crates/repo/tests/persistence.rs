@@ -2,10 +2,15 @@
 //! engine's answers held bit-identical to the in-memory engines, plus
 //! crash-safety and corruption-detection coverage.
 
-use ppq_core::query::{QueryEngine, ShardedQueryEngine, StrqOutcome};
-use ppq_core::{PpqConfig, PpqTrajectory, ShardedPpqStream, ShardedSummary, Variant};
-use ppq_geo::Point;
-use ppq_repo::{Appender, DiskQueryEngine, Repo, RepoError, RepoWriter};
+use ppq_core::query::{PostingSource, QueryEngine, ShardedQueryEngine, StrqOutcome};
+use ppq_core::{
+    PpqConfig, PpqStream, PpqSummary, PpqTrajectory, ShardedPpqStream, ShardedSummary, Variant,
+};
+use ppq_geo::{BBox, Point};
+use ppq_repo::{
+    layout, Appender, DiskProbe, DiskQueryEngine, Manifest, Repo, RepoError, RepoWriter,
+};
+use ppq_sindex::QueryScratch;
 use ppq_storage::{fault, IoStats};
 use ppq_tpi::DiskTpi;
 use ppq_traj::synth::{porto_like, PortoConfig};
@@ -223,11 +228,34 @@ fn directed_block_lookup_beats_disktpi_scan() {
     let scan_path = dir.join("disktpi-baseline.pages");
     let disk_tpi = DiskTpi::create_with(tpi, &scan_path, 0, PAGE).unwrap();
 
+    // The directed probe: locate p's period, region and cell in memory,
+    // seek the cell's key in the directory, page in exactly that block.
+    let shard = repo.shard(0);
+    let probe_cell = |t: u32, p: &Point, stats: &IoStats| -> Vec<u32> {
+        let mut ids = Vec::new();
+        let Some((pi, period)) = shard.period_of(t) else {
+            return ids;
+        };
+        let Some(ri) = period.regions.iter().position(|r| r.bbox.contains(p)) else {
+            return ids;
+        };
+        let grid = &period.regions[ri].grid;
+        let (cx, cy) = grid.locate_clamped(p);
+        let fragment = shard.directory().fragment(pi, t).unwrap();
+        let slice = fragment.slice(ri, t, grid);
+        if let Some(i) = slice.and_then(|s| s.find(grid.flat(cx, cy) as u32)) {
+            let meta = fragment.meta(i);
+            shard
+                .read_block_into(&meta, stats, &mut Vec::new(), &mut ids)
+                .unwrap();
+        }
+        ids
+    };
     let mut directed = 0u64;
     let mut scanned = 0u64;
     for (_, t, p) in data.iter_points().step_by(37) {
         let stats = IoStats::default();
-        let a = repo.query_cell(t, &p, &stats).unwrap();
+        let a = probe_cell(t, &p, &stats);
         directed += stats.reads();
         disk_tpi.io_stats().reset();
         let mut b = disk_tpi.query(t, &p).unwrap();
@@ -720,6 +748,144 @@ fn crash_during_compaction_leaves_chain_consistent() {
     let _ = std::fs::remove_dir_all(single);
 }
 
+/// A disk shard's postings for every `(t, rect)` on a grid over `data`
+/// — timesteps one past either end included — against the in-memory
+/// index of `summary`.
+fn assert_postings_match(repo: &Repo, summary: &PpqSummary, data: &Dataset, what: &str) {
+    let tpi = summary.tpi().expect("fixture builds its index");
+    let bbox = data.bbox().unwrap();
+    let ts: Vec<u32> = data.time_slices().map(|s| s.t).collect();
+    let (mut probe, mut scratch) = (DiskProbe::default(), QueryScratch::default());
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    for t in ts[0].saturating_sub(1)..=ts[ts.len() - 1] + 1 {
+        for i in 0..6 {
+            for j in 0..6 {
+                for size in [0.08, 0.3] {
+                    let x = bbox.min.x + bbox.width() * (i as f64 + 0.5) / 6.0;
+                    let y = bbox.min.y + bbox.height() * (j as f64 + 0.5) / 6.0;
+                    let (w, h) = (bbox.width() * size, bbox.height() * size);
+                    let rect = BBox::from_extents(x - w, y - h, x + w, y + h);
+                    want.clear();
+                    tpi.query_rect_into(t, &rect, &mut scratch, &mut want);
+                    got.clear();
+                    repo.shard(0)
+                        .postings(t, &rect, data, &mut probe, &mut got)
+                        .unwrap();
+                    assert_eq!(got, want, "{what}: t {t} rect {rect:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Generations partition time. Random streams are written as a base
+/// plus one to three deltas — folds landing inside a period, regions
+/// appended to the open period after a fold — and then compacted; at
+/// every chain length and after the compaction the disk source's
+/// postings equal the in-memory index's.
+#[test]
+fn chained_and_compacted_postings_match_the_index() {
+    let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+    let (mut inside_a_period, mut regions_appended) = (0, 0);
+    for seed in 0..6u64 {
+        let data = porto_like(&PortoConfig {
+            trajectories: 20 + 7 * seed as usize,
+            mean_len: 25,
+            min_len: 12,
+            start_spread: 20,
+            seed: 1_000 + seed,
+        });
+        let slices: Vec<_> = data.time_slices().collect();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let mut cuts: Vec<usize> = (0..1 + next() % 3)
+            .map(|_| 1 + next() % (slices.len() - 1))
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts.push(slices.len());
+
+        let dir = tmp_dir(&format!("partition-{seed}"));
+        let writer = RepoWriter::with_page_size(&dir, 512);
+        let mut stream = PpqStream::new(cfg.clone());
+        let mut prev: Option<PpqSummary> = None;
+        let mut pushed = 0;
+        for (k, &cut) in cuts.iter().enumerate() {
+            for s in &slices[pushed..cut] {
+                stream.push_slice(s.t, s.points);
+            }
+            pushed = cut;
+            let snap = stream.snapshot();
+            match &prev {
+                None => writer.write(&snap).unwrap(),
+                Some(prev) => {
+                    let (was, now) = (prev.tpi().unwrap().periods(), snap.tpi().unwrap().periods());
+                    let (a, b) = (&was[was.len() - 1], &now[was.len() - 1]);
+                    inside_a_period += usize::from(b.t_end > a.t_end);
+                    regions_appended += usize::from(b.pi.regions().len() > a.pi.regions().len());
+                    writer.append(&snap).unwrap()
+                }
+            };
+            let repo = Repo::open(&dir, 8).unwrap();
+            assert_eq!(repo.num_generations(), k + 1);
+            assert_postings_match(
+                &repo,
+                &snap,
+                &data,
+                &format!("seed {seed}, {} generations", k + 1),
+            );
+            prev = Some(snap);
+        }
+        Repo::open(&dir, 8).unwrap().compact(None).unwrap();
+        let repo = Repo::open(&dir, 8).unwrap();
+        assert_eq!(repo.num_generations(), 1);
+        assert_postings_match(
+            &repo,
+            prev.as_ref().unwrap(),
+            &data,
+            &format!("seed {seed}, compacted"),
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    assert!(
+        inside_a_period > 0 && regions_appended > 0,
+        "the streams never folded inside a period ({inside_a_period}) or grew an open period's \
+         regions after a fold ({regions_appended})"
+    );
+}
+
+/// A directory whose lists run past its page segment is refused at open.
+/// The last page is dropped and the manifest records the shorter segment,
+/// so only the directory's own check against the pages can catch it.
+#[test]
+fn lists_past_the_page_segment_are_refused_at_open() {
+    let data = dataset();
+    let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+    let summary = PpqTrajectory::build(&data, &cfg).into_summary();
+    let dir = tmp_dir("short-pages");
+    RepoWriter::with_page_size(&dir, PAGE)
+        .write(&summary)
+        .unwrap();
+    let mut manifest = Manifest::read(&dir).unwrap().unwrap();
+    let pages = manifest.generations[0].shards[0].tpi_pages;
+    assert!(pages >= 2, "fixture must span pages");
+    let path = dir.join(layout::tpi_seg_name(1, 0));
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - PAGE]).unwrap();
+    manifest.generations[0].shards[0].tpi_pages = pages - 1;
+    std::fs::write(dir.join(layout::MANIFEST_NAME), manifest.to_bytes()).unwrap();
+    match Repo::open(&dir, 0) {
+        Err(RepoError::Corrupt(what)) => assert!(what.contains("page segment"), "{what}"),
+        other => panic!("expected a corruption error, got {:?}", other.err()),
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn delta_segment_corruption_is_detected() {
     let data = dataset();
@@ -953,20 +1119,20 @@ fn written_segments_match_the_recorded_crcs() {
     assert_eq!(
         crcs(&appended),
         [
-            (0xb072c48d, 0xbbb18d10, 0x673b9dbf),
-            (0xb81b7404, 0xc81ecf29, 0x4e473492),
-            (0x174b6d81, 0x59770650, 0x75ea15dd),
-            (0x54978649, 0xdf40938f, 0xa41db445),
-            (0xa8bbc616, 0x0ea7228a, 0x602528dd),
-            (0xf6a9c81a, 0x80f4e7bc, 0xfd2223fb),
+            (0xb072c48d, 0xe5c30462, 0x673b9dbf),
+            (0xb81b7404, 0x1afad616, 0x4e473492),
+            (0x174b6d81, 0x47d16b34, 0x75ea15dd),
+            (0x54978649, 0x441860ab, 0xa41db445),
+            (0xa8bbc616, 0x9abd2194, 0x602528dd),
+            (0xf6a9c81a, 0x31c90a70, 0xfd2223fb),
         ],
         "base + two deltas"
     );
     assert_eq!(
         crcs(&single),
         [
-            (0xe13af442, 0xc0e958ef, 0x1cf0eb70),
-            (0xacb428d6, 0x94617ad8, 0xa88abdb8),
+            (0xe13af442, 0x0a97e091, 0x1cf0eb70),
+            (0xacb428d6, 0xb105f834, 0xa88abdb8),
         ],
         "single-shot store"
     );

@@ -14,6 +14,13 @@
 //!   array.
 //! * **IDs**: one fixed-width column at the width of the largest ID.
 //!
+//! A dictionary built by [`SealedDict::from_lists`] has no ID column: it
+//! maps each key to the position range of its list
+//! ([`SealedDict::list_range`]) in an ID stream kept elsewhere — a
+//! repository's page segment. Its key and boundary words serialize
+//! ([`SealedDict::write_keys`]) and decode with every structural
+//! invariant checked ([`SealedDict::read_keys`]).
+//!
 //! Every [`SAMPLE`]-th zero of the high bitvector and every
 //! [`SAMPLE`]-th set bit of the boundary bitvector is sampled, so a seek
 //! or a list lookup scans a few words at most. A [`Cursor`] moves forward
@@ -72,47 +79,87 @@ impl SealedDict {
         let Some(&(last_key, _)) = postings.last() else {
             return SealedDict::default();
         };
-        let n_ids = postings.len();
-        let len = postings.chunk_by(|a, b| a.0 == b.0).count();
-        // l = ⌊log₂(U / n)⌋ over the universe U = last_key + 1 (≥ n, as
-        // keys are distinct), in u128 so U = 2⁶⁴ cannot overflow; at most
-        // 63, so the high part of a key is never shifted out whole.
-        let low_bits = ((u128::from(last_key) + 1) / len as u128).ilog2().min(63);
-        let high_len = len + (last_key >> low_bits) as usize + 1;
+        let runs = || postings.chunk_by(|a, b| a.0 == b.0);
+        let lists = runs().map(|run| (run[0].0, run.len()));
+        let mut dict = SealedDict::from_runs(runs().count(), postings.len(), last_key, lists);
+        let max_id = postings.iter().map(|p| p.1).max().unwrap_or(0);
+        let id_bits = (u32::BITS - max_id.leading_zeros()).max(1);
+        let mut ids = vec![0u64; (dict.n_ids * id_bits as usize).div_ceil(64)];
+        for (j, &(_, id)) in postings.iter().enumerate() {
+            write_bits(&mut ids, j * id_bits as usize, id_bits, u64::from(id));
+        }
+        dict.id_bits = id_bits;
+        dict.ids = ids.into();
+        dict
+    }
+
+    /// Build a dictionary without an ID column from `(key, list length)`
+    /// pairs, keys ascending and distinct, lengths at least 1. List `i`
+    /// is positions [`SealedDict::list_range`]`(i)` of an ID stream kept
+    /// elsewhere, the lists back to back in key order.
+    pub fn from_lists(lists: &[(u64, u32)]) -> SealedDict {
+        assert!(
+            lists.windows(2).all(|w| w[0].0 < w[1].0) && lists.iter().all(|l| l.1 > 0),
+            "lists must be non-empty, their keys sorted and distinct"
+        );
+        let Some(&(last_key, _)) = lists.last() else {
+            return SealedDict::default();
+        };
+        let n_ids = lists.iter().map(|l| l.1 as usize).sum();
+        let runs = lists.iter().map(|&(key, n)| (key, n as usize));
+        SealedDict::from_runs(lists.len(), n_ids, last_key, runs)
+    }
+
+    /// The ID-less dictionary of `len ≥ 1` lists holding `n_ids` IDs in
+    /// all, given as ascending `(key, length)` pairs up to `last_key`.
+    fn from_runs(
+        len: usize,
+        n_ids: usize,
+        last_key: u64,
+        lists: impl Iterator<Item = (u64, usize)>,
+    ) -> SealedDict {
+        let (low_bits, high_len) = shape(len, last_key);
         assert!(
             high_len <= u32::MAX as usize && n_ids <= u32::MAX as usize,
             "sealed dictionary exceeds the u32 sample domain"
         );
-        let max_id = postings.iter().map(|p| p.1).max().unwrap_or(0);
-        let id_bits = (u32::BITS - max_id.leading_zeros()).max(1);
-
         let mut lows = vec![0u64; (len * low_bits as usize).div_ceil(64)];
         let mut highs = vec![0u64; high_len.div_ceil(64)];
         let mut starts = vec![0u64; n_ids.div_ceil(64)];
-        let mut ids = vec![0u64; (n_ids * id_bits as usize).div_ceil(64)];
         let low_mask = (1u64 << low_bits) - 1;
-        let mut i = 0usize;
-        for (j, &(key, id)) in postings.iter().enumerate() {
-            if j == 0 || postings[j - 1].0 != key {
-                write_bits(&mut lows, i * low_bits as usize, low_bits, key & low_mask);
-                set_bit(&mut highs, (key >> low_bits) as usize + i);
-                set_bit(&mut starts, j);
-                i += 1;
-            }
-            write_bits(&mut ids, j * id_bits as usize, id_bits, u64::from(id));
+        let mut at = 0usize;
+        for (i, (key, n)) in lists.enumerate() {
+            write_bits(&mut lows, i * low_bits as usize, low_bits, key & low_mask);
+            set_bit(&mut highs, (key >> low_bits) as usize + i);
+            set_bit(&mut starts, at);
+            at += n;
         }
+        SealedDict::assemble(len, n_ids, last_key, lows, highs, starts)
+    }
+
+    /// The ID-less dictionary over the given key and boundary words, with
+    /// its select samples.
+    fn assemble(
+        len: usize,
+        n_ids: usize,
+        last_key: u64,
+        lows: Vec<u64>,
+        highs: Vec<u64>,
+        starts: Vec<u64>,
+    ) -> SealedDict {
+        let (low_bits, high_len) = shape(len, last_key);
         SealedDict {
             len,
             n_ids,
             low_bits,
-            id_bits,
+            id_bits: 0,
             last_key,
             high_zeros: samples(&highs, high_len, false),
             start_ones: samples(&starts, n_ids, true),
             lows: lows.into(),
             highs: highs.into(),
             starts: starts.into(),
-            ids: ids.into(),
+            ids: Box::default(),
         }
     }
 
@@ -164,8 +211,17 @@ impl SealedDict {
             .map(|(i, _)| i)
     }
 
-    /// Append the ascending IDs of list `i` (`i < len`) to `out`.
-    pub fn list_into(&self, i: usize, out: &mut Vec<u32>) {
+    /// The largest key, if any.
+    #[inline]
+    pub fn last_key(&self) -> Option<u64> {
+        (self.len > 0).then_some(self.last_key)
+    }
+
+    /// Positions of list `i` (`i < len`) in the ID stream: in the ID
+    /// column, or in the stream kept elsewhere that an ID-less dictionary
+    /// indexes.
+    #[inline]
+    pub fn list_range(&self, i: usize) -> std::ops::Range<usize> {
         let k = i / SAMPLE;
         let start = select_from(
             &self.starts,
@@ -179,8 +235,85 @@ impl SealedDict {
         } else {
             next_one(&self.starts, start + 1)
         };
+        start..end
+    }
+
+    /// Append the ascending IDs of list `i` (`i < len`) to `out`. The
+    /// dictionary must carry its ID column ([`SealedDict::from_postings`]).
+    pub fn list_into(&self, i: usize, out: &mut Vec<u32>) {
+        debug_assert!(self.id_bits > 0, "list_into on a dictionary without IDs");
         let w = self.id_bits;
-        out.extend((start..end).map(|j| read_bits(&self.ids, j * w as usize, w) as u32));
+        out.extend(
+            self.list_range(i)
+                .map(|j| read_bits(&self.ids, j * w as usize, w) as u32),
+        );
+    }
+
+    /// Append the key and boundary words to `out`: the `u32` key count,
+    /// the `u32` ID count, the `u64` largest key (0 when empty), then the
+    /// low parts, the high bits and the list starts as little-endian
+    /// `u64` words, each at the length [`SealedDict::from_lists`] gives
+    /// it. Neither the ID column nor the select samples are written.
+    pub fn write_keys(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.len as u32).to_le_bytes());
+        out.extend_from_slice(&(self.n_ids as u32).to_le_bytes());
+        out.extend_from_slice(&self.last_key.to_le_bytes());
+        for word in self.lows.iter().chain(&*self.highs).chain(&*self.starts) {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    /// Decode what [`SealedDict::write_keys`] wrote at the start of
+    /// `bytes`: the ID-less dictionary and the number of bytes it took.
+    /// Every count is checked against the bytes and every word against
+    /// the counts (no bit set past a bitvector's end, one high bit and one
+    /// start bit per key, the first list starting at 0, keys strictly
+    /// ascending up to the recorded largest), so no lookup on the result
+    /// can run off a buffer.
+    pub fn read_keys(bytes: &[u8]) -> Result<(SealedDict, usize), &'static str> {
+        let h = KeyHeader::read(bytes)?;
+        if h.len == 0 {
+            return Ok((SealedDict::default(), h.bytes));
+        }
+        let mut words = bytes[16..h.bytes]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+        let [lows, highs, starts] = h
+            .bits
+            .map(|bits| words.by_ref().take(bits.div_ceil(64)).collect::<Vec<u64>>());
+        let clear_past = |words: &[u64], bits: usize| {
+            bits.is_multiple_of(64) || words.last().is_none_or(|&w| w >> (bits % 64) == 0)
+        };
+        if !(clear_past(&lows, h.bits[0])
+            && clear_past(&highs, h.bits[1])
+            && clear_past(&starts, h.bits[2]))
+        {
+            return Err("bits set past the end of a key bitvector");
+        }
+        let ones = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        if ones(&highs) != h.len || ones(&starts) != h.len || starts[0] & 1 == 0 {
+            return Err("key or list-start count does not match its bitvector");
+        }
+        let dict = SealedDict::assemble(h.len, h.n_ids, h.last_key, lows, highs, starts);
+        let mut prev = None;
+        for (_, key) in dict.cursor() {
+            if prev.is_some_and(|p| p >= key) {
+                return Err("keys not strictly ascending");
+            }
+            prev = Some(key);
+        }
+        if prev != Some(h.last_key) {
+            return Err("largest key does not match its record");
+        }
+        Ok((dict, h.bytes))
+    }
+
+    /// The length of the key section [`SealedDict::write_keys`] wrote at
+    /// the start of `bytes`, from its counts alone (checked against each
+    /// other and against the bytes): how a reader steps over a section it
+    /// does not need.
+    pub fn key_section_len(bytes: &[u8]) -> Result<usize, &'static str> {
+        KeyHeader::read(bytes).map(|h| h.bytes)
     }
 
     /// Bytes held: the length of every buffer times its word size, select
@@ -189,6 +322,65 @@ impl SealedDict {
         let words = self.lows.len() + self.highs.len() + self.starts.len() + self.ids.len();
         let samples = self.high_zeros.len() + self.start_ones.len();
         words * size_of::<u64>() + samples * size_of::<u32>()
+    }
+}
+
+/// The counts that open a key section, and what they imply.
+struct KeyHeader {
+    len: usize,
+    n_ids: usize,
+    last_key: u64,
+    /// Bit lengths of the low parts, the high bitvector and the starts.
+    bits: [usize; 3],
+    /// The section's length in bytes.
+    bytes: usize,
+}
+
+impl KeyHeader {
+    /// The header at the start of `bytes`, its counts checked against
+    /// each other and the section they imply against `bytes`.
+    fn read(bytes: &[u8]) -> Result<KeyHeader, &'static str> {
+        let truncated = "truncated key section";
+        let le32 = |at: usize| -> Result<usize, &'static str> {
+            let b = bytes.get(at..at + 4).ok_or(truncated)?;
+            Ok(u32::from_le_bytes(b.try_into().unwrap()) as usize)
+        };
+        let (len, n_ids) = (le32(0)?, le32(4)?);
+        let last_key = bytes.get(8..16).ok_or(truncated)?;
+        let last_key = u64::from_le_bytes(last_key.try_into().unwrap());
+        let mut h = KeyHeader {
+            len,
+            n_ids,
+            last_key,
+            bits: [0; 3],
+            bytes: 16,
+        };
+        if len == 0 {
+            return match (n_ids, last_key) {
+                (0, 0) => Ok(h),
+                _ => Err("empty key section with ids or keys"),
+            };
+        }
+        if n_ids < len {
+            return Err("fewer ids than lists");
+        }
+        if last_key < len as u64 - 1 {
+            return Err("too few key values for distinct keys");
+        }
+        let (low_bits, high_len) = shape(len, last_key);
+        if high_len > u32::MAX as usize {
+            return Err("key universe exceeds the u32 sample domain");
+        }
+        h.bits = [len * low_bits as usize, high_len, n_ids];
+        h.bytes += h
+            .bits
+            .iter()
+            .map(|bits| bits.div_ceil(64) * 8)
+            .sum::<usize>();
+        if bytes.len() < h.bytes {
+            return Err(truncated);
+        }
+        Ok(h)
     }
 }
 
@@ -289,6 +481,16 @@ impl KeyCursor for Window<'_> {
         let entry = self.cursor.seek(self.lo);
         self.clip(entry)
     }
+}
+
+/// The low-part width `l = ⌊log₂(U/n)⌋` and the high bitvector's length
+/// `n + (last_key >> l) + 1` of `n ≥ 1` distinct keys up to `last_key`,
+/// over the universe `U = last_key + 1` (≥ n). In `u128`, so U = 2⁶⁴
+/// cannot overflow; `l` is at most 63, so the high part of a key is never
+/// shifted out whole.
+fn shape(len: usize, last_key: u64) -> (u32, usize) {
+    let low_bits = ((u128::from(last_key) + 1) / len as u128).ilog2().min(63);
+    (low_bits, len + (last_key >> low_bits) as usize + 1)
 }
 
 #[inline]
@@ -464,5 +666,50 @@ mod tests {
         let samples = zeros.div_ceil(SAMPLE) + n.div_ceil(SAMPLE);
         assert_eq!(d.size_bytes(), 8 * words + 4 * samples);
         assert_eq!(SealedDict::from_postings(&[]).size_bytes(), 0);
+    }
+
+    /// An ID-less dictionary's list ranges tile its ID stream in key
+    /// order, and its key section decodes to the same keys, ranges and
+    /// size. A cut section is refused, and so is a key count or a largest
+    /// key pushed up or down.
+    #[test]
+    fn key_section_roundtrips_and_refuses_damage() {
+        let lists: Vec<(u64, u32)> = (0..300u64)
+            .map(|k| (k * k + 3, 1 + (k % 3) as u32))
+            .collect();
+        let d = SealedDict::from_lists(&lists);
+        let mut at = 0;
+        for (i, &(key, n)) in lists.iter().enumerate() {
+            assert_eq!(d.find(key), Some(i));
+            assert_eq!(d.list_range(i), at..at + n as usize);
+            at += n as usize;
+        }
+        assert_eq!(d.num_ids(), at);
+        let mut bytes = Vec::new();
+        d.write_keys(&mut bytes);
+        let used = bytes.len();
+        bytes.extend_from_slice(b"next");
+        let (back, n) = SealedDict::read_keys(&bytes).unwrap();
+        assert_eq!(n, used);
+        assert!(back.cursor().eq(d.cursor()));
+        assert!((0..lists.len()).all(|i| back.list_range(i) == d.list_range(i)));
+        assert_eq!(back.size_bytes(), d.size_bytes());
+        for cut in 0..used {
+            assert!(SealedDict::read_keys(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        for (field, width) in [(0usize, 4usize), (8, 8)] {
+            for step in [1u64, u64::MAX] {
+                let mut bad = bytes.clone();
+                let mut v = [0u8; 8];
+                v[..width].copy_from_slice(&bad[field..field + width]);
+                let pushed = u64::from_le_bytes(v).wrapping_add(step);
+                bad[field..field + width].copy_from_slice(&pushed.to_le_bytes()[..width]);
+                assert!(SealedDict::read_keys(&bad).is_err(), "field {field} {step}");
+            }
+        }
+        let mut empty = Vec::new();
+        SealedDict::default().write_keys(&mut empty);
+        assert_eq!(SealedDict::read_keys(&empty).unwrap().1, 16);
+        assert!(SealedDict::read_keys(&[1, 0, 0, 0, 1, 0, 0, 0]).is_err());
     }
 }

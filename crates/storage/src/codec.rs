@@ -180,6 +180,20 @@ impl Decoder {
         Some(self.buf.split_to(len))
     }
 
+    /// The bytes that remain, without consuming them.
+    pub fn remaining_slice(&self) -> &[u8] {
+        &self.buf[..]
+    }
+
+    /// Consume `n` bytes; `None`, consuming nothing, when fewer remain.
+    pub fn try_skip(&mut self, n: usize) -> Option<()> {
+        if self.buf.len() < n {
+            return None;
+        }
+        self.buf.split_to(n);
+        Some(())
+    }
+
     /// Take everything that remains (zero-copy view).
     pub fn rest(&mut self) -> Bytes {
         let n = self.buf.len();

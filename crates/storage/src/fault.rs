@@ -29,7 +29,7 @@
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// What the targeted operation does instead of succeeding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,6 +69,7 @@ struct State {
     plan: Option<Plan>,
     triggered: bool,
     crashed: bool,
+    files_read: Vec<PathBuf>,
 }
 
 thread_local! {
@@ -82,8 +83,7 @@ pub fn arm(op: u64, kind: FaultKind, mode: FaultMode) {
         *s.borrow_mut() = Some(State {
             ops: 0,
             plan: Some(Plan { op, kind, mode }),
-            triggered: false,
-            crashed: false,
+            ..State::default()
         });
     });
 }
@@ -98,12 +98,14 @@ pub fn arm_counting() {
 }
 
 /// What an armed section observed.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct Outcome {
     /// Instrumented operations executed while armed.
     pub ops: u64,
     /// Whether the scheduled fault actually fired.
     pub triggered: bool,
+    /// Every [`read_file`] while armed, in order.
+    pub files_read: Vec<PathBuf>,
 }
 
 /// Disarm the current thread and report what happened. Safe to call when
@@ -115,10 +117,12 @@ pub fn disarm() -> Outcome {
             Some(st) => Outcome {
                 ops: st.ops,
                 triggered: st.triggered,
+                files_read: st.files_read,
             },
             None => Outcome {
                 ops: 0,
                 triggered: false,
+                files_read: Vec::new(),
             },
         }
     })
@@ -205,6 +209,19 @@ fn pwrite(mut file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     file.seek(SeekFrom::Start(offset))?;
     file.write_all(buf)
+}
+
+/// Whole-file read of a committed segment. Logged while armed
+/// ([`Outcome::files_read`]), so a test can count which segments a code
+/// path reads, but not an injection point: the injection space stays the
+/// durable-I/O sequence the crash tests walk.
+pub fn read_file(path: &Path) -> io::Result<Vec<u8>> {
+    STATE.with(|s| {
+        if let Some(st) = s.borrow_mut().as_mut() {
+            st.files_read.push(path.to_path_buf());
+        }
+    });
+    std::fs::read(path)
 }
 
 /// Instrumented `write_all`.

@@ -21,5 +21,5 @@ pub mod pi;
 pub mod tpi;
 
 pub use disk::DiskTpi;
-pub use pi::{Pi, PiConfig, Region};
+pub use pi::{Pi, PiConfig, Region, SealedPostings, SealedSlice};
 pub use tpi::{Tpi, TpiConfig, TpiStats};

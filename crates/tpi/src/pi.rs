@@ -18,6 +18,7 @@
 use ppq_geo::{BBox, GridSpec, Point};
 use ppq_quantize::{bounded_kmeans, KMeansConfig};
 use ppq_sindex::posting::walk_cells_in_range;
+use ppq_sindex::sealed::Window;
 use ppq_sindex::{remove_overlap, PostingDict, QueryScratch, SealedDict};
 
 /// Parameters of PI construction.
@@ -157,11 +158,15 @@ impl Region {
     }
 }
 
-/// A sealed period's postings: one [`SealedDict`] over the composite key
-/// `base[r] + (t − t_start)·cells_r + cell`, so ascending key order is
-/// region, then timestep, then cell — [`Pi::for_each_block`]'s order.
+/// A sealed run of a period's timesteps: one [`SealedDict`] over the
+/// composite key `base[r] + (t − t_start)·cells_r + cell`, so ascending
+/// key order is region, then timestep, then cell — [`Pi::for_each_block`]'s
+/// order. A sealed PI holds one over its whole period; a repository
+/// directory holds one without its ID column for each generation's part
+/// of a period, and both reach a `(region, timestep)` slice through
+/// [`SealedPostings::slice`].
 #[derive(Clone, Debug)]
-struct SealedPostings {
+pub struct SealedPostings {
     /// Region `r`'s keys lie in `base[r]..base[r + 1]`.
     base: Box<[u64]>,
     /// Timesteps `t_start..t_start + span` are keyed.
@@ -171,16 +176,119 @@ struct SealedPostings {
 }
 
 impl SealedPostings {
-    /// First key of region `ri`'s slice at `t`, whose grid has `cells`
-    /// cells; `None` when `t` lies outside the period's span.
-    #[inline]
-    fn slice_start(&self, ri: usize, t: u32, cells: u64) -> Option<u64> {
-        let dt = t.checked_sub(self.t_start).filter(|&dt| dt < self.span)?;
-        Some(self.base[ri] + u64::from(dt) * cells)
+    /// The key bases of regions with `cells` grid cells each over `span`
+    /// timesteps: one more than there are regions, the last the size of
+    /// the key space. `None` when the key space exceeds `u64`.
+    pub fn key_bases(cells: impl IntoIterator<Item = u64>, span: u32) -> Option<Box<[u64]>> {
+        let mut base = vec![0u64];
+        let mut next = 0u64;
+        for c in cells {
+            next = next.checked_add(u64::from(span).checked_mul(c)?)?;
+            base.push(next);
+        }
+        Some(base.into())
     }
 
-    fn size_bytes(&self) -> usize {
+    /// `dict` keyed from `base` ([`SealedPostings::key_bases`]) over the
+    /// timesteps `t_start..t_start + span`.
+    pub fn new(base: Box<[u64]>, t_start: u32, span: u32, dict: SealedDict) -> SealedPostings {
+        debug_assert!(!base.is_empty() && dict.last_key().is_none_or(|k| k < base[base.len() - 1]));
+        SealedPostings {
+            base,
+            t_start,
+            span,
+            dict,
+        }
+    }
+
+    #[inline]
+    pub fn dict(&self) -> &SealedDict {
+        &self.dict
+    }
+
+    /// Number of regions keyed.
+    #[inline]
+    pub fn regions(&self) -> usize {
+        self.base.len() - 1
+    }
+
+    /// Region `ri`'s slice at `t`, its grid having `cells` cells; `None`
+    /// when `t` lies outside the span or `ri` outside the keyed regions.
+    #[inline]
+    pub fn slice(&self, ri: usize, t: u32, cells: u64) -> Option<SealedSlice<'_>> {
+        let dt = t.checked_sub(self.t_start).filter(|&dt| dt < self.span)?;
+        if ri >= self.regions() {
+            return None;
+        }
+        let lo = self.base[ri] + u64::from(dt) * cells;
+        Some(SealedSlice {
+            dict: &self.dict,
+            lo,
+            hi: lo + cells,
+        })
+    }
+
+    /// Region `ri`'s keys, its grid having `cells` cells, as ascending
+    /// `(list index, t, cell)`, skipping the first `skip` timesteps.
+    pub fn region_keys(
+        &self,
+        ri: usize,
+        cells: u64,
+        skip: u64,
+    ) -> impl Iterator<Item = (usize, u32, u32)> + '_ {
+        let (start, end) = (self.base[ri], self.base[ri + 1]);
+        let mut cursor = self.dict.cursor();
+        let first = cursor.seek(start + skip.min(u64::from(self.span)) * cells);
+        std::iter::successors(first, move |_| cursor.next())
+            .take_while(move |&(_, key)| key < end)
+            .map(move |(i, key)| {
+                let offset = key - start;
+                let t = self.t_start + (offset / cells) as u32;
+                (i, t, (offset % cells) as u32)
+            })
+    }
+
+    /// Bytes held: the key bases and the dictionary.
+    pub fn size_bytes(&self) -> usize {
         self.base.len() * size_of::<u64>() + self.dict.size_bytes()
+    }
+}
+
+/// One `(region, timestep)` slice of a [`SealedPostings`]: the keys
+/// `lo..hi` of its dictionary, seen as the cells of the region's grid.
+#[derive(Clone, Copy, Debug)]
+pub struct SealedSlice<'a> {
+    dict: &'a SealedDict,
+    lo: u64,
+    hi: u64,
+}
+
+impl<'a> SealedSlice<'a> {
+    /// The slice's keys as cell offsets, with their list indices in the
+    /// whole dictionary.
+    #[inline]
+    pub fn keys(self) -> Window<'a> {
+        self.dict.window(self.lo, self.hi)
+    }
+
+    /// The sealed `(region, timestep)` walk: [`walk_cells_in_range`] over
+    /// the slice's keys, `visit` receiving the dictionary's list indices.
+    /// The in-memory sealed period and the repository's directory both
+    /// answer a rectangle through it.
+    #[inline]
+    pub fn walk(
+        self,
+        grid: &GridSpec,
+        range: (u32, u32, u32, u32),
+        visit: impl FnMut(usize, u32, u32),
+    ) {
+        walk_cells_in_range(grid, self.keys(), range, visit)
+    }
+
+    /// The list index of `cell`, if occupied.
+    #[inline]
+    pub fn find(self, cell: u32) -> Option<usize> {
+        self.dict.find(self.lo + u64::from(cell))
     }
 }
 
@@ -188,8 +296,7 @@ impl SealedPostings {
 #[derive(Clone, Copy)]
 enum SliceRef<'a> {
     Raw(&'a PostingDict),
-    /// The keys `lo..hi` of a sealed period's dictionary.
-    Sealed(&'a SealedDict, u64, u64),
+    Sealed(SealedSlice<'a>),
 }
 
 impl SliceRef<'_> {
@@ -204,9 +311,7 @@ impl SliceRef<'_> {
     ) {
         match self {
             SliceRef::Raw(dict) => walk_cells_in_range(grid, dict.keys(), range, visit),
-            SliceRef::Sealed(dict, lo, hi) => {
-                walk_cells_in_range(grid, dict.window(lo, hi), range, visit)
-            }
+            SliceRef::Sealed(slice) => slice.walk(grid, range, visit),
         }
     }
 
@@ -215,7 +320,7 @@ impl SliceRef<'_> {
     fn find(self, cell: u32) -> Option<usize> {
         match self {
             SliceRef::Raw(dict) => dict.keys().binary_search(&cell).ok(),
-            SliceRef::Sealed(dict, lo, _) => dict.find(lo + u64::from(cell)),
+            SliceRef::Sealed(slice) => slice.find(cell),
         }
     }
 
@@ -223,7 +328,7 @@ impl SliceRef<'_> {
     fn list_into(self, i: usize, out: &mut Vec<u32>) {
         match self {
             SliceRef::Raw(dict) => dict.list_into(i, out),
-            SliceRef::Sealed(dict, _, _) => dict.list_into(i, out),
+            SliceRef::Sealed(slice) => slice.dict.list_into(i, out),
         }
     }
 }
@@ -542,11 +647,9 @@ impl Pi {
     fn slice(&self, ri: usize, t: u32) -> Option<SliceRef<'_>> {
         let region = &self.regions[ri];
         match &self.sealed {
-            Some(sealed) => {
-                let cells = region.grid.len() as u64;
-                let lo = sealed.slice_start(ri, t, cells)?;
-                Some(SliceRef::Sealed(&sealed.dict, lo, lo + cells))
-            }
+            Some(sealed) => sealed
+                .slice(ri, t, region.grid.len() as u64)
+                .map(SliceRef::Sealed),
             None => {
                 let i = region.slices.partition_point(|s| s.t < t);
                 let slice = region.slices.get(i).filter(|s| s.t == t)?;
@@ -695,15 +798,15 @@ impl Pi {
             .map(|s| s.t - t_start + 1)
             .max()
             .unwrap_or(0);
-        let mut base = Vec::with_capacity(self.regions.len() + 1);
+        let base =
+            SealedPostings::key_bases(self.regions.iter().map(|r| r.grid.len() as u64), span)
+                .expect("period key space exceeds u64");
         let mut postings: Vec<(u64, u32)> = Vec::with_capacity(self.points_indexed());
         let mut ids = Vec::new();
-        let mut next = 0u64;
-        for region in &mut self.regions {
-            base.push(next);
+        for (region, &region_base) in self.regions.iter_mut().zip(&base) {
             let cells = region.grid.len() as u64;
             for slice in std::mem::take(&mut region.slices) {
-                let start = next + u64::from(slice.t - t_start) * cells;
+                let start = region_base + u64::from(slice.t - t_start) * cells;
                 for (i, &cell) in slice.dict.keys().iter().enumerate() {
                     ids.clear();
                     slice.dict.list_into(i, &mut ids);
@@ -711,18 +814,9 @@ impl Pi {
                     postings.extend(ids.iter().map(|&id| (key, id)));
                 }
             }
-            next = u64::from(span)
-                .checked_mul(cells)
-                .and_then(|keys| next.checked_add(keys))
-                .expect("period key space exceeds u64");
         }
-        base.push(next);
-        self.sealed = Some(SealedPostings {
-            base: base.into(),
-            t_start,
-            span,
-            dict: SealedDict::from_postings(&postings),
-        });
+        let dict = SealedDict::from_postings(&postings);
+        self.sealed = Some(SealedPostings::new(base, t_start, span, dict));
     }
 
     #[inline]
@@ -774,22 +868,13 @@ impl Pi {
                 }
                 continue;
             };
-            let cells = region.grid.len() as u64;
-            let (start, end) = (sealed.base[ri], sealed.base[ri + 1]);
-            let skipped = min_exclusive_t.map_or(0, |t_hi| {
-                (u64::from(t_hi) + 1)
-                    .saturating_sub(u64::from(sealed.t_start))
-                    .min(u64::from(sealed.span))
+            let skip = min_exclusive_t.map_or(0, |t_hi| {
+                (u64::from(t_hi) + 1).saturating_sub(u64::from(sealed.t_start))
             });
-            let mut cursor = sealed.dict.cursor();
-            let mut entry = cursor.seek(start + skipped * cells);
-            while let Some((i, key)) = entry.filter(|&(_, key)| key < end) {
-                let offset = key - start;
-                let t = sealed.t_start + (offset / cells) as u32;
+            for (i, t, cell) in sealed.region_keys(ri, region.grid.len() as u64, skip) {
                 ids.clear();
                 sealed.dict.list_into(i, &mut ids);
-                visit(ri as u32, t, (offset % cells) as u32, &ids);
-                entry = cursor.next();
+                visit(ri as u32, t, cell, &ids);
             }
         }
     }

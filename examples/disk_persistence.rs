@@ -67,11 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Reopen: the chain is stitched into one logical store. ---------
     let repo = Repo::open(&dir, 32)?;
     println!(
-        "reopened: {} generations, {} data pages ({:.2} MiB incl. resident directory), {} blocks addressed",
+        "reopened: {} generations, {} data pages ({:.2} MiB incl. resident directory), {} blocks addressed in {} directory bytes",
         repo.num_generations(),
         repo.total_pages(),
         repo.size_bytes() as f64 / (1 << 20) as f64,
-        repo.shard(0).directory().num_blocks()
+        repo.shard(0).directory().num_blocks(),
+        repo.shard(0).directory().size_bytes()
     );
 
     // --- Query from disk: cold pass, then warm (pool-absorbed) pass. ---
