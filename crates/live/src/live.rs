@@ -68,9 +68,8 @@ pub struct LiveConfig {
     /// generations; 0 disables the length trigger.
     pub compact_max_chain: usize,
     /// Auto-compact when the superseded fraction of the store's bytes
-    /// (older generations' block directories, re-recorded in full by
-    /// every delta, and their pipeline states) reaches this; > 1.0
-    /// disables the byte trigger.
+    /// (older generations' pipeline states) reaches this; > 1.0 disables
+    /// the byte trigger.
     pub compact_dead_frac: f64,
     /// Cap on the fold-backoff exponent: after `f` consecutive
     /// maintenance failures the next fold is attempted
@@ -277,8 +276,9 @@ impl LiveRepo {
         let chain_generations = chain
             .as_ref()
             .map_or(0, |c| c.manifest.generations.len() as u32);
-        // The first fold appends to the chain just read: hand it over
-        // rather than have the appender read and verify it again.
+        // The first fold appends to the chain just read: hand its
+        // summaries over rather than have the appender read and verify
+        // them again.
         let appender = match &chain {
             Some(chain) => Appender::from_chain(dir, cfg.page_size, chain),
             None => Appender::with_page_size(dir, cfg.page_size),
@@ -713,8 +713,12 @@ impl Maintainer {
 /// Superseded fraction of the committed store's bytes: every generation
 /// may carry the whole pipeline state, and recovery takes it only from
 /// the newest one — older states are pure overhead the next compaction
-/// reclaims. Nothing else is: summary deltas stack, and each directory
-/// segment and page segment covers only its own generation's timesteps.
+/// reclaims. Summary deltas stack, and page segments and directory keys
+/// cover only their own generation's timesteps. Not counted: a delta's
+/// directory re-records the region table of the period it extends
+/// (64 B a region), which makes the earlier copy dead too, but the
+/// manifest does not record region counts; those bytes are left to the
+/// chain-length cap (`compact_max_chain`).
 fn dead_fraction(manifest: &Manifest) -> f64 {
     let mut total = 0u64;
     let mut dead = 0u64;

@@ -282,10 +282,11 @@ fn compaction_keeps_the_state_recovery_resumes_from() {
     }
 }
 
-/// Recovery reads and verifies the chain once and hands it to the
-/// appender: across a recovery and the fold after it, every summary,
-/// summary-delta, directory and state segment is read at most once, and
-/// every summary segment of the chain is read.
+/// Recovery reads and verifies the chain's summaries once and hands them
+/// to the appender, and reads no directory segment: across a recovery and
+/// the fold after it, every summary, summary-delta, directory and state
+/// segment is read at most once, and every summary segment of the chain
+/// is read.
 #[test]
 fn recovery_and_the_next_fold_read_each_segment_once() {
     let data = dataset();
@@ -296,8 +297,18 @@ fn recovery_and_the_next_fold_read_each_segment_once() {
 
     fault::arm_counting();
     let mut live = LiveRepo::recover(&dir, cfg.clone()).unwrap();
+    let mut reads = fault::disarm().files_read;
+    let is_dir_segment = |p: &std::path::PathBuf| {
+        let name = p.file_name().unwrap().to_string_lossy();
+        name.starts_with("dir-")
+    };
+    assert!(
+        !reads.iter().any(is_dir_segment),
+        "recovery read a directory segment: {reads:?}"
+    );
+    fault::arm_counting();
     live.fold().unwrap();
-    let reads = fault::disarm().files_read;
+    reads.extend(fault::disarm().files_read);
     assert_eq!(live.chain_generations(), 4, "the fold appended a delta");
 
     let mut counts = std::collections::HashMap::new();

@@ -7,10 +7,11 @@
 //!
 //! [`Appender`] keeps the post-commit view in memory between calls: the
 //! committed [`Manifest`], each shard's stitched summary, and each
-//! shard's newest directory fragment — its horizon and the geometry of
-//! the period a later snapshot may extend. Recovery, which reads the
-//! same view, hands it over ([`Appender::from_chain`]). A warm append
-//! skips the chain re-read entirely and goes straight to
+//! shard's committed period table, whose last end is the next delta's
+//! horizon. Recovery, which reads the same summaries, hands them over
+//! ([`Appender::from_chain`]); the period tables, which recovery does not
+//! need, are read from the directory segments by the first append. A
+//! warm append skips the chain re-read entirely and goes straight to
 //! `delta_to_bytes` against the cached base. The cache is *verified, not trusted*: before every append the
 //! committed manifest (a tiny file) is re-read and compared to the
 //! cached one — if another writer has advanced the chain, the cache is
@@ -24,20 +25,20 @@
 //! under the same manifest rename; [`Appender::append_sharded`] is that
 //! path with no state.
 
-use crate::dir::{DirEncoder, OpenPeriod};
+use crate::dir::{DirEncoder, DiskPeriod};
 use crate::layout::{sdelta_seg_name, GenKind, Manifest, RepoError};
-use crate::repo::{load_shard_summary, read_open_period, ChainState};
-use crate::writer::{check_period_extension, open_period, tpi_blocks, tpi_periods, RepoWriter};
+use crate::repo::{load_shard_summary, read_periods, ChainState};
+use crate::writer::{check_period_extension, tpi_blocks, tpi_periods, RepoWriter};
 use ppq_core::summary_io;
 use ppq_core::{PpqSummary, ShardedSummary};
 use std::path::Path;
 
 /// One shard's slice of the committed view: the stitched summary the next
-/// delta is diffed against, and the newest fragment's period, whose end
-/// is the next delta's block horizon.
+/// delta is diffed against, and the committed period table (`None` until
+/// an append reads it), whose last end is the next delta's block horizon.
 struct ShardState {
     base: PpqSummary,
-    open: Option<OpenPeriod>,
+    periods: Option<Vec<DiskPeriod>>,
 }
 
 /// The committed view the last append left behind (or the last warm-up
@@ -69,18 +70,19 @@ impl Appender {
     }
 
     /// Append handle warmed from a chain recovery already read: its
-    /// manifest, summaries and newest fragments are the cache, so the
-    /// first append reads no segment again.
+    /// manifest and summaries are the cache, so the first append reads no
+    /// summary segment again.
     pub fn from_chain(dir: &Path, page_size: usize, chain: &ChainState) -> Appender {
-        let shards = chain.summaries.iter().zip(&chain.open_periods);
         Appender {
             writer: RepoWriter::with_page_size(dir, page_size),
             cache: Some(AppendCache {
                 manifest: chain.manifest.clone(),
-                shards: shards
-                    .map(|(base, open)| ShardState {
+                shards: chain
+                    .summaries
+                    .iter()
+                    .map(|base| ShardState {
                         base: base.clone(),
-                        open: open.clone(),
+                        periods: None,
                     })
                     .collect(),
             }),
@@ -160,12 +162,17 @@ impl Appender {
 
         let generation = prev.generation() + 1;
         let mut shard_manifests = Vec::with_capacity(fulls.len());
+        let mut written = Vec::with_capacity(fulls.len());
         for (i, full) in fulls.iter().enumerate() {
             let tpi = full.tpi().ok_or(RepoError::MissingIndex)?;
-            let state = &cache.shards[i];
+            let state = &mut cache.shards[i];
             let delta_bytes = summary_io::delta_to_bytes(&state.base, full)?;
-            check_period_extension(state.open.as_ref(), tpi)?;
-            let t_hi = state.open.as_ref().map(|o| o.period.t_end);
+            let stored = match &mut state.periods {
+                Some(stored) => stored,
+                none => none.insert(read_periods(self.writer.dir(), &prev, i)?),
+            };
+            check_period_extension(stored, tpi)?;
+            let t_hi = stored.last().map(|p| p.t_end);
             let (first, periods) = tpi_periods(tpi, t_hi);
             shard_manifests.push(self.writer.write_segments(
                 generation,
@@ -178,6 +185,7 @@ impl Appender {
                     Ok(())
                 },
             )?);
+            written.push((first, periods));
         }
         let mut manifest = prev.clone();
         manifest.generations.push(self.writer.seal_generation(
@@ -190,24 +198,26 @@ impl Appender {
 
         // The committed chain now stitches to exactly `fulls` (that is
         // what `delta_to_bytes` proved and the commit persisted), and its
-        // newest fragment records each index's last period.
+        // period tables end with the periods the new fragments record.
         let cache = self.cache.as_mut().expect("cache warmed above");
         cache.manifest = manifest.clone();
-        for (state, full) in cache.shards.iter_mut().zip(fulls) {
+        for ((state, full), (first, periods)) in cache.shards.iter_mut().zip(fulls).zip(written) {
             state.base = full.clone();
-            state.open = full.tpi().and_then(open_period);
+            let stored = state.periods.as_mut().expect("read by the append");
+            stored.truncate(first);
+            stored.extend(periods);
         }
         Ok(manifest)
     }
 
-    /// Load the committed view: each shard's stitched summary and newest
-    /// fragment.
+    /// Load the committed view: each shard's stitched summary and period
+    /// table.
     fn warm(dir: &Path, manifest: &Manifest) -> Result<AppendCache, RepoError> {
         let shards = (0..manifest.num_shards())
             .map(|i| {
                 Ok(ShardState {
                     base: load_shard_summary(dir, manifest, i)?,
-                    open: read_open_period(dir, manifest, i)?,
+                    periods: Some(read_periods(dir, manifest, i)?),
                 })
             })
             .collect::<Result<_, RepoError>>()?;

@@ -17,8 +17,9 @@
 //!   segment's earlier fragments.
 //!
 //! Generations partition time: a delta's fragments start just past the
-//! horizon of the chain before it, so no directory byte is ever
-//! superseded. [`Directory::stitch`] turns a chain's fragments into one
+//! horizon of the chain before it, so no block key is ever superseded
+//! (only the region table of the period a delta extends is recorded
+//! again). [`Directory::stitch`] turns a chain's fragments into one
 //! [`Directory`], checking each generation once against its page segment;
 //! the disk query path walks a fragment's keys with the same sealed slice
 //! walk as the in-memory index, which is what keeps the answers
@@ -84,14 +85,6 @@ impl DiskPeriod {
                 .zip(&self.regions)
                 .all(|(a, b)| bits(a) == bits(b))
     }
-}
-
-/// The period of a chain's newest fragment, with its index: the one
-/// period a later snapshot of the stream may still extend.
-#[derive(Clone, Debug)]
-pub struct OpenPeriod {
-    pub index: u32,
-    pub period: DiskPeriod,
 }
 
 /// Where one block's IDs live on disk.
@@ -161,9 +154,10 @@ impl<'a> DirEncoder<'a> {
         let fragments = periods
             .iter()
             .map(|p| {
-                let t_lo = t_hi.map_or(p.t_start, |h| p.t_start.max(h + 1));
+                let t_lo = t_hi.map_or(p.t_start, |h| p.t_start.max(h.saturating_add(1)));
                 assert!(t_lo <= p.t_end, "period ends inside the committed horizon");
-                let span = p.t_end - t_lo + 1;
+                let span = (p.t_end - t_lo).checked_add(1);
+                let span = span.expect("period span exceeds u32");
                 let cells = p.regions.iter().map(|r| r.grid.len() as u64);
                 PendingFragment {
                     t_lo,
@@ -249,18 +243,6 @@ pub struct DirSegment {
 /// guard against a buggy or version-skewed writer, so every malformed
 /// input is a typed [`RepoError::Corrupt`], never a panic.
 pub fn decode_dir_segment(bytes: &[u8]) -> Result<DirSegment, RepoError> {
-    decode(bytes, false)
-}
-
-/// The last fragment of a directory segment — the newest period it
-/// records — with every check [`decode_dir_segment`] makes of it; the
-/// fragments before it are stepped over, not decoded. `None` when the
-/// segment has no fragment.
-pub fn decode_last_fragment(bytes: &[u8]) -> Result<Option<SegmentFragment>, RepoError> {
-    Ok(decode(bytes, true)?.fragments.pop())
-}
-
-fn decode(bytes: &[u8], last_only: bool) -> Result<DirSegment, RepoError> {
     let corrupt = |what: &str| RepoError::Corrupt(format!("dir segment: {what}"));
     let mut d = Decoder::from_slice(bytes);
     if d.try_u32() != Some(DIR_MAGIC) {
@@ -278,17 +260,10 @@ fn decode(bytes: &[u8], last_only: bool) -> Result<DirSegment, RepoError> {
     }
     let mut fragments: Vec<SegmentFragment> = Vec::with_capacity(n_fragments);
     let mut listed = 0u64;
-    for k in 0..n_fragments {
+    for _ in 0..n_fragments {
         let mut field = || d.try_u32().ok_or_else(|| corrupt("truncated fragment"));
         let (period, t_start, t_end, t_lo) = (field()?, field()?, field()?, field()?);
         let n_regions = field()? as usize;
-        if last_only && k + 1 < n_fragments {
-            let regions = d.try_skip(n_regions.saturating_mul(REGION_BYTES));
-            let keys = regions.and_then(|()| SealedDict::key_section_len(d.remaining_slice()).ok());
-            keys.and_then(|n| d.try_skip(n))
-                .ok_or_else(|| corrupt("truncated fragment"))?;
-            continue;
-        }
         if let Some(prev) = fragments.last() {
             if prev.period.checked_add(1) != Some(period) {
                 return Err(corrupt("fragments not in consecutive period order"));
@@ -300,6 +275,9 @@ fn decode(bytes: &[u8], last_only: bool) -> Result<DirSegment, RepoError> {
         if !(t_start <= t_lo && t_lo <= t_end) {
             return Err(corrupt("fragment window outside its period"));
         }
+        let span = (t_end - t_lo)
+            .checked_add(1)
+            .ok_or_else(|| corrupt("period span exceeds u32"))?;
         if n_regions.saturating_mul(REGION_BYTES) > d.remaining() {
             return Err(corrupt("region count"));
         }
@@ -323,7 +301,6 @@ fn decode(bytes: &[u8], last_only: bool) -> Result<DirSegment, RepoError> {
         }
         let (dict, used) = SealedDict::read_keys(d.remaining_slice()).map_err(corrupt)?;
         d.try_skip(used).expect("read_keys stays inside the slice");
-        let span = t_end - t_lo + 1;
         let base = SealedPostings::key_bases(regions.iter().map(|r| r.grid.len() as u64), span)
             .ok_or_else(|| corrupt("key space exceeds u64"))?;
         if dict.last_key().is_some_and(|k| k >= base[base.len() - 1]) {
@@ -344,7 +321,7 @@ fn decode(bytes: &[u8], last_only: bool) -> Result<DirSegment, RepoError> {
     if d.remaining() != 0 {
         return Err(corrupt("trailing bytes"));
     }
-    if !last_only && listed != n_ids {
+    if listed != n_ids {
         return Err(corrupt(&format!(
             "fragments list {listed} ids, the header {n_ids}"
         )));

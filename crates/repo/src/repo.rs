@@ -13,10 +13,7 @@
 //! oblivious to generations: it sees one summary, one period table, one
 //! directory.
 
-use crate::dir::{
-    decode_dir_segment, decode_last_fragment, BlockMeta, DirEncoder, Directory, DiskPeriod,
-    OpenPeriod,
-};
+use crate::dir::{decode_dir_segment, BlockMeta, DirEncoder, Directory, DiskPeriod};
 use crate::layout::{
     dir_seg_name, read_verified, sdelta_seg_name, state_seg_name, summary_seg_name, tpi_seg_name,
     GenKind, Manifest, RepoError, MANIFEST_NAME,
@@ -84,37 +81,42 @@ fn read_state(dir: &Path, manifest: &Manifest) -> Result<Option<Vec<u8>>, RepoEr
     read_verified(&path, g, 0, newest.state_len, newest.state_crc).map(Some)
 }
 
-/// The newest fragment of shard `shard`'s chain — the period a later
-/// snapshot may still extend — read from the newest generation whose
-/// directory segment records any; `None` for a chain without periods.
-pub(crate) fn read_open_period(
+/// Shard `shard`'s committed period table, as its chain's directory
+/// fragments record it: each fragment either extends the last period or
+/// adds the next. The next delta is checked against it and starts past
+/// its last period's end.
+pub(crate) fn read_periods(
     dir: &Path,
     manifest: &Manifest,
     shard: usize,
-) -> Result<Option<OpenPeriod>, RepoError> {
-    for gen in manifest.generations.iter().rev() {
+) -> Result<Vec<DiskPeriod>, RepoError> {
+    let mut periods: Vec<DiskPeriod> = Vec::new();
+    for gen in &manifest.generations {
         let (sm, g, s) = (&gen.shards[shard], gen.generation, shard as u32);
         let bytes = read_verified(&dir.join(dir_seg_name(g, s)), g, s, sm.dir_len, sm.dir_crc)?;
-        if let Some(f) = decode_last_fragment(&bytes)? {
-            return Ok(Some(OpenPeriod {
-                index: f.period,
-                period: f.extent,
-            }));
+        for f in decode_dir_segment(&bytes)?.fragments {
+            let p = f.period as usize;
+            if p > periods.len() || p + 1 < periods.len() {
+                return Err(RepoError::Corrupt(format!(
+                    "shard {shard}: generation {g} records period {p} out of sequence"
+                )));
+            }
+            periods.truncate(p);
+            periods.push(f.extent);
         }
     }
-    Ok(None)
+    Ok(periods)
 }
 
 /// What resuming a live stream needs of a committed chain: the manifest,
-/// each shard's stitched summary and newest fragment, and the newest
-/// generation's verified state bytes — everything an [`crate::Appender`]
-/// caches, too ([`crate::Appender::from_chain`]). Read without opening
-/// any page segment.
+/// each shard's stitched summary, and the newest generation's verified
+/// state bytes. The summaries are what an [`crate::Appender`] diffs the
+/// next delta against, so recovery hands them over
+/// ([`crate::Appender::from_chain`]). Read without opening any directory
+/// or page segment.
 pub struct ChainState {
     pub manifest: Manifest,
     pub summaries: Vec<PpqSummary>,
-    /// Per shard, the period the chain's newest fragment records.
-    pub open_periods: Vec<Option<OpenPeriod>>,
     /// `None` when the newest generation carries no state (a store a
     /// batch writer wrote).
     pub state: Option<Vec<u8>>,
@@ -126,19 +128,13 @@ impl ChainState {
         let Some(manifest) = Manifest::read(dir)? else {
             return Ok(None);
         };
-        let shards = 0..manifest.num_shards();
-        let summaries = shards
-            .clone()
+        let summaries = (0..manifest.num_shards())
             .map(|s| load_shard_summary(dir, &manifest, s))
-            .collect::<Result<_, _>>()?;
-        let open_periods = shards
-            .map(|s| read_open_period(dir, &manifest, s))
             .collect::<Result<_, _>>()?;
         let state = read_state(dir, &manifest)?;
         Ok(Some(ChainState {
             manifest,
             summaries,
-            open_periods,
             state,
         }))
     }

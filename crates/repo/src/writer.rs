@@ -30,7 +30,7 @@
 //! intact.
 
 use crate::appender::Appender;
-use crate::dir::{DirEncoder, DiskPeriod, DiskRegion, OpenPeriod};
+use crate::dir::{DirEncoder, DiskPeriod, DiskRegion};
 use crate::layout::{
     dir_seg_name, state_seg_name, summary_seg_name, tpi_seg_name, GenKind, GenManifest, Manifest,
     RepoError, ShardManifest, MANIFEST_NAME, MANIFEST_TMP_NAME,
@@ -352,15 +352,6 @@ pub(crate) fn tpi_periods(tpi: &Tpi, t_hi: Option<u32>) -> (usize, Vec<DiskPerio
     )
 }
 
-/// The last period of a TPI, which its next snapshot may still extend.
-pub(crate) fn open_period(tpi: &Tpi) -> Option<OpenPeriod> {
-    let index = tpi.periods().len().checked_sub(1)?;
-    Some(OpenPeriod {
-        index: index as u32,
-        period: disk_period(&tpi.periods()[index]),
-    })
-}
-
 /// Feed every block of a TPI to `sink` as `(period, region, t, cell,
 /// ids)` in ascending key order — the order [`ppq_tpi::Pi::for_each_block`]
 /// walks each period in. With `min_exclusive_t` set, only blocks strictly
@@ -378,26 +369,29 @@ pub(crate) fn tpi_blocks(tpi: &Tpi, min_exclusive_t: Option<u32>, sink: &mut Blo
     }
 }
 
-/// Verify the current TPI extends the committed chain's last period in
-/// place: the period is still there, same start, end not moved backwards,
-/// every committed region unchanged — regions only appended. The chain
-/// keeps no other period resident; the sealed ones before it are covered
-/// by the summary's prefix check (`summary_io::delta_to_bytes`), which
-/// the index is a function of. This is the index-side mirror of that
-/// check.
-pub(crate) fn check_period_extension(
-    stored: Option<&OpenPeriod>,
-    tpi: &Tpi,
-) -> Result<(), RepoError> {
-    let extended = stored.is_none_or(|open| {
-        let now = tpi.periods().get(open.index as usize);
-        now.is_some_and(|p| disk_period(p).extends(&open.period))
-    });
+/// Verify the current TPI extends the committed chain's period table in
+/// place: every sealed period bit-identical, and the last one with the
+/// same start, its end not moved backwards and every committed region
+/// unchanged — regions only appended. The index-side mirror of the
+/// summary's prefix check (`summary_io::delta_to_bytes`), which does not
+/// see the index's own configuration.
+pub(crate) fn check_period_extension(stored: &[DiskPeriod], tpi: &Tpi) -> Result<(), RepoError> {
+    let last = stored.len().saturating_sub(1);
+    let extended = stored.len() <= tpi.periods().len()
+        && stored
+            .iter()
+            .zip(tpi.periods())
+            .enumerate()
+            .all(|(i, (s, p))| {
+                let p = disk_period(p);
+                let sealed_as_committed = p.t_end == s.t_end && p.regions.len() == s.regions.len();
+                p.extends(s) && (i == last || sealed_as_committed)
+            });
     if extended {
         Ok(())
     } else {
         Err(RepoError::NotAnExtension(
-            "TPI periods: the last committed period is not extended in place".to_string(),
+            "TPI periods: the committed period table is not extended in place".to_string(),
         ))
     }
 }

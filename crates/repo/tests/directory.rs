@@ -4,9 +4,7 @@
 //! corruption error, never a panic.
 
 use ppq_geo::{BBox, GridSpec, Point};
-use ppq_repo::dir::{
-    decode_dir_segment, decode_last_fragment, DirEncoder, Directory, DiskPeriod, DiskRegion,
-};
+use ppq_repo::dir::{decode_dir_segment, DirEncoder, Directory, DiskPeriod, DiskRegion};
 use ppq_repo::RepoError;
 
 /// Encoded size of one region in a fragment.
@@ -126,10 +124,10 @@ fn stitched_chain_addresses_every_block() {
     assert!(block(0, 0, 2, 6).is_none());
     assert!(dir.group(0, 0, 0).is_none());
     assert_eq!(dir.period_of(5).unwrap().0, 1);
-    // The newest fragment alone, as recovery reads it.
+    // Each segment's newest fragment keys the open period from its own
+    // window on.
     for (segment, t_lo, t_end, lists) in [(&base, 3, 4, 1), (&delta, 5, 6, 3)] {
-        let last = decode_last_fragment(segment).unwrap().unwrap();
-        let whole = decode_dir_segment(segment)
+        let last = decode_dir_segment(segment)
             .unwrap()
             .fragments
             .pop()
@@ -138,11 +136,6 @@ fn stitched_chain_addresses_every_block() {
             (last.period, last.t_lo, last.extent.t_end),
             (1, t_lo, t_end)
         );
-        assert_eq!(
-            (whole.period, whole.t_lo, whole.extent.t_end),
-            (1, t_lo, t_end)
-        );
-        assert!(last.keys.dict().cursor().eq(whole.keys.dict().cursor()));
         assert_eq!(last.keys.dict().len(), lists);
     }
     assert!(dir.period_of(7).is_none());
@@ -183,10 +176,6 @@ fn decode_refuses_damage() {
                 decode_dir_segment(cut),
                 Err(RepoError::Corrupt(_))
             ));
-            assert!(matches!(
-                decode_last_fragment(cut),
-                Err(RepoError::Corrupt(_))
-            ));
         }
     }
     // Header: fragment count at 8, id count at 12. The first fragment:
@@ -215,6 +204,12 @@ fn decode_refuses_damage() {
             );
         }
     }
+    // A fragment keying every timestep from 0 to u32::MAX: its span does
+    // not fit the key space's u32. The first fragment's t_end is at 28.
+    let mut whole_clock = base.clone();
+    whole_clock[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+    let refused = decode_dir_segment(&whole_clock);
+    assert!(matches!(refused, Err(RepoError::Corrupt(m)) if m.contains("span")));
     let mut v1 = delta.clone();
     v1[4] = 1;
     let refused = decode_dir_segment(&v1);

@@ -1140,3 +1140,42 @@ fn written_segments_match_the_recorded_crcs() {
         std::fs::remove_dir_all(dir).ok();
     }
 }
+
+/// The summary does not record the index's configuration, so a snapshot
+/// whose index was built with another one passes the summary's prefix
+/// check. Here the committed index (ε_s doubled) and the new one diverge
+/// in a sealed period while the last committed period starts where the
+/// new one's does; the append is refused all the same.
+#[test]
+fn append_refuses_an_index_whose_sealed_periods_diverge() {
+    let data = dataset();
+    let cfg = PpqConfig::variant(Variant::PpqS, 0.1);
+    let mut coarse = cfg.clone();
+    coarse.tpi.pi.eps_s *= 2.0;
+    let cut = 3 * data.time_slices().count() / 4;
+    let (committed, coarse_full) = sharded_snapshots(&data, &coarse, 1, &[cut]);
+    let (_, full) = sharded_snapshots(&data, &cfg, 1, &[]);
+    let table = |s: &ShardedSummary| -> Vec<(u32, u32, usize)> {
+        let tpi = s.shards()[0].tpi().unwrap();
+        let periods = tpi.periods().iter();
+        periods
+            .map(|p| (p.t_start, p.t_end, p.pi.regions().len()))
+            .collect()
+    };
+    let (stored, now) = (table(&committed[0]), table(&full));
+    let last = stored.len() - 1;
+    assert_ne!(stored[..last], now[..last], "a sealed period diverges");
+    assert_eq!(stored[last].0, now[last].0, "the last period starts alike");
+
+    let dir = tmp_dir("sealed-diverge");
+    let writer = RepoWriter::with_page_size(&dir, PAGE);
+    writer.write_sharded(&committed[0]).unwrap();
+    assert!(matches!(
+        writer.append_sharded(&full),
+        Err(RepoError::NotAnExtension(_))
+    ));
+    // The snapshot whose index was built like the committed one appends.
+    writer.append_sharded(&coarse_full).unwrap();
+    assert_eq!(Repo::open(&dir, 0).unwrap().num_generations(), 2);
+    let _ = std::fs::remove_dir_all(dir);
+}

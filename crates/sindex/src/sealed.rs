@@ -271,75 +271,6 @@ impl SealedDict {
     /// ascending up to the recorded largest), so no lookup on the result
     /// can run off a buffer.
     pub fn read_keys(bytes: &[u8]) -> Result<(SealedDict, usize), &'static str> {
-        let h = KeyHeader::read(bytes)?;
-        if h.len == 0 {
-            return Ok((SealedDict::default(), h.bytes));
-        }
-        let mut words = bytes[16..h.bytes]
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
-        let [lows, highs, starts] = h
-            .bits
-            .map(|bits| words.by_ref().take(bits.div_ceil(64)).collect::<Vec<u64>>());
-        let clear_past = |words: &[u64], bits: usize| {
-            bits.is_multiple_of(64) || words.last().is_none_or(|&w| w >> (bits % 64) == 0)
-        };
-        if !(clear_past(&lows, h.bits[0])
-            && clear_past(&highs, h.bits[1])
-            && clear_past(&starts, h.bits[2]))
-        {
-            return Err("bits set past the end of a key bitvector");
-        }
-        let ones = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        if ones(&highs) != h.len || ones(&starts) != h.len || starts[0] & 1 == 0 {
-            return Err("key or list-start count does not match its bitvector");
-        }
-        let dict = SealedDict::assemble(h.len, h.n_ids, h.last_key, lows, highs, starts);
-        let mut prev = None;
-        for (_, key) in dict.cursor() {
-            if prev.is_some_and(|p| p >= key) {
-                return Err("keys not strictly ascending");
-            }
-            prev = Some(key);
-        }
-        if prev != Some(h.last_key) {
-            return Err("largest key does not match its record");
-        }
-        Ok((dict, h.bytes))
-    }
-
-    /// The length of the key section [`SealedDict::write_keys`] wrote at
-    /// the start of `bytes`, from its counts alone (checked against each
-    /// other and against the bytes): how a reader steps over a section it
-    /// does not need.
-    pub fn key_section_len(bytes: &[u8]) -> Result<usize, &'static str> {
-        KeyHeader::read(bytes).map(|h| h.bytes)
-    }
-
-    /// Bytes held: the length of every buffer times its word size, select
-    /// samples included.
-    pub fn size_bytes(&self) -> usize {
-        let words = self.lows.len() + self.highs.len() + self.starts.len() + self.ids.len();
-        let samples = self.high_zeros.len() + self.start_ones.len();
-        words * size_of::<u64>() + samples * size_of::<u32>()
-    }
-}
-
-/// The counts that open a key section, and what they imply.
-struct KeyHeader {
-    len: usize,
-    n_ids: usize,
-    last_key: u64,
-    /// Bit lengths of the low parts, the high bitvector and the starts.
-    bits: [usize; 3],
-    /// The section's length in bytes.
-    bytes: usize,
-}
-
-impl KeyHeader {
-    /// The header at the start of `bytes`, its counts checked against
-    /// each other and the section they imply against `bytes`.
-    fn read(bytes: &[u8]) -> Result<KeyHeader, &'static str> {
         let truncated = "truncated key section";
         let le32 = |at: usize| -> Result<usize, &'static str> {
             let b = bytes.get(at..at + 4).ok_or(truncated)?;
@@ -348,16 +279,9 @@ impl KeyHeader {
         let (len, n_ids) = (le32(0)?, le32(4)?);
         let last_key = bytes.get(8..16).ok_or(truncated)?;
         let last_key = u64::from_le_bytes(last_key.try_into().unwrap());
-        let mut h = KeyHeader {
-            len,
-            n_ids,
-            last_key,
-            bits: [0; 3],
-            bytes: 16,
-        };
         if len == 0 {
             return match (n_ids, last_key) {
-                (0, 0) => Ok(h),
+                (0, 0) => Ok((SealedDict::default(), 16)),
                 _ => Err("empty key section with ids or keys"),
             };
         }
@@ -371,16 +295,49 @@ impl KeyHeader {
         if high_len > u32::MAX as usize {
             return Err("key universe exceeds the u32 sample domain");
         }
-        h.bits = [len * low_bits as usize, high_len, n_ids];
-        h.bytes += h
-            .bits
-            .iter()
-            .map(|bits| bits.div_ceil(64) * 8)
-            .sum::<usize>();
-        if bytes.len() < h.bytes {
+        let bits = [len * low_bits as usize, high_len, n_ids];
+        let used = 16 + bits.iter().map(|b| b.div_ceil(64) * 8).sum::<usize>();
+        if bytes.len() < used {
             return Err(truncated);
         }
-        Ok(h)
+        let mut words = bytes[16..used]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+        let [lows, highs, starts] =
+            bits.map(|bits| words.by_ref().take(bits.div_ceil(64)).collect::<Vec<u64>>());
+        let clear_past = |words: &[u64], bits: usize| {
+            bits.is_multiple_of(64) || words.last().is_none_or(|&w| w >> (bits % 64) == 0)
+        };
+        if !(clear_past(&lows, bits[0])
+            && clear_past(&highs, bits[1])
+            && clear_past(&starts, bits[2]))
+        {
+            return Err("bits set past the end of a key bitvector");
+        }
+        let ones = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        if ones(&highs) != len || ones(&starts) != len || starts[0] & 1 == 0 {
+            return Err("key or list-start count does not match its bitvector");
+        }
+        let dict = SealedDict::assemble(len, n_ids, last_key, lows, highs, starts);
+        let mut prev = None;
+        for (_, key) in dict.cursor() {
+            if prev.is_some_and(|p| p >= key) {
+                return Err("keys not strictly ascending");
+            }
+            prev = Some(key);
+        }
+        if prev != Some(last_key) {
+            return Err("largest key does not match its record");
+        }
+        Ok((dict, used))
+    }
+
+    /// Bytes held: the length of every buffer times its word size, select
+    /// samples included.
+    pub fn size_bytes(&self) -> usize {
+        let words = self.lows.len() + self.highs.len() + self.starts.len() + self.ids.len();
+        let samples = self.high_zeros.len() + self.start_ones.len();
+        words * size_of::<u64>() + samples * size_of::<u32>()
     }
 }
 
