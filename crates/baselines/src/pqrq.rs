@@ -9,7 +9,6 @@
 
 use crate::common::BaselineSummary;
 use ppq_geo::Point;
-use ppq_quantize::codebook::index_bits_for;
 use ppq_quantize::{ProductQuantizer, ResidualQuantizer};
 use ppq_tpi::TpiConfig;
 use ppq_traj::Dataset;
@@ -139,15 +138,6 @@ pub fn build_rq(
         build_time,
         tpi_cfg,
     )
-}
-
-/// Index bits a per-step budget implies (used by harness reporting).
-pub fn budget_bits(budget: &PerStepBudget) -> Option<u32> {
-    match budget {
-        PerStepBudget::Bits(b) => Some(*b),
-        PerStepBudget::Words(v) => v.iter().map(|(_, w)| index_bits_for(*w as usize)).max(),
-        PerStepBudget::Bounded(_) => None,
-    }
 }
 
 #[cfg(test)]

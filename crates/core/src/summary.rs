@@ -176,11 +176,6 @@ impl PpqSummary {
         self.trajs.iter().map(|r| r.codes.len()).sum()
     }
 
-    /// The stored codebook (global or per-step).
-    pub fn codebook_store(&self) -> &CodebookStore {
-        &self.codebook
-    }
-
     /// Total codewords in the store (Table 6's "Number of codewords").
     pub fn codebook_len(&self) -> usize {
         self.codebook.total_words()
@@ -363,17 +358,6 @@ impl PpqSummary {
     /// an index and is reported separately, as in the paper.
     pub fn compression_ratio(&self, dataset: &Dataset) -> f64 {
         dataset.raw_size_bytes() as f64 / self.breakdown().total() as f64
-    }
-
-    /// Distinct codewords referenced at timestep `t` (budget parity for
-    /// the per-step baselines).
-    pub fn distinct_codewords_at(&self, t: u32) -> usize {
-        self.stats
-            .codewords_per_step
-            .iter()
-            .find(|(ts, _)| *ts == t)
-            .map(|(_, c)| *c as usize)
-            .unwrap_or(0)
     }
 
     /// Forecast `horizon` positions beyond trajectory `id`'s last

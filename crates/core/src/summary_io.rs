@@ -19,8 +19,8 @@ use crate::summary::{BuildStats, CodebookStore, PpqSummary, TrajRecord};
 use ppq_cqc::{CqcCode, CqcTemplate};
 use ppq_geo::Point;
 use ppq_predict::Predictor;
-use ppq_quantize::bits::{BitReader, BitWriter};
 use ppq_quantize::Codebook;
+use ppq_sindex::bits::BitVec;
 use ppq_storage::codec::{Decoder, Encoder};
 use std::sync::Arc;
 
@@ -188,22 +188,33 @@ macro_rules! need {
 
 /// Codeword indices, bit-packed at `index_bits`, as a length-prefixed blob.
 fn put_packed_codes(e: &mut Encoder, codes: &[u32], index_bits: u32) {
-    let mut w = BitWriter::new();
+    let mut bits = BitVec::with_capacity(codes.len() * index_bits as usize);
     for &b in codes {
-        w.write(b, index_bits);
+        bits.push(u64::from(b), index_bits);
     }
-    e.put_bytes(w.as_bytes());
+    e.put_bytes(&bits.to_bytes());
 }
 
 /// Unpack `n` codeword indices (no range validation — the caller checks
 /// them against its codebook).
 fn read_packed_codes(d: &mut Decoder, n: usize, index_bits: u32) -> Result<Vec<u32>, DecodeError> {
-    let bytes = need!(d.try_bytes(), "code bytes");
-    if bytes.len().saturating_mul(8) < n.saturating_mul(index_bits as usize) {
-        return Err(DecodeError::Corrupt("code bytes short"));
-    }
-    let mut r = BitReader::new(&bytes);
-    Ok((0..n).map(|_| r.read(index_bits)).collect())
+    let bits = read_packed(d, n, index_bits, "code bytes")?;
+    let w = index_bits as usize;
+    Ok((0..n).map(|i| bits.get(i * w, index_bits) as u32).collect())
+}
+
+/// A length-prefixed blob of `n` values at `width` bits: exactly
+/// `ceil(n·width/8)` bytes, zero-padded (FORMAT §1).
+fn read_packed(
+    d: &mut Decoder,
+    n: usize,
+    width: u32,
+    what: &'static str,
+) -> Result<BitVec, DecodeError> {
+    let corrupt = DecodeError::Corrupt(what);
+    let bytes = d.try_bytes().ok_or(corrupt)?;
+    let len = n.checked_mul(width as usize).ok_or(corrupt)?;
+    BitVec::from_bytes(&bytes, len).map_err(|_| corrupt)
 }
 
 /// Partition labels, RLE: u16 run length (long runs split) + u16 label —
@@ -248,22 +259,20 @@ fn read_labels_rle(d: &mut Decoder, n: usize) -> Result<Vec<u32>, DecodeError> {
 
 /// CQC codes at `2·depth` bits each, as a length-prefixed blob.
 fn put_packed_cqc(e: &mut Encoder, codes: &[CqcCode], cqc_depth: u8) {
-    let mut w = BitWriter::new();
+    let width = 2 * cqc_depth as u32;
+    let mut bits = BitVec::with_capacity(codes.len() * width as usize);
     for code in codes {
-        w.write(code.raw_bits() as u32, 2 * cqc_depth as u32);
+        bits.push(code.raw_bits(), width);
     }
-    e.put_bytes(w.as_bytes());
+    e.put_bytes(&bits.to_bytes());
 }
 
 /// Unpack `n` CQC codes of the given depth.
 fn read_packed_cqc(d: &mut Decoder, n: usize, cqc_depth: u8) -> Result<Vec<CqcCode>, DecodeError> {
-    let bytes = need!(d.try_bytes(), "cqc bytes");
-    if bytes.len().saturating_mul(8) < n.saturating_mul(2 * cqc_depth as usize) {
-        return Err(DecodeError::Corrupt("cqc bytes short"));
-    }
-    let mut r = BitReader::new(&bytes);
+    let width = 2 * cqc_depth as u32;
+    let bits = read_packed(d, n, width, "cqc bytes")?;
     Ok((0..n)
-        .map(|_| CqcCode::from_raw(r.read(2 * cqc_depth as u32) as u64, cqc_depth))
+        .map(|i| CqcCode::from_raw(bits.get(i * width as usize, width), cqc_depth))
         .collect())
 }
 
@@ -413,8 +422,9 @@ pub fn from_bytes(bytes: &[u8], rebuild_index: bool) -> Result<PpqSummary, Decod
     let template = use_cqc.then(|| CqcTemplate::new(eps1, gs));
     let cqc_depth = template.as_ref().map(|t| t.depth()).unwrap_or(0);
     if 2 * cqc_depth as u32 > 32 {
-        // BitReader widths are capped at 32; the grid-side bound above
-        // keeps legitimate templates far below this.
+        // Codes are at most 32 bits wide in the format, and
+        // `CqcCode::from_raw` panics past depth 31; the grid-side bound
+        // above keeps legitimate templates far below this.
         return Err(DecodeError::Corrupt("cqc depth"));
     }
     let n_traj = need!(d.try_u32(), "trajectory count") as usize;
@@ -1178,6 +1188,53 @@ mod tests {
             apply_delta(&mut late_base, &delta).err(),
             Some(DecodeError::Corrupt("delta coeff steps"))
         );
+    }
+
+    /// A packed blob is exactly `ceil(n·w/8)` bytes with its padding
+    /// clear (FORMAT §1): a blob longer by one byte, or one with a padding
+    /// bit set, is corrupt — for the codes and for the CQC codes alike.
+    #[test]
+    fn packed_blobs_are_canonical() {
+        // 3 codes × 3 bits and 3 CQC codes × 4 bits: 2 bytes each, with
+        // 7 and 4 padding bits.
+        let codes = [5u32, 1, 7];
+        let cqc: Vec<CqcCode> = [9u64, 0, 15]
+            .iter()
+            .map(|&b| CqcCode::from_raw(b, 2))
+            .collect();
+        let blob = |put: &dyn Fn(&mut Encoder)| {
+            let mut e = Encoder::new();
+            put(&mut e);
+            e.finish().to_vec()
+        };
+        let codes_blob = blob(&|e| put_packed_codes(e, &codes, 3));
+        let cqc_blob = blob(&|e| put_packed_cqc(e, &cqc, 2));
+        let read_codes = |b: &[u8]| read_packed_codes(&mut Decoder::from_slice(b), 3, 3);
+        let read_cqc = |b: &[u8]| read_packed_cqc(&mut Decoder::from_slice(b), 3, 2);
+        assert_eq!(read_codes(&codes_blob).unwrap(), codes);
+        assert_eq!(read_cqc(&cqc_blob).unwrap(), cqc);
+        // The length prefix raised by one, with a zero byte inserted.
+        let longer = |b: &[u8]| {
+            let mut out = b.to_vec();
+            out[0] += 1;
+            out.push(0);
+            out
+        };
+        // The last byte's top bit, past the last value, set.
+        let padded = |b: &[u8]| {
+            let mut out = b.to_vec();
+            *out.last_mut().unwrap() |= 0x80;
+            out
+        };
+        for damaged in [longer(&codes_blob), padded(&codes_blob)] {
+            assert_eq!(
+                read_codes(&damaged),
+                Err(DecodeError::Corrupt("code bytes"))
+            );
+        }
+        for damaged in [longer(&cqc_blob), padded(&cqc_blob)] {
+            assert_eq!(read_cqc(&damaged), Err(DecodeError::Corrupt("cqc bytes")));
+        }
     }
 
     #[test]

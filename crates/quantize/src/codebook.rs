@@ -5,8 +5,8 @@ use ppq_geo::Point;
 /// A codebook: an append-only list of 2-D codewords.
 ///
 /// Codeword indices (`b_i^t` in the paper) are `u32`; the summary-size
-/// accounting charges `ceil(log2 |C|)` bits per stored index (see
-/// [`crate::bits`]).
+/// accounting charges `ceil(log2 |C|)` bits per stored index, the width
+/// `ppq_sindex::bits` packs them at when the summary is serialized.
 #[derive(Clone, Debug, Default)]
 pub struct Codebook {
     words: Vec<Point>,

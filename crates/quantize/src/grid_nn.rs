@@ -180,20 +180,6 @@ impl GridNN {
         best.map(|(id, d2)| (id, d2.sqrt()))
     }
 
-    /// Occupancy diagnostics: `(cells, max_per_cell, mean_per_cell)`.
-    /// Dense cells mean every probe scans many candidates; useful when
-    /// judging probe cost on skewed codeword distributions.
-    pub fn cell_stats(&self) -> (usize, usize, f64) {
-        let cells = self.cells.len();
-        let max = self.cells.values().map(Vec::len).max().unwrap_or(0);
-        let mean = if cells == 0 {
-            0.0
-        } else {
-            self.points.len() as f64 / cells as f64
-        };
-        (cells, max, mean)
-    }
-
     /// Rebuild from a list of points (ids are positions).
     pub fn from_points(eps: f64, pts: &[Point]) -> Self {
         let mut g = GridNN::new(eps);

@@ -15,10 +15,9 @@
 //!   trajectory points.
 //!
 //! [`grid_nn`] supplies the O(1) nearest-codeword search that makes the
-//! incremental quantizer fast, and [`bits`] packs codeword index streams
-//! for honest summary-size accounting.
+//! incremental quantizer fast. Codeword index streams are bit-packed by
+//! `ppq_sindex::bits` where the summary is serialized.
 
-pub mod bits;
 pub mod codebook;
 pub mod grid_nn;
 pub mod incremental;

@@ -2,7 +2,6 @@
 //! above this crate relies on (paper Definition 3.2).
 
 use ppq_geo::Point;
-use ppq_quantize::bits::{pack_indices, unpack_indices};
 use ppq_quantize::{bounded_kmeans, IncrementalQuantizer, KMeansConfig};
 use proptest::prelude::*;
 
@@ -45,13 +44,5 @@ proptest! {
         for (p, &a) in pts.iter().zip(&res.assign) {
             prop_assert!(p.dist(&res.centroids[a as usize]) <= bound + 1e-9);
         }
-    }
-
-    /// Bit packing is lossless at any width.
-    #[test]
-    fn bitpack_roundtrip(width in 1u32..21, values in prop::collection::vec(0u32..u32::MAX, 0..100)) {
-        let masked: Vec<u32> = values.iter().map(|v| v & ((1u64 << width) as u32).wrapping_sub(1)).collect();
-        let bytes = pack_indices(&masked, width);
-        prop_assert_eq!(unpack_indices(&bytes, width, masked.len()), masked);
     }
 }

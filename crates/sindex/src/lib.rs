@@ -5,6 +5,10 @@
 //! here because they are generic spatial machinery rather than part of
 //! the PPQ contribution itself:
 //!
+//! * [`bits`] — the one LSB-first bit packer: [`bits::BitVec`], a
+//!   `u64`-word stream of values up to 64 bits wide with a checked byte
+//!   image (the summary's codeword indices and CQC codes), and the
+//!   set/read/select word helpers the sealed dictionary runs on.
 //! * [`overlap`] — decompose a new rectangle minus existing ones into
 //!   non-overlapping rectangles (`remove_overlap`, Algorithm 3 lines 6–8,
 //!   after Gourley & Green's polygon-to-rectangle conversion).
@@ -28,6 +32,7 @@
 //!   TrajStore baseline (split on overflow, merge on underflow), with
 //!   content-bounding-box pruned rectangle queries.
 
+pub mod bits;
 pub mod dict;
 pub mod huffman;
 pub mod idlist;

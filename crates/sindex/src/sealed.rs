@@ -32,11 +32,9 @@
 //! are the index, and a fixed-width column is as small as coded gaps
 //! while reading in O(1).
 
+pub use crate::bits::SAMPLE;
+use crate::bits::{clear_past, next_one, read_bits, samples, select_from, set_bit, BitVec};
 use crate::posting::KeyCursor;
-
-/// One select sample per this many zeros (high bits) or set bits (list
-/// boundaries).
-pub const SAMPLE: usize = 64;
 
 /// A sealed posting dictionary. Every buffer is allocated at its exact
 /// length, so [`SealedDict::size_bytes`] is what the dictionary holds.
@@ -84,12 +82,12 @@ impl SealedDict {
         let mut dict = SealedDict::from_runs(runs().count(), postings.len(), last_key, lists);
         let max_id = postings.iter().map(|p| p.1).max().unwrap_or(0);
         let id_bits = (u32::BITS - max_id.leading_zeros()).max(1);
-        let mut ids = vec![0u64; (dict.n_ids * id_bits as usize).div_ceil(64)];
-        for (j, &(_, id)) in postings.iter().enumerate() {
-            write_bits(&mut ids, j * id_bits as usize, id_bits, u64::from(id));
+        let mut ids = BitVec::with_capacity(dict.n_ids * id_bits as usize);
+        for &(_, id) in postings {
+            ids.push(u64::from(id), id_bits);
         }
         dict.id_bits = id_bits;
-        dict.ids = ids.into();
+        dict.ids = ids.into_words().into();
         dict
     }
 
@@ -123,18 +121,17 @@ impl SealedDict {
             high_len <= u32::MAX as usize && n_ids <= u32::MAX as usize,
             "sealed dictionary exceeds the u32 sample domain"
         );
-        let mut lows = vec![0u64; (len * low_bits as usize).div_ceil(64)];
+        let mut lows = BitVec::with_capacity(len * low_bits as usize);
         let mut highs = vec![0u64; high_len.div_ceil(64)];
         let mut starts = vec![0u64; n_ids.div_ceil(64)];
-        let low_mask = (1u64 << low_bits) - 1;
         let mut at = 0usize;
         for (i, (key, n)) in lists.enumerate() {
-            write_bits(&mut lows, i * low_bits as usize, low_bits, key & low_mask);
+            lows.push(key, low_bits);
             set_bit(&mut highs, (key >> low_bits) as usize + i);
             set_bit(&mut starts, at);
             at += n;
         }
-        SealedDict::assemble(len, n_ids, last_key, lows, highs, starts)
+        SealedDict::assemble(len, n_ids, last_key, lows.into_words(), highs, starts)
     }
 
     /// The ID-less dictionary over the given key and boundary words, with
@@ -305,9 +302,6 @@ impl SealedDict {
             .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
         let [lows, highs, starts] =
             bits.map(|bits| words.by_ref().take(bits.div_ceil(64)).collect::<Vec<u64>>());
-        let clear_past = |words: &[u64], bits: usize| {
-            bits.is_multiple_of(64) || words.last().is_none_or(|&w| w >> (bits % 64) == 0)
-        };
         if !(clear_past(&lows, bits[0])
             && clear_past(&highs, bits[1])
             && clear_past(&starts, bits[2]))
@@ -450,110 +444,6 @@ fn shape(len: usize, last_key: u64) -> (u32, usize) {
     (low_bits, len + (last_key >> low_bits) as usize + 1)
 }
 
-#[inline]
-fn set_bit(words: &mut [u64], pos: usize) {
-    words[pos / 64] |= 1u64 << (pos % 64);
-}
-
-/// Write the low `width` bits of `value` at bit `pos` (LSB-first).
-fn write_bits(words: &mut [u64], pos: usize, width: u32, value: u64) {
-    if width == 0 {
-        return;
-    }
-    let (w, off) = (pos / 64, (pos % 64) as u32);
-    words[w] |= value << off;
-    if off + width > 64 {
-        words[w + 1] |= value >> (64 - off);
-    }
-}
-
-/// Read `width < 64` bits at bit `pos` (LSB-first).
-#[inline]
-fn read_bits(words: &[u64], pos: usize, width: u32) -> u64 {
-    if width == 0 {
-        return 0;
-    }
-    let (w, off) = (pos / 64, (pos % 64) as u32);
-    let mut v = words[w] >> off;
-    if off + width > 64 {
-        v |= words[w + 1] << (64 - off);
-    }
-    v & ((1u64 << width) - 1)
-}
-
-/// Position of set bit number `r` (from 0) of `x`; `r < x.count_ones()`.
-#[inline]
-fn select_in_word(mut x: u64, mut r: u32) -> u32 {
-    let mut pos = 0;
-    for width in [32u32, 16, 8] {
-        let low = (x & ((1u64 << width) - 1)).count_ones();
-        if r >= low {
-            r -= low;
-            x >>= width;
-            pos += width;
-        }
-    }
-    for _ in 0..r {
-        x &= x - 1;
-    }
-    pos + x.trailing_zeros()
-}
-
-/// Position of the first set bit of `words` at or after bit `from`; one
-/// must exist.
-#[inline]
-fn next_one(words: &[u64], from: usize) -> usize {
-    let mut w = from / 64;
-    let mut x = words[w] & (u64::MAX << (from % 64));
-    while x == 0 {
-        w += 1;
-        x = words[w];
-    }
-    w * 64 + x.trailing_zeros() as usize
-}
-
-/// Position of the bit of rank `rank` among the bits of `words` equal to
-/// `one`, scanning from bit `from`, before which `before ≤ rank` such
-/// bits lie. The bit must exist.
-#[inline]
-fn select_from(words: &[u64], one: bool, from: usize, before: usize, rank: usize) -> usize {
-    let flip = if one { 0 } else { u64::MAX };
-    let mut w = from / 64;
-    let mut x = (words[w] ^ flip) & (u64::MAX << (from % 64));
-    let mut need = rank - before;
-    loop {
-        let c = x.count_ones() as usize;
-        if need < c {
-            return w * 64 + select_in_word(x, need as u32) as usize;
-        }
-        need -= c;
-        w += 1;
-        x = words[w] ^ flip;
-    }
-}
-
-/// Positions of bit number `k · SAMPLE` among the first `len` bits of
-/// `words` equal to `one`, for every such `k`.
-fn samples(words: &[u64], len: usize, one: bool) -> Box<[u32]> {
-    let mut out = Vec::new();
-    let mut rank = 0usize;
-    for (w, &word) in words.iter().enumerate() {
-        let mut x = if one { word } else { !word };
-        let valid = len - w * 64;
-        if valid < 64 {
-            x &= (1u64 << valid) - 1;
-        }
-        let c = x.count_ones() as usize;
-        let mut next = rank.next_multiple_of(SAMPLE);
-        while next < rank + c {
-            out.push((w * 64 + select_in_word(x, (next - rank) as u32) as usize) as u32);
-            next += SAMPLE;
-        }
-        rank += c;
-    }
-    out.into()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,16 +456,6 @@ mod tests {
                 (key, ids)
             })
             .collect()
-    }
-
-    #[test]
-    fn select_in_word_finds_every_bit() {
-        for x in [1u64, 0x8000_0000_0000_0001, u64::MAX, 0xF0F0_0F0F_1234_5678] {
-            let want: Vec<u32> = (0..64).filter(|b| x >> b & 1 == 1).collect();
-            for (r, &b) in want.iter().enumerate() {
-                assert_eq!(select_in_word(x, r as u32), b, "x {x:#x} r {r}");
-            }
-        }
     }
 
     #[test]

@@ -31,10 +31,6 @@ impl IoStats {
         self.buffer_hits.load(Ordering::Relaxed)
     }
 
-    pub fn total_ios(&self) -> u64 {
-        self.reads() + self.writes()
-    }
-
     /// Reset the counters.
     pub fn reset(&self) {
         self.reads.store(0, Ordering::Relaxed);
